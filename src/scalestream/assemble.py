@@ -16,7 +16,6 @@ import numpy as np
 
 from .partition import Partition
 from .stream import PointStream
-from .update import ScalePrediction
 
 
 class AssembleError(ValueError):
@@ -37,42 +36,29 @@ class CumulativeOutput:
         return len(self.pred_labels)
 
 
-def assemble(predictions: Sequence[ScalePrediction],
-             partitions: Sequence[Partition],
-             stream: PointStream) -> CumulativeOutput:
-    """Build the cumulative output for scale ``i = len(predictions)``.
+def assemble(stream: PointStream, partitions: Sequence[Partition],
+             labels: np.ndarray) -> CumulativeOutput:
+    """Build the cumulative output of scale ``i = len(partitions)``.
 
-    Every prediction must already be refined to level ``i``; anything less
-    means stale labels would leak into evaluation, so it is an error.
+    ``partitions`` are scales ``1..i`` and ``labels`` their predicted labels
+    in capture order, one per point of the stream prefix they cover.
+    Positions, ground truth and timestamps are views of that prefix.
     """
-    if not predictions:
-        raise AssembleError("need at least one scale prediction")
-    i = len(predictions)
-    if len(partitions) < i:
-        raise AssembleError(f"{i} predictions but only {len(partitions)} partitions")
-    for j, pred in enumerate(predictions, start=1):
-        if pred.scale != j:
-            raise AssembleError(f"expected scale {j} at position {j}, got {pred.scale}")
-        if pred.level != i:
-            raise AssembleError(
-                f"scale {j} is at refinement level {pred.level}, expected {i}")
-        if len(pred) != partitions[j - 1].count:
-            raise AssembleError(
-                f"scale {j} has {len(pred)} labels for a partition of "
-                f"{partitions[j - 1].count} points")
-
-    n = sum(p.count for p in partitions[:i])
-    pred_labels = (np.concatenate([p.labels for p in predictions])
-                   if n else np.zeros(0, dtype=np.int64))
-    origin = (np.concatenate([np.full(len(p), p.scale, dtype=np.int64)
-                              for p in predictions])
-              if n else np.zeros(0, dtype=np.int64))
+    if not partitions:
+        raise AssembleError("need at least one partition")
+    counts = [p.count for p in partitions]
+    n = sum(counts)
+    if len(labels) != n:
+        raise AssembleError(
+            f"{len(labels)} labels for the {n} points of scales "
+            f"1..{len(partitions)}")
     return CumulativeOutput(
-        scale=i,
+        scale=len(partitions),
         positions=stream.positions[:n],
-        pred_labels=pred_labels,
+        pred_labels=labels,
         gt_labels=stream.labels[:n],
-        origin_scales=origin,
+        origin_scales=np.repeat(np.arange(1, len(counts) + 1, dtype=np.int64),
+                                counts),
         timestamps=stream.timestamps[:n],
         class_count=stream.class_count,
     )

@@ -333,13 +333,17 @@ def cmd_partition(args) -> int:
 
 def _load_or_scan(args) -> PointStream:
     if args.scan_inline:
-        return _do_scan(args)
-    if args.stream is None:
-        raise ConfigError("either --stream or --scan-inline is required")
-    path = Path(args.stream)
-    if not path.exists():
-        raise ConfigError(f"stream file not found: {path}")
-    return read_stream(path)
+        stream = _do_scan(args)
+    else:
+        if args.stream is None:
+            raise ConfigError("either --stream or --scan-inline is required")
+        path = Path(args.stream)
+        if not path.exists():
+            raise ConfigError(f"stream file not found: {path}")
+        stream = read_stream(path)
+    if len(stream) == 0:
+        raise ConfigError("stream has no points")
+    return stream
 
 
 def _build_run_pieces(args, stream: PointStream):

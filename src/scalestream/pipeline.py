@@ -7,13 +7,19 @@ cascade refines every lower scale before the cumulative output for that
 scale is published.  The non-scalable baseline can only start once the whole
 cloud is acquired.
 
-Two backends share one contract:
+One label engine does the label work; the two backends differ only in when
+they call it:
 
-* ``overlap="full"`` / ``overlap="none"``: a deterministic discrete-event
-  simulation; "full" overlaps processing with acquisition as the gates
-  allow (unlimited workers), "none" serializes everything after acquisition.
-* ``overlap="measured"``: a real threaded executor that sleeps through
-  acquisition and records wall-clock instants.
+* ``overlap="full"`` / ``overlap="none"``: the simulator runs the engine in
+  scale order and derives the timeline in closed form from the partition
+  sizes and the ``TimingModel``; "full" overlaps processing with acquisition
+  as the gates allow (unlimited workers), "none" serializes everything after
+  acquisition.
+* ``overlap="measured"``: one worker thread predicts the scales in order,
+  sleeping through acquisition; the calling thread refines, publishes and
+  records wall-clock instants.  Without the fusion dependency, predictions
+  still run one at a time (scale ``i`` starts at ``max(ready_i,
+  done_{i-1})``) and the refinement of one scale overlaps the next predict.
 
 Label outputs are bit-identical across all backends and timing parameters;
 scheduling only ever affects the timeline.
@@ -21,9 +27,10 @@ scheduling only ever affects the timeline.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,7 +92,12 @@ class TimingModel:
             raise PipelineError(f"overlap must be one of {OVERLAP_MODES}")
 
     def predict_duration(self, n_points: int, scale: int | None = None) -> float:
-        """Synthetic duration of one predictor job (scale=None: baseline)."""
+        """Synthetic duration of one predictor job (scale=None: baseline).
+
+        A job over no points costs nothing, like the baseline over an empty
+        stream."""
+        if n_points == 0:
+            return 0.0
         if scale is None:
             if self.baseline_override is not None:
                 return self.baseline_override
@@ -98,6 +110,10 @@ class TimingModel:
         return self.predict_fixed + self.predict_per_point * n_points
 
     def refine_duration(self, n_lower: int, n_upper: int) -> float:
+        """Synthetic duration of one refinement; zero when either side is
+        empty, because ``refine`` then passes the lower scale through."""
+        if n_lower == 0 or n_upper == 0:
+            return 0.0
         if self.refine_override is not None:
             return self.refine_override
         return self.refine_fixed + self.refine_per_point * (n_lower + n_upper)
@@ -184,28 +200,46 @@ class LatencyMetrics:
         }
 
 
-def _validate(stream: PointStream, predictor_cfg: PredictorConfig,
-              update_cfg: UpdateConfig | None, timing: TimingModel):
-    if predictor_cfg.variant == "seeded-knn" and not timing.fusion_dependency:
-        raise PipelineError(
-            "seeded-knn consumes previous-scale context; fusion_dependency "
-            "cannot be disabled for it")
+class _LabelEngine:
+    """The label work of one scalable run; the backends only schedule it.
 
+    ``predict(i)`` may run on any thread.  ``publish`` must be called once
+    per scale, in scale order, on one thread.  With the fusion dependency on,
+    ``predict(i)`` reads the context that ``publish(i-1)`` left behind, so it
+    must not start before that call has returned.
+    """
 
-def _advance(preds: list[ScalePrediction], level: int) -> list[ScalePrediction]:
-    # identity update: raise refinement levels without touching labels
-    return [replace(p, level=level) for p in preds]
+    def __init__(self, stream, parts, predictor_cfg, update_cfg, fusion):
+        self.stream = stream
+        self.parts = parts
+        self.predictor_cfg = predictor_cfg
+        self.update_cfg = update_cfg
+        self.fusion = fusion
+        self.preds: list[ScalePrediction] = []
+        self.ctx: ScaleContext | None = None  # published for the next scale
 
+    def predict(self, i: int) -> tuple[np.ndarray, ScaleContext]:
+        """Raw labels of scale ``i`` and the predictor's own context."""
+        gated = self.ctx if self.fusion and i > 1 else None
+        return predict(self.parts[i - 1], gated, self.predictor_cfg,
+                       self.stream.class_count)
 
-def _publish_ctx(partitions, preds, update_cfg, ctx_pred):
-    """Context handed to the next scale: the refined cumulative cloud when
-    the update module runs, otherwise the predictor's own cumulative one."""
-    if update_cfg is None:
-        return ctx_pred
-    i = len(preds)
-    positions = np.concatenate([partitions[j].positions for j in range(i)])
-    labels = np.concatenate([p.labels for p in preds])
-    return ScaleContext(positions, labels)
+    def publish(self, i: int, labels: np.ndarray, ctx_pred: ScaleContext,
+                on_refine=None) -> CumulativeOutput:
+        """Take in scale ``i``, refining the lower scales when the update
+        module is on, and return its cumulative output.  The context left
+        for scale ``i+1`` is that refined prefix, or else ``ctx_pred``."""
+        arrived = ScalePrediction(i, self.parts[i - 1].positions, labels, level=i)
+        if self.update_cfg is None:
+            self.preds.append(arrived)
+        else:
+            self.preds = cascade_step(self.preds, arrived, self.update_cfg,
+                                      on_refine)
+        out = assemble(self.stream, self.parts[:i],
+                       np.concatenate([p.labels for p in self.preds]))
+        self.ctx = (ctx_pred if self.update_cfg is None
+                    else ScaleContext(out.positions, out.pred_labels))
+        return out
 
 
 def run_scalable(stream: PointStream, spec: PartitionSpec,
@@ -219,134 +253,104 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
     ``update_cfg=None`` disables the refinement cascade (predictions keep
     their original labels, as in a pipeline without an update module).
     """
-    _validate(stream, predictor_cfg, update_cfg, timing)
+    if predictor_cfg.variant == "seeded-knn" and not timing.fusion_dependency:
+        raise PipelineError(
+            "seeded-knn consumes previous-scale context; fusion_dependency "
+            "cannot be disabled for it")
     parts = partition(stream, spec)
-    if timing.overlap == "measured":
-        return _run_real(stream, parts, predictor_cfg, update_cfg, timing)
-    return _run_sim(stream, parts, predictor_cfg, update_cfg, timing)
-
-
-def _run_sim(stream, parts, predictor_cfg, update_cfg, timing):
-    K = len(parts)
-    tl = Timeline()
+    engine = _LabelEngine(stream, parts, predictor_cfg, update_cfg,
+                          timing.fusion_dependency)
     ready = [p.interval[1] * timing.tick_duration for p in parts]
+    if timing.overlap == "measured":
+        return _run_real(engine, ready)
+    outputs = [engine.publish(i, *engine.predict(i))
+               for i in range(1, len(parts) + 1)]
+    return outputs, _sim_timeline([p.count for p in parts], ready, timing,
+                                 refining=update_cfg is not None)
+
+
+def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
+                 refining: bool) -> Timeline:
+    """The simulated schedule, from partition sizes and ready instants alone.
+
+    The arrival of scale ``i`` refines scales ``i-1, ..., 1`` in that order;
+    refining scale ``j`` votes its ``counts[j-1]`` points against the
+    ``counts[j]`` points of scale ``j+1``.
+    """
+    tl = Timeline()
     for i, r in enumerate(ready, start=1):
         tl.add(PARTITION_READY, i, r)
-
-    outputs = []
-    preds: list[ScalePrediction] = []
-    ctx = None
-    acq_end = ready[-1]
-    clock = acq_end  # running clock for the serialized ("none") schedule
+    serial = timing.overlap == "none"
     prev_avail = 0.0
-    for i in range(1, K + 1):
-        part = parts[i - 1]
-        gated_ctx = ctx if (timing.fusion_dependency and i > 1) else None
-        labels, ctx_pred = predict(part, gated_ctx, predictor_cfg, stream.class_count)
-        arrived = ScalePrediction(i, part.positions, labels, level=i)
-        refine_sizes: list[tuple[int, int, int]] = []
-        if update_cfg is not None:
-            preds = cascade_step(
-                preds, arrived, update_cfg,
-                on_refine=lambda s, nl, nu, _dt: refine_sizes.append((s, nl, nu)))
-        else:
-            preds = _advance(preds, i) + [arrived]
-        outputs.append(assemble(preds, parts, stream))
-        ctx = _publish_ctx(parts, preds, update_cfg, ctx_pred)
-
-        pd = timing.predict_duration(part.count, scale=i)
-        if timing.overlap == "none":
-            start = clock
+    for i, count in enumerate(counts, start=1):
+        if serial:  # everything after acquisition, one stage at a time
+            start = prev_avail if i > 1 else ready[-1]
         else:
             start = max(ready[i - 1], prev_avail if timing.fusion_dependency else 0.0)
-        done = start + pd
+        done = start + timing.predict_duration(count, scale=i)
         tl.add(SCALE_START, i, start)
         tl.add(SCALE_DONE, i, done)
-        t = done if timing.overlap == "none" else max(done, prev_avail)
-        for lower_scale, n_lower, n_upper in refine_sizes:
-            t += timing.refine_duration(n_lower, n_upper)
-            tl.add(REFINE_DONE, lower_scale, t, arrival=i)
+        t = done if serial else max(done, prev_avail)
+        if refining:
+            for j in range(i - 1, 0, -1):
+                t += timing.refine_duration(counts[j - 1], counts[j])
+                tl.add(REFINE_DONE, j, t, arrival=i)
         tl.add(CUMULATIVE_AVAILABLE, i, t)
         prev_avail = t
-        clock = t
-    return outputs, tl
+    return tl
 
 
-def _run_real(stream, parts, predictor_cfg, update_cfg, timing):
-    K = len(parts)
-    ready = [p.interval[1] * timing.tick_duration for p in parts]
+def _run_real(engine: _LabelEngine, ready: list[float]):
+    """The real executor; events are wall-clock seconds from its start."""
     base = time.monotonic()
 
     def now() -> float:
         return time.monotonic() - base
 
-    def sleep_until(target: float):
-        while (dt := target - now()) > 0:
-            time.sleep(min(dt, 0.05))
+    stop = threading.Event()
+    published = threading.Semaphore(0)
+    arrivals: queue.SimpleQueue = queue.SimpleQueue()
 
-    ctx_ready = [threading.Event() for _ in range(K + 1)]
-    published = [threading.Event() for _ in range(K + 1)]
-    ctx_box: list = [None] * (K + 1)
-    preds_box: list = [[]] + [None] * K
-    outputs: list = [None] * K
-    event_rows: list[list[TimelineEvent]] = [[] for _ in range(K)]
-    failures: list[BaseException] = []
-    published[0].set()
-    ctx_ready[0].set()
-
-    def worker(i: int):
+    def work():
         try:
-            rows = event_rows[i - 1]
-            sleep_until(ready[i - 1])
-            if timing.fusion_dependency and i > 1:
-                ctx_ready[i - 1].wait()
-                gated_ctx = ctx_box[i - 1]
-            else:
-                gated_ctx = None
-            start = now()
-            part = parts[i - 1]
-            labels, ctx_pred = predict(part, gated_ctx, predictor_cfg,
-                                       stream.class_count)
-            done = now()
-            rows.append(TimelineEvent(SCALE_START, i, start))
-            rows.append(TimelineEvent(SCALE_DONE, i, done))
-
-            published[i - 1].wait()
-            preds = preds_box[i - 1]
-            arrived = ScalePrediction(i, part.positions, labels, level=i)
-            if update_cfg is not None:
-                preds = cascade_step(
-                    preds, arrived, update_cfg,
-                    on_refine=lambda s, nl, nu, _dt: rows.append(
-                        TimelineEvent(REFINE_DONE, s, now(), arrival=i)))
-            else:
-                preds = _advance(preds, i) + [arrived]
-            outputs[i - 1] = assemble(preds, parts, stream)
-            preds_box[i] = preds
-            ctx_box[i] = _publish_ctx(parts, preds, update_cfg, ctx_pred)
-            rows.append(TimelineEvent(CUMULATIVE_AVAILABLE, i, now()))
-            ctx_ready[i].set()
-            published[i].set()
-        except BaseException as exc:  # propagate to the caller after join
-            failures.append(exc)
-            ctx_ready[i].set()
-            published[i].set()
-
-    threads = [threading.Thread(target=worker, args=(i,), name=f"scale-{i}")
-               for i in range(1, K + 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
+            for i, r in enumerate(ready, start=1):
+                while (dt := r - now()) > 0:
+                    if stop.wait(dt):
+                        return
+                if engine.fusion and i > 1:
+                    published.acquire()
+                if stop.is_set():
+                    return
+                start = now()
+                labels, ctx = engine.predict(i)
+                arrivals.put((start, now(), labels, ctx))
+        except BaseException as exc:  # re-raised on the calling thread
+            arrivals.put(exc)
 
     tl = Timeline()
     for i, r in enumerate(ready, start=1):
         tl.add(PARTITION_READY, i, r)
-    for rows in event_rows:
-        for e in rows:
-            tl.add(e.kind, e.scale, e.instant, e.arrival)
+    outputs = []
+    worker = threading.Thread(target=work, name="scale-predictor")
+    worker.start()
+    try:
+        for i in range(1, len(ready) + 1):
+            item = arrivals.get()
+            if isinstance(item, BaseException):
+                raise item
+            start, done, labels, ctx = item
+            tl.add(SCALE_START, i, start)
+            tl.add(SCALE_DONE, i, done)
+            outputs.append(engine.publish(
+                i, labels, ctx,
+                on_refine=lambda s, _nl, _nu, _dt: tl.add(
+                    REFINE_DONE, s, now(), arrival=i)))
+            tl.add(CUMULATIVE_AVAILABLE, i, now())
+            published.release()
+    finally:
+        stop.set()
+        published.release()  # a worker waiting on a publish wakes and stops
+        worker.join()
     return outputs, tl
 
 

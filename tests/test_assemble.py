@@ -25,7 +25,7 @@ def test_single_scale_is_that_prediction():
     stream = make_random_stream(rng, 100, t_max=500)
     spec = PartitionSpec((500,))
     parts, preds = predictions_at_level(stream, spec)
-    out = assemble(preds[:1], parts, stream)
+    out = assemble(stream, parts[:1], preds[0].labels)
     assert np.array_equal(out.pred_labels, preds[0].labels)
     assert np.array_equal(out.gt_labels, stream.labels)
     assert out.scale == 1
@@ -38,7 +38,7 @@ def test_perfect_predictions_reproduce_stream_labels():
     parts = partition(stream, spec)
     preds = [ScalePrediction(p.scale, p.positions, p.labels.copy(), 3)
              for p in parts]
-    out = assemble(preds, parts, stream)
+    out = assemble(stream, parts, np.concatenate([p.labels for p in preds]))
     assert np.array_equal(out.pred_labels, stream.labels)
     assert np.array_equal(out.positions, stream.positions)
 
@@ -52,7 +52,8 @@ def test_cumulative_cardinality_matches_prefix_counts():
     state = []
     for i, p in enumerate(raw, start=1):
         state = cascade_step(state, p, cfg)
-        out = assemble(state, parts, stream)
+        out = assemble(stream, parts[:i],
+                       np.concatenate([p.labels for p in state]))
         want = int(np.sum(stream.timestamps <= spec.cuts[i - 1]))
         assert len(out) == want
         assert np.array_equal(out.timestamps, stream.timestamps[:want])
@@ -61,23 +62,13 @@ def test_cumulative_cardinality_matches_prefix_counts():
             assert int(np.sum(out.origin_scales == j)) == parts[j - 1].count
 
 
-def test_level_mismatch_rejected():
-    rng = np.random.default_rng(4)
-    stream = make_random_stream(rng, 60, t_max=500)
-    spec = PartitionSpec((200, 500))
-    parts, preds = predictions_at_level(stream, spec)
-    with pytest.raises(AssembleError, match="level"):
-        assemble(preds, parts, stream)  # scale 1 still at level 1, needs 2
-
-
 def test_cardinality_mismatch_rejected():
     rng = np.random.default_rng(5)
     stream = make_random_stream(rng, 60, t_max=500)
     spec = PartitionSpec((200, 500))
     parts, _ = predictions_at_level(stream, spec)
-    bad = [ScalePrediction(1, np.zeros((1, 3)), np.array([0]), 1)]
     with pytest.raises(AssembleError, match="labels"):
-        assemble(bad, parts, stream)
+        assemble(stream, parts[:1], np.array([0]))
 
 
 def test_csv_layout():
@@ -85,7 +76,7 @@ def test_csv_layout():
     stream = make_random_stream(rng, 10, t_max=100)
     spec = PartitionSpec((100,))
     parts, preds = predictions_at_level(stream, spec)
-    out = assemble(preds, parts, stream)
+    out = assemble(stream, parts, preds[0].labels)
     lines = cumulative_csv(out).splitlines()
     assert lines[0] == "x,y,z,t,origin_scale,pred,gt"
     assert len(lines) == 11

@@ -257,3 +257,12 @@ def test_run_no_update(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["scale_miou_unrefined"] is None
     assert (out / "miou_vs_scale.svg").exists()
+
+
+def test_empty_stream_exits_2(tmp_path, capsys):
+    for command in ("run", "sweep"):
+        rc = run_cli(command, "--scan-inline", "--dropout", "1.0",
+                     "--ticks", "4096", "--cuts", "1000 4096",
+                     "--out-dir", str(tmp_path / command))
+        assert rc == 2
+        assert "config error: stream has no points" in capsys.readouterr().err

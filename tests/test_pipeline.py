@@ -1,9 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from scalestream import (PartitionSpec, PipelineError, PredictorConfig,
-                         TimingModel, UpdateConfig, latency_metrics,
-                         run_baseline, run_scalable)
+import scalestream.pipeline as pipeline
+from scalestream import (PartitionSpec, PipelineError, PointStream,
+                         PredictorConfig, TimingModel, UpdateConfig,
+                         latency_metrics, make_seed_cloud, run_baseline,
+                         run_scalable)
 from scalestream.pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY,
                                   SCALE_DONE, SCALE_START, Timeline)
 
@@ -260,3 +265,114 @@ def test_update_disabled_keeps_raw_labels():
     assert np.array_equal(outputs[-1].pred_labels[-n_last:],
                           refined[-1].pred_labels[-n_last:])
     assert not np.array_equal(outputs[-1].pred_labels, refined[-1].pred_labels)
+
+
+def test_empty_stream_has_zero_residual():
+    stream = make_random_stream(np.random.default_rng(0), 0)
+    cfg = PredictorConfig(error_rates=RATES)
+    timing = TimingModel()
+    _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
+    _, base_tl = run_baseline(stream, cfg, timing)
+    lat = latency_metrics(tl, base_tl)
+    assert lat.post_acq == 0.0
+    assert lat.speedup == 0.0
+
+
+def test_empty_scale_costs_nothing():
+    s = small_stream(13, n=400, t_max=700)
+    # every point after the first cut: scale 1 is empty
+    stream = PointStream(s.positions, s.labels, s.timestamps + 300, s.class_count)
+    cfg = PredictorConfig(error_rates=RATES)
+    timing = TimingModel()
+    outputs, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
+    assert len(outputs[0]) == 0
+    _, base_tl = run_baseline(stream, cfg, timing)
+    lat = latency_metrics(tl, base_tl)
+    assert lat.predict_durations[0] == 0.0
+    assert lat.predict_durations[1] > 0.0
+
+
+def test_real_executor_starts_one_thread(monkeypatch):
+    stream = small_stream(14, n=400, t_max=4000)
+    spec = PartitionSpec(tuple(range(100, 4001, 100)))
+    cfg = PredictorConfig(error_rates=(0.2,) * 40, seed=1)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    outputs, _ = run_scalable(stream, spec, cfg, UpdateConfig(k=3),
+                              TimingModel(tick_duration=1e-7, overlap="measured"))
+    assert len(outputs) == 40
+    assert len(started) <= 1
+
+
+class Boom(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("fusion", [True, False])
+@pytest.mark.parametrize("target", ["predict", "cascade_step"])
+def test_real_executor_failure_surfaces_without_leaks(monkeypatch, target, fusion):
+    boom = Boom("scale 3")
+    real = getattr(pipeline, target)
+
+    def failing(*args, **kwargs):
+        # predict(part, ...) and cascade_step(lowers, arrived, ...)
+        scale = args[0].scale if target == "predict" else args[1].scale
+        if scale == 3:
+            raise boom
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, target, failing)
+    raised = []
+
+    def call():
+        try:
+            run_scalable(small_stream(15, n=400), SPEC,
+                         PredictorConfig(error_rates=RATES, seed=2),
+                         UpdateConfig(k=3),
+                         TimingModel(tick_duration=1e-6, overlap="measured",
+                                     fusion_dependency=fusion))
+        except Boom as exc:
+            raised.append(exc)
+
+    before = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=5.0)
+    assert not caller.is_alive()
+    assert raised == [boom]
+    assert threading.active_count() == before
+
+
+def test_seeded_knn_labels_identical_across_backends():
+    stream = small_stream(16)
+    cloud = make_seed_cloud(stream.positions, stream.labels, 0.1, 0)
+    cfg = PredictorConfig(variant="seeded-knn", k_cls=3, seed_cloud=cloud)
+    models = [
+        TimingModel(tick_duration=1e-6),
+        TimingModel(tick_duration=5.0, overlap="none"),
+        TimingModel(tick_duration=1e-6, overlap="measured"),
+    ]
+    finals = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the worker and the caller often
+    try:
+        for update in (UpdateConfig(k=3), None):
+            reference = None
+            for timing in models:
+                outputs, _ = run_scalable(stream, SPEC, cfg, update, timing)
+                labels = [o.pred_labels.astype("<i8").tobytes() for o in outputs]
+                if reference is None:
+                    reference = labels
+                else:
+                    assert labels == reference
+            finals.append(reference[-1])
+    finally:
+        sys.setswitchinterval(interval)
+    # the published context differs with the update module on and off
+    assert finals[0] != finals[1]
