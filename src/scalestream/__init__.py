@@ -24,9 +24,9 @@ from .scanner import (DEFAULT_TICKS_PER_PERIOD, CameraPose, LissajousConfig,
                       lissajous_direction, place_cameras, scan)
 from .scene import Scene, SceneError, default_room, empty_room, load_scene, parse_scene, scene_text
 from .stream import (INDOOR_CLASSES, LabelMap, PointStream, StreamFormatError,
-                     StreamValidationError, TimedPoint, export_csv,
-                     indoor_label_map, read_stream, write_stream)
+                     StreamValidationError, export_csv, indoor_label_map,
+                     read_stream, write_stream)
 from .update import (ScalePrediction, UpdateConfig, UpdateError, cascade,
-                     cascade_step, knn, knn_batch, refine)
+                     cascade_step, knn_batch, refine)
 
 __version__ = "0.1.0"

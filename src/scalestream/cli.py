@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,29 +45,9 @@ _RUN_KEYS = _SCAN_KEYS + (
     "baseline_factor", "refine_fixed", "refine_per_point", "coverage_grid")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat record of every knob a command depends on.
-
-    Serialized into manifests and hashed so outputs are traceable to their
-    exact inputs; built straight from parsed flags, which are themselves the
-    config-file keys.
-    """
-
-    values: tuple[tuple[str, object], ...]
-
-    @classmethod
-    def from_args(cls, args, keys) -> "RunConfig":
-        return cls(tuple((k, getattr(args, k)) for k in keys))
-
-    def to_dict(self) -> dict:
-        return dict(self.values)
-
-    def hash(self) -> str:
-        return config_hash(self.to_dict())
-
-
 def config_hash(config: dict) -> str:
+    """Hash of a command's flat flag record, so that outputs are traceable
+    to their exact inputs."""
     return hashlib.sha256(
         json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -297,11 +276,11 @@ def cmd_scan(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stream_path = out / "stream.bin"
     n_bytes = write_stream(stream, stream_path)
-    cfg = RunConfig.from_args(args, _SCAN_KEYS)
+    cfg = {k: getattr(args, k) for k in _SCAN_KEYS}
     _write_json(out / "scan_manifest.json", {
         "command": "scan",
-        "config": cfg.to_dict(),
-        "config_hash": cfg.hash(),
+        "config": cfg,
+        "config_hash": config_hash(cfg),
         "stream": stream_path.name,
         "points": len(stream),
         "bytes": n_bytes,
@@ -371,6 +350,11 @@ def _build_run_pieces(args, stream: PointStream):
     return spec, predictor_cfg, update_cfg, timing
 
 
+def _scale_miou(output) -> float | None:
+    """mIoU of a cumulative output, or None when its prefix is empty."""
+    return miou(output)[1] if len(output) else None
+
+
 def cmd_run(args) -> int:
     problems = _validate_pipeline_args(args)
     if problems:
@@ -387,9 +371,9 @@ def cmd_run(args) -> int:
     unrefined_miou = None
     if not args.skip_unrefined and update_cfg is not None:
         raw_outputs, _ = run_scalable(stream, spec, predictor_cfg, None, timing)
-        unrefined_miou = [miou(o)[1] for o in raw_outputs]
+        unrefined_miou = [_scale_miou(o) for o in raw_outputs]
 
-    scale_mious = [miou(o)[1] for o in outputs]
+    scale_mious = [_scale_miou(o) for o in outputs]
     final = outputs[-1]
     class_iou, _final_miou = miou(final)
     names = (stream.label_map.names if stream.label_map is not None
@@ -415,10 +399,10 @@ def cmd_run(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = RunConfig.from_args(args, _RUN_KEYS)
+    cfg = {k: getattr(args, k) for k in _RUN_KEYS}
     _write_json(out / "run_manifest.json",
-                {"command": "run", "config": cfg.to_dict(),
-                 "config_hash": cfg.hash(), "points": len(stream)})
+                {"command": "run", "config": cfg,
+                 "config_hash": config_hash(cfg), "points": len(stream)})
     _write_json(out / "metrics.json", report.to_dict())
     (out / "metrics.csv").write_text(report.to_csv(), encoding="utf-8")
     _write_json(out / "timeline.json", timeline.to_dict())
@@ -512,7 +496,7 @@ def cmd_report(args) -> int:
                                               encoding="utf-8")
     print(f"scales: {len(report.scale_miou)}")
     for i, v in enumerate(report.scale_miou, start=1):
-        print(f"  mIoU@scale{i}: {v:.4f}")
+        print(f"  mIoU@scale{i}: {'n/a' if v is None else f'{v:.4f}'}")
     print(f"baseline mIoU: {report.baseline_miou:.4f}")
     print(f"cost of scalability: {report.cost_of_scalability_pct:+.2f} pp")
     if report.latency:

@@ -123,10 +123,13 @@ def _occupied_cells(stream: PointStream, g: int) -> np.ndarray:
 
 @dataclass
 class MetricsReport:
-    """Everything a run produces, ready for JSON/CSV serialization."""
+    """Everything a run produces, ready for JSON/CSV serialization.
 
-    scale_miou: list[float]                 # cumulative outputs, scales 1..K
-    scale_miou_unrefined: list[float] | None
+    A per-scale mIoU is None (JSON null, an empty CSV value) when the
+    scale's cumulative prefix holds no point."""
+
+    scale_miou: list[float | None]          # cumulative outputs, scales 1..K
+    scale_miou_unrefined: list[float | None] | None
     origin_miou: dict[int, float]           # final scale, split by origin
     per_class_iou: dict[str, float]         # final scale, NaN classes omitted
     baseline_miou: float
@@ -149,10 +152,10 @@ class MetricsReport:
     def to_csv(self) -> str:
         rows = ["metric,scale,value"]
         for i, v in enumerate(self.scale_miou, start=1):
-            rows.append(f"miou,{i},{v!r}")
+            rows.append(f"miou,{i},{'' if v is None else repr(v)}")
         if self.scale_miou_unrefined is not None:
             for i, v in enumerate(self.scale_miou_unrefined, start=1):
-                rows.append(f"miou_unrefined,{i},{v!r}")
+                rows.append(f"miou_unrefined,{i},{'' if v is None else repr(v)}")
         for name, v in self.per_class_iou.items():
             rows.append(f"iou_{name},,{v!r}")
         rows.append(f"baseline_miou,,{self.baseline_miou!r}")

@@ -38,10 +38,6 @@ class PartitionSpec:
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise PartitionError(f"cuts must be strictly increasing, got {cuts}")
 
-    @property
-    def scale_count(self) -> int:
-        return len(self.cuts)
-
     def interval(self, scale: int) -> tuple[int, int]:
         """(exclusive lower, inclusive upper) tick bounds of a 1-based scale."""
         lo = -1 if scale == 1 else self.cuts[scale - 2]

@@ -7,19 +7,18 @@ cascade refines every lower scale before the cumulative output for that
 scale is published.  The non-scalable baseline can only start once the whole
 cloud is acquired.
 
-One label engine does the label work; the two backends differ only in when
-they call it:
+One in-order loop does the label work in every mode: per scale it predicts,
+refines the lower scales, assembles the cumulative output and publishes the
+next scale's context.  The modes differ only in the timeline:
 
-* ``overlap="full"`` / ``overlap="none"``: the simulator runs the engine in
-  scale order and derives the timeline in closed form from the partition
-  sizes and the ``TimingModel``; "full" overlaps processing with acquisition
-  as the gates allow (unlimited workers), "none" serializes everything after
-  acquisition.
-* ``overlap="measured"``: one worker thread predicts the scales in order,
-  sleeping through acquisition; the calling thread refines, publishes and
-  records wall-clock instants.  Without the fusion dependency, predictions
-  still run one at a time (scale ``i`` starts at ``max(ready_i,
-  done_{i-1})``) and the refinement of one scale overlaps the next predict.
+* ``overlap="full"`` / ``overlap="none"``: the simulator derives the
+  timeline in closed form from the partition sizes and the ``TimingModel``;
+  "full" overlaps processing with acquisition as the gates allow (unlimited
+  workers), "none" serializes everything after acquisition.
+* ``overlap="measured"``: the loop sleeps until each partition is acquired
+  and records wall-clock instants on the calling thread, so scale ``i``
+  starts at ``max(ready_i, avail_{i-1})`` with or without the fusion
+  dependency.
 
 Label outputs are bit-identical across all backends and timing parameters;
 scheduling only ever affects the timeline.
@@ -27,8 +26,6 @@ scheduling only ever affects the timeline.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -66,7 +63,10 @@ class TimingModel:
     ``baseline_factor`` because the non-scalable reference runs one large
     model over the full cloud while the scales run small per-branch jobs.
     ``fusion_dependency`` gates scale ``i`` on scale ``i-1``'s context,
-    matching predictors that consume previous scales' side information.
+    matching predictors that consume previous scales' side information.  In
+    the simulator it also gates the start of scale ``i``; measured runs
+    handle the scales in order either way, so there it only decides whether
+    ``predict`` receives the context.
     """
 
     tick_duration: float = 1e-5
@@ -200,48 +200,6 @@ class LatencyMetrics:
         }
 
 
-class _LabelEngine:
-    """The label work of one scalable run; the backends only schedule it.
-
-    ``predict(i)`` may run on any thread.  ``publish`` must be called once
-    per scale, in scale order, on one thread.  With the fusion dependency on,
-    ``predict(i)`` reads the context that ``publish(i-1)`` left behind, so it
-    must not start before that call has returned.
-    """
-
-    def __init__(self, stream, parts, predictor_cfg, update_cfg, fusion):
-        self.stream = stream
-        self.parts = parts
-        self.predictor_cfg = predictor_cfg
-        self.update_cfg = update_cfg
-        self.fusion = fusion
-        self.preds: list[ScalePrediction] = []
-        self.ctx: ScaleContext | None = None  # published for the next scale
-
-    def predict(self, i: int) -> tuple[np.ndarray, ScaleContext]:
-        """Raw labels of scale ``i`` and the predictor's own context."""
-        gated = self.ctx if self.fusion and i > 1 else None
-        return predict(self.parts[i - 1], gated, self.predictor_cfg,
-                       self.stream.class_count)
-
-    def publish(self, i: int, labels: np.ndarray, ctx_pred: ScaleContext,
-                on_refine=None) -> CumulativeOutput:
-        """Take in scale ``i``, refining the lower scales when the update
-        module is on, and return its cumulative output.  The context left
-        for scale ``i+1`` is that refined prefix, or else ``ctx_pred``."""
-        arrived = ScalePrediction(i, self.parts[i - 1].positions, labels, level=i)
-        if self.update_cfg is None:
-            self.preds.append(arrived)
-        else:
-            self.preds = cascade_step(self.preds, arrived, self.update_cfg,
-                                      on_refine)
-        out = assemble(self.stream, self.parts[:i],
-                       np.concatenate([p.labels for p in self.preds]))
-        self.ctx = (ctx_pred if self.update_cfg is None
-                    else ScaleContext(out.positions, out.pred_labels))
-        return out
-
-
 def run_scalable(stream: PointStream, spec: PartitionSpec,
                  predictor_cfg: PredictorConfig,
                  update_cfg: UpdateConfig | None,
@@ -258,13 +216,42 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
             "seeded-knn consumes previous-scale context; fusion_dependency "
             "cannot be disabled for it")
     parts = partition(stream, spec)
-    engine = _LabelEngine(stream, parts, predictor_cfg, update_cfg,
-                          timing.fusion_dependency)
     ready = [p.interval[1] * timing.tick_duration for p in parts]
-    if timing.overlap == "measured":
-        return _run_real(engine, ready)
-    outputs = [engine.publish(i, *engine.predict(i))
-               for i in range(1, len(parts) + 1)]
+    measured = timing.overlap == "measured"
+    base = time.monotonic()
+
+    def now() -> float:
+        return time.monotonic() - base
+
+    # Wall-clock events; only measured mode returns them.
+    tl = Timeline()
+    for i, r in enumerate(ready, start=1):
+        tl.add(PARTITION_READY, i, r)
+    outputs: list[CumulativeOutput] = []
+    preds: list[ScalePrediction] = []
+    ctx: ScaleContext | None = None  # what the next scale's predictor reads
+    for i, part in enumerate(parts, start=1):
+        while measured and (dt := ready[i - 1] - now()) > 0:
+            time.sleep(dt)
+        tl.add(SCALE_START, i, now())
+        labels, ctx = predict(part, ctx if timing.fusion_dependency else None,
+                              predictor_cfg, stream.class_count)
+        tl.add(SCALE_DONE, i, now())
+        arrived = ScalePrediction(i, part.positions, labels, level=i)
+        if update_cfg is None:
+            preds.append(arrived)
+        else:
+            preds = cascade_step(preds, arrived, update_cfg,
+                                 lambda s, _nl, _nu, _dt: tl.add(
+                                     REFINE_DONE, s, now(), arrival=i))
+        out = assemble(stream, parts[:i],
+                       np.concatenate([p.labels for p in preds]))
+        outputs.append(out)
+        if update_cfg is not None:  # the refined prefix replaces the raw one
+            ctx = ScaleContext(out.positions, out.pred_labels)
+        tl.add(CUMULATIVE_AVAILABLE, i, now())
+    if measured:
+        return outputs, tl
     return outputs, _sim_timeline([p.count for p in parts], ready, timing,
                                  refining=update_cfg is not None)
 
@@ -298,60 +285,6 @@ def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
         tl.add(CUMULATIVE_AVAILABLE, i, t)
         prev_avail = t
     return tl
-
-
-def _run_real(engine: _LabelEngine, ready: list[float]):
-    """The real executor; events are wall-clock seconds from its start."""
-    base = time.monotonic()
-
-    def now() -> float:
-        return time.monotonic() - base
-
-    stop = threading.Event()
-    published = threading.Semaphore(0)
-    arrivals: queue.SimpleQueue = queue.SimpleQueue()
-
-    def work():
-        try:
-            for i, r in enumerate(ready, start=1):
-                while (dt := r - now()) > 0:
-                    if stop.wait(dt):
-                        return
-                if engine.fusion and i > 1:
-                    published.acquire()
-                if stop.is_set():
-                    return
-                start = now()
-                labels, ctx = engine.predict(i)
-                arrivals.put((start, now(), labels, ctx))
-        except BaseException as exc:  # re-raised on the calling thread
-            arrivals.put(exc)
-
-    tl = Timeline()
-    for i, r in enumerate(ready, start=1):
-        tl.add(PARTITION_READY, i, r)
-    outputs = []
-    worker = threading.Thread(target=work, name="scale-predictor")
-    worker.start()
-    try:
-        for i in range(1, len(ready) + 1):
-            item = arrivals.get()
-            if isinstance(item, BaseException):
-                raise item
-            start, done, labels, ctx = item
-            tl.add(SCALE_START, i, start)
-            tl.add(SCALE_DONE, i, done)
-            outputs.append(engine.publish(
-                i, labels, ctx,
-                on_refine=lambda s, _nl, _nu, _dt: tl.add(
-                    REFINE_DONE, s, now(), arrival=i)))
-            tl.add(CUMULATIVE_AVAILABLE, i, now())
-            published.release()
-    finally:
-        stop.set()
-        published.release()  # a worker waiting on a publish wakes and stops
-        worker.join()
-    return outputs, tl
 
 
 def run_baseline(stream: PointStream, predictor_cfg: PredictorConfig,

@@ -47,7 +47,8 @@ def _axes(x_label: str, y_label: str) -> list[str]:
 
 
 def miou_plot(report: MetricsReport) -> str:
-    """Accuracy-per-scale line chart with the baseline as a dashed rule."""
+    """Accuracy-per-scale line chart with the baseline as a dashed rule;
+    a scale without an mIoU (empty prefix) has no point."""
     k = len(report.scale_miou)
     x0, y0, x1, y1 = MARGIN_L, H - MARGIN_B, W - MARGIN_R, MARGIN_T
 
@@ -75,9 +76,11 @@ def miou_plot(report: MetricsReport) -> str:
                  f'font-size="10" font-family="sans-serif">baseline</text></g>')
 
     def series(gid: str, values, color: str) -> str:
-        pts = " ".join(f"{_f(px(i + 1))},{_f(py(v))}" for i, v in enumerate(values))
-        dots = "".join(f'<circle cx="{_f(px(i + 1))}" cy="{_f(py(v))}" r="3" '
-                       f'fill="{color}"/>' for i, v in enumerate(values))
+        xy = [(_f(px(i)), _f(py(v)))
+              for i, v in enumerate(values, start=1) if v is not None]
+        pts = " ".join(f"{x},{y}" for x, y in xy)
+        dots = "".join(f'<circle cx="{x}" cy="{y}" r="3" fill="{color}"/>'
+                       for x, y in xy)
         return (f'<g id="{gid}"><polyline points="{pts}" fill="none" '
                 f'stroke="{color}" stroke-width="2"/>{dots}</g>')
 

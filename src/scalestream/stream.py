@@ -26,7 +26,7 @@ import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, Sequence
+from typing import BinaryIO, Mapping
 
 import numpy as np
 
@@ -47,25 +47,6 @@ class StreamFormatError(ValueError):
 
 class StreamValidationError(ValueError):
     """Raised when stream content violates an invariant (labels, timestamps)."""
-
-
-@dataclass(frozen=True)
-class TimedPoint:
-    """A single sensor detection: position (m), class id, tick timestamp."""
-
-    x: float
-    y: float
-    z: float
-    label: int
-    t: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
-            raise StreamValidationError(f"non-finite coordinates: {(self.x, self.y, self.z)}")
-        if self.label < 0:
-            raise StreamValidationError(f"negative label: {self.label}")
-        if self.t < 0:
-            raise StreamValidationError(f"negative timestamp: {self.t}")
 
 
 @dataclass(frozen=True)
@@ -145,27 +126,8 @@ class PointStream:
         self.label_map = label_map
         self.meta = meta
 
-    @classmethod
-    def from_points(cls, points: Sequence[TimedPoint], class_count: int,
-                    label_map: LabelMap | None = None,
-                    meta: Mapping[str, str] | None = None) -> "PointStream":
-        pos = [(p.x, p.y, p.z) for p in points]
-        lab = [p.label for p in points]
-        ts = [p.t for p in points]
-        return cls(np.array(pos, dtype=np.float32).reshape(-1, 3), lab, ts,
-                   class_count, label_map, meta)
-
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __getitem__(self, i: int) -> TimedPoint:
-        x, y, z = self.positions[i]
-        return TimedPoint(float(x), float(y), float(z),
-                          int(self.labels[i]), int(self.timestamps[i]))
-
-    def __iter__(self) -> Iterator[TimedPoint]:
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointStream):

@@ -89,11 +89,6 @@ def knn_batch(queries, reference, k: int) -> np.ndarray:
     return out
 
 
-def knn(query, reference, k: int) -> np.ndarray:
-    """Nearest-neighbor indices for a single query position."""
-    return knn_batch(np.asarray(query, dtype=float).reshape(1, 3), reference, k)[0]
-
-
 def _majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
     """Most frequent label per row; ties go to the earliest (nearest) column
     holding a tied label."""

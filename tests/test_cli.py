@@ -266,3 +266,22 @@ def test_empty_stream_exits_2(tmp_path, capsys):
                      "--out-dir", str(tmp_path / command))
         assert rc == 2
         assert "config error: stream has no points" in capsys.readouterr().err
+
+
+def test_empty_prefix_reports_null_miou(tmp_path, capsys):
+    """Dropout leaves 51 points and scale 1 empty: that scale's mIoU is
+    null, and the run, its CSV, its plot and the report still complete."""
+    out = tmp_path / "sparse"
+    assert run_cli("run", "--scan-inline", "--dropout", "0.999",
+                   "--out-dir", str(out)) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    for key in ("scale_miou", "scale_miou_unrefined"):
+        assert metrics[key][0] is None
+        assert all(0 <= m <= 1 for m in metrics[key][1:])
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert "miou,1," in rows and "miou_unrefined,1," in rows
+    svg = (out / "miou_vs_scale.svg").read_text()
+    assert svg.count('fill="#336699"/>') == 4  # no point for scale 1
+    capsys.readouterr()
+    assert run_cli("report", "--run-dir", str(out)) == 0
+    assert "mIoU@scale1: n/a" in capsys.readouterr().out

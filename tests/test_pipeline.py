@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -160,15 +159,23 @@ def test_labels_identical_across_timing_models():
 
 
 def test_real_executor_timeline_is_causal():
+    """Measured runs handle the scales in order with the fusion dependency
+    on and off: scale i starts once its partition is acquired and scale
+    i-1's cumulative output is published."""
     stream = small_stream(6, n=400)
     cfg = PredictorConfig(error_rates=RATES, seed=4)
-    timing = TimingModel(tick_duration=2e-6, overlap="measured")
-    _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
-    for i in range(1, 6):
-        assert tl.instant(SCALE_START, i) >= tl.instant(PARTITION_READY, i)
-        assert tl.instant(SCALE_DONE, i) >= tl.instant(SCALE_START, i)
-    avails = [tl.instant(CUMULATIVE_AVAILABLE, i) for i in range(1, 6)]
-    assert all(b >= a for a, b in zip(avails, avails[1:]))
+    for fusion in (True, False):
+        timing = TimingModel(tick_duration=2e-6, overlap="measured",
+                             fusion_dependency=fusion)
+        _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
+        avail_prev = 0.0
+        for i in range(1, 6):
+            start = tl.instant(SCALE_START, i)
+            assert start >= max(tl.instant(PARTITION_READY, i), avail_prev)
+            assert tl.instant(SCALE_DONE, i) >= start
+            avail = tl.instant(CUMULATIVE_AVAILABLE, i)
+            assert avail >= tl.instant(SCALE_DONE, i)
+            avail_prev = avail
 
 
 def test_k1_degenerates_to_baseline_shape():
@@ -292,7 +299,7 @@ def test_empty_scale_costs_nothing():
     assert lat.predict_durations[1] > 0.0
 
 
-def test_real_executor_starts_one_thread(monkeypatch):
+def test_real_executor_starts_no_thread(monkeypatch):
     stream = small_stream(14, n=400, t_max=4000)
     spec = PartitionSpec(tuple(range(100, 4001, 100)))
     cfg = PredictorConfig(error_rates=(0.2,) * 40, seed=1)
@@ -307,7 +314,7 @@ def test_real_executor_starts_one_thread(monkeypatch):
     outputs, _ = run_scalable(stream, spec, cfg, UpdateConfig(k=3),
                               TimingModel(tick_duration=1e-7, overlap="measured"))
     assert len(outputs) == 40
-    assert len(started) <= 1
+    assert started == []
 
 
 class Boom(RuntimeError):
@@ -359,20 +366,15 @@ def test_seeded_knn_labels_identical_across_backends():
         TimingModel(tick_duration=1e-6, overlap="measured"),
     ]
     finals = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the worker and the caller often
-    try:
-        for update in (UpdateConfig(k=3), None):
-            reference = None
-            for timing in models:
-                outputs, _ = run_scalable(stream, SPEC, cfg, update, timing)
-                labels = [o.pred_labels.astype("<i8").tobytes() for o in outputs]
-                if reference is None:
-                    reference = labels
-                else:
-                    assert labels == reference
-            finals.append(reference[-1])
-    finally:
-        sys.setswitchinterval(interval)
+    for update in (UpdateConfig(k=3), None):
+        reference = None
+        for timing in models:
+            outputs, _ = run_scalable(stream, SPEC, cfg, update, timing)
+            labels = [o.pred_labels.astype("<i8").tobytes() for o in outputs]
+            if reference is None:
+                reference = labels
+            else:
+                assert labels == reference
+        finals.append(reference[-1])
     # the published context differs with the update module on and off
     assert finals[0] != finals[1]

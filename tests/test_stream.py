@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from scalestream import (INDOOR_CLASSES, LabelMap, PointStream,
-                         StreamFormatError, StreamValidationError, TimedPoint,
-                         export_csv, read_stream, write_stream)
+                         StreamFormatError, StreamValidationError, export_csv,
+                         read_stream, write_stream)
 from scalestream.stream import RECORD_SIZE
 
 from conftest import make_random_stream
@@ -30,7 +30,7 @@ def test_empty_stream_is_header_only():
 def test_record_is_18_bytes():
     assert RECORD_SIZE == 18
     empty = PointStream(np.zeros((0, 3)), [], [], class_count=11)
-    one = PointStream.from_points([TimedPoint(0, 0, 0, 0, 0)], class_count=11)
+    one = PointStream(np.zeros((1, 3)), [0], [0], class_count=11)
     b_empty, b_one = io.BytesIO(), io.BytesIO()
     write_stream(empty, b_empty)
     write_stream(one, b_one)
@@ -118,7 +118,7 @@ def test_equal_timestamps_are_legal():
 def test_csv_empty_and_literal():
     empty = PointStream(np.zeros((0, 3)), [], [], class_count=11)
     assert export_csv(empty) == "x,y,z,label,t\n"
-    one = PointStream.from_points([TimedPoint(1.5, 0, 0, 2, 7)], class_count=11)
+    one = PointStream([[1.5, 0, 0]], [2], [7], class_count=11)
     assert export_csv(one).splitlines()[1] == "1.5,0,0,2,7"
 
 
@@ -141,23 +141,6 @@ def test_indoor_label_map():
     assert lm[0] == "floor" and lm.index("clutter") == 10
     with pytest.raises(StreamValidationError):
         LabelMap(("a", "a"))
-
-
-def test_timed_point_validation():
-    with pytest.raises(StreamValidationError):
-        TimedPoint(float("nan"), 0, 0, 0, 0)
-    with pytest.raises(StreamValidationError):
-        TimedPoint(0, 0, 0, -1, 0)
-    with pytest.raises(StreamValidationError):
-        TimedPoint(0, 0, 0, 0, -1)
-
-
-def test_stream_indexing_and_iteration():
-    s = PointStream.from_points([TimedPoint(1, 2, 3, 4, 5),
-                                 TimedPoint(6, 7, 8, 9, 10)], class_count=11)
-    assert s[1] == TimedPoint(6.0, 7.0, 8.0, 9, 10)
-    assert [p.t for p in s] == [5, 10]
-    assert len(s) == 2 and s.max_timestamp == 10
 
 
 def _forge_file(records):

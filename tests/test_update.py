@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scalestream import (ScalePrediction, UpdateConfig, UpdateError, cascade,
-                         cascade_step, knn, knn_batch, refine)
+                         cascade_step, knn_batch, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -53,28 +53,28 @@ def random_prediction(rng, scale, n, classes=4, grid=None, level=None):
 
 def test_knn_exact_match_is_first():
     ref = np.array([[1.0, 0, 0], [0, 1, 0], [0.5, 0.5, 0]])
-    idx = knn([0, 1, 0], ref, 2)
+    idx = knn_batch([[0, 1, 0]], ref, 2)[0]
     assert idx[0] == 1
 
 
 def test_knn_k_larger_than_reference():
     ref = np.array([[3.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-    idx = knn([0, 0, 0], ref, 10)
+    idx = knn_batch([[0, 0, 0]], ref, 10)[0]
     assert idx.tolist() == [1, 2, 0]
 
 
 def test_knn_empty_reference_errors():
     with pytest.raises(UpdateError):
-        knn([0, 0, 0], np.zeros((0, 3)), 3)
+        knn_batch([[0, 0, 0]], np.zeros((0, 3)), 3)
 
 
 def test_knn_tie_breaks_by_lower_index():
     # four reference points all at distance 1 from the origin
     ref = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])
-    assert knn([0, 0, 0], ref, 3).tolist() == [0, 1, 2]
+    assert knn_batch([[0, 0, 0]], ref, 3)[0].tolist() == [0, 1, 2]
     # duplicated reference points
     ref = np.array([[1.0, 1, 1]] * 5)
-    assert knn([0, 0, 0], ref, 3).tolist() == [0, 1, 2]
+    assert knn_batch([[0, 0, 0]], ref, 3)[0].tolist() == [0, 1, 2]
 
 
 def test_knn_matches_linear_scan_oracle():
