@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .partition import Partition
-from .stream import PointStream
+from .stream import PointStream, format_rows
 
 
 class AssembleError(ValueError):
@@ -64,14 +64,43 @@ def assemble(stream: PointStream, partitions: Sequence[Partition],
     )
 
 
-def cumulative_csv(output: CumulativeOutput) -> str:
-    """CSV rendering: ``x,y,z,t,origin_scale,pred,gt`` per point."""
-    lines = ["x,y,z,t,origin_scale,pred,gt"]
-    pos = output.positions
-    for r in range(len(output)):
-        coords = ",".join(np.format_float_positional(pos[r, a], trim="-")
-                          for a in range(3))
-        lines.append(f"{coords},{int(output.timestamps[r])},"
-                     f"{int(output.origin_scales[r])},"
-                     f"{int(output.pred_labels[r])},{int(output.gt_labels[r])}")
-    return "\n".join(lines) + "\n"
+#: Header line of every cumulative CSV.
+_CSV_HEADER = "x,y,z,t,origin_scale,pred,gt\n"
+
+
+def row_heads(output: CumulativeOutput) -> list[str]:
+    """The ``x,y,z,t,origin_scale,`` text of each point of ``output``.
+
+    Every cumulative output is a prefix of the final one and a point's
+    position, timestamp and origin scale are the same in each, so the final
+    output's heads serve the CSV of every scale.
+    """
+    return list(format_rows("{},{},{},{},{},", output.positions,
+                            output.timestamps, output.origin_scales))
+
+
+def cumulative_csv(output: CumulativeOutput,
+                   heads: Sequence[str] | None = None) -> str:
+    """CSV rendering: ``x,y,z,t,origin_scale,pred,gt`` per point.
+
+    ``heads`` is :func:`row_heads` of this output or of an output it is a
+    prefix of; only the ``pred,gt`` text is rendered here, once per distinct
+    pair, and rows with the same pair share that string.
+    """
+    n = len(output)
+    if heads is None:
+        heads = row_heads(output)
+    elif len(heads) < n:
+        raise AssembleError(f"{len(heads)} row heads for {n} rows")
+    if n == 0:
+        return _CSV_HEADER
+    pieces = [""] * (2 * n)
+    pieces[0::2] = heads[:n]
+    c = output.class_count
+    pairs, row_pair = np.unique(
+        np.asarray(output.pred_labels, dtype=np.int64) * c + output.gt_labels,
+        return_inverse=True)
+    tails = [f"{pair // c},{pair % c}\n" for pair in pairs.tolist()]
+    pieces[1::2] = map(tails.__getitem__, row_pair.tolist())
+    pieces[0] = _CSV_HEADER + pieces[0]
+    return "".join(pieces)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assemble import cumulative_csv
+from .assemble import cumulative_csv, row_heads
 from .metrics import (MetricsReport, cost_of_scalability, coverage_curve,
                       miou, miou_by_origin)
 from .partition import DEFAULT_CUTS, PartitionError, PartitionSpec, partition
@@ -350,6 +350,32 @@ def _build_run_pieces(args, stream: PointStream):
     return spec, predictor_cfg, update_cfg, timing
 
 
+def _reference_warnings(stream: PointStream, spec: PartitionSpec,
+                        predictor_cfg: PredictorConfig) -> list[str]:
+    """Where seeded-knn votes against fewer than ``--k-cls`` points.
+
+    Scale 1, a scale after an empty prefix and the baseline vote against
+    the seed cloud; every other scale votes against the points of the
+    scales before it.  Each warning is printed on stderr.
+    """
+    if predictor_cfg.seed_cloud is None:
+        return []
+    k = predictor_cfg.k_cls
+    warnings = []
+    if len(predictor_cfg.seed_cloud) < k:
+        warnings.append(f"the seed cloud holds {len(predictor_cfg.seed_cloud)} "
+                        f"point(s), fewer than --k-cls {k}")
+    context = 0
+    for part in partition(stream, spec):
+        if 0 < context < k and part.count:
+            warnings.append(f"scale {part.scale} votes against a context of "
+                            f"{context} point(s), fewer than --k-cls {k}")
+        context += part.count
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return warnings
+
+
 def _scale_miou(output) -> float | None:
     """mIoU of a cumulative output, or None when its prefix is empty."""
     return miou(output)[1] if len(output) else None
@@ -363,6 +389,7 @@ def cmd_run(args) -> int:
         return 2
     stream = _load_or_scan(args)
     spec, predictor_cfg, update_cfg, timing = _build_run_pieces(args, stream)
+    warnings = _reference_warnings(stream, spec, predictor_cfg)
 
     outputs, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg, timing)
     base_out, base_tl = run_baseline(stream, predictor_cfg, timing)
@@ -400,16 +427,19 @@ def cmd_run(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = {k: getattr(args, k) for k in _RUN_KEYS}
-    _write_json(out / "run_manifest.json",
-                {"command": "run", "config": cfg,
-                 "config_hash": config_hash(cfg), "points": len(stream)})
+    manifest = {"command": "run", "config": cfg,
+                "config_hash": config_hash(cfg), "points": len(stream)}
+    if warnings:
+        manifest["warnings"] = warnings
+    _write_json(out / "run_manifest.json", manifest)
     _write_json(out / "metrics.json", report.to_dict())
     (out / "metrics.csv").write_text(report.to_csv(), encoding="utf-8")
     _write_json(out / "timeline.json", timeline.to_dict())
     _write_json(out / "baseline_timeline.json", base_tl.to_dict())
+    heads = row_heads(final)
     for o in outputs:
         (out / f"cumulative_scale_{o.scale}.csv").write_text(
-            cumulative_csv(o), encoding="utf-8")
+            cumulative_csv(o, heads), encoding="utf-8")
     (out / "miou_vs_scale.svg").write_text(miou_plot(report), encoding="utf-8")
     (out / "timeline.svg").write_text(timeline_plot(timeline, base_tl, lat),
                                       encoding="utf-8")
@@ -446,6 +476,7 @@ def cmd_sweep(args) -> int:
         _, base_tl = run_baseline(stream, predictor_cfg, timing)
         lat = latency_metrics(timeline, base_tl)
         rows.append((td, lat))
+    _reference_warnings(stream, spec, predictor_cfg)
 
     if timing.overlap == "full":
         ordered = sorted(rows, key=lambda r: r[0])

@@ -26,7 +26,7 @@ import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Iterator, Mapping
 
 import numpy as np
 
@@ -251,17 +251,38 @@ def read_stream(source) -> PointStream:
                        records["t"].astype(np.int64), class_count, label_map, meta)
 
 
-def _fmt(v: np.float32) -> str:
-    # shortest decimal form that parses back to the same float32
-    return np.format_float_positional(v, trim="-")
+#: Rows formatted per numpy call by :func:`format_rows`; bounds each of its
+#: scratch arrays (32 characters per value) to about 0.4 MB.
+_FORMAT_CHUNK = 1024
+
+
+def format_rows(template: str, positions: np.ndarray,
+                *columns: np.ndarray) -> Iterator[str]:
+    """Yield ``template.format(x, y, z, *values)`` for each row of an (N, 3)
+    position array and the matching values of ``columns``.
+
+    Each coordinate is written as ``np.format_float_positional(v, trim="-")``
+    does: the shortest decimal form that parses back to the same float32,
+    positional, without trailing zeros or a trailing dot.  The values are
+    formatted by numpy's string cast, which yields the same shortest digits
+    but keeps a trailing ``.0`` and writes very large and very small
+    magnitudes in scientific notation; the ``.0`` is stripped, and the rare
+    scientific values are formatted one by one.  Rows are formatted a chunk
+    at a time, so no temporary spans the whole array.
+    """
+    for lo in range(0, len(positions), _FORMAT_CHUNK):
+        block = positions[lo:lo + _FORMAT_CHUNK]
+        text = np.char.rstrip(np.char.rstrip(block.astype(str), "0"), ".")
+        scientific = np.argwhere(np.char.find(text, "e") >= 0)
+        axes = text.T.tolist()
+        for r, a in scientific:
+            axes[a][r] = np.format_float_positional(block[r, a], trim="-")
+        yield from map(template.format, *axes,
+                       *(c[lo:lo + _FORMAT_CHUNK].tolist() for c in columns))
 
 
 def export_csv(stream: PointStream) -> str:
     """Render a stream as CSV text: header plus one ``x,y,z,label,t`` line
     per point, floats in round-trip-exact form."""
-    lines = ["x,y,z,label,t"]
-    pos = stream.positions
-    for i in range(len(stream)):
-        lines.append(f"{_fmt(pos[i, 0])},{_fmt(pos[i, 1])},{_fmt(pos[i, 2])},"
-                     f"{int(stream.labels[i])},{int(stream.timestamps[i])}")
-    return "\n".join(lines) + "\n"
+    return "x,y,z,label,t\n" + "".join(format_rows(
+        "{},{},{},{},{}\n", stream.positions, stream.labels, stream.timestamps))

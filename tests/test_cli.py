@@ -1,7 +1,11 @@
 import json
 import xml.etree.ElementTree as ET
 
-from scalestream import read_stream
+import numpy as np
+
+from scalestream import (PartitionSpec, PredictorConfig, TimingModel,
+                         UpdateConfig, make_seed_cloud, read_stream,
+                         run_scalable)
 from scalestream.cli import main
 
 
@@ -111,13 +115,15 @@ def test_run_requires_stream_or_inline(tmp_path, capsys):
     assert "--scan-inline" in capsys.readouterr().err
 
 
-def test_run_seeded_knn(tmp_path):
+def test_run_seeded_knn(tmp_path, capsys):
     out = tmp_path / "knn"
     assert run_cli("run", *FAST, "--predictor", "seeded-knn",
                    "--seed-ref-fraction", "0.05",
                    "--out-dir", str(out), "--seed", "1") == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert all(0 <= m <= 1 for m in metrics["scale_miou"])
+    assert "warning" not in capsys.readouterr().err
+    assert "warnings" not in json.loads((out / "run_manifest.json").read_text())
 
 
 def test_run_real_mode(tmp_path):
@@ -285,3 +291,40 @@ def test_empty_prefix_reports_null_miou(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("report", "--run-dir", str(out)) == 0
     assert "mIoU@scale1: n/a" in capsys.readouterr().out
+
+
+def test_tiny_seeded_knn_references_warn(tmp_path, capsys):
+    """A seed cloud or a scale context smaller than --k-cls is reported on
+    stderr and in the run manifest, and the labels stay the pipeline's."""
+    cases = [
+        (["--dropout", "0.999"], "2000 6000 15000 35000 65536",
+         ["the seed cloud holds 1 point(s), fewer than --k-cls 5",
+          "scale 3 votes against a context of 2 point(s), fewer than --k-cls 5"]),
+        (["--ticks", "6000"], "1 2 3 6000",
+         [f"scale {i} votes against a context of {i} point(s), fewer than "
+          f"--k-cls 5" for i in (2, 3, 4)]),
+    ]
+    for n, (scan_flags, cuts, warnings) in enumerate(cases):
+        scan_dir, out = tmp_path / f"scan{n}", tmp_path / f"run{n}"
+        assert run_cli("scan", "--out-dir", str(scan_dir), *scan_flags) == 0
+        capsys.readouterr()
+        for command, out_dir in (("sweep", tmp_path / f"sweep{n}"),
+                                 ("run", out)):
+            assert run_cli(command, "--stream", str(scan_dir / "stream.bin"),
+                           "--predictor", "seeded-knn", "--cuts", cuts,
+                           "--out-dir", str(out_dir)) == 0
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"warning: {w}" for w in warnings]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["warnings"] == warnings
+
+        stream = read_stream(scan_dir / "stream.bin")
+        spec = PartitionSpec(tuple(int(c) for c in cuts.split()))
+        cfg = PredictorConfig(variant="seeded-knn", seed_cloud=make_seed_cloud(
+            stream.positions, stream.labels, fraction=0.02, seed=0))
+        outputs, _ = run_scalable(stream, spec, cfg, UpdateConfig(k=5),
+                                  TimingModel())
+        for o in outputs:
+            csv = (out / f"cumulative_scale_{o.scale}.csv").read_text()
+            pred = [int(row.split(",")[5]) for row in csv.splitlines()[1:]]
+            assert np.array_equal(pred, o.pred_labels)
