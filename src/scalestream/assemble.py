@@ -79,8 +79,7 @@ def row_heads(output: CumulativeOutput) -> list[str]:
                             output.timestamps, output.origin_scales))
 
 
-def cumulative_csv(output: CumulativeOutput,
-                   heads: Sequence[str] | None = None) -> str:
+def cumulative_csv(output: CumulativeOutput, heads: Sequence[str]) -> str:
     """CSV rendering: ``x,y,z,t,origin_scale,pred,gt`` per point.
 
     ``heads`` is :func:`row_heads` of this output or of an output it is a
@@ -88,9 +87,7 @@ def cumulative_csv(output: CumulativeOutput,
     pair, and rows with the same pair share that string.
     """
     n = len(output)
-    if heads is None:
-        heads = row_heads(output)
-    elif len(heads) < n:
+    if len(heads) < n:
         raise AssembleError(f"{len(heads)} row heads for {n} rows")
     if n == 0:
         return _CSV_HEADER

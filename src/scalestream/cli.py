@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +114,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--overlap", type=str, default="full", choices=["full", "none"],
                    help="simulated scheduling policy (sim mode)")
     p.add_argument("--no-fusion-dependency", action="store_true",
-                   help="let scale i start without scale i-1's context")
+                   help="sim schedule: let scale i start before i-1 is published")
     p.add_argument("--predict-fixed", type=float, default=0.005)
     p.add_argument("--predict-per-point", type=float, default=1e-5)
     p.add_argument("--baseline-factor", type=float, default=2.0,
@@ -234,6 +235,8 @@ def _validate_pipeline_args(args) -> list[str]:
         errors.append(f"--tick-duration must be positive, got {args.tick_duration}")
     if not 0 <= args.dropout <= 1:
         errors.append(f"--dropout must be a probability, got {args.dropout}")
+    if args.coverage_grid < 1:
+        errors.append(f"--coverage-grid must be >= 1, got {args.coverage_grid}")
     if args.predictor == "seeded-knn" and args.no_fusion_dependency:
         errors.append("--no-fusion-dependency cannot be combined with the "
                       "seeded-knn predictor (it consumes previous-scale context)")
@@ -397,7 +400,10 @@ def cmd_run(args) -> int:
 
     unrefined_miou = None
     if not args.skip_unrefined and update_cfg is not None:
-        raw_outputs, _ = run_scalable(stream, spec, predictor_cfg, None, timing)
+        # labels do not depend on timing and this timeline is dropped, so
+        # simulate it rather than sleep through the acquisition again
+        raw_outputs, _ = run_scalable(stream, spec, predictor_cfg, None,
+                                      replace(timing, overlap="full"))
         unrefined_miou = [_scale_miou(o) for o in raw_outputs]
 
     scale_mious = [_scale_miou(o) for o in outputs]
@@ -420,7 +426,7 @@ def cmd_run(args) -> int:
         per_class_iou=per_class,
         baseline_miou=base_miou,
         cost_of_scalability_pct=cost_of_scalability(base_miou, scale_mious[-1]),
-        latency=lat.to_dict(),
+        latency=asdict(lat),
         coverage_curve=curve,
     )
 
@@ -468,15 +474,14 @@ def cmd_sweep(args) -> int:
         return 2
 
     stream = _load_or_scan(args)
+    spec, predictor_cfg, update_cfg, timing = _build_run_pieces(args, stream)
+    _reference_warnings(stream, spec, predictor_cfg)
     rows = []
     for td in durations:
-        args.tick_duration = td
-        spec, predictor_cfg, update_cfg, timing = _build_run_pieces(args, stream)
-        _, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg, timing)
-        _, base_tl = run_baseline(stream, predictor_cfg, timing)
-        lat = latency_metrics(timeline, base_tl)
-        rows.append((td, lat))
-    _reference_warnings(stream, spec, predictor_cfg)
+        td_timing = replace(timing, tick_duration=td)
+        _, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg, td_timing)
+        _, base_tl = run_baseline(stream, predictor_cfg, td_timing)
+        rows.append((td, latency_metrics(timeline, base_tl)))
 
     if timing.overlap == "full":
         ordered = sorted(rows, key=lambda r: r[0])
@@ -506,16 +511,19 @@ def cmd_report(args) -> int:
     if not metrics_path.exists():
         raise ConfigError(f"no metrics.json under {run_dir}")
     data = json.loads(metrics_path.read_text(encoding="utf-8"))
-    report = MetricsReport(
-        scale_miou=data["scale_miou"],
-        scale_miou_unrefined=data.get("scale_miou_unrefined"),
-        origin_miou={int(k): v for k, v in data.get("origin_miou", {}).items()},
-        per_class_iou=data.get("per_class_iou", {}),
-        baseline_miou=data["baseline_miou"],
-        cost_of_scalability_pct=data["cost_of_scalability_pct"],
-        latency=data.get("latency", {}),
-        coverage_curve=[tuple(x) for x in data.get("coverage_curve", [])],
-    )
+    try:
+        report = MetricsReport(
+            scale_miou=data["scale_miou"],
+            scale_miou_unrefined=data.get("scale_miou_unrefined"),
+            origin_miou={int(k): v for k, v in data.get("origin_miou", {}).items()},
+            per_class_iou=data.get("per_class_iou", {}),
+            baseline_miou=data["baseline_miou"],
+            cost_of_scalability_pct=data["cost_of_scalability_pct"],
+            latency=data.get("latency", {}),
+            coverage_curve=[tuple(x) for x in data.get("coverage_curve", [])],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{metrics_path} lacks the key {exc}") from None
     (run_dir / "miou_vs_scale.svg").write_text(miou_plot(report), encoding="utf-8")
     tl_path = run_dir / "timeline.json"
     base_path = run_dir / "baseline_timeline.json"

@@ -88,25 +88,31 @@ def cost_of_scalability(baseline_miou: float, scalable_final_miou: float) -> flo
 
 
 def coverage(stream: PointStream, t: int, grid_resolution: int = 16) -> float:
-    """Fraction of the scan's angular grid reached by tick ``t``.
+    """Fraction of the scan's angular grid reached by tick ``t``."""
+    return coverage_curve(stream, [t], grid_resolution)[0][1]
+
+
+def coverage_curve(stream: PointStream, ticks,
+                   grid_resolution: int = 16) -> list[tuple[int, float]]:
+    """``(tick, coverage)`` for each of ``ticks``.
 
     Cells are an equally spaced grid over the scanner's deflection range,
     reconstructed from the stream's scanner metadata.  Normalization is
     against the cells occupied over the whole stream, so the value reaches
     1.0 at the final timestamp regardless of rays that never hit anything.
+    Each tick counts the cells first hit within its stream prefix.
     """
     if grid_resolution < 1:
         raise MetricsError("grid_resolution must be >= 1")
+    ticks = [int(t) for t in ticks]
     if len(stream) == 0:
-        return 0.0
-    cells = _occupied_cells(stream, grid_resolution)
-    denom = len(np.unique(cells))
-    num = len(np.unique(cells[stream.timestamps <= t]))
-    return num / denom
-
-
-def coverage_curve(stream: PointStream, ticks, grid_resolution: int = 16) -> list[tuple[int, float]]:
-    return [(int(t), coverage(stream, int(t), grid_resolution)) for t in ticks]
+        return [(t, 0.0) for t in ticks]
+    _, first = np.unique(_occupied_cells(stream, grid_resolution),
+                         return_index=True)
+    first.sort()
+    ends = np.searchsorted(stream.timestamps, ticks, side="right")
+    return [(t, int(np.searchsorted(first, n)) / len(first))
+            for t, n in zip(ticks, ends.tolist())]
 
 
 def _occupied_cells(stream: PointStream, g: int) -> np.ndarray:

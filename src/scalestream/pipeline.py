@@ -62,11 +62,11 @@ class TimingModel:
     closed-form timeline tests use.  The baseline's per-point cost carries a
     ``baseline_factor`` because the non-scalable reference runs one large
     model over the full cloud while the scales run small per-branch jobs.
-    ``fusion_dependency`` gates scale ``i`` on scale ``i-1``'s context,
-    matching predictors that consume previous scales' side information.  In
-    the simulator it also gates the start of scale ``i``; measured runs
-    handle the scales in order either way, so there it only decides whether
-    ``predict`` receives the context.
+    ``fusion_dependency`` shapes only the simulated schedule: it starts
+    scale ``i`` no earlier than scale ``i-1``'s cumulative output, as for
+    predictors that consume previous scales' side information.  Labels never
+    read it: ``predict`` always receives the previous scale's context, and
+    measured runs handle the scales in order either way.
     """
 
     tick_duration: float = 1e-5
@@ -185,20 +185,6 @@ class LatencyMetrics:
     predict_durations: tuple[float, ...]
     refine_total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "acquisition_end": self.acquisition_end,
-            "post_acq": self.post_acq,
-            "post_acq_lower": self.post_acq_lower,
-            "post_acq_upper": self.post_acq_upper,
-            "baseline_processing": self.baseline_processing,
-            "speedup": self.speedup,
-            "first_prediction_fraction": self.first_prediction_fraction,
-            "scale_available": list(self.scale_available),
-            "predict_durations": list(self.predict_durations),
-            "refine_total": self.refine_total,
-        }
-
 
 def run_scalable(stream: PointStream, spec: PartitionSpec,
                  predictor_cfg: PredictorConfig,
@@ -234,8 +220,7 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
         while measured and (dt := ready[i - 1] - now()) > 0:
             time.sleep(dt)
         tl.add(SCALE_START, i, now())
-        labels, ctx = predict(part, ctx if timing.fusion_dependency else None,
-                              predictor_cfg, stream.class_count)
+        labels, ctx = predict(part, ctx, predictor_cfg, stream.class_count)
         tl.add(SCALE_DONE, i, now())
         arrived = ScalePrediction(i, part.positions, labels, level=i)
         if update_cfg is None:
@@ -323,23 +308,27 @@ def run_baseline(stream: PointStream, predictor_cfg: PredictorConfig,
     return output, tl
 
 
-def _refine_durations(tl: Timeline, scale_done: dict[int, float],
-                      cum_avail: dict[int, float]) -> dict[int, list[float]]:
-    """Reconstruct per-arrival refine durations from event instants."""
+def refine_intervals(tl: Timeline) -> dict[int, list[tuple[float, float]]]:
+    """Each arrival's refine jobs as ``(start, end)`` pairs, in instant order.
+
+    The cascade an arrival triggers starts once the arriving scale is
+    predicted and the previous cumulative output is available; each later
+    refine starts where the one before it ended.
+    """
     by_arrival: dict[int, list[TimelineEvent]] = {}
     for e in tl.select(REFINE_DONE):
         if e.arrival is None:
             raise PipelineError("refine event lacks its arrival tag")
         by_arrival.setdefault(e.arrival, []).append(e)
-    durations: dict[int, list[float]] = {}
+    intervals: dict[int, list[tuple[float, float]]] = {}
     for arrival, events in by_arrival.items():
-        events = sorted(events, key=lambda e: e.instant)
-        prev = max(scale_done[arrival], cum_avail.get(arrival - 1, 0.0))
-        durations[arrival] = []
-        for e in events:
-            durations[arrival].append(e.instant - prev)
+        prev = max(tl.instant(SCALE_DONE, arrival),
+                   tl.instant(CUMULATIVE_AVAILABLE, arrival - 1))
+        intervals[arrival] = []
+        for e in sorted(events, key=lambda e: e.instant):
+            intervals[arrival].append((prev, e.instant))
             prev = e.instant
-    return durations
+    return intervals
 
 
 def latency_metrics(scalable: Timeline, baseline: Timeline) -> LatencyMetrics:
@@ -361,7 +350,8 @@ def latency_metrics(scalable: Timeline, baseline: Timeline) -> LatencyMetrics:
         raise PipelineError(f"incomplete timeline: {exc}") from exc
 
     pd = tuple(done[i] - start[i] for i in scales)
-    refines = _refine_durations(scalable, done, avail)
+    refines = {a: [end - begin for begin, end in pairs]
+               for a, pairs in refine_intervals(scalable).items()}
     refine_total = sum(sum(v) for v in refines.values())
     acq_end = ready[K]
     post_acq = avail[K] - acq_end

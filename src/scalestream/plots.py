@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .metrics import MetricsReport
 from .pipeline import (BASELINE_DONE, BASELINE_START, CUMULATIVE_AVAILABLE,
-                       PARTITION_READY, REFINE_DONE, SCALE_DONE, SCALE_START,
-                       LatencyMetrics, Timeline)
+                       PARTITION_READY, SCALE_DONE, SCALE_START,
+                       LatencyMetrics, Timeline, refine_intervals)
 
 W, H = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 30, 50
@@ -128,16 +128,12 @@ def timeline_plot(scalable: Timeline, baseline: Timeline,
 
     parts.append(f'<g id="acquisition">{label(0, "acquire")}'
                  f'{bar(0, 0.0, lat.acquisition_end, "#bbbbbb")}</g>')
+    refines = refine_intervals(scalable)
     for i in scales:
         pieces = [label(i, f"scale {i}")]
         pieces.append(bar(i, scalable.instant(SCALE_START, i),
                           scalable.instant(SCALE_DONE, i), "#336699"))
-        prev = None
-        for e in sorted((e for e in scalable.select(REFINE_DONE) if e.arrival == i),
-                        key=lambda e: e.instant):
-            start = prev if prev is not None else scalable.instant(SCALE_DONE, i)
-            pieces.append(bar(i, start, e.instant, "#66aa66"))
-            prev = e.instant
+        pieces += [bar(i, a, b, "#66aa66") for a, b in refines.get(i, [])]
         avail = scalable.instant(CUMULATIVE_AVAILABLE, i)
         pieces.append(f'<line x1="{_f(px(avail))}" y1="{_f(ry(i))}" '
                       f'x2="{_f(px(avail))}" y2="{_f(ry(i) + row_h)}" '

@@ -144,10 +144,8 @@ def scan(scene: Scene, pose: CameraPose, cfg: LissajousConfig,
         raise ValueError("dropout must be a probability")
     right, up, forward = camera_basis(pose.position, pose.target)
     ts = np.arange(cfg.ticks, dtype=np.int64)
-    thx, thy = deflection_angles(cfg, ts)
-    dirs = (np.cos(thy)[:, None] * np.sin(thx)[:, None] * right
-            + np.sin(thy)[:, None] * up
-            + np.cos(thy)[:, None] * np.cos(thx)[:, None] * forward)
+    d = lissajous_direction(cfg, ts)
+    dirs = d[:, :1] * right + d[:, 1:2] * up + d[:, 2:] * forward
 
     origin = np.asarray(pose.position, dtype=float)
     n = cfg.ticks

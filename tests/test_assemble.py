@@ -81,7 +81,7 @@ def test_csv_layout():
     spec = PartitionSpec((100,))
     parts, preds = predictions_at_level(stream, spec)
     out = assemble(stream, parts, preds[0].labels)
-    lines = cumulative_csv(out).splitlines()
+    lines = cumulative_csv(out, row_heads(out)).splitlines()
     assert lines[0] == "x,y,z,t,origin_scale,pred,gt"
     assert len(lines) == 11
     cells = lines[1].split(",")
@@ -132,7 +132,7 @@ def test_csv_matches_reference_loop_on_every_scale():
     assert cumulative_csv(outputs[0], heads) == "x,y,z,t,origin_scale,pred,gt\n"
     for out in outputs:
         want = reference_csv(out)
-        assert cumulative_csv(out) == want
+        assert cumulative_csv(out, row_heads(out)) == want
         assert cumulative_csv(out, heads) == want
 
 
@@ -144,7 +144,7 @@ def test_csv_with_uint16_class_ids():
                          class_count=65535)
     out = assemble(stream, partition(stream, PartitionSpec((n,))),
                    stream.labels[::-1].copy())
-    assert cumulative_csv(out) == reference_csv(out)
+    assert cumulative_csv(out, row_heads(out)) == reference_csv(out)
 
 
 def test_csv_rejects_too_few_heads():
@@ -171,7 +171,7 @@ def test_csv_rows_match_reference_and_parse_back(coords):
                          class_count=3)
     out = assemble(stream, partition(stream, PartitionSpec((n,))),
                    stream.labels)
-    csv_rows = cumulative_csv(out).splitlines()[1:]
+    csv_rows = cumulative_csv(out, row_heads(out)).splitlines()[1:]
     stream_rows = export_csv(stream).splitlines()[1:]
     for i, (csv_row, stream_row) in enumerate(zip(csv_rows, stream_rows,
                                                   strict=True)):

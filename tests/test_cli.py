@@ -3,14 +3,16 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from scalestream import (PartitionSpec, PredictorConfig, TimingModel,
-                         UpdateConfig, make_seed_cloud, read_stream,
-                         run_scalable)
-from scalestream.cli import main
+import scalestream.cli as cli
+import scalestream.pipeline as pipeline
+from scalestream import (PartitionSpec, PredictorConfig, Timeline, TimingModel,
+                         UpdateConfig, latency_metrics, make_seed_cloud,
+                         read_stream, run_scalable)
+from scalestream.plots import MARGIN_L, MARGIN_R, W
 
 
 def run_cli(*argv):
-    return main(list(argv))
+    return cli.main(list(argv))
 
 
 # fast pipeline flags reused by most run/sweep tests
@@ -109,6 +111,17 @@ def test_run_lists_all_config_errors(tmp_path, capsys):
     assert "--um-k" in err and "--k-cls" in err and "--tick-duration" in err
 
 
+def test_coverage_grid_zero_exits_2_before_running(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = run_cli("run", *FAST, "--coverage-grid", "0", "--um-k", "0",
+                 "--out-dir", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: --coverage-grid must be >= 1, got 0" in err
+    assert "--um-k" in err
+    assert not out.exists()
+
+
 def test_run_requires_stream_or_inline(tmp_path, capsys):
     rc = run_cli("run", "--out-dir", str(tmp_path))
     assert rc == 2
@@ -133,6 +146,28 @@ def test_run_real_mode(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     lat = metrics["latency"]
     assert lat["post_acq"] > 0
+
+
+def test_real_mode_unrefined_comparison_does_not_sleep(tmp_path, monkeypatch):
+    """Only the refined run of a real-mode ``run`` waits for the acquisition;
+    the unrefined comparison keeps no timeline, so it is simulated."""
+    refining, slept = [], []
+    run, sleep = cli.run_scalable, pipeline.time.sleep
+
+    def spy_run(stream, spec, predictor_cfg, update_cfg, timing):
+        refining.append(update_cfg is not None)
+        return run(stream, spec, predictor_cfg, update_cfg, timing)
+
+    def spy_sleep(dt):
+        slept.append(refining[-1])
+        sleep(dt)
+
+    monkeypatch.setattr(cli, "run_scalable", spy_run)
+    monkeypatch.setattr(pipeline.time, "sleep", spy_sleep)
+    assert run_cli("run", *FAST, "--mode", "real",
+                   "--out-dir", str(tmp_path / "real")) == 0
+    assert refining == [True, False]
+    assert slept and all(slept)
 
 
 def test_run_from_stream_file(tmp_path):
@@ -197,6 +232,42 @@ def test_report_regenerates_plots(tmp_path, capsys):
 
 def test_report_missing_dir_exits_2(tmp_path):
     assert run_cli("report", "--run-dir", str(tmp_path / "nope")) == 2
+
+
+def test_report_partial_metrics_exits_1(tmp_path, capsys):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps({"baseline_miou": 0.5,
+                                   "cost_of_scalability_pct": 0.0}))
+    assert run_cli("report", "--run-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {metrics} lacks the key 'scale_miou'\n")
+
+
+def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
+    """Without the fusion dependency scale 2 is predicted long before scale
+    1's output is available; its cascade waits for that output, and its
+    refine bar covers only the refine itself."""
+    out = tmp_path / "run"
+    assert run_cli("run", "--scan-inline", "--ticks", "3020",
+                   "--cuts", "3000 3020", "--error-rates", "0.3 0.2",
+                   "--no-fusion-dependency", "--out-dir", str(out)) == 0
+    tl = Timeline.from_dict(json.loads((out / "timeline.json").read_text()))
+    base = Timeline.from_dict(
+        json.loads((out / "baseline_timeline.json").read_text()))
+    lat = latency_metrics(tl, base)
+    assert tl.instant("scale_done", 2) < tl.instant("cumulative_available", 1)
+    t_max = max(lat.acquisition_end + lat.post_acq_upper,
+                base.instant("baseline_done"))
+    px_per_s = (W - MARGIN_L - MARGIN_R) / t_max
+    root = ET.fromstring((out / "timeline.svg").read_text())
+    row = next(g for g in root.iter("{http://www.w3.org/2000/svg}g")
+               if g.get("id") == "scale-2")
+    bars = [r for r in row if r.get("fill") == "#66aa66"]
+    assert len(bars) == 1
+    x, width = float(bars[0].get("x")), float(bars[0].get("width"))
+    assert abs(width - lat.refine_total * px_per_s) <= 0.02
+    start = tl.instant("cumulative_available", 1)
+    assert abs(x - (MARGIN_L + start * px_per_s)) <= 0.02
 
 
 def test_config_file_supplies_defaults(tmp_path):
