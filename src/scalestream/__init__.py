@@ -26,7 +26,7 @@ from .scene import Scene, SceneError, default_room, empty_room, load_scene, pars
 from .stream import (INDOOR_CLASSES, LabelMap, PointStream, StreamFormatError,
                      StreamValidationError, export_csv, indoor_label_map,
                      read_stream, write_stream)
-from .update import (ScalePrediction, UpdateConfig, UpdateError, cascade,
-                     cascade_step, knn_batch, refine)
+from .update import (ScalePrediction, UpdateConfig, UpdateError, cascade_step,
+                     knn_batch)
 
 __version__ = "0.1.0"

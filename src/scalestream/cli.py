@@ -353,27 +353,37 @@ def _build_run_pieces(args, stream: PointStream):
     return spec, predictor_cfg, update_cfg, timing
 
 
-def _reference_warnings(stream: PointStream, spec: PartitionSpec,
-                        predictor_cfg: PredictorConfig) -> list[str]:
-    """Where seeded-knn votes against fewer than ``--k-cls`` points.
+def _run_warnings(stream: PointStream, spec: PartitionSpec,
+                  predictor_cfg: PredictorConfig,
+                  update_cfg: UpdateConfig | None) -> list[str]:
+    """Where a scale's labels rest on fewer points than they should.
 
-    Scale 1, a scale after an empty prefix and the baseline vote against
-    the seed cloud; every other scale votes against the points of the
-    scales before it.  Each warning is printed on stderr.
+    With seeded-knn, where a vote runs against fewer than ``--k-cls``
+    points: scale 1, a scale after an empty prefix and the baseline vote
+    against the seed cloud; every other scale votes against the points of
+    the scales before it.  With the update module, where a scale is refined
+    against a next scale that holds fewer points.  Each warning is printed
+    on stderr.
     """
-    if predictor_cfg.seed_cloud is None:
-        return []
-    k = predictor_cfg.k_cls
+    counts = [p.count for p in partition(stream, spec)]
     warnings = []
-    if len(predictor_cfg.seed_cloud) < k:
-        warnings.append(f"the seed cloud holds {len(predictor_cfg.seed_cloud)} "
-                        f"point(s), fewer than --k-cls {k}")
-    context = 0
-    for part in partition(stream, spec):
-        if 0 < context < k and part.count:
-            warnings.append(f"scale {part.scale} votes against a context of "
-                            f"{context} point(s), fewer than --k-cls {k}")
-        context += part.count
+    if predictor_cfg.seed_cloud is not None:
+        k = predictor_cfg.k_cls
+        if len(predictor_cfg.seed_cloud) < k:
+            warnings.append(f"the seed cloud holds {len(predictor_cfg.seed_cloud)} "
+                            f"point(s), fewer than --k-cls {k}")
+        context = 0
+        for scale, count in enumerate(counts, start=1):
+            if 0 < context < k and count:
+                warnings.append(f"scale {scale} votes against a context of "
+                                f"{context} point(s), fewer than --k-cls {k}")
+            context += count
+    if update_cfg is not None:
+        for scale, (lower, upper) in enumerate(zip(counts, counts[1:]), start=1):
+            if 0 < upper < lower:
+                warnings.append(f"scale {scale} ({lower} points) is refined "
+                                f"against scale {scale + 1}, which holds only "
+                                f"{upper} point(s)")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return warnings
@@ -392,7 +402,7 @@ def cmd_run(args) -> int:
         return 2
     stream = _load_or_scan(args)
     spec, predictor_cfg, update_cfg, timing = _build_run_pieces(args, stream)
-    warnings = _reference_warnings(stream, spec, predictor_cfg)
+    warnings = _run_warnings(stream, spec, predictor_cfg, update_cfg)
 
     outputs, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg, timing)
     base_out, base_tl = run_baseline(stream, predictor_cfg, timing)
@@ -475,7 +485,7 @@ def cmd_sweep(args) -> int:
 
     stream = _load_or_scan(args)
     spec, predictor_cfg, update_cfg, timing = _build_run_pieces(args, stream)
-    _reference_warnings(stream, spec, predictor_cfg)
+    _run_warnings(stream, spec, predictor_cfg, update_cfg)
     rows = []
     for td in durations:
         td_timing = replace(timing, tick_duration=td)
@@ -505,12 +515,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _read_object(path: Path) -> dict:
+    """The JSON object a run-directory file holds; anything else is an error
+    that names the file."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return data
+
+
+def _read_timeline(path: Path) -> Timeline:
+    try:
+        return Timeline.from_dict(_read_object(path))
+    except KeyError as exc:
+        raise ValueError(f"{path} lacks the key {exc}") from None
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     metrics_path = run_dir / "metrics.json"
     if not metrics_path.exists():
         raise ConfigError(f"no metrics.json under {run_dir}")
-    data = json.loads(metrics_path.read_text(encoding="utf-8"))
+    data = _read_object(metrics_path)
     try:
         report = MetricsReport(
             scale_miou=data["scale_miou"],
@@ -528,8 +554,7 @@ def cmd_report(args) -> int:
     tl_path = run_dir / "timeline.json"
     base_path = run_dir / "baseline_timeline.json"
     if tl_path.exists() and base_path.exists():
-        tl = Timeline.from_dict(json.loads(tl_path.read_text(encoding="utf-8")))
-        base_tl = Timeline.from_dict(json.loads(base_path.read_text(encoding="utf-8")))
+        tl, base_tl = _read_timeline(tl_path), _read_timeline(base_path)
         lat = latency_metrics(tl, base_tl)
         (run_dir / "timeline.svg").write_text(timeline_plot(tl, base_tl, lat),
                                               encoding="utf-8")

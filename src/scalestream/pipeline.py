@@ -111,7 +111,7 @@ class TimingModel:
 
     def refine_duration(self, n_lower: int, n_upper: int) -> float:
         """Synthetic duration of one refinement; zero when either side is
-        empty, because ``refine`` then passes the lower scale through."""
+        empty, because the cascade then passes the lower scale through."""
         if n_lower == 0 or n_upper == 0:
             return 0.0
         if self.refine_override is not None:
@@ -215,6 +215,7 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
         tl.add(PARTITION_READY, i, r)
     outputs: list[CumulativeOutput] = []
     preds: list[ScalePrediction] = []
+    tables: list = []  # each scale pair's neighbor table, searched once
     ctx: ScaleContext | None = None  # what the next scale's predictor reads
     for i, part in enumerate(parts, start=1):
         while measured and (dt := ready[i - 1] - now()) > 0:
@@ -222,11 +223,11 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
         tl.add(SCALE_START, i, now())
         labels, ctx = predict(part, ctx, predictor_cfg, stream.class_count)
         tl.add(SCALE_DONE, i, now())
-        arrived = ScalePrediction(i, part.positions, labels, level=i)
+        arrived = ScalePrediction(i, part.positions, labels)
         if update_cfg is None:
             preds.append(arrived)
         else:
-            preds = cascade_step(preds, arrived, update_cfg,
+            preds = cascade_step(preds, arrived, update_cfg, tables,
                                  lambda s, _nl, _nu, _dt: tl.add(
                                      REFINE_DONE, s, now(), arrival=i))
         out = assemble(stream, parts[:i],

@@ -6,6 +6,11 @@ label.  Refinements cascade: the arrival of scale ``j`` first refines scale
 ``j-1`` with ``j``, then ``j-2`` with the freshly refined ``j-1``, and so on
 down to scale 1, so every step votes with the most up-to-date labels.
 
+The neighbors depend on positions alone, so each scale pair is searched
+once per run: the arrival of scale ``j`` searches pair ``(j-1, j)`` and
+appends the index table to the run's list, and every later vote of that
+pair gathers labels through the same table.
+
 Everything here is exact and deterministic: neighbor ties are broken by the
 lower reference index and vote ties by the label of the nearest neighbor in
 a tied class.  Determinism is what lets the tests compare against brute-force
@@ -39,22 +44,15 @@ class UpdateConfig:
 
 @dataclass(frozen=True)
 class ScalePrediction:
-    """Predicted labels for one scale's points.
-
-    ``level`` records how far the refinement has progressed: level ``j``
-    means all predictions up to scale ``j`` have been incorporated.
-    """
+    """Predicted labels for one scale's points."""
 
     scale: int
     positions: np.ndarray
     labels: np.ndarray
-    level: int
 
     def __post_init__(self):
         if len(self.labels) != len(self.positions):
             raise UpdateError("one label per position required")
-        if self.level < self.scale:
-            raise UpdateError(f"level {self.level} below scale {self.scale}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -106,85 +104,48 @@ def _majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
     return winner
 
 
-def refine(lower: ScalePrediction, upper: ScalePrediction,
-           cfg: UpdateConfig) -> ScalePrediction:
-    """Refine ``lower`` by majority vote among its neighbors in ``upper``.
-
-    Positions, cardinality and order never change; only labels do.  An empty
-    upper scale passes the lower prediction through with its level advanced.
-    """
-    if upper.scale != lower.scale + 1:
-        raise UpdateError(
-            f"refine needs consecutive scales, got {lower.scale} and {upper.scale}")
-    if len(upper) == 0 or len(lower) == 0:
-        return replace(lower, level=upper.level)
-    neighbors = knn_batch(lower.positions, upper.positions, cfg.k)
-    new_labels = _majority_vote(upper.labels[neighbors])
-    return ScalePrediction(lower.scale, lower.positions, new_labels, upper.level)
-
-
-def _check_contiguous(predictions: Sequence[ScalePrediction]) -> None:
-    for i, p in enumerate(predictions, start=1):
-        if p.scale != i:
-            raise UpdateError(
-                f"predictions must cover scales 1..{len(predictions)} in order; "
-                f"position {i} holds scale {p.scale}")
-
-
 def cascade_step(lowers: Sequence[ScalePrediction], arrived: ScalePrediction,
-                 cfg: UpdateConfig,
+                 cfg: UpdateConfig, tables: list[np.ndarray | None],
                  on_refine: Callable[[int, int, int, float], None] | None = None,
                  ) -> list[ScalePrediction]:
     """Incorporate a newly arrived scale: refine every lower scale, top-down.
 
-    ``lowers`` must hold scales ``1..j-1`` at level ``j-1`` and ``arrived``
-    scale ``j`` at level ``j``.  Returns scales ``1..j`` at level ``j``.  The
-    optional ``on_refine(lower_scale, n_lower, n_upper, seconds)`` hook fires
-    after each refinement, in execution order, for timing instrumentation.
-    """
-    _check_contiguous(lowers)
-    j = arrived.scale
-    if j != len(lowers) + 1:
-        raise UpdateError(f"arrived scale {j} does not follow {len(lowers)} lower scales")
-    if arrived.level != j:
-        raise UpdateError(f"arrived scale {j} must be at its own level, got {arrived.level}")
-    for p in lowers:
-        if p.level != j - 1:
-            raise UpdateError(
-                f"scale {p.scale} is at level {p.level}, expected {j - 1}")
+    ``lowers`` must hold scales ``1..j-1`` as the arrival of scale ``j-1``
+    left them and ``arrived`` the raw prediction of scale ``j``.  Returns
+    scales ``1..j`` refined by scale ``j``.
 
-    out = list(lowers) + [arrived]
+    ``tables[s-1]`` is the :func:`knn_batch` index table from scale ``s``
+    into scale ``s+1``, or ``None`` when either side is empty and the pair
+    passes its labels through.  The tables missing for pairs up to
+    ``(j-1, j)`` are searched and appended, bottom up: a caller that keeps
+    one list for a run searches each pair once, one that passes ``[]``
+    searches every pair.
+
+    The optional ``on_refine(lower_scale, n_lower, n_upper, seconds)`` hook
+    fires after each refinement, in execution order, for timing
+    instrumentation; the first refinement's seconds include the searches.
+    """
+    out = [*lowers, arrived]
+    j = len(out)
+    for i, p in enumerate(out, start=1):
+        if p.scale != i:
+            raise UpdateError(
+                f"predictions must cover scales 1..{j} in order; "
+                f"position {i} holds scale {p.scale}")
+    if len(tables) > j - 1:
+        raise UpdateError(f"{len(tables)} neighbor tables given for the "
+                          f"{j - 1} scale pairs below scale {j}")
+
+    t0 = time.perf_counter()
+    for s in range(len(tables) + 1, j):
+        lower, upper = out[s - 1], out[s]
+        tables.append(knn_batch(lower.positions, upper.positions, cfg.k)
+                      if len(lower) and len(upper) else None)
     for i in range(j - 1, 0, -1):
-        t0 = time.perf_counter()
-        out[i - 1] = refine(out[i - 1], out[i], cfg)
+        if tables[i - 1] is not None:
+            out[i - 1] = replace(
+                out[i - 1], labels=_majority_vote(out[i].labels[tables[i - 1]]))
         if on_refine is not None:
             on_refine(i, len(out[i - 1]), len(out[i]), time.perf_counter() - t0)
+        t0 = time.perf_counter()
     return out
-
-
-def cascade(predictions: Sequence[ScalePrediction],
-            cfg: UpdateConfig) -> list[ScalePrediction]:
-    """Bring every scale up to the level of the highest one provided.
-
-    Accepts either fresh per-scale outputs (scale ``i`` at level ``i``) or a
-    partially refined state (scales ``1..a`` already at level ``a``); replays
-    the remaining arrivals in order.  Applying this once at the end equals
-    applying :func:`cascade_step` on every arrival as it happens.
-    """
-    preds = list(predictions)
-    _check_contiguous(preds)
-    m = len(preds)
-    if m == 0:
-        return []
-    base = preds[0].level
-    for p in preds:
-        if p.level != max(p.scale, base):
-            raise UpdateError(
-                f"inconsistent refinement state: scale {p.scale} at level "
-                f"{p.level}, expected {max(p.scale, base)}")
-    if base > m:
-        raise UpdateError(f"level {base} exceeds highest provided scale {m}")
-    current = preds[:base]
-    for j in range(base + 1, m + 1):
-        current = cascade_step(current, preds[j - 1], cfg)
-    return current

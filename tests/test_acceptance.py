@@ -19,7 +19,7 @@ from scalestream import (LissajousConfig, PartitionSpec, PredictorConfig,
                          run_baseline, run_scalable, scan, write_stream)
 from scalestream.pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY,
                                   SCALE_DONE, SCALE_START, Timeline)
-from scalestream.update import cascade, cascade_step, knn_batch, refine
+from scalestream.update import cascade_step, knn_batch
 
 from conftest import make_random_stream
 from test_geometry import slab_oracle, unit
@@ -102,18 +102,18 @@ def test_criterion_3_update_module_fidelity():
     def check():
         rng = np.random.default_rng(303)
         cfg_ks = (1, 3, 5)
-        # refine against the brute-force vote oracle
+        # a two-scale cascade step against the brute-force vote oracle
         for trial in range(200):
             grid = 4 if trial % 2 else None
             lower = random_prediction(rng, 1, int(rng.integers(1, 50)), grid=grid)
             upper = random_prediction(rng, 2, int(rng.integers(1, 50)), grid=grid)
             k = cfg_ks[trial % 3]
-            got = refine(lower, upper, UpdateConfig(k=k))
+            got = cascade_step([lower], upper, UpdateConfig(k=k), [])[0]
             want = brute_refine_labels(lower.positions, upper.positions,
                                        upper.labels, k)
             assert np.array_equal(got.labels, want)
 
-        # cascade equals the literal nested composition for m=3
+        # the cascade equals the literal nested composition for m=3
         for _ in range(50):
             y1 = random_prediction(rng, 1, int(rng.integers(1, 40)))
             y2 = random_prediction(rng, 2, int(rng.integers(1, 40)))
@@ -122,22 +122,25 @@ def test_criterion_3_update_module_fidelity():
             y2_s3 = brute_refine_labels(y2.positions, y3.positions, y3.labels, k)
             y1_s2 = brute_refine_labels(y1.positions, y2.positions, y2.labels, k)
             y1_s3 = brute_refine_labels(y1.positions, y2.positions, y2_s3, k)
-            got = cascade([y1, y2, y3], UpdateConfig(k=k))
+            got, tables = [], []
+            for y in (y1, y2, y3):
+                got = cascade_step(got, y, UpdateConfig(k=k), tables)
             assert np.array_equal(got[0].labels, y1_s3)
             assert np.array_equal(got[1].labels, y2_s3)
 
-        # incremental arrival-by-arrival equals one batch pass for 5 scales
+        # one table list kept across the arrivals equals a fresh list on
+        # each arrival, for 5 scales
         for _ in range(30):
             preds = [random_prediction(rng, s, int(rng.integers(0, 40)))
                      for s in range(1, 6)]
-            batch = cascade(preds, UpdateConfig(k=5))
-            state = []
+            persistent, fresh, tables = [], [], []
             for p in preds:
-                state = cascade_step(state, p, UpdateConfig(k=5))
-            for a, b in zip(batch, state):
-                assert np.array_equal(a.labels, b.labels)
+                persistent = cascade_step(persistent, p, UpdateConfig(k=5), tables)
+                fresh = cascade_step(fresh, p, UpdateConfig(k=5), [])
+                for a, b in zip(persistent, fresh):
+                    assert np.array_equal(a.labels, b.labels)
 
-    _report(3, "update module: refine/cascade vs brute-force oracles", check)
+    _report(3, "update module: cascade steps vs brute-force oracles", check)
 
 
 def test_criterion_4_accuracy_lift(default_scan):

@@ -12,7 +12,7 @@ from scalestream.assemble import row_heads
 from conftest import make_random_stream
 
 
-def predictions_at_level(stream, spec, seed=0, level=None):
+def raw_predictions(stream, spec, seed=0):
     parts = partition(stream, spec)
     preds = []
     ctx = None
@@ -20,7 +20,7 @@ def predictions_at_level(stream, spec, seed=0, level=None):
         labels, ctx = predict(p, ctx, PredictorConfig(seed=seed,
                                                       error_rates=(0.3,) * len(spec.cuts)),
                               class_count=stream.class_count)
-        preds.append(ScalePrediction(p.scale, p.positions, labels, p.scale))
+        preds.append(ScalePrediction(p.scale, p.positions, labels))
     return parts, preds
 
 
@@ -28,7 +28,7 @@ def test_single_scale_is_that_prediction():
     rng = np.random.default_rng(1)
     stream = make_random_stream(rng, 100, t_max=500)
     spec = PartitionSpec((500,))
-    parts, preds = predictions_at_level(stream, spec)
+    parts, preds = raw_predictions(stream, spec)
     out = assemble(stream, parts[:1], preds[0].labels)
     assert np.array_equal(out.pred_labels, preds[0].labels)
     assert np.array_equal(out.gt_labels, stream.labels)
@@ -40,7 +40,7 @@ def test_perfect_predictions_reproduce_stream_labels():
     stream = make_random_stream(rng, 200, t_max=999)
     spec = PartitionSpec((300, 600, 999))
     parts = partition(stream, spec)
-    preds = [ScalePrediction(p.scale, p.positions, p.labels.copy(), 3)
+    preds = [ScalePrediction(p.scale, p.positions, p.labels.copy())
              for p in parts]
     out = assemble(stream, parts, np.concatenate([p.labels for p in preds]))
     assert np.array_equal(out.pred_labels, stream.labels)
@@ -51,11 +51,11 @@ def test_cumulative_cardinality_matches_prefix_counts():
     rng = np.random.default_rng(3)
     stream = make_random_stream(rng, 500, t_max=2000)
     spec = PartitionSpec((100, 400, 900, 1500, 2000))
-    parts, raw = predictions_at_level(stream, spec)
+    parts, raw = raw_predictions(stream, spec)
     cfg = UpdateConfig(k=3)
-    state = []
+    state, tables = [], []
     for i, p in enumerate(raw, start=1):
-        state = cascade_step(state, p, cfg)
+        state = cascade_step(state, p, cfg, tables)
         out = assemble(stream, parts[:i],
                        np.concatenate([p.labels for p in state]))
         want = int(np.sum(stream.timestamps <= spec.cuts[i - 1]))
@@ -70,7 +70,7 @@ def test_cardinality_mismatch_rejected():
     rng = np.random.default_rng(5)
     stream = make_random_stream(rng, 60, t_max=500)
     spec = PartitionSpec((200, 500))
-    parts, _ = predictions_at_level(stream, spec)
+    parts, _ = raw_predictions(stream, spec)
     with pytest.raises(AssembleError, match="labels"):
         assemble(stream, parts[:1], np.array([0]))
 
@@ -79,7 +79,7 @@ def test_csv_layout():
     rng = np.random.default_rng(6)
     stream = make_random_stream(rng, 10, t_max=100)
     spec = PartitionSpec((100,))
-    parts, preds = predictions_at_level(stream, spec)
+    parts, preds = raw_predictions(stream, spec)
     out = assemble(stream, parts, preds[0].labels)
     lines = cumulative_csv(out, row_heads(out)).splitlines()
     assert lines[0] == "x,y,z,t,origin_scale,pred,gt"
@@ -150,7 +150,7 @@ def test_csv_with_uint16_class_ids():
 def test_csv_rejects_too_few_heads():
     rng = np.random.default_rng(9)
     stream = make_random_stream(rng, 20, t_max=100)
-    parts, preds = predictions_at_level(stream, PartitionSpec((100,)))
+    parts, preds = raw_predictions(stream, PartitionSpec((100,)))
     out = assemble(stream, parts, preds[0].labels)
     with pytest.raises(AssembleError, match="row heads"):
         cumulative_csv(out, row_heads(out)[:-1])

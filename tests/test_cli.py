@@ -243,6 +243,25 @@ def test_report_partial_metrics_exits_1(tmp_path, capsys):
         f"error: {metrics} lacks the key 'scale_miou'\n")
 
 
+def test_report_metrics_list_exits_1(tmp_path, capsys):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text("[]")
+    assert run_cli("report", "--run-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {metrics} does not hold a JSON object\n")
+
+
+def test_report_timeline_without_events_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
+    capsys.readouterr()
+    timeline = out / "timeline.json"
+    timeline.write_text("{}")
+    assert run_cli("report", "--run-dir", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {timeline} lacks the key 'events'\n")
+
+
 def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
     """Without the fusion dependency scale 2 is predicted long before scale
     1's output is available; its cascade waits for that output, and its
@@ -373,7 +392,9 @@ def test_tiny_seeded_knn_references_warn(tmp_path, capsys):
           "scale 3 votes against a context of 2 point(s), fewer than --k-cls 5"]),
         (["--ticks", "6000"], "1 2 3 6000",
          [f"scale {i} votes against a context of {i} point(s), fewer than "
-          f"--k-cls 5" for i in (2, 3, 4)]),
+          f"--k-cls 5" for i in (2, 3, 4)]
+         + ["scale 1 (2 points) is refined against scale 2, which holds "
+            "only 1 point(s)"]),
     ]
     for n, (scan_flags, cuts, warnings) in enumerate(cases):
         scan_dir, out = tmp_path / f"scan{n}", tmp_path / f"run{n}"
@@ -399,3 +420,40 @@ def test_tiny_seeded_knn_references_warn(tmp_path, capsys):
             csv = (out / f"cumulative_scale_{o.scale}.csv").read_text()
             pred = [int(row.split(",")[5]) for row in csv.splitlines()[1:]]
             assert np.array_equal(pred, o.pred_labels)
+
+
+def test_tiny_upper_scale_warns(tmp_path, capsys):
+    """A scale refined against a smaller next scale is reported on stderr
+    and in the run manifest; its labels stay what the cascade makes them.
+    Scales that grow give no warning."""
+    out = tmp_path / "tiny"
+    assert run_cli("run", "--scan-inline", "--ticks", "3020",
+                   "--cuts", "3000 3020", "--error-rates", "0.3 0.2",
+                   "--out-dir", str(out)) == 0
+    warning = ("scale 1 (2439 points) is refined against scale 2, which "
+               "holds only 12 point(s)")
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+    assert json.loads((out / "run_manifest.json").read_text())["warnings"] == [
+        warning]
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert round(metrics["scale_miou"][-1], 4) == 0.0255
+    assert round(metrics["scale_miou_unrefined"][-1], 4) == 0.3579
+
+    # the quick-start stream: 1625/3254/1627/0/0 points, one warning
+    assert run_cli("sweep", "--scan-inline", "--ticks", "8000",
+                   "--out-dir", str(tmp_path / "sweep")) == 0
+    assert capsys.readouterr().err == (
+        "warning: scale 2 (3254 points) is refined against scale 3, which "
+        "holds only 1627 point(s)\n")
+    # without the update module nothing is refined
+    assert run_cli("sweep", "--scan-inline", "--ticks", "8000", "--no-update",
+                   "--out-dir", str(tmp_path / "sweep")) == 0
+    assert capsys.readouterr().err == ""
+
+    # the default 1x scan's scales grow: 1625/3254/7323/16270/24843 points
+    out = tmp_path / "default"
+    assert run_cli("run", "--scan-inline", "--skip-unrefined",
+                   "--out-dir", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert "warnings" not in json.loads(
+        (out / "run_manifest.json").read_text())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import scalestream.pipeline as pipeline
-from scalestream import (PartitionSpec, PipelineError, PointStream,
+import scalestream.update as update
+from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream,
                          PredictorConfig, TimingModel, UpdateConfig,
                          latency_metrics, make_seed_cloud, run_baseline,
                          run_scalable)
@@ -315,6 +316,35 @@ def test_real_executor_starts_no_thread(monkeypatch):
                               TimingModel(tick_duration=1e-7, overlap="measured"))
     assert len(outputs) == 40
     assert started == []
+
+
+def test_each_scale_pair_is_searched_once(monkeypatch):
+    """A refining run searches each scale pair once, when its upper scale
+    arrives, not again on every later arrival; a pair with an empty side
+    gets no search."""
+    searched = []
+    real = update.knn_batch
+
+    def spy(queries, reference, k):
+        searched.append((len(queries), len(reference)))
+        return real(queries, reference, k)
+
+    monkeypatch.setattr(update, "knn_batch", spy)
+    full = make_random_stream(np.random.default_rng(21), 2000, class_count=5,
+                              t_max=DEFAULT_CUTS[-1])
+    # the same stream with no point in scale 3, (6000, 15000]
+    keep = (full.timestamps <= 6000) | (full.timestamps > 15000)
+    gapped = PointStream(full.positions[keep], full.labels[keep],
+                         full.timestamps[keep], full.class_count)
+    spec = PartitionSpec(DEFAULT_CUTS)
+    cfg = PredictorConfig(error_rates=RATES, seed=4)
+    for stream, pairs in ((full, [(1, 2), (2, 3), (3, 4), (4, 5)]),
+                          (gapped, [(1, 2), (4, 5)])):
+        counts = [p.count for p in pipeline.partition(stream, spec)]
+        assert (counts[2] == 0) == (stream is gapped) and counts.count(0) <= 1
+        searched.clear()
+        run_scalable(stream, spec, cfg, UpdateConfig(k=3), TimingModel())
+        assert searched == [(counts[lo - 1], counts[up - 1]) for lo, up in pairs]
 
 
 class Boom(RuntimeError):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from scalestream import (ScalePrediction, UpdateConfig, UpdateError, cascade,
-                         cascade_step, knn_batch, refine)
+from scalestream import (ScalePrediction, UpdateConfig, UpdateError,
+                         cascade_step, knn_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -37,14 +40,34 @@ def brute_refine_labels(lower_pos, upper_pos, upper_labels, k):
     return np.array(out, dtype=np.int64)
 
 
-def random_prediction(rng, scale, n, classes=4, grid=None, level=None):
+def nested_oracle(preds, k):
+    """Labels of every scale after each arrival, by the literal recursion
+    ``Y_i(j) = UM(Y_i(j-1), Y_i+1(j))`` for ``i = j-1 .. 1`` with
+    brute-force votes; a pair with an empty side keeps the lower labels."""
+    labels, states = [], []
+    for j, arrived in enumerate(preds, start=1):
+        labels.append(arrived.labels)
+        for i in range(j - 1, 0, -1):
+            lower, upper = preds[i - 1], preds[i]
+            if len(lower) and len(upper):
+                labels[i - 1] = brute_refine_labels(
+                    lower.positions, upper.positions, labels[i], k)
+        states.append(list(labels))
+    return states
+
+
+def two_scale(lower, upper, cfg):
+    """Scale 1 refined by the arrival of scale 2."""
+    return cascade_step([lower], upper, cfg, [])[0]
+
+
+def random_prediction(rng, scale, n, classes=4, grid=None):
     if grid:
         pos = rng.integers(0, grid, size=(n, 3)) / 2.0  # exact ties likely
     else:
         pos = rng.uniform(-1, 1, size=(n, 3))
     labels = rng.integers(0, classes, size=n)
-    return ScalePrediction(scale, pos.astype(float), labels.astype(np.int64),
-                           level if level is not None else scale)
+    return ScalePrediction(scale, pos.astype(float), labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -97,49 +120,50 @@ def test_knn_matches_oracle_with_ties():
 
 
 # ---------------------------------------------------------------------------
-# refine
+# refine: scale 1 voted by the arrival of scale 2
 # ---------------------------------------------------------------------------
 
 def test_refine_unanimous_vote():
-    lower = ScalePrediction(1, np.zeros((3, 3)), np.array([0, 1, 2]), 1)
+    lower = ScalePrediction(1, np.zeros((3, 3)), np.array([0, 1, 2]))
     upper = ScalePrediction(2, np.random.default_rng(0).uniform(size=(8, 3)),
-                            np.full(8, 7), 2)
-    out = refine(lower, upper, UpdateConfig(k=5))
+                            np.full(8, 7))
+    out = two_scale(lower, upper, UpdateConfig(k=5))
     assert out.labels.tolist() == [7, 7, 7]
-    assert out.level == 2 and out.scale == 1
+    assert out.scale == 1
     assert out.positions is lower.positions
 
 
 def test_refine_k1_adopts_nearest():
     lower = ScalePrediction(1, np.array([[0.0, 0, 0], [10.0, 0, 0]]),
-                            np.array([0, 0]), 1)
+                            np.array([0, 0]))
     upper = ScalePrediction(2, np.array([[1.0, 0, 0], [9.0, 0, 0]]),
-                            np.array([3, 5]), 2)
-    out = refine(lower, upper, UpdateConfig(k=1))
+                            np.array([3, 5]))
+    out = two_scale(lower, upper, UpdateConfig(k=1))
     assert out.labels.tolist() == [3, 5]
 
 
 def test_refine_vote_tie_goes_to_nearest_tied_class():
-    lower = ScalePrediction(1, np.array([[0.0, 0, 0]]), np.array([9]), 1)
+    lower = ScalePrediction(1, np.array([[0.0, 0, 0]]), np.array([9]))
     upper = ScalePrediction(2, np.array([[1.0, 0, 0], [2.0, 0, 0]]),
-                            np.array([5, 3]), 2)
-    out = refine(lower, upper, UpdateConfig(k=2))
+                            np.array([5, 3]))
+    out = two_scale(lower, upper, UpdateConfig(k=2))
     assert out.labels.tolist() == [5]
 
 
 def test_refine_empty_upper_passes_through():
-    lower = ScalePrediction(1, np.array([[0.0, 0, 0]]), np.array([4]), 1)
-    upper = ScalePrediction(2, np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2)
-    out = refine(lower, upper, UpdateConfig(k=3))
-    assert out.labels.tolist() == [4]
-    assert out.level == 2
+    lower = ScalePrediction(1, np.array([[0.0, 0, 0]]), np.array([4]))
+    upper = ScalePrediction(2, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+    tables = []
+    out = cascade_step([lower], upper, UpdateConfig(k=3), tables)
+    assert out[0].labels.tolist() == [4]
+    assert tables == [None]
 
 
 def test_refine_scale_mismatch_errors():
-    lower = ScalePrediction(1, np.zeros((1, 3)), np.array([0]), 1)
-    upper = ScalePrediction(3, np.zeros((1, 3)), np.array([0]), 3)
+    lower = ScalePrediction(1, np.zeros((1, 3)), np.array([0]))
+    upper = ScalePrediction(3, np.zeros((1, 3)), np.array([0]))
     with pytest.raises(UpdateError):
-        refine(lower, upper, UpdateConfig())
+        two_scale(lower, upper, UpdateConfig())
 
 
 def test_refine_matches_brute_force_oracle():
@@ -150,7 +174,7 @@ def test_refine_matches_brute_force_oracle():
         lower = random_prediction(rng, 1, nl, grid=4 if use_grid else None)
         upper = random_prediction(rng, 2, nu, grid=4 if use_grid else None)
         for k in (1, 3, 5):
-            got = refine(lower, upper, UpdateConfig(k=k))
+            got = two_scale(lower, upper, UpdateConfig(k=k))
             want = brute_refine_labels(lower.positions, upper.positions,
                                        upper.labels, k)
             assert np.array_equal(got.labels, want), (trial, k)
@@ -161,7 +185,7 @@ def test_refine_labels_come_from_upper_neighborhoods():
     rng = np.random.default_rng(31)
     lower = random_prediction(rng, 1, 40)
     upper = random_prediction(rng, 2, 60, classes=6)
-    out = refine(lower, upper, UpdateConfig(k=5))
+    out = two_scale(lower, upper, UpdateConfig(k=5))
     assert set(out.labels.tolist()) <= set(upper.labels.tolist())
 
 
@@ -170,10 +194,12 @@ def test_refine_labels_come_from_upper_neighborhoods():
 # ---------------------------------------------------------------------------
 
 def test_cascade_single_scale_is_identity():
-    p = ScalePrediction(1, np.zeros((2, 3)), np.array([1, 2]), 1)
-    out = cascade([p], UpdateConfig())
+    p = ScalePrediction(1, np.zeros((2, 3)), np.array([1, 2]))
+    tables = []
+    out = cascade_step([], p, UpdateConfig(), tables)
     assert len(out) == 1
     assert np.array_equal(out[0].labels, p.labels)
+    assert tables == []
 
 
 def test_cascade_equals_nested_composition():
@@ -195,57 +221,61 @@ def test_cascade_equals_nested_composition():
         y1_s2 = um(y1.positions, y1.labels, y2.positions, y2.labels)
         y1_s3 = um(y1.positions, y1_s2, y2.positions, y2_s3)
 
-        got = cascade([y1, y2, y3], cfg)
+        tables = []
+        got = cascade_step([], y1, cfg, tables)
+        got = cascade_step(got, y2, cfg, tables)
+        assert np.array_equal(got[0].labels, y1_s2)
+        got = cascade_step(got, y3, cfg, tables)
         assert np.array_equal(got[0].labels, y1_s3)
         assert np.array_equal(got[1].labels, y2_s3)
         assert np.array_equal(got[2].labels, y3.labels)
-        assert [p.level for p in got] == [3, 3, 3]
+        assert len(tables) == 2
 
 
-def test_incremental_equals_batch_cascade():
-    rng = np.random.default_rng(17)
-    cfg = UpdateConfig(k=5)
-    for _ in range(20):
-        preds = [random_prediction(rng, s, int(rng.integers(0, 40)))
-                 for s in range(1, 6)]
-        batch = cascade(preds, cfg)
-        state: list = []
-        for p in preds:
-            state = cascade_step(state, p, cfg)
-        for a, b in zip(batch, state):
-            assert np.array_equal(a.labels, b.labels)
-            assert a.level == b.level == 5
-
-
-def test_cascade_resumes_partially_refined_state():
-    rng = np.random.default_rng(23)
-    cfg = UpdateConfig(k=3)
-    preds = [random_prediction(rng, s, 20) for s in range(1, 5)]
-    full = cascade(preds, cfg)
-    half = cascade_step(cascade_step([], preds[0], cfg), preds[1], cfg)
-    resumed = cascade(half + preds[2:], cfg)
-    for a, b in zip(full, resumed):
-        assert np.array_equal(a.labels, b.labels)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cascade_step_matches_nested_oracle(data):
+    """Arrivals fed through one persistent table list, or through a fresh
+    list each time, give the nested brute-force oracle's labels."""
+    k = data.draw(st.integers(1, 6), label="k")
+    on_grid = data.draw(st.booleans(), label="on_grid")
+    coords = (st.integers(0, 3).map(lambda v: v / 2.0) if on_grid
+              else st.floats(-1, 1))
+    preds = []
+    for scale in range(1, data.draw(st.integers(1, 6), label="scales") + 1):
+        n = data.draw(st.integers(0, 30))
+        preds.append(ScalePrediction(
+            scale, data.draw(arrays(np.float64, (n, 3), elements=coords)),
+            data.draw(arrays(np.int64, n, elements=st.integers(0, 3)))))
+    cfg = UpdateConfig(k=k)
+    tables, persistent, fresh = [], [], []
+    for arrived, want in zip(preds, nested_oracle(preds, k)):
+        persistent = cascade_step(persistent, arrived, cfg, tables)
+        fresh = cascade_step(fresh, arrived, cfg, [])
+        for a, b, w in zip(persistent, fresh, want):
+            assert np.array_equal(a.labels, w)
+            assert np.array_equal(b.labels, w)
+    assert len(tables) == len(preds) - 1
 
 
 def test_cascade_validation():
-    p1 = ScalePrediction(1, np.zeros((1, 3)), np.array([0]), 1)
-    p3 = ScalePrediction(3, np.zeros((1, 3)), np.array([0]), 3)
+    p1 = ScalePrediction(1, np.zeros((1, 3)), np.array([0]))
+    p2 = ScalePrediction(2, np.zeros((1, 3)), np.array([0]))
+    p3 = ScalePrediction(3, np.zeros((1, 3)), np.array([0]))
     with pytest.raises(UpdateError, match="scale"):
-        cascade([p1, p3], UpdateConfig())
+        cascade_step([p1, p3], p3, UpdateConfig(), [])
     with pytest.raises(UpdateError):
-        cascade_step([p1], p3, UpdateConfig())
-    # inconsistent levels
-    p2_stale = ScalePrediction(2, np.zeros((1, 3)), np.array([0]), 3)
-    with pytest.raises(UpdateError, match="level|state"):
-        cascade([p1, p2_stale], UpdateConfig())
+        cascade_step([p1], p3, UpdateConfig(), [])
+    # tables from further up than the arrival reaches
+    with pytest.raises(UpdateError, match="tables"):
+        cascade_step([p1], p2, UpdateConfig(), [None, None])
 
 
 def test_update_config_validation():
     with pytest.raises(UpdateError):
         UpdateConfig(k=0)
     with pytest.raises(UpdateError):
-        ScalePrediction(2, np.zeros((1, 3)), np.array([0]), 1)
+        ScalePrediction(1, np.zeros((2, 3)), np.array([0]))
 
 
 def test_refine_matches_oracle_on_scanner_data():
@@ -256,9 +286,9 @@ def test_refine_matches_oracle_on_scanner_data():
     pose = place_cameras(room, seed=0)[0]
     stream = scan(room, pose, LissajousConfig(ticks=900))
     parts = partition(stream, PartitionSpec((300, 900)))
-    lower = ScalePrediction(1, parts[0].positions, parts[0].labels, 1)
-    upper = ScalePrediction(2, parts[1].positions, parts[1].labels, 2)
-    got = refine(lower, upper, UpdateConfig(k=5))
+    lower = ScalePrediction(1, parts[0].positions, parts[0].labels)
+    upper = ScalePrediction(2, parts[1].positions, parts[1].labels)
+    got = two_scale(lower, upper, UpdateConfig(k=5))
     want = brute_refine_labels(np.asarray(lower.positions, dtype=float),
                                np.asarray(upper.positions, dtype=float),
                                upper.labels, 5)
