@@ -35,15 +35,12 @@ from .stream import PointStream, read_stream, write_stream
 from .update import UpdateConfig, UpdateError
 
 
-#: Flag destinations that define a scan, in manifest order.
-_SCAN_KEYS = ("scene", "room", "ticks", "ticks_per_period", "fx", "fy", "phase",
-              "amp_x", "amp_y", "dropout", "max_poses", "camera_index", "seed")
-#: Additional destinations that define a pipeline run.
-_RUN_KEYS = _SCAN_KEYS + (
-    "stream", "scan_inline", "cuts", "predictor", "error_rates", "k_cls",
-    "seed_ref_fraction", "um_k", "no_update", "tick_duration", "mode",
-    "overlap", "no_fusion_dependency", "predict_fixed", "predict_per_point",
-    "baseline_factor", "refine_fixed", "refine_per_point", "coverage_grid")
+def _manifest_config(args: argparse.Namespace) -> dict:
+    """Every flag destination of a command except ``--config`` and
+    ``--out-dir``, which say where values come from and outputs go but not
+    what the command computes."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "config", "out_dir")}
 
 
 def config_hash(config: dict) -> str:
@@ -78,13 +75,13 @@ def _add_scan_args(p: argparse.ArgumentParser) -> None:
                    help="scene file path, or 'builtin' for the default room")
     p.add_argument("--room", type=str, default="4 4 3",
                    help="builtin room width depth height (m)")
-    p.add_argument("--ticks", type=int, default=65536)
+    p.add_argument("--ticks", type=int, default=LissajousConfig.ticks)
     p.add_argument("--ticks-per-period", type=float, default=DEFAULT_TICKS_PER_PERIOD)
-    p.add_argument("--fx", type=float, default=1.1)
-    p.add_argument("--fy", type=float, default=1.8)
-    p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--amp-x", type=float, default=0.6)
-    p.add_argument("--amp-y", type=float, default=0.6)
+    p.add_argument("--fx", type=float, default=LissajousConfig.fx)
+    p.add_argument("--fy", type=float, default=LissajousConfig.fy)
+    p.add_argument("--phase", type=float, default=LissajousConfig.phase)
+    p.add_argument("--amp-x", type=float, default=LissajousConfig.amp_x)
+    p.add_argument("--amp-y", type=float, default=LissajousConfig.amp_y)
     p.add_argument("--dropout", type=float, default=0.0,
                    help="per-tick miss probability")
     p.add_argument("--max-poses", type=int, default=50)
@@ -100,27 +97,27 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--error-rates", type=str,
                    default=" ".join(map(str, DEFAULT_ERROR_RATES)),
                    help="noisy-oracle per-scale error probabilities")
-    p.add_argument("--k-cls", type=int, default=5,
+    p.add_argument("--k-cls", type=int, default=PredictorConfig.k_cls,
                    help="seeded-knn classifier neighbor count")
     p.add_argument("--seed-ref-fraction", type=float, default=0.02,
                    help="fraction of the cloud sampled as the seeded-knn reference")
-    p.add_argument("--um-k", type=int, default=5,
+    p.add_argument("--um-k", type=int, default=UpdateConfig.k,
                    help="update-module voting neighbor count")
     p.add_argument("--no-update", action="store_true",
                    help="disable the refinement cascade")
-    p.add_argument("--tick-duration", type=float, default=1e-5,
+    p.add_argument("--tick-duration", type=float, default=TimingModel.tick_duration,
                    help="acquisition seconds per tick")
     p.add_argument("--mode", type=str, default="sim", choices=["sim", "real"])
     p.add_argument("--overlap", type=str, default="full", choices=["full", "none"],
                    help="simulated scheduling policy (sim mode)")
     p.add_argument("--no-fusion-dependency", action="store_true",
                    help="sim schedule: let scale i start before i-1 is published")
-    p.add_argument("--predict-fixed", type=float, default=0.005)
-    p.add_argument("--predict-per-point", type=float, default=1e-5)
-    p.add_argument("--baseline-factor", type=float, default=2.0,
+    p.add_argument("--predict-fixed", type=float, default=TimingModel.predict_fixed)
+    p.add_argument("--predict-per-point", type=float, default=TimingModel.predict_per_point)
+    p.add_argument("--baseline-factor", type=float, default=TimingModel.baseline_factor,
                    help="baseline per-point cost multiplier vs a scale branch")
-    p.add_argument("--refine-fixed", type=float, default=0.001)
-    p.add_argument("--refine-per-point", type=float, default=2e-7)
+    p.add_argument("--refine-fixed", type=float, default=TimingModel.refine_fixed)
+    p.add_argument("--refine-per-point", type=float, default=TimingModel.refine_per_point)
     p.add_argument("--skip-unrefined", action="store_true",
                    help="skip the no-update comparison run")
     p.add_argument("--coverage-grid", type=int, default=16)
@@ -279,7 +276,7 @@ def cmd_scan(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stream_path = out / "stream.bin"
     n_bytes = write_stream(stream, stream_path)
-    cfg = {k: getattr(args, k) for k in _SCAN_KEYS}
+    cfg = _manifest_config(args)
     _write_json(out / "scan_manifest.json", {
         "command": "scan",
         "config": cfg,
@@ -442,7 +439,7 @@ def cmd_run(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = {k: getattr(args, k) for k in _RUN_KEYS}
+    cfg = _manifest_config(args)
     manifest = {"command": "run", "config": cfg,
                 "config_hash": config_hash(cfg), "points": len(stream)}
     if warnings:
@@ -525,10 +522,17 @@ def _read_object(path: Path) -> dict:
 
 
 def _read_timeline(path: Path) -> Timeline:
+    data = _read_object(path)
     try:
-        return Timeline.from_dict(_read_object(path))
+        return Timeline.from_dict(data)
     except KeyError as exc:
         raise ValueError(f"{path} lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path} holds a wrongly typed event: {exc}") from None
+
+
+def _floats(values) -> list[float | None]:
+    return [None if v is None else float(v) for v in values]
 
 
 def cmd_report(args) -> int:
@@ -537,19 +541,21 @@ def cmd_report(args) -> int:
     if not metrics_path.exists():
         raise ConfigError(f"no metrics.json under {run_dir}")
     data = _read_object(metrics_path)
-    try:
+    unrefined, latency = data.get("scale_miou_unrefined"), data.get("latency", {})
+    try:  # only the fields that the plot and the summary render
         report = MetricsReport(
-            scale_miou=data["scale_miou"],
-            scale_miou_unrefined=data.get("scale_miou_unrefined"),
-            origin_miou={int(k): v for k, v in data.get("origin_miou", {}).items()},
-            per_class_iou=data.get("per_class_iou", {}),
-            baseline_miou=data["baseline_miou"],
-            cost_of_scalability_pct=data["cost_of_scalability_pct"],
-            latency=data.get("latency", {}),
-            coverage_curve=[tuple(x) for x in data.get("coverage_curve", [])],
+            scale_miou=_floats(data["scale_miou"]),
+            scale_miou_unrefined=None if unrefined is None else _floats(unrefined),
+            origin_miou={}, per_class_iou={},
+            baseline_miou=float(data["baseline_miou"]),
+            cost_of_scalability_pct=float(data["cost_of_scalability_pct"]),
+            latency=({"speedup": float(latency["speedup"])}
+                     if "speedup" in latency else {}),
         )
     except KeyError as exc:
         raise ValueError(f"{metrics_path} lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{metrics_path} holds a wrongly typed field: {exc}") from None
     (run_dir / "miou_vs_scale.svg").write_text(miou_plot(report), encoding="utf-8")
     tl_path = run_dir / "timeline.json"
     base_path = run_dir / "baseline_timeline.json"
@@ -564,7 +570,7 @@ def cmd_report(args) -> int:
     print(f"baseline mIoU: {report.baseline_miou:.4f}")
     print(f"cost of scalability: {report.cost_of_scalability_pct:+.2f} pp")
     if report.latency:
-        print(f"speedup: {report.latency.get('speedup', float('nan')):.1%}")
+        print(f"speedup: {report.latency['speedup']:.1%}")
     return 0
 
 

@@ -57,9 +57,7 @@ class TimingModel:
     """Acquisition speed and stage-cost model.
 
     ``tick_duration`` converts stream ticks to seconds.  Stage costs are an
-    affine function of point count, optionally overridden per scale (or for
-    the baseline / per refine) with explicit values, which is what the
-    closed-form timeline tests use.  The baseline's per-point cost carries a
+    affine function of point count.  The baseline's per-point cost carries a
     ``baseline_factor`` because the non-scalable reference runs one large
     model over the full cloud while the scales run small per-branch jobs.
     ``fusion_dependency`` shapes only the simulated schedule: it starts
@@ -77,9 +75,6 @@ class TimingModel:
     refine_per_point: float = 2e-7
     overlap: str = "full"
     fusion_dependency: bool = True
-    predict_overrides: tuple[float, ...] | None = None
-    baseline_override: float | None = None
-    refine_override: float | None = None
 
     def __post_init__(self):
         if self.tick_duration <= 0:
@@ -91,31 +86,26 @@ class TimingModel:
         if self.overlap not in OVERLAP_MODES:
             raise PipelineError(f"overlap must be one of {OVERLAP_MODES}")
 
-    def predict_duration(self, n_points: int, scale: int | None = None) -> float:
-        """Synthetic duration of one predictor job (scale=None: baseline).
-
-        A job over no points costs nothing, like the baseline over an empty
-        stream."""
+    def predict_duration(self, n_points: int) -> float:
+        """Synthetic duration of one scale's predictor job; a job over no
+        points costs nothing."""
         if n_points == 0:
             return 0.0
-        if scale is None:
-            if self.baseline_override is not None:
-                return self.baseline_override
-            return (self.predict_fixed
-                    + self.baseline_factor * self.predict_per_point * n_points)
-        if self.predict_overrides is not None:
-            if scale > len(self.predict_overrides):
-                raise PipelineError(f"no predict override for scale {scale}")
-            return self.predict_overrides[scale - 1]
         return self.predict_fixed + self.predict_per_point * n_points
+
+    def baseline_duration(self, n_points: int) -> float:
+        """Synthetic duration of the baseline's full-cloud prediction; an
+        empty stream costs nothing."""
+        if n_points == 0:
+            return 0.0
+        return (self.predict_fixed
+                + self.baseline_factor * self.predict_per_point * n_points)
 
     def refine_duration(self, n_lower: int, n_upper: int) -> float:
         """Synthetic duration of one refinement; zero when either side is
         empty, because the cascade then passes the lower scale through."""
         if n_lower == 0 or n_upper == 0:
             return 0.0
-        if self.refine_override is not None:
-            return self.refine_override
         return self.refine_fixed + self.refine_per_point * (n_lower + n_upper)
 
 
@@ -158,7 +148,8 @@ class Timeline:
     def from_dict(cls, data: dict) -> "Timeline":
         tl = cls()
         for e in data["events"]:
-            tl.add(e["kind"], e["scale"], e["instant"], e.get("arrival"))
+            tl.add(e["kind"], int(e["scale"]), e["instant"],
+                   None if e.get("arrival") is None else int(e["arrival"]))
         return tl
 
 
@@ -260,7 +251,7 @@ def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
             start = prev_avail if i > 1 else ready[-1]
         else:
             start = max(ready[i - 1], prev_avail if timing.fusion_dependency else 0.0)
-        done = start + timing.predict_duration(count, scale=i)
+        done = start + timing.predict_duration(count)
         tl.add(SCALE_START, i, start)
         tl.add(SCALE_DONE, i, done)
         t = done if serial else max(done, prev_avail)
@@ -287,12 +278,10 @@ def run_baseline(stream: PointStream, predictor_cfg: PredictorConfig,
     labels = predict_full(stream.positions, stream.labels, predictor_cfg,
                           stream.class_count)
     measured = time.perf_counter() - t0
-    if len(stream) == 0:
-        duration = 0.0
-    elif timing.overlap == "measured":
+    if timing.overlap == "measured" and len(stream):
         duration = measured
     else:
-        duration = timing.predict_duration(len(stream), scale=None)
+        duration = timing.baseline_duration(len(stream))
 
     output = CumulativeOutput(
         scale=1,

@@ -142,8 +142,7 @@ def predict_full(positions: np.ndarray, gt_labels: np.ndarray,
     return _vote_labels(np.asarray(positions, dtype=float), cfg.seed_cloud, cfg.k_cls)
 
 
-def make_seed_cloud(positions, labels, fraction: float = 0.05,
-                    seed: int = 0) -> ScaleContext:
+def make_seed_cloud(positions, labels, fraction: float, seed: int) -> ScaleContext:
     """Subsample a labeled cloud to serve as the seeded-knn scale-1 reference."""
     if not 0.0 < fraction <= 1.0:
         raise PredictorError("seed cloud fraction must be in (0, 1]")

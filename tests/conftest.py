@@ -16,6 +16,18 @@ def make_random_stream(rng: np.random.Generator, n: int, class_count: int = 11,
     return PointStream(positions, labels, timestamps, class_count, label_map, meta)
 
 
+def make_counted_stream(rng: np.random.Generator, counts, cuts,
+                        class_count: int = 5) -> PointStream:
+    """A random stream whose scale ``i`` holds exactly ``counts[i-1]``
+    points, with timestamps drawn from ``(cuts[i-2], cuts[i-1]]``."""
+    lows = (-1, *cuts[:-1])
+    timestamps = np.sort(np.concatenate([
+        rng.integers(lo + 1, hi + 1, size=n)
+        for lo, hi, n in zip(lows, cuts, counts)]))
+    base = make_random_stream(rng, len(timestamps), class_count)
+    return PointStream(base.positions, base.labels, timestamps, class_count)
+
+
 @pytest.fixture(scope="session")
 def room():
     return default_room()

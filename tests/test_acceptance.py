@@ -21,7 +21,7 @@ from scalestream.pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY,
                                   SCALE_DONE, SCALE_START, Timeline)
 from scalestream.update import cascade_step, knn_batch
 
-from conftest import make_random_stream
+from conftest import make_counted_stream, make_random_stream
 from test_geometry import slab_oracle, unit
 from test_partition import brute_force_split
 from test_update import brute_knn, brute_refine_labels, random_prediction
@@ -175,14 +175,15 @@ def test_criterion_4_accuracy_lift(default_scan):
 
 def test_criterion_5_timing_model_correctness():
     def check():
-        # closed-form construction: ticks 10/20/30 at 1 s/tick, predicts
-        # 5/4/3 s, every refine 2 s, fusion on, full overlap
-        stream = make_random_stream(np.random.default_rng(7), 240,
-                                    class_count=5, t_max=30)
+        # closed-form construction: ticks 10/20/30 at 1 s/tick, scales of
+        # 192/128/64 points at 2 s + 1/64 s per point (predicts 5/4/3 s),
+        # every refine 2 s, fusion on, full overlap
         spec = PartitionSpec((10, 20, 30))
-        timing = TimingModel(tick_duration=1.0,
-                             predict_overrides=(5.0, 4.0, 3.0),
-                             refine_override=2.0)
+        stream = make_counted_stream(np.random.default_rng(7), (192, 128, 64),
+                                     spec.cuts)
+        timing = TimingModel(tick_duration=1.0, predict_fixed=2.0,
+                             predict_per_point=2**-6, refine_fixed=2.0,
+                             refine_per_point=0.0)
         cfg = PredictorConfig(error_rates=(0.3, 0.2, 0.1), seed=0)
         _, tl = run_scalable(stream, spec, cfg, UpdateConfig(k=3), timing)
         expect = {

@@ -2,6 +2,7 @@ import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 import scalestream.cli as cli
 import scalestream.pipeline as pipeline
@@ -262,6 +263,24 @@ def test_report_timeline_without_events_exits_1(tmp_path, capsys):
         f"error: {timeline} lacks the key 'events'\n")
 
 
+@pytest.mark.parametrize("name, field, value", [
+    ("timeline.json", "events", [1]),
+    ("metrics.json", "scale_miou", 5),
+])
+def test_report_wrongly_typed_field_exits_1(tmp_path, capsys, name, field, value):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
+    capsys.readouterr()
+    path = out / name
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    assert run_cli("report", "--run-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} holds a wrongly typed ")
+    assert err.count("\n") == 1
+
+
 def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
     """Without the fusion dependency scale 2 is predicted long before scale
     1's output is available; its cascade waits for that output, and its
@@ -307,6 +326,42 @@ def test_config_file_flag_override(tmp_path):
                    "--out-dir", str(out)) == 0
     manifest = json.loads((out / "scan_manifest.json").read_text())
     assert manifest["config"]["ticks"] == 1500
+
+
+def test_run_manifest_records_every_flag(tmp_path):
+    """A manifest's config holds every flag destination of its command
+    except --config and --out-dir, so flags that change the outputs, such
+    as --skip-unrefined, change the config hash."""
+    _, subparsers = cli.build_parser()
+    manifests = {}
+    for name, argv in (("scan", ["scan", "--ticks", "2000"]),
+                       ("run", ["run", *FAST]),
+                       ("skip", ["run", *FAST, "--skip-unrefined"])):
+        out = tmp_path / name
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+        manifests[name] = json.loads(
+            (out / f"{argv[0]}_manifest.json").read_text())
+    for command in ("scan", "run"):
+        dests = {a.dest for a in subparsers[command]._actions} - {
+            "help", "config", "out_dir"}
+        assert set(manifests[command]["config"]) == dests
+    assert manifests["run"]["config"]["skip_unrefined"] is False
+    assert manifests["skip"]["config"]["skip_unrefined"] is True
+    assert manifests["run"]["config_hash"] != manifests["skip"]["config_hash"]
+
+
+def test_config_file_manifest_equals_explicit_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scan_inline": True, "ticks": 6000, "cuts": "500 1200 2500 4200 6000",
+        "tick_duration": 1e-5, "skip_unrefined": True, "predict_fixed": 0.01,
+        "update.k": 3}))
+    a, b = tmp_path / "file", tmp_path / "flags"
+    assert run_cli("run", "--config", str(cfg), "--out-dir", str(a)) == 0
+    assert run_cli("run", *FAST, "--skip-unrefined", "--predict-fixed", "0.01",
+                   "--um-k", "3", "--out-dir", str(b)) == 0
+    assert ((a / "run_manifest.json").read_bytes()
+            == (b / "run_manifest.json").read_bytes())
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalestream.pipeline as pipeline
 import scalestream.update as update
@@ -9,10 +12,11 @@ from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream
                          PredictorConfig, TimingModel, UpdateConfig,
                          latency_metrics, make_seed_cloud, run_baseline,
                          run_scalable)
-from scalestream.pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY,
-                                  SCALE_DONE, SCALE_START, Timeline)
+from scalestream.pipeline import (CUMULATIVE_AVAILABLE, OVERLAP_MODES,
+                                  PARTITION_READY, SCALE_DONE, SCALE_START,
+                                  Timeline, refine_intervals)
 
-from conftest import make_random_stream
+from conftest import make_counted_stream, make_random_stream
 
 RATES = (0.4, 0.3, 0.2, 0.12, 0.05)
 
@@ -27,11 +31,14 @@ SPEC = PartitionSpec((200, 400, 600, 800, 1000))
 
 def test_closed_form_timeline_slow_acquisition():
     """Hand-computed schedule: cuts at ticks 10/20/30 with one-second ticks,
-    predict durations 5/4/3, every refine 2 s, fusion on, full overlap."""
-    stream = small_stream(1, n=300, t_max=30)
+    scales of 192/128/64 points at 2 s + 1/64 s per point (predicts of
+    5/4/3 s), every refine 2 s, fusion on, full overlap."""
     spec = PartitionSpec((10, 20, 30))
-    timing = TimingModel(tick_duration=1.0, predict_overrides=(5.0, 4.0, 3.0),
-                         refine_override=2.0, overlap="full",
+    stream = make_counted_stream(np.random.default_rng(1), (192, 128, 64),
+                                 spec.cuts)
+    timing = TimingModel(tick_duration=1.0, predict_fixed=2.0,
+                         predict_per_point=2**-6, refine_fixed=2.0,
+                         refine_per_point=0.0, overlap="full",
                          fusion_dependency=True)
     cfg = PredictorConfig(error_rates=RATES, seed=3)
     _, tl = run_scalable(stream, spec, cfg, UpdateConfig(k=3), timing)
@@ -204,13 +211,16 @@ def test_baseline_empty_stream_completes_immediately():
 
 
 def test_baseline_cardinality_and_duration():
-    stream = small_stream(8, n=333)
-    timing = TimingModel(tick_duration=1e-3, baseline_override=2.5)
+    """256 points at 0.5 s + 2 x 1/256 s per point take 2.5 s; every value
+    is dyadic, so the instants are exact."""
+    stream = small_stream(8, n=256)
+    timing = TimingModel(tick_duration=2**-10, predict_fixed=0.5,
+                         predict_per_point=2**-8, baseline_factor=2.0)
     out, tl = run_baseline(stream, PredictorConfig(error_rates=RATES), timing)
     assert len(out) == len(stream)
     assert (tl.instant("baseline_done", 0)
             - tl.instant("baseline_start", 0)) == 2.5
-    assert tl.instant("baseline_start", 0) == stream.max_timestamp * 1e-3
+    assert tl.instant("baseline_start", 0) == stream.max_timestamp * 2**-10
 
 
 def test_final_scalable_output_matches_baseline_points():
@@ -408,3 +418,81 @@ def test_seeded_knn_labels_identical_across_backends():
         finals.append(reference[-1])
     # the published context differs with the update module on and off
     assert finals[0] != finals[1]
+
+
+def assert_causal(tl: Timeline, spec: PartitionSpec, timing: TimingModel,
+                  refining: bool):
+    """Each scale starts once its partition is acquired, and once the previous
+    output is published wherever the schedule waits for it; predict, refine
+    and publication follow in that order, and outputs publish in scale order."""
+    waits = timing.fusion_dependency or timing.overlap != "full"
+    intervals = refine_intervals(tl)
+    prev = 0.0
+    for i, cut in enumerate(spec.cuts, start=1):
+        ready, start, done, avail = (tl.instant(kind, i) for kind in (
+            PARTITION_READY, SCALE_START, SCALE_DONE, CUMULATIVE_AVAILABLE))
+        assert ready == cut * timing.tick_duration
+        assert ready <= start <= done <= avail and prev <= avail
+        assert start >= prev or not waits
+        assert len(intervals.get(i, [])) == (i - 1 if refining else 0)
+        for begin, end in intervals.get(i, []):
+            assert max(done, prev) <= begin <= end <= avail
+        prev = avail
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_run_scalable_properties(data):
+    """Random streams, cuts (empty scales and a last cut past the last
+    timestamp included), predictors, update settings and affine costs: the
+    labels are the same under every schedule, every timeline is causal, and
+    a simulated residual lies within its bounds."""
+    n = data.draw(st.integers(1, 200), label="points")
+    classes = data.draw(st.integers(1, 5), label="classes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+    stream = make_random_stream(rng, n, class_count=classes, t_max=400)
+    cuts = sorted(data.draw(st.sets(st.integers(0, 400), min_size=1, max_size=6),
+                            label="cuts"))
+    cuts[-1] = max(cuts[-1], stream.max_timestamp) + data.draw(
+        st.integers(0, 50), label="past_last")
+    spec = PartitionSpec(tuple(cuts))
+    seed = data.draw(st.integers(0, 3), label="seed")
+    if data.draw(st.booleans(), label="seeded_knn"):
+        fraction = data.draw(st.floats(0.01, 1.0), label="seed_fraction")
+        cfg = PredictorConfig(
+            variant="seeded-knn", k_cls=data.draw(st.integers(1, 8), label="k_cls"),
+            seed=seed, seed_cloud=make_seed_cloud(stream.positions, stream.labels,
+                                                  fraction, seed))
+    else:
+        rates = data.draw(st.lists(st.floats(0, 1), min_size=len(cuts),
+                                   max_size=len(cuts)), label="rates")
+        cfg = PredictorConfig(error_rates=tuple(rates), seed=seed)
+    k = data.draw(st.integers(0, 6), label="update_k")
+    update_cfg = UpdateConfig(k) if k else None
+    # costs in ticks, so that acquisition is sometimes the slower side; a
+    # positive predict_fixed keeps the baseline's processing time positive
+    tick = data.draw(st.floats(1e-7, 1e-5), label="tick")
+    costs = {name: tick * data.draw(st.floats(lo, hi), label=name)
+             for name, lo, hi in (("predict_fixed", 1, 200),
+                                  ("predict_per_point", 0, 2),
+                                  ("refine_fixed", 0, 200),
+                                  ("refine_per_point", 0, 2))}
+    base = TimingModel(tick_duration=tick, **costs, baseline_factor=data.draw(
+        st.floats(0, 4), label="baseline_factor"))
+    _, base_tl = run_baseline(stream, cfg, base)
+
+    reference = None
+    for overlap in OVERLAP_MODES:
+        for fusion in (True,) if cfg.variant == "seeded-knn" else (True, False):
+            timing = replace(base, overlap=overlap, fusion_dependency=fusion)
+            outputs, tl = run_scalable(stream, spec, cfg, update_cfg, timing)
+            labels = [o.pred_labels.astype("<i8").tobytes() for o in outputs]
+            if reference is None:
+                reference = labels
+            assert labels == reference
+            assert_causal(tl, spec, timing, update_cfg is not None)
+            if overlap != "measured":
+                lat = latency_metrics(tl, base_tl)
+                slack = 1e-9 * (1.0 + lat.post_acq_upper)
+                assert lat.post_acq_lower <= lat.post_acq + slack
+                assert lat.post_acq <= lat.post_acq_upper + slack

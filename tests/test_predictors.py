@@ -137,7 +137,7 @@ def test_make_seed_cloud():
     again = make_seed_cloud(pos, labels, fraction=0.1, seed=4)
     assert np.array_equal(cloud.positions, again.positions)
     with pytest.raises(PredictorError):
-        make_seed_cloud(pos, labels, fraction=0.0)
+        make_seed_cloud(pos, labels, fraction=0.0, seed=4)
 
 
 def test_config_validation():
