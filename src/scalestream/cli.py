@@ -28,8 +28,7 @@ from .pipeline import (PipelineError, TimingModel, Timeline, latency_metrics,
 from .plots import miou_plot, timeline_plot
 from .predictors import (DEFAULT_ERROR_RATES, PredictorConfig, PredictorError,
                          make_seed_cloud)
-from .scanner import (DEFAULT_TICKS_PER_PERIOD, LissajousConfig, place_cameras,
-                      scan)
+from .scanner import LissajousConfig, place_cameras, scan
 from .scene import SceneError, default_room, load_scene
 from .stream import PointStream, read_stream, write_stream
 from .update import UpdateConfig, UpdateError
@@ -70,18 +69,32 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", type=str, default="out", help="output directory")
 
 
+#: Flags that set the same-named field of a config class.  Each tuple
+#: declares its flags, with the field's type and default, checks them and
+#: builds the object.
+SCAN_FLAGS = ("fx", "fy", "phase", "amp_x", "amp_y", "ticks", "ticks_per_period")
+TIMING_FLAGS = ("tick_duration", "predict_fixed", "predict_per_point",
+                "baseline_factor", "refine_fixed", "refine_per_point")
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _add_field_flags(p: argparse.ArgumentParser, cls, names: tuple,
+                     **helps) -> None:
+    for name in names:
+        default = getattr(cls, name)
+        p.add_argument(_flag(name), type=type(default), default=default,
+                       help=helps.get(name))
+
+
 def _add_scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scene", type=str, default="builtin",
                    help="scene file path, or 'builtin' for the default room")
     p.add_argument("--room", type=str, default="4 4 3",
                    help="builtin room width depth height (m)")
-    p.add_argument("--ticks", type=int, default=LissajousConfig.ticks)
-    p.add_argument("--ticks-per-period", type=float, default=DEFAULT_TICKS_PER_PERIOD)
-    p.add_argument("--fx", type=float, default=LissajousConfig.fx)
-    p.add_argument("--fy", type=float, default=LissajousConfig.fy)
-    p.add_argument("--phase", type=float, default=LissajousConfig.phase)
-    p.add_argument("--amp-x", type=float, default=LissajousConfig.amp_x)
-    p.add_argument("--amp-y", type=float, default=LissajousConfig.amp_y)
+    _add_field_flags(p, LissajousConfig, SCAN_FLAGS)
     p.add_argument("--dropout", type=float, default=0.0,
                    help="per-tick miss probability")
     p.add_argument("--max-poses", type=int, default=50)
@@ -105,26 +118,23 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
                    help="update-module voting neighbor count")
     p.add_argument("--no-update", action="store_true",
                    help="disable the refinement cascade")
-    p.add_argument("--tick-duration", type=float, default=TimingModel.tick_duration,
-                   help="acquisition seconds per tick")
     p.add_argument("--mode", type=str, default="sim", choices=["sim", "real"])
     p.add_argument("--overlap", type=str, default="full", choices=["full", "none"],
                    help="simulated scheduling policy (sim mode)")
     p.add_argument("--no-fusion-dependency", action="store_true",
                    help="sim schedule: let scale i start before i-1 is published")
-    p.add_argument("--predict-fixed", type=float, default=TimingModel.predict_fixed)
-    p.add_argument("--predict-per-point", type=float, default=TimingModel.predict_per_point)
-    p.add_argument("--baseline-factor", type=float, default=TimingModel.baseline_factor,
-                   help="baseline per-point cost multiplier vs a scale branch")
-    p.add_argument("--refine-fixed", type=float, default=TimingModel.refine_fixed)
-    p.add_argument("--refine-per-point", type=float, default=TimingModel.refine_per_point)
+    _add_field_flags(p, TimingModel, TIMING_FLAGS,
+                     tick_duration="acquisition seconds per tick",
+                     baseline_factor="baseline per-point cost multiplier vs "
+                                     "a scale branch")
     p.add_argument("--skip-unrefined", action="store_true",
                    help="skip the no-update comparison run")
     p.add_argument("--coverage-grid", type=int, default=16)
 
 
 class ConfigError(ValueError):
-    pass
+    """One or more bad settings; ``main`` prints each argument on its own
+    ``config error:`` line."""
 
 
 #: Dotted config-file spellings accepted alongside flag destination names.
@@ -174,13 +184,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subparsers
 
 
-def _apply_config_file(subparsers: dict, argv: list[str]) -> None:
-    """Pre-scan for --config and install its values as parser defaults."""
+def _config_argv(subparsers: dict, argv: list[str]) -> list[str]:
+    """``argv`` with the values of its ``--config`` file inserted as flags
+    right after the command, so that the parser applies each flag's type and
+    choices, and explicit flags, which come later, win."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", type=str, default=None)
     known, _ = pre.parse_known_args(argv)
-    if known.config is None:
-        return
+    if known.config is None or not argv or argv[0] not in subparsers:
+        return argv
     path = Path(known.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -191,53 +203,100 @@ def _apply_config_file(subparsers: dict, argv: list[str]) -> None:
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     values = {CONFIG_ALIASES.get(k, k): v for k, v in values.items()}
-    known_keys = set()
-    for sp in subparsers.values():
-        valid = {a.dest for a in sp._actions}
-        known_keys |= valid
-        sp.set_defaults(**{k: v for k, v in values.items() if k in valid})
-    unknown = sorted(set(values) - known_keys)
+    unknown = sorted(set(values) - {a.dest for sp in subparsers.values()
+                                    for a in sp._actions})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    actions = {a.dest: a for a in subparsers[argv[0]]._actions}
+    tokens = []
+    for key, value in values.items():
+        action = actions.get(key)
+        if action is None or key in ("config", "help") or value is None:
+            continue  # another command's key, or the flag's default
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif not isinstance(value, bool):
+            raise ConfigError(f"config key {key} is a switch and takes true "
+                              f"or false, got {value!r}")
+        elif value:
+            tokens.append(flag)
+    return argv[:1] + tokens + argv[1:]
 
 
-def _validate_pipeline_args(args) -> list[str]:
-    """Collect every configuration problem instead of stopping at the first."""
-    errors = []
+#: Text flags (a manifest records them as given), parsed when built.
+_LIST_FLAGS = {"cuts": _parse_ints, "error_rates": _parse_floats}
+
+
+def _build(problems: list[str], args, cls, flags: dict, **fixed):
+    """``cls`` from ``fixed`` and the flags that ``flags`` maps to its fields,
+    or None after adding a problem for each flag that ``cls`` rejects on its
+    own, the other fields at their defaults, with the class's reason."""
+    values, n = {}, len(problems)
+    for field, dest in flags.items():
+        try:
+            values[field] = _LIST_FLAGS.get(dest, lambda v: v)(getattr(args, dest))
+            cls(**{field: values[field]})
+        except (ValueError, PipelineError) as exc:
+            problems.append(f"{_flag(dest)}: {exc}")
+    return cls(**fixed, **values) if len(problems) == n else None
+
+
+def _settings(args) -> dict:
+    """The config objects the command takes (``scan``, ``spec``, ``predictor``,
+    ``update``, None without the update module, ``timing``, ``timings``), each
+    flag checked before any scan or read; a ConfigError lists every bad flag."""
+    problems, built = [], {}
     if args.seed < 0:
-        errors.append(f"--seed must be non-negative, got {args.seed}")
-    try:
-        cuts = _parse_ints(args.cuts)
-        if any(b <= a for a, b in zip(cuts, cuts[1:])) or not cuts:
-            errors.append(f"--cuts must be strictly increasing, got {args.cuts!r}")
-    except ValueError:
-        errors.append(f"--cuts must be integers, got {args.cuts!r}")
-        cuts = ()
-    try:
-        rates = _parse_floats(args.error_rates)
-        if any(not 0 <= r <= 1 for r in rates):
-            errors.append(f"--error-rates must be probabilities, got {args.error_rates!r}")
-        if args.predictor == "noisy-oracle" and cuts and len(rates) < len(cuts):
-            errors.append(f"--error-rates supplies {len(rates)} rates for "
-                          f"{len(cuts)} scales")
-    except ValueError:
-        errors.append(f"--error-rates must be numbers, got {args.error_rates!r}")
-    if args.um_k < 1:
-        errors.append(f"--um-k must be >= 1, got {args.um_k}")
-    if args.k_cls < 1:
-        errors.append(f"--k-cls must be >= 1, got {args.k_cls}")
-    if not 0 < args.seed_ref_fraction <= 1:
-        errors.append(f"--seed-ref-fraction must be in (0, 1], got {args.seed_ref_fraction}")
-    if args.tick_duration <= 0:
-        errors.append(f"--tick-duration must be positive, got {args.tick_duration}")
-    if not 0 <= args.dropout <= 1:
-        errors.append(f"--dropout must be a probability, got {args.dropout}")
-    if args.coverage_grid < 1:
-        errors.append(f"--coverage-grid must be >= 1, got {args.coverage_grid}")
-    if args.predictor == "seeded-knn" and args.no_fusion_dependency:
-        errors.append("--no-fusion-dependency cannot be combined with the "
-                      "seeded-knn predictor (it consumes previous-scale context)")
-    return errors
+        problems.append(f"--seed must be non-negative, got {args.seed}")
+    if "dropout" in args and not 0 <= args.dropout <= 1:
+        problems.append(f"--dropout must be a probability, got {args.dropout}")
+    if args.command == "scan" or getattr(args, "scan_inline", False):
+        built["scan"] = _build(problems, args, LissajousConfig,
+                               dict(zip(SCAN_FLAGS, SCAN_FLAGS)))
+    elif args.stream is None:
+        problems.append("either --stream or --scan-inline is required")
+    elif not Path(args.stream).exists():
+        problems.append(f"--stream: stream file not found: {args.stream}")
+    if "cuts" in args:
+        built["spec"] = _build(problems, args, PartitionSpec, {"cuts": "cuts"})
+    if "predictor" in args:
+        if not 0 < args.seed_ref_fraction <= 1:
+            problems.append("--seed-ref-fraction must be in (0, 1], "
+                            f"got {args.seed_ref_fraction}")
+        if args.coverage_grid < 1:
+            problems.append(f"--coverage-grid must be >= 1, got {args.coverage_grid}")
+        if args.predictor == "seeded-knn" and args.no_fusion_dependency:
+            problems.append("--no-fusion-dependency cannot be combined with the "
+                            "seeded-knn predictor (it consumes previous-scale context)")
+        spec = built["spec"]
+        built["predictor"] = predictor = _build(
+            problems, args, PredictorConfig,
+            {"error_rates": "error_rates", "k_cls": "k_cls"},
+            variant=args.predictor, seed=args.seed)
+        if (args.predictor == "noisy-oracle" and spec and predictor
+                and len(predictor.error_rates) < len(spec.cuts)):
+            problems.append(f"--error-rates supplies {len(predictor.error_rates)} "
+                            f"rates for {len(spec.cuts)} scales")
+        update = _build(problems, args, UpdateConfig, {"k": "um_k"})
+        built["update"] = None if args.no_update else update
+        built["timing"] = _build(
+            problems, args, TimingModel, dict(zip(TIMING_FLAGS, TIMING_FLAGS)),
+            overlap="measured" if args.mode == "real" else args.overlap,
+            fusion_dependency=not args.no_fusion_dependency)
+    if "tick_durations" in args:
+        try:
+            durations = _parse_floats(args.tick_durations)
+            # against the default costs, so that a bad cost is listed once
+            built["timings"] = [replace(built["timing"] or TimingModel(),
+                                        tick_duration=td) for td in durations]
+            if not durations:
+                problems.append("--tick-durations must list at least one value")
+        except (ValueError, PipelineError) as exc:
+            problems.append(f"--tick-durations: {exc}")
+    if problems:
+        raise ConfigError(*problems)
+    return built
 
 
 def _build_scene(args):
@@ -250,18 +309,8 @@ def _build_scene(args):
     return load_scene(path)
 
 
-def _scan_config(args) -> LissajousConfig:
-    return LissajousConfig(fx=args.fx, fy=args.fy, phase=args.phase,
-                           amp_x=args.amp_x, amp_y=args.amp_y,
-                           ticks=args.ticks,
-                           ticks_per_period=args.ticks_per_period)
-
-
-def _do_scan(args) -> PointStream:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+def _do_scan(args, cfg: LissajousConfig) -> PointStream:
     scene = _build_scene(args)
-    cfg = _scan_config(args)
     poses = place_cameras(scene, max_poses=args.max_poses, seed=args.seed)
     if not 0 <= args.camera_index < len(poses):
         raise ConfigError(f"--camera-index {args.camera_index} outside the "
@@ -271,7 +320,7 @@ def _do_scan(args) -> PointStream:
 
 
 def cmd_scan(args) -> int:
-    stream = _do_scan(args)
+    stream = _do_scan(args, _settings(args)["scan"])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stream_path = out / "stream.bin"
@@ -292,8 +341,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    spec = _settings(args)["spec"]
     stream = read_stream(args.stream)
-    spec = PartitionSpec(_parse_ints(args.cuts))
     parts = partition(stream, spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,44 +359,20 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _load_or_scan(args) -> PointStream:
+def _load_or_scan(args, settings: dict) -> tuple[PointStream, PredictorConfig]:
+    """The stream, and the predictor config with its seeded-knn cloud."""
     if args.scan_inline:
-        stream = _do_scan(args)
+        stream = _do_scan(args, settings["scan"])
     else:
-        if args.stream is None:
-            raise ConfigError("either --stream or --scan-inline is required")
-        path = Path(args.stream)
-        if not path.exists():
-            raise ConfigError(f"stream file not found: {path}")
-        stream = read_stream(path)
+        stream = read_stream(args.stream)
     if len(stream) == 0:
         raise ConfigError("stream has no points")
-    return stream
-
-
-def _build_run_pieces(args, stream: PointStream):
-    spec = PartitionSpec(_parse_ints(args.cuts))
-    rates = _parse_floats(args.error_rates)
-    seed_cloud = None
+    predictor_cfg = settings["predictor"]
     if args.predictor == "seeded-knn":
-        seed_cloud = make_seed_cloud(stream.positions, stream.labels,
-                                     fraction=args.seed_ref_fraction,
-                                     seed=args.seed)
-    predictor_cfg = PredictorConfig(variant=args.predictor, error_rates=rates,
-                                    k_cls=args.k_cls, seed=args.seed,
-                                    seed_cloud=seed_cloud)
-    update_cfg = None if args.no_update else UpdateConfig(k=args.um_k)
-    timing = TimingModel(
-        tick_duration=args.tick_duration,
-        predict_fixed=args.predict_fixed,
-        predict_per_point=args.predict_per_point,
-        baseline_factor=args.baseline_factor,
-        refine_fixed=args.refine_fixed,
-        refine_per_point=args.refine_per_point,
-        overlap="measured" if args.mode == "real" else args.overlap,
-        fusion_dependency=not args.no_fusion_dependency,
-    )
-    return spec, predictor_cfg, update_cfg, timing
+        predictor_cfg = replace(predictor_cfg, seed_cloud=make_seed_cloud(
+            stream.positions, stream.labels, fraction=args.seed_ref_fraction,
+            seed=args.seed))
+    return stream, predictor_cfg
 
 
 def _run_warnings(stream: PointStream, spec: PartitionSpec,
@@ -392,13 +417,9 @@ def _scale_miou(output) -> float | None:
 
 
 def cmd_run(args) -> int:
-    problems = _validate_pipeline_args(args)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return 2
-    stream = _load_or_scan(args)
-    spec, predictor_cfg, update_cfg, timing = _build_run_pieces(args, stream)
+    settings = _settings(args)
+    spec, update_cfg, timing = (settings[k] for k in ("spec", "update", "timing"))
+    stream, predictor_cfg = _load_or_scan(args, settings)
     warnings = _run_warnings(stream, spec, predictor_cfg, update_cfg)
 
     outputs, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg, timing)
@@ -465,30 +486,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    problems = _validate_pipeline_args(args)
-    try:
-        durations = _parse_floats(args.tick_durations)
-        if not durations:
-            problems.append("--tick-durations must list at least one value")
-        elif any(d <= 0 for d in durations):
-            problems.append("--tick-durations must be positive")
-    except ValueError:
-        problems.append(f"--tick-durations must be numbers, got {args.tick_durations!r}")
-        durations = ()
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return 2
-
-    stream = _load_or_scan(args)
-    spec, predictor_cfg, update_cfg, timing = _build_run_pieces(args, stream)
+    settings = _settings(args)
+    spec, update_cfg, timing = (settings[k] for k in ("spec", "update", "timing"))
+    stream, predictor_cfg = _load_or_scan(args, settings)
     _run_warnings(stream, spec, predictor_cfg, update_cfg)
     rows = []
-    for td in durations:
-        td_timing = replace(timing, tick_duration=td)
+    for td_timing in settings["timings"]:
         _, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg, td_timing)
         _, base_tl = run_baseline(stream, predictor_cfg, td_timing)
-        rows.append((td, latency_metrics(timeline, base_tl)))
+        rows.append((td_timing.tick_duration, latency_metrics(timeline, base_tl)))
 
     if timing.overlap == "full":
         ordered = sorted(rows, key=lambda r: r[0])
@@ -515,7 +521,10 @@ def cmd_sweep(args) -> int:
 def _read_object(path: Path) -> dict:
     """The JSON object a run-directory file holds; anything else is an error
     that names the file."""
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     return data
@@ -587,16 +596,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
-        _apply_config_file(subparsers, argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
-    try:
+        args = parser.parse_args(_config_argv(subparsers, argv))
         return COMMANDS[args.command](args)
     except (ConfigError, SceneError, PartitionError, PredictorError,
             UpdateError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        for problem in exc.args:
+            print(f"config error: {problem}", file=sys.stderr)
         return 2
     except (PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

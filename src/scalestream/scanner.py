@@ -93,6 +93,8 @@ def place_cameras(scene: Scene, max_poses: int = 50, seed: int = 0,
     ``min_altitude`` above the floor; up to ``max_poses`` are drawn uniformly
     without replacement.  Every pose looks at the room center.
     """
+    if max_poses < 1:
+        raise SceneError(f"max_poses must be >= 1, got {max_poses}")
     lo = np.asarray(scene.room_lo, dtype=float)
     hi = np.asarray(scene.room_hi, dtype=float)
     z_lo = lo[2] + min_altitude

@@ -1,19 +1,48 @@
+import contextlib
+import io
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalestream.cli as cli
 import scalestream.pipeline as pipeline
+from conftest import make_counted_stream
 from scalestream import (PartitionSpec, PredictorConfig, Timeline, TimingModel,
                          UpdateConfig, latency_metrics, make_seed_cloud,
-                         read_stream, run_scalable)
+                         read_stream, run_scalable, write_stream)
 from scalestream.plots import MARGIN_L, MARGIN_R, W
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def exit_code(*argv):
+    """The exit status of ``main``, also where the parser exits."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class Reached(Exception):
+    """Raised by a patched scan or stream read: the command passed its checks."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Any scan or stream read fails the test."""
+    monkeypatch.setattr(cli, "scan", _reached)
+    monkeypatch.setattr(cli, "read_stream", _reached)
 
 
 # fast pipeline flags reused by most run/sweep tests
@@ -106,10 +135,45 @@ def test_run_umk_zero_exits_2(tmp_path, capsys):
 
 def test_run_lists_all_config_errors(tmp_path, capsys):
     rc = run_cli("run", *FAST, "--um-k", "0", "--k-cls", "0",
-                 "--tick-duration", "-1", "--out-dir", str(tmp_path))
+                 "--tick-duration", "-1", "--predict-fixed", "-1",
+                 "--refine-fixed", "-1", "--out-dir", str(tmp_path))
     assert rc == 2
     err = capsys.readouterr().err
     assert "--um-k" in err and "--k-cls" in err and "--tick-duration" in err
+    assert "--predict-fixed" in err and "--refine-fixed" in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *((command, flag, value) for command in ("scan", "run", "sweep")
+      for flag, value in (("--ticks", "0"), ("--ticks-per-period", "0"),
+                          ("--fx", "0"), ("--fy", "-1"), ("--amp-x", "0"),
+                          ("--amp-y", "2"), ("--dropout", "2"))),
+    *((command, flag, value) for command in ("partition", "run", "sweep")
+      for flag, value in (("--cuts", "a"), ("--stream", "missing.bin"))),
+    *((command, flag, "-1") for command in ("run", "sweep")
+      for flag in ("--predict-fixed", "--predict-per-point", "--baseline-factor",
+                   "--refine-fixed", "--refine-per-point")),
+    ("sweep", "--tick-durations", "1e-5 -1"),
+])
+def test_bad_flag_exits_2_before_any_scan_or_read(tmp_path, monkeypatch, capsys,
+                                                  no_work, command, flag, value):
+    """Each flag that a config object checks, on every command that takes
+    it: the command exits 2 and names the flag before any scan or read."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "stream.bin").write_bytes(b"")
+    base = {"scan": [], "partition": ["--stream", "stream.bin"]}.get(
+        command, [] if flag == "--stream" else ["--scan-inline"])
+    assert run_cli(command, *base, flag, value, "--out-dir", "out") == 2
+    assert f"config error: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("max_poses", [0, -1])
+def test_max_poses_below_one_exits_2(tmp_path, capsys, no_work, max_poses):
+    assert run_cli("scan", "--max-poses", str(max_poses),
+                   "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: max_poses must be >= 1, got {max_poses}\n")
 
 
 def test_coverage_grid_zero_exits_2_before_running(tmp_path, capsys):
@@ -252,6 +316,18 @@ def test_report_metrics_list_exits_1(tmp_path, capsys):
         f"error: {metrics} does not hold a JSON object\n")
 
 
+def test_report_invalid_json_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
+    capsys.readouterr()
+    timeline = out / "timeline.json"
+    timeline.write_text("{not json")
+    assert run_cli("report", "--run-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {timeline} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
 def test_report_timeline_without_events_exits_1(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
@@ -362,6 +438,105 @@ def test_config_file_manifest_equals_explicit_flags(tmp_path):
                    "--um-k", "3", "--out-dir", str(b)) == 0
     assert ((a / "run_manifest.json").read_bytes()
             == (b / "run_manifest.json").read_bytes())
+
+
+@pytest.mark.parametrize("values, named", [
+    ({"no_update": "false"}, "no_update"),
+    ({"mode": "fast"}, "--mode"),
+    ({"ticks": 3000.5}, "--ticks"),
+    ({"um_k": 2.5}, "--um-k"),
+    ({"cuts": [1, 2]}, "--cuts"),
+])
+def test_config_value_is_parsed_as_its_flag(tmp_path, capsys, no_work,
+                                            values, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert exit_code("run", "--scan-inline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_partition_stream_from_config(tmp_path):
+    stream_path = tmp_path / "stream.bin"
+    write_stream(make_counted_stream(np.random.default_rng(0), (3, 4), (10, 20)),
+                 stream_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"stream": str(stream_path), "cuts": "10 20"}))
+    out = tmp_path / "parts"
+    assert run_cli("partition", "--config", str(cfg), "--out-dir", str(out)) == 0
+    summary = json.loads((out / "partitions.json").read_text())
+    assert [s["count"] for s in summary["scales"]] == [3, 4]
+
+
+FLOATS = st.floats(-1.0, 1.0, allow_nan=False)
+
+#: What PartitionSpec, PredictorConfig, UpdateConfig and TimingModel accept,
+#: restated: config key -> (values on both sides of the bound, whether a
+#: value is accepted, and for a text flag the text of a value).  The five
+#: error rates are equal.
+BOUNDS = {
+    "cuts": (st.tuples(st.integers(0, 3), st.integers(0, 3)),
+             lambda c: c[0] < c[1], lambda c: f"{c[0]} {c[1]}"),
+    "error_rates": (st.floats(-0.5, 1.5, allow_nan=False),
+                    lambda r: 0 <= r <= 1, lambda r: " ".join([repr(r)] * 5)),
+    "k_cls": (st.integers(-1, 2), lambda k: k >= 1, None),
+    "um_k": (st.integers(-1, 2), lambda k: k >= 1, None),
+    "tick_duration": (FLOATS, lambda t: t > 0, None),
+    **{name: (FLOATS, lambda v: v >= 0, None)
+       for name in ("predict_fixed", "predict_per_point", "baseline_factor",
+                    "refine_fixed", "refine_per_point")},
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _verdict(*argv) -> list[str] | None:
+    """The flags a ``run`` names in its config errors, or None when it
+    reaches the stream read."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            assert run_cli(*argv) == 2
+        except Reached:
+            return None
+    return re.findall(r"^config error: (--[a-z-]+): ", err.getvalue(), re.M)
+
+
+@pytest.fixture(scope="module")
+def prop_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("prop")
+    (path / "stream.bin").write_bytes(b"")
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_config_file_and_flags_agree(prop_dir, data):
+    """Values on both sides of every object-checked bound, given once as
+    flags and once in a config file: both runs reject exactly the flags out
+    of bounds, or both reach the stream read."""
+    keys = data.draw(st.lists(st.sampled_from(sorted(BOUNDS)), unique=True),
+                     label="keys")
+    drawn = {k: data.draw(BOUNDS[k][0], label=k) for k in keys}
+    bad = sorted(_flag(k) for k, v in drawn.items() if not BOUNDS[k][1](v))
+    config = {k: BOUNDS[k][2](v) if BOUNDS[k][2] else v for k, v in drawn.items()}
+    cfg = prop_dir / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    flags = [f"{_flag(k)}={v if isinstance(v, str) else repr(v)}"
+             for k, v in config.items()]
+    base = ["run", "--stream", str(prop_dir / "stream.bin"),
+            "--out-dir", str(prop_dir / "out")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "read_stream", _reached)
+        by_flags = _verdict(*base, *flags)
+        by_file = _verdict(*base, "--config", str(cfg))
+    assert by_flags == by_file
+    if bad:
+        assert sorted(by_flags) == bad
+    else:
+        assert by_flags is None
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
