@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -23,8 +24,8 @@ from .assemble import cumulative_csv, row_heads
 from .metrics import (MetricsReport, cost_of_scalability, coverage_curve,
                       miou, miou_by_origin)
 from .partition import DEFAULT_CUTS, PartitionError, PartitionSpec, partition
-from .pipeline import (PipelineError, TimingModel, Timeline, latency_metrics,
-                       run_baseline, run_scalable)
+from .pipeline import (PipelineError, TimingModel, Timeline, baseline_timeline,
+                       latency_metrics, run_baseline, run_scalable)
 from .plots import miou_plot, timeline_plot
 from .predictors import (DEFAULT_ERROR_RATES, PredictorConfig, PredictorError,
                          make_seed_cloud)
@@ -60,6 +61,14 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.replace(",", " ").split())
+
+
+def _parse_room(text: str) -> tuple[float, float, float]:
+    room = _parse_floats(text)
+    if len(room) != 3 or not all(map(math.isfinite, room)):
+        raise ValueError(f"need three finite sizes (width depth height), "
+                         f"got {text!r}")
+    return room
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -243,9 +252,10 @@ def _build(problems: list[str], args, cls, flags: dict, **fixed):
 
 
 def _settings(args) -> dict:
-    """The config objects the command takes (``scan``, ``spec``, ``predictor``,
-    ``update``, None without the update module, ``timing``, ``timings``), each
-    flag checked before any scan or read; a ConfigError lists every bad flag."""
+    """The config objects the command takes (``scan``, the builtin ``scene``,
+    ``spec``, ``predictor``, ``update``, None without the update module,
+    ``timing``, ``timings``), each flag checked before any scan or read; a
+    ConfigError lists every bad flag."""
     problems, built = [], {}
     if args.seed < 0:
         problems.append(f"--seed must be non-negative, got {args.seed}")
@@ -254,6 +264,11 @@ def _settings(args) -> dict:
     if args.command == "scan" or getattr(args, "scan_inline", False):
         built["scan"] = _build(problems, args, LissajousConfig,
                                dict(zip(SCAN_FLAGS, SCAN_FLAGS)))
+        if args.scene == "builtin":
+            try:
+                built["scene"] = default_room(*_parse_room(args.room))
+            except ValueError as exc:  # SceneError included
+                problems.append(f"--room: {exc}")
     elif args.stream is None:
         problems.append("either --stream or --scan-inline is required")
     elif not Path(args.stream).exists():
@@ -299,28 +314,23 @@ def _settings(args) -> dict:
     return built
 
 
-def _build_scene(args):
-    if args.scene == "builtin":
-        w, d, h = _parse_floats(args.room)
-        return default_room(w, d, h)
-    path = Path(args.scene)
-    if not path.exists():
-        raise ConfigError(f"scene file not found: {path}")
-    return load_scene(path)
-
-
-def _do_scan(args, cfg: LissajousConfig) -> PointStream:
-    scene = _build_scene(args)
+def _do_scan(args, settings: dict) -> PointStream:
+    scene = settings.get("scene")
+    if scene is None:
+        path = Path(args.scene)
+        if not path.exists():
+            raise ConfigError(f"scene file not found: {path}")
+        scene = load_scene(path)
     poses = place_cameras(scene, max_poses=args.max_poses, seed=args.seed)
     if not 0 <= args.camera_index < len(poses):
         raise ConfigError(f"--camera-index {args.camera_index} outside the "
                           f"{len(poses)} sampled poses")
-    return scan(scene, poses[args.camera_index], cfg,
+    return scan(scene, poses[args.camera_index], settings["scan"],
                 dropout=args.dropout, seed=args.seed)
 
 
 def cmd_scan(args) -> int:
-    stream = _do_scan(args, _settings(args)["scan"])
+    stream = _do_scan(args, _settings(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stream_path = out / "stream.bin"
@@ -362,7 +372,7 @@ def cmd_partition(args) -> int:
 def _load_or_scan(args, settings: dict) -> tuple[PointStream, PredictorConfig]:
     """The stream, and the predictor config with its seeded-knn cloud."""
     if args.scan_inline:
-        stream = _do_scan(args, settings["scan"])
+        stream = _do_scan(args, settings)
     else:
         stream = read_stream(args.stream)
     if len(stream) == 0:
@@ -493,7 +503,11 @@ def cmd_sweep(args) -> int:
     rows = []
     for td_timing in settings["timings"]:
         _, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg, td_timing)
-        _, base_tl = run_baseline(stream, predictor_cfg, td_timing)
+        if timing.overlap == "measured":
+            _, base_tl = run_baseline(stream, predictor_cfg, td_timing)
+        else:  # the modelled baseline needs the point count, not labels
+            base_tl = baseline_timeline(
+                stream, td_timing, td_timing.baseline_duration(len(stream)))
         rows.append((td_timing.tick_duration, latency_metrics(timeline, base_tl)))
 
     if timing.overlap == "full":

@@ -26,8 +26,9 @@ scheduling only ever affects the timeline.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,6 +78,10 @@ class TimingModel:
     fusion_dependency: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise PipelineError(f"{f.name} must be finite, got "
+                                    f"{getattr(self, f.name)}")
         if self.tick_duration <= 0:
             raise PipelineError("tick_duration must be positive")
         for v in (self.predict_fixed, self.predict_per_point,
@@ -264,16 +269,28 @@ def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
     return tl
 
 
+def baseline_timeline(stream: PointStream, timing: TimingModel,
+                      duration: float) -> Timeline:
+    """The baseline's schedule: it starts at the acquisition end (max
+    timestamp times tick duration), or at 0 for an empty stream, and runs
+    for ``duration``.  A simulated baseline needs no labels for it:
+    ``timing.baseline_duration(len(stream))`` is its duration."""
+    start = max(stream.max_timestamp, 0) * timing.tick_duration if len(stream) else 0.0
+    tl = Timeline()
+    tl.add(BASELINE_START, 0, start)
+    tl.add(BASELINE_DONE, 0, start + duration)
+    return tl
+
+
 def run_baseline(stream: PointStream, predictor_cfg: PredictorConfig,
                  timing: TimingModel) -> tuple[CumulativeOutput, Timeline]:
     """Non-scalable reference: wait for the full cloud, predict once.
 
-    The baseline starts at the acquisition end (max timestamp times tick
-    duration); in measured mode its duration is the wall-clock time of the
-    full-cloud prediction, otherwise the synthetic cost model's value.  An
-    empty stream completes immediately.
+    In measured mode the baseline's duration is the wall-clock time of the
+    full-cloud prediction, otherwise the synthetic cost model's value; see
+    ``baseline_timeline`` for its schedule.  An empty stream completes
+    immediately.
     """
-    start = max(stream.max_timestamp, 0) * timing.tick_duration if len(stream) else 0.0
     t0 = time.perf_counter()
     labels = predict_full(stream.positions, stream.labels, predictor_cfg,
                           stream.class_count)
@@ -292,10 +309,7 @@ def run_baseline(stream: PointStream, predictor_cfg: PredictorConfig,
         timestamps=stream.timestamps,
         class_count=stream.class_count,
     )
-    tl = Timeline()
-    tl.add(BASELINE_START, 0, start)
-    tl.add(BASELINE_DONE, 0, start + duration)
-    return output, tl
+    return output, baseline_timeline(stream, timing, duration)
 
 
 def refine_intervals(tl: Timeline) -> dict[int, list[tuple[float, float]]]:

@@ -10,7 +10,7 @@ spatially complete early and densifies for the rest of the scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +42,10 @@ class LissajousConfig:
     ticks_per_period: float = DEFAULT_TICKS_PER_PERIOD
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got "
+                                 f"{getattr(self, f.name)}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("scan frequencies must be positive")
         for amp in (self.amp_x, self.amp_y):

@@ -14,7 +14,7 @@ import scalestream.pipeline as pipeline
 from conftest import make_counted_stream
 from scalestream import (PartitionSpec, PredictorConfig, Timeline, TimingModel,
                          UpdateConfig, latency_metrics, make_seed_cloud,
-                         read_stream, run_scalable, write_stream)
+                         read_stream, run_baseline, run_scalable, write_stream)
 from scalestream.plots import MARGIN_L, MARGIN_R, W
 
 
@@ -154,6 +154,15 @@ def test_run_lists_all_config_errors(tmp_path, capsys):
       for flag in ("--predict-fixed", "--predict-per-point", "--baseline-factor",
                    "--refine-fixed", "--refine-per-point")),
     ("sweep", "--tick-durations", "1e-5 -1"),
+    *((command, flag, value) for command in ("scan", "run", "sweep")
+      for flag, value in (("--fx", "nan"), ("--phase", "inf"),
+                          ("--amp-y", "nan"), ("--ticks-per-period", "inf"),
+                          ("--room", "4 4"), ("--room", "4 4 nan"),
+                          ("--room", "4 -4 3"), ("--room", "1 1 1"),
+                          ("--room", "4 x 3"))),
+    *((command, flag, value) for command in ("run", "sweep")
+      for flag in map(cli._flag, cli.TIMING_FLAGS) for value in ("nan", "inf")),
+    ("sweep", "--tick-durations", "1e-5 nan"),
 ])
 def test_bad_flag_exits_2_before_any_scan_or_read(tmp_path, monkeypatch, capsys,
                                                   no_work, command, flag, value):
@@ -276,6 +285,67 @@ def test_sweep_two_point(tmp_path):
     assert run_cli("sweep", *FAST, "--tick-durations", "1e-5 1e-3",
                    "--out-dir", str(out)) == 0
     assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
+@pytest.fixture
+def predict_full_calls(monkeypatch):
+    """Each full-cloud baseline prediction appends its point count."""
+    calls, predict_full = [], pipeline.predict_full
+
+    def spy(positions, *args):
+        calls.append(len(positions))
+        return predict_full(positions, *args)
+
+    monkeypatch.setattr(pipeline, "predict_full", spy)
+    return calls
+
+
+@pytest.mark.parametrize("predictor", ["noisy-oracle", "seeded-knn"])
+@pytest.mark.parametrize("overlap", ["full", "none"])
+def test_sim_sweep_predicts_no_baseline_labels(tmp_path, predict_full_calls,
+                                               predictor, overlap):
+    assert run_cli("sweep", *FAST, "--predictor", predictor,
+                   "--overlap", overlap, "--tick-durations", "1e-6 1e-4",
+                   "--out-dir", str(tmp_path)) == 0
+    assert predict_full_calls == []
+
+
+def test_real_sweep_measures_each_baseline(tmp_path, predict_full_calls):
+    assert run_cli("sweep", *FAST, "--mode", "real",
+                   "--tick-durations", "1e-7 1e-6 1e-7",
+                   "--out-dir", str(tmp_path)) == 0
+    assert len(predict_full_calls) == 3
+    assert len(set(predict_full_calls)) == 1
+
+
+@pytest.mark.parametrize("predictor", ["noisy-oracle", "seeded-knn"])
+def test_sweep_csv_equals_run_baseline_reference(tmp_path, predictor):
+    """The modelled baseline gives the bytes that predicting the full cloud
+    with ``run_baseline`` gives."""
+    assert run_cli("scan", "--ticks", "6000", "--out-dir", str(tmp_path)) == 0
+    stream = read_stream(tmp_path / "stream.bin")
+    tds = (1e-6, 3e-6, 1e-5, 1e-4)
+    assert run_cli("sweep", "--stream", str(tmp_path / "stream.bin"),
+                   "--cuts", "500 1200 2500 4200 6000", "--seed", "2",
+                   "--predictor", predictor,
+                   "--tick-durations", " ".join(map(repr, tds)),
+                   "--out-dir", str(tmp_path / "sweep")) == 0
+    cfg = PredictorConfig(variant=predictor, seed=2)
+    if predictor == "seeded-knn":
+        cfg = PredictorConfig(variant=predictor, seed=2, seed_cloud=make_seed_cloud(
+            stream.positions, stream.labels, fraction=0.02, seed=2))
+    lines = ["tick_duration,acquisition_end,post_acq,post_acq_lower,"
+             "post_acq_upper,speedup,first_prediction_fraction"]
+    for td in tds:
+        timing = TimingModel(tick_duration=td)
+        _, tl = run_scalable(stream, PartitionSpec((500, 1200, 2500, 4200, 6000)),
+                             cfg, UpdateConfig(), timing)
+        _, base_tl = run_baseline(stream, cfg, timing)
+        lat = latency_metrics(tl, base_tl)
+        lines.append(",".join(repr(v) for v in (
+            td, lat.acquisition_end, lat.post_acq, lat.post_acq_lower,
+            lat.post_acq_upper, lat.speedup, lat.first_prediction_fraction)))
+    assert (tmp_path / "sweep" / "sweep.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_sweep_empty_range_exits_2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream
                          run_scalable)
 from scalestream.pipeline import (CUMULATIVE_AVAILABLE, OVERLAP_MODES,
                                   PARTITION_READY, SCALE_DONE, SCALE_START,
-                                  Timeline, refine_intervals)
+                                  Timeline, baseline_timeline, refine_intervals)
 
 from conftest import make_counted_stream, make_random_stream
 
@@ -223,6 +223,20 @@ def test_baseline_cardinality_and_duration():
     assert tl.instant("baseline_start", 0) == stream.max_timestamp * 2**-10
 
 
+@pytest.mark.parametrize("n", [0, 800])
+@pytest.mark.parametrize("overlap", ["full", "none"])
+def test_closed_form_baseline_timeline_equals_run_baseline(n, overlap):
+    """The modelled baseline schedule, from the point count alone, is the
+    simulated ``run_baseline`` timeline to the bit, at every tick duration."""
+    stream = small_stream(12, n=n, t_max=977)
+    for td in (1e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 0.1):
+        timing = TimingModel(tick_duration=td, overlap=overlap)
+        _, tl = run_baseline(stream, PredictorConfig(error_rates=RATES), timing)
+        closed = baseline_timeline(stream, timing,
+                                   timing.baseline_duration(len(stream)))
+        assert closed.to_dict() == tl.to_dict()
+
+
 def test_final_scalable_output_matches_baseline_points():
     stream = small_stream(9)
     cfg = PredictorConfig(error_rates=RATES, seed=0)
@@ -271,6 +285,11 @@ def test_timing_model_validation():
         TimingModel(predict_fixed=-1)
     with pytest.raises(PipelineError):
         TimingModel(overlap="sometimes")
+    for field in ("tick_duration", "predict_fixed", "predict_per_point",
+                  "baseline_factor", "refine_fixed", "refine_per_point"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(PipelineError, match=f"{field} must be finite"):
+                TimingModel(**{field: value})
 
 
 def test_update_disabled_keeps_raw_labels():

@@ -46,6 +46,10 @@ def test_config_validation():
         LissajousConfig(amp_x=2.0)
     with pytest.raises(ValueError):
         LissajousConfig(ticks=0)
+    for field in ("fx", "fy", "phase", "amp_x", "amp_y", "ticks_per_period"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                LissajousConfig(**{field: value})
 
 
 def test_place_cameras_constraints(room):
