@@ -10,10 +10,9 @@ first-prediction fraction) against a non-scalable baseline.
 """
 
 from .assemble import AssembleError, CumulativeOutput, assemble, cumulative_csv
-from .geometry import Primitive, camera_basis, ray_intersect, slab_distances
+from .geometry import Primitive, camera_basis, slab_distances
 from .metrics import (ConfusionMatrix, MetricsError, MetricsReport,
-                      cost_of_scalability, coverage, coverage_curve, miou,
-                      miou_by_origin)
+                      cost_of_scalability, coverage_curve, miou, miou_by_origin)
 from .partition import (DEFAULT_CUTS, Partition, PartitionError, PartitionSpec,
                         default_spec, partition)
 from .pipeline import (LatencyMetrics, PipelineError, Timeline, TimelineEvent,
@@ -22,10 +21,10 @@ from .predictors import (DEFAULT_ERROR_RATES, PredictorConfig, PredictorError,
                          ScaleContext, make_seed_cloud, predict, predict_full)
 from .scanner import (DEFAULT_TICKS_PER_PERIOD, CameraPose, LissajousConfig,
                       lissajous_direction, place_cameras, scan)
-from .scene import Scene, SceneError, default_room, empty_room, load_scene, parse_scene, scene_text
+from .scene import Scene, SceneError, default_room, load_scene, parse_scene, scene_text
 from .stream import (INDOOR_CLASSES, LabelMap, PointStream, StreamFormatError,
-                     StreamValidationError, export_csv, indoor_label_map,
-                     read_stream, write_stream)
+                     StreamValidationError, indoor_label_map, read_stream,
+                     write_stream)
 from .update import (ScalePrediction, UpdateConfig, UpdateError, cascade_step,
                      knn_batch)
 

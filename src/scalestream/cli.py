@@ -35,12 +35,22 @@ from .stream import PointStream, read_stream, write_stream
 from .update import UpdateConfig, UpdateError
 
 
+def _scans(args: argparse.Namespace) -> bool:
+    """Whether the command scans a scene, and so reads the scan flags."""
+    return args.command == "scan" or getattr(args, "scan_inline", False)
+
+
 def _manifest_config(args: argparse.Namespace) -> dict:
-    """Every flag destination of a command except ``--config`` and
-    ``--out-dir``, which say where values come from and outputs go but not
-    what the command computes."""
-    return {k: v for k, v in vars(args).items()
-            if k not in ("command", "config", "out_dir")}
+    """Every flag destination of a command that it reads, except
+    ``--config`` and ``--out-dir``, which say where values come from and
+    outputs go but not what the command computes.  A command that reads a
+    stream file instead of scanning leaves out the scan flags."""
+    skip = {"command", "config", "out_dir"}
+    if not _scans(args):
+        scan_flags = argparse.ArgumentParser(add_help=False)
+        _add_scan_args(scan_flags)
+        skip |= {a.dest for a in scan_flags._actions}
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def config_hash(config: dict) -> str:
@@ -74,7 +84,6 @@ def _parse_room(text: str) -> tuple[float, float, float]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with defaults for any flag (by dest name)")
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--out-dir", type=str, default="out", help="output directory")
 
 
@@ -132,13 +141,9 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
                    help="simulated scheduling policy (sim mode)")
     p.add_argument("--no-fusion-dependency", action="store_true",
                    help="sim schedule: let scale i start before i-1 is published")
-    _add_field_flags(p, TimingModel, TIMING_FLAGS,
-                     tick_duration="acquisition seconds per tick",
+    _add_field_flags(p, TimingModel, TIMING_FLAGS[1:],
                      baseline_factor="baseline per-point cost multiplier vs "
                                      "a scale branch")
-    p.add_argument("--skip-unrefined", action="store_true",
-                   help="skip the no-update comparison run")
-    p.add_argument("--coverage-grid", type=int, default=16)
 
 
 class ConfigError(ValueError):
@@ -157,17 +162,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     "and evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_scan = sub.add_parser("scan", help="scan a scene into a stream file")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # flags are spelled in full, so that a flag that a command lacks,
+        # such as sweep's --tick-duration, never passes for a longer one
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    p_scan = command("scan", help="scan a scene into a stream file")
     _add_common(p_scan)
     _add_scan_args(p_scan)
 
-    p_part = sub.add_parser("partition", help="split a stream into scales")
+    p_part = command("partition", help="split a stream into scales")
     _add_common(p_part)
     p_part.add_argument("--stream", type=str, required=True)
     p_part.add_argument("--cuts", type=str,
                         default=" ".join(map(str, DEFAULT_CUTS)))
 
-    p_run = sub.add_parser("run", help="scalable + baseline pipeline runs")
+    p_run = command("run", help="scalable + baseline pipeline runs")
     _add_common(p_run)
     p_run.add_argument("--stream", type=str, default=None,
                        help="input stream file (or use --scan-inline)")
@@ -175,8 +185,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="scan the scene in-process instead of reading a file")
     _add_scan_args(p_run)
     _add_pipeline_args(p_run)
+    _add_field_flags(p_run, TimingModel, TIMING_FLAGS[:1],
+                     tick_duration="acquisition seconds per tick")
+    p_run.add_argument("--skip-unrefined", action="store_true",
+                       help="skip the no-update comparison run")
+    p_run.add_argument("--coverage-grid", type=int, default=16)
 
-    p_sweep = sub.add_parser("sweep", help="trace latency across acquisition speeds")
+    p_sweep = command("sweep", help="trace latency across acquisition speeds")
     _add_common(p_sweep)
     p_sweep.add_argument("--stream", type=str, default=None)
     p_sweep.add_argument("--scan-inline", action="store_true")
@@ -186,7 +201,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_scan_args(p_sweep)
     _add_pipeline_args(p_sweep)
 
-    p_rep = sub.add_parser("report", help="re-render plots and a summary from a run directory")
+    for p in (p_scan, p_run, p_sweep):
+        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+
+    p_rep = command("report", help="re-render plots and a summary from a run directory")
     p_rep.add_argument("--run-dir", type=str, required=True)
     subparsers = {"scan": p_scan, "partition": p_part, "run": p_run,
                   "sweep": p_sweep, "report": p_rep}
@@ -254,14 +272,14 @@ def _build(problems: list[str], args, cls, flags: dict, **fixed):
 def _settings(args) -> dict:
     """The config objects the command takes (``scan``, the builtin ``scene``,
     ``spec``, ``predictor``, ``update``, None without the update module,
-    ``timing``, ``timings``), each flag checked before any scan or read; a
-    ConfigError lists every bad flag."""
+    ``timing``, ``timings``), each flag that the command reads checked
+    before any scan or read; a ConfigError lists every bad flag."""
     problems, built = [], {}
-    if args.seed < 0:
+    if "seed" in args and args.seed < 0:
         problems.append(f"--seed must be non-negative, got {args.seed}")
-    if "dropout" in args and not 0 <= args.dropout <= 1:
-        problems.append(f"--dropout must be a probability, got {args.dropout}")
-    if args.command == "scan" or getattr(args, "scan_inline", False):
+    if _scans(args):
+        if not 0 <= args.dropout <= 1:
+            problems.append(f"--dropout must be a probability, got {args.dropout}")
         built["scan"] = _build(problems, args, LissajousConfig,
                                dict(zip(SCAN_FLAGS, SCAN_FLAGS)))
         if args.scene == "builtin":
@@ -275,12 +293,12 @@ def _settings(args) -> dict:
         problems.append(f"--stream: stream file not found: {args.stream}")
     if "cuts" in args:
         built["spec"] = _build(problems, args, PartitionSpec, {"cuts": "cuts"})
+    if "coverage_grid" in args and args.coverage_grid < 1:
+        problems.append(f"--coverage-grid must be >= 1, got {args.coverage_grid}")
     if "predictor" in args:
         if not 0 < args.seed_ref_fraction <= 1:
             problems.append("--seed-ref-fraction must be in (0, 1], "
                             f"got {args.seed_ref_fraction}")
-        if args.coverage_grid < 1:
-            problems.append(f"--coverage-grid must be >= 1, got {args.coverage_grid}")
         if args.predictor == "seeded-knn" and args.no_fusion_dependency:
             problems.append("--no-fusion-dependency cannot be combined with the "
                             "seeded-knn predictor (it consumes previous-scale context)")
@@ -296,7 +314,8 @@ def _settings(args) -> dict:
         update = _build(problems, args, UpdateConfig, {"k": "um_k"})
         built["update"] = None if args.no_update else update
         built["timing"] = _build(
-            problems, args, TimingModel, dict(zip(TIMING_FLAGS, TIMING_FLAGS)),
+            problems, args, TimingModel,
+            {f: f for f in TIMING_FLAGS if f in args},
             overlap="measured" if args.mode == "real" else args.overlap,
             fusion_dependency=not args.no_fusion_dependency)
     if "tick_durations" in args:

@@ -72,22 +72,6 @@ def slab_distances(origin: np.ndarray, directions: np.ndarray,
     return np.where(hit, dist, np.inf)
 
 
-def ray_intersect(origin, direction, primitive: Primitive):
-    """Nearest intersection of a single unit ray with a primitive.
-
-    Returns ``(distance, point)`` or ``None`` on a miss.  Distances are
-    non-negative; the direction must be unit length so the parameter equals
-    metric distance.
-    """
-    lo, hi = primitive.corners()
-    d = slab_distances(np.asarray(origin, dtype=float),
-                       np.asarray(direction, dtype=float).reshape(1, 3), lo, hi)[0]
-    if not np.isfinite(d):
-        return None
-    point = np.asarray(origin, dtype=float) + d * np.asarray(direction, dtype=float)
-    return float(d), point
-
-
 def camera_basis(position, target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right/up/forward orthonormal basis for a camera looking at ``target``.
 

@@ -42,10 +42,6 @@ class ConfusionMatrix:
                              minlength=class_count * class_count)
         return cls(counts.reshape(class_count, class_count))
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def iou(self) -> tuple[np.ndarray, float]:
         """Per-class IoU (NaN where the union is empty) and their mean."""
         tp = np.diag(self.counts).astype(float)
@@ -85,11 +81,6 @@ def cost_of_scalability(baseline_miou: float, scalable_final_miou: float) -> flo
     if not (0.0 <= baseline_miou <= 1.0 and 0.0 <= scalable_final_miou <= 1.0):
         raise MetricsError("mIoU operands must lie in [0, 1]")
     return (baseline_miou - scalable_final_miou) * 100.0
-
-
-def coverage(stream: PointStream, t: int, grid_resolution: int = 16) -> float:
-    """Fraction of the scan's angular grid reached by tick ``t``."""
-    return coverage_curve(stream, [t], grid_resolution)[0][1]
 
 
 def coverage_curve(stream: PointStream, ticks,

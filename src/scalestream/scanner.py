@@ -87,39 +87,43 @@ def lissajous_direction(cfg: LissajousConfig, t) -> np.ndarray:
                      np.cos(thy) * np.cos(thx)], axis=-1)
 
 
-def place_cameras(scene: Scene, max_poses: int = 50, seed: int = 0,
-                  grid_pitch: float = 0.1, wall_inset: float = 0.05,
-                  min_altitude: float = 1.5) -> list[CameraPose]:
+_GRID_PITCH = 0.1
+_WALL_INSET = 0.05
+_MIN_ALTITUDE = 1.5
+
+
+def place_cameras(scene: Scene, max_poses: int = 50,
+                  seed: int = 0) -> list[CameraPose]:
     """Sample camera poses on planes just inside the room's outer walls.
 
-    Candidate positions form a ``grid_pitch`` grid on each of the four
-    vertical planes ``wall_inset`` metres inward, restricted to at least
-    ``min_altitude`` above the floor; up to ``max_poses`` are drawn uniformly
-    without replacement.  Every pose looks at the room center.
+    Candidate positions form a ``_GRID_PITCH`` grid on each of the four
+    vertical planes ``_WALL_INSET`` metres inward, restricted to at least
+    ``_MIN_ALTITUDE`` above the floor; up to ``max_poses`` are drawn
+    uniformly without replacement.  Every pose looks at the room center.
     """
     if max_poses < 1:
         raise SceneError(f"max_poses must be >= 1, got {max_poses}")
     lo = np.asarray(scene.room_lo, dtype=float)
     hi = np.asarray(scene.room_hi, dtype=float)
-    z_lo = lo[2] + min_altitude
-    z_hi = hi[2] - wall_inset
+    z_lo = lo[2] + _MIN_ALTITUDE
+    z_hi = hi[2] - _WALL_INSET
     if z_lo > z_hi:
         raise SceneError(
             f"room height {hi[2] - lo[2]:.2f} m leaves no camera positions "
-            f"above the {min_altitude} m minimum altitude")
+            f"above the {_MIN_ALTITUDE} m minimum altitude")
 
     def axis(a, b):
-        return np.arange(a, b + 1e-9, grid_pitch)
+        return np.arange(a, b + 1e-9, _GRID_PITCH)
 
     zs = axis(z_lo, z_hi)
-    xs = axis(lo[0] + wall_inset, hi[0] - wall_inset)
-    ys = axis(lo[1] + wall_inset, hi[1] - wall_inset)
+    xs = axis(lo[0] + _WALL_INSET, hi[0] - _WALL_INSET)
+    ys = axis(lo[1] + _WALL_INSET, hi[1] - _WALL_INSET)
     candidates = []
-    for x in (lo[0] + wall_inset, hi[0] - wall_inset):
+    for x in (lo[0] + _WALL_INSET, hi[0] - _WALL_INSET):
         for y in ys:
             for z in zs:
                 candidates.append((x, y, z))
-    for y in (lo[1] + wall_inset, hi[1] - wall_inset):
+    for y in (lo[1] + _WALL_INSET, hi[1] - _WALL_INSET):
         for x in xs:
             for z in zs:
                 candidates.append((x, y, z))

@@ -18,6 +18,7 @@ Scene files are line-oriented text (see docs/FORMATS.md):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,8 @@ class Scene:
 _FIXTURE_INSET = 0.005
 
 
-def default_room(width: float = 4.0, depth: float = 4.0, height: float = 3.0,
-                 name: str = "default-room") -> Scene:
+def default_room(width: float = 4.0, depth: float = 4.0,
+                 height: float = 3.0) -> Scene:
     """Parametric office: floor, 4 walls, and furniture covering all classes.
 
     The room is open at the top (the indoor class set has no ceiling), so
@@ -99,12 +100,7 @@ def default_room(width: float = 4.0, depth: float = 4.0, height: float = 3.0,
         Primitive((0.44 * w, 0.47 * d, 0.76), (0.52 * w, 0.53 * d, 0.95), c["clutter"], "clutter-box"),
         Primitive((0.04 * w, 0.04 * d, 0), (0.16 * w, 0.16 * d, 0.35), c["clutter"], "clutter-crate"),
     ]
-    return Scene(name, (0.0, 0.0, 0.0), (w, d, h), tuple(prims), lm)
-
-
-def empty_room(width: float = 4.0, depth: float = 4.0, height: float = 3.0) -> Scene:
-    """Room box with no primitives at all; every ray misses."""
-    return Scene("empty-room", (0.0, 0.0, 0.0), (width, depth, height), ())
+    return Scene("default-room", (0.0, 0.0, 0.0), (w, d, h), tuple(prims), lm)
 
 
 def parse_scene(text: str, name_hint: str = "scene") -> Scene:
@@ -117,6 +113,18 @@ def parse_scene(text: str, name_hint: str = "scene") -> Scene:
 
     def fail(lineno, msg):
         raise SceneError(f"line {lineno}: {msg}")
+
+    def corners(lineno, texts):
+        """The two corners of six coordinate texts, each a finite number."""
+        try:
+            vals = [float(v) for v in texts]
+            finite = all(map(math.isfinite, vals))
+        except ValueError:
+            finite = False
+        if not finite:
+            fail(lineno, "coordinates must be finite numbers, got "
+                         + " ".join(texts))
+        return tuple(vals[:3]), tuple(vals[3:])
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -138,8 +146,7 @@ def parse_scene(text: str, name_hint: str = "scene") -> Scene:
         elif kind == "room":
             if len(parts) != 7:
                 fail(lineno, "room needs 6 coordinates")
-            vals = [float(v) for v in parts[1:]]
-            room = (tuple(vals[:3]), tuple(vals[3:]))
+            room = corners(lineno, parts[1:])
         elif kind in ("box", "rect"):
             if len(parts) not in (8, 9):
                 fail(lineno, f"{kind} needs a class name, 6 coordinates and an "
@@ -147,12 +154,8 @@ def parse_scene(text: str, name_hint: str = "scene") -> Scene:
             cls = parts[1]
             if cls not in label_map.names:
                 fail(lineno, f"unknown class {cls!r}")
-            try:
-                vals = [float(v) for v in parts[2:8]]
-            except ValueError:
-                fail(lineno, "coordinates must be numbers")
+            lo, hi = corners(lineno, parts[2:8])
             inst = parts[8] if len(parts) == 9 else f"{cls}-{len(prims)}"
-            lo, hi = tuple(vals[:3]), tuple(vals[3:])
             flat = sum(a == b for a, b in zip(lo, hi))
             if kind == "rect" and flat != 1:
                 fail(lineno, f"rect must be flat along exactly one axis, got {flat}")

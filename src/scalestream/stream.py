@@ -279,10 +279,3 @@ def format_rows(template: str, positions: np.ndarray,
             axes[a][r] = np.format_float_positional(block[r, a], trim="-")
         yield from map(template.format, *axes,
                        *(c[lo:lo + _FORMAT_CHUNK].tolist() for c in columns))
-
-
-def export_csv(stream: PointStream) -> str:
-    """Render a stream as CSV text: header plus one ``x,y,z,label,t`` line
-    per point, floats in round-trip-exact form."""
-    return "x,y,z,label,t\n" + "".join(format_rows(
-        "{},{},{},{},{}\n", stream.positions, stream.labels, stream.timestamps))

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from scalestream import (LissajousConfig, PartitionSpec, PredictorConfig,
-                         Primitive, TimingModel, UpdateConfig, coverage,
+                         TimingModel, UpdateConfig, coverage_curve,
                          default_room, default_spec, latency_metrics, miou,
-                         partition, place_cameras, ray_intersect, read_stream,
-                         run_baseline, run_scalable, scan, write_stream)
+                         partition, place_cameras, read_stream, run_baseline,
+                         run_scalable, scan, slab_distances, write_stream)
 from scalestream.pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY,
                                   SCALE_DONE, SCALE_START, Timeline)
 from scalestream.update import cascade_step, knn_batch
@@ -299,20 +299,19 @@ def test_criterion_7_scanner_physical_soundness(default_scan):
                 direction = unit(rng.uniform(lo, hi) - origin + rng.normal(scale=0.4, size=3))
             else:
                 direction = unit(rng.normal(size=3))
-            prim = Primitive(tuple(lo), tuple(hi), label=0)
-            got = ray_intersect(origin, direction, prim)
+            got = slab_distances(origin, direction[None], lo, hi)[0]
             want = slab_oracle(origin, direction, lo, hi)
             if want is None:
-                assert got is None
+                assert got == np.inf
             else:
-                assert got is not None and abs(got[0] - want) < 1e-9
+                assert abs(got - want) < 1e-9
 
         # coverage: non-decreasing, and early completeness above the frozen
         # regression constant (measured 1.0 at first build, expected > 0.5)
-        values = [coverage(stream, t, 16)
-                  for t in (0, 300, 1000, 2000, 15000, 65535)]
+        curve = dict(coverage_curve(stream, (0, 300, 1000, 2000, 15000, 65535), 16))
+        values = list(curve.values())
         assert all(b >= a for a, b in zip(values, values[1:]))
-        ratio = coverage(stream, 2000, 16) / coverage(stream, 65535, 16)
+        ratio = curve[2000] / curve[65535]
         assert ratio > 0.95
 
     _report(7, "scanner soundness: on-surface points, slab oracle x10k, "

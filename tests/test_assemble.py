@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from scalestream import (AssembleError, PartitionSpec, PointStream,
                          PredictorConfig, ScalePrediction, TimingModel,
                          UpdateConfig, assemble, cascade_step, cumulative_csv,
-                         export_csv, partition, predict, run_scalable)
+                         partition, predict, run_scalable)
 from scalestream.assemble import row_heads
+from scalestream.stream import format_rows
 
 from conftest import make_random_stream
 
@@ -163,8 +164,9 @@ float32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
 @given(st.lists(st.tuples(float32s, float32s, float32s), min_size=1,
                 max_size=40))
 def test_csv_rows_match_reference_and_parse_back(coords):
-    """Both CSV writers format any finite float32 as the reference does, and
-    the text parses back to the same float32 bits."""
+    """The CSV writer and the row formatter under it format any finite
+    float32 as the reference does, and the text parses back to the same
+    float32 bits."""
     positions = np.array(coords, dtype=np.float32)
     n = len(positions)
     stream = PointStream(positions, np.arange(n) % 3, np.arange(n),
@@ -172,7 +174,7 @@ def test_csv_rows_match_reference_and_parse_back(coords):
     out = assemble(stream, partition(stream, PartitionSpec((n,))),
                    stream.labels)
     csv_rows = cumulative_csv(out, row_heads(out)).splitlines()[1:]
-    stream_rows = export_csv(stream).splitlines()[1:]
+    stream_rows = list(format_rows("{},{},{}", positions))
     for i, (csv_row, stream_row) in enumerate(zip(csv_rows, stream_rows,
                                                   strict=True)):
         want = [reference_fmt(v) for v in positions[i]]

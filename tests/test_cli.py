@@ -45,10 +45,10 @@ def no_work(monkeypatch):
     monkeypatch.setattr(cli, "read_stream", _reached)
 
 
-# fast pipeline flags reused by most run/sweep tests
-FAST = ["--scan-inline", "--ticks", "6000",
-        "--cuts", "500 1200 2500 4200 6000",
-        "--tick-duration", "1e-5"]
+# fast pipeline flags reused by most sweep and run tests
+FAST_SWEEP = ["--scan-inline", "--ticks", "6000",
+              "--cuts", "500 1200 2500 4200 6000"]
+FAST = [*FAST_SWEEP, "--tick-duration", "1e-5"]
 
 
 def test_scan_default_room_regression(tmp_path):
@@ -160,8 +160,10 @@ def test_run_lists_all_config_errors(tmp_path, capsys):
                           ("--room", "4 4"), ("--room", "4 4 nan"),
                           ("--room", "4 -4 3"), ("--room", "1 1 1"),
                           ("--room", "4 x 3"))),
-    *((command, flag, value) for command in ("run", "sweep")
-      for flag in map(cli._flag, cli.TIMING_FLAGS) for value in ("nan", "inf")),
+    *((command, cli._flag(flag), value)
+      for command, flags in (("run", cli.TIMING_FLAGS),
+                             ("sweep", cli.TIMING_FLAGS[1:]))
+      for flag in flags for value in ("nan", "inf")),
     ("sweep", "--tick-durations", "1e-5 nan"),
 ])
 def test_bad_flag_exits_2_before_any_scan_or_read(tmp_path, monkeypatch, capsys,
@@ -174,6 +176,24 @@ def test_bad_flag_exits_2_before_any_scan_or_read(tmp_path, monkeypatch, capsys,
         command, [] if flag == "--stream" else ["--scan-inline"])
     assert run_cli(command, *base, flag, value, "--out-dir", "out") == 2
     assert f"config error: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--tick-duration", "1e-5", "--scan-inline"],
+    ["sweep", "--skip-unrefined", "--scan-inline"],
+    ["sweep", "--coverage-grid", "7", "--scan-inline"],
+    ["partition", "--seed", "1", "--stream", "stream.bin"],
+])
+def test_flag_the_command_does_not_take_exits_2(tmp_path, monkeypatch, capsys,
+                                                 no_work, argv):
+    """sweep takes no --tick-duration (--tick-durations sets every tick
+    duration), no --skip-unrefined and no --coverage-grid, which only run
+    reads; partition draws nothing at random, so it takes no --seed."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "stream.bin").write_bytes(b"")
+    assert exit_code(*argv, "--out-dir", "out") == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -244,6 +264,18 @@ def test_real_mode_unrefined_comparison_does_not_sleep(tmp_path, monkeypatch):
     assert slept and all(slept)
 
 
+def test_scan_scene_with_bad_coordinate_exits_2(tmp_path, capsys):
+    scene = tmp_path / "bad.scene"
+    scene.write_text("room 0 0 0 4 4 3\nbox chair 1 1 0 nan 2 1\n")
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--scene", str(scene), "--ticks", "4000",
+                   "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 2: coordinates must be finite numbers, "
+        "got 1 1 0 nan 2 1\n")
+    assert not out.exists()
+
+
 def test_run_from_stream_file(tmp_path):
     scan_dir = tmp_path / "scan"
     assert run_cli("scan", "--out-dir", str(scan_dir), "--ticks", "6000") == 0
@@ -269,7 +301,7 @@ def test_partition_command(tmp_path):
 
 def test_sweep_rows_and_monotone_bounds(tmp_path):
     out = tmp_path / "sweep"
-    assert run_cli("sweep", *FAST, "--tick-durations", "1e-6 1e-4 1e-2",
+    assert run_cli("sweep", *FAST_SWEEP, "--tick-durations", "1e-6 1e-4 1e-2",
                    "--out-dir", str(out), "--seed", "4") == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 4  # header + 3 rows
@@ -282,7 +314,7 @@ def test_sweep_rows_and_monotone_bounds(tmp_path):
 
 def test_sweep_two_point(tmp_path):
     out = tmp_path / "sweep2"
-    assert run_cli("sweep", *FAST, "--tick-durations", "1e-5 1e-3",
+    assert run_cli("sweep", *FAST_SWEEP, "--tick-durations", "1e-5 1e-3",
                    "--out-dir", str(out)) == 0
     assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
@@ -304,14 +336,14 @@ def predict_full_calls(monkeypatch):
 @pytest.mark.parametrize("overlap", ["full", "none"])
 def test_sim_sweep_predicts_no_baseline_labels(tmp_path, predict_full_calls,
                                                predictor, overlap):
-    assert run_cli("sweep", *FAST, "--predictor", predictor,
+    assert run_cli("sweep", *FAST_SWEEP, "--predictor", predictor,
                    "--overlap", overlap, "--tick-durations", "1e-6 1e-4",
                    "--out-dir", str(tmp_path)) == 0
     assert predict_full_calls == []
 
 
 def test_real_sweep_measures_each_baseline(tmp_path, predict_full_calls):
-    assert run_cli("sweep", *FAST, "--mode", "real",
+    assert run_cli("sweep", *FAST_SWEEP, "--mode", "real",
                    "--tick-durations", "1e-7 1e-6 1e-7",
                    "--out-dir", str(tmp_path)) == 0
     assert len(predict_full_calls) == 3
@@ -349,7 +381,7 @@ def test_sweep_csv_equals_run_baseline_reference(tmp_path, predictor):
 
 
 def test_sweep_empty_range_exits_2(tmp_path, capsys):
-    rc = run_cli("sweep", *FAST, "--tick-durations", "",
+    rc = run_cli("sweep", *FAST_SWEEP, "--tick-durations", "",
                  "--out-dir", str(tmp_path))
     assert rc == 2
 
@@ -475,9 +507,9 @@ def test_config_file_flag_override(tmp_path):
 
 
 def test_run_manifest_records_every_flag(tmp_path):
-    """A manifest's config holds every flag destination of its command
-    except --config and --out-dir, so flags that change the outputs, such
-    as --skip-unrefined, change the config hash."""
+    """A scanning command's manifest config holds every flag destination of
+    the command except --config and --out-dir, so flags that change the
+    outputs, such as --skip-unrefined, change the config hash."""
     _, subparsers = cli.build_parser()
     manifests = {}
     for name, argv in (("scan", ["scan", "--ticks", "2000"]),
@@ -494,6 +526,68 @@ def test_run_manifest_records_every_flag(tmp_path):
     assert manifests["run"]["config"]["skip_unrefined"] is False
     assert manifests["skip"]["config"]["skip_unrefined"] is True
     assert manifests["run"]["config_hash"] != manifests["skip"]["config_hash"]
+
+
+def _strict_json(text: str):
+    """``json.loads`` that rejects NaN and infinities, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_run_from_stream_neither_checks_nor_records_scan_flags(tmp_path):
+    """A run that reads a stream file reads no scan flag: bad values pass,
+    the manifest records none of them, and every output, the manifest and
+    its hash included, equals the run's without them."""
+    scan_dir = tmp_path / "scan"
+    assert run_cli("scan", "--ticks", "6000", "--out-dir", str(scan_dir)) == 0
+    base = ["run", "--stream", str(scan_dir / "stream.bin"),
+            "--cuts", "500 1200 2500 4200 6000", "--skip-unrefined"]
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert run_cli(*base, "--out-dir", str(plain)) == 0
+    assert run_cli(*base, "--fx", "nan", "--dropout", "2", "--room", "9 9 9",
+                   "--max-poses", "3", "--camera-index", "99",
+                   "--out-dir", str(flagged)) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in flagged.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (flagged / name).read_bytes(), name
+    config = _strict_json((flagged / "run_manifest.json").read_text())["config"]
+    scan_flags = {"scene", "room", *cli.SCAN_FLAGS, "dropout", "max_poses",
+                  "camera_index"}
+    assert not scan_flags & set(config)
+    assert config["seed"] == 0 and config["scan_inline"] is False
+
+
+def test_one_config_file_serves_every_command(tmp_path):
+    """A config file holding seed, tick_duration, skip_unrefined and
+    coverage_grid gives each command the outputs of the flags among them
+    that it takes; the others are skipped."""
+    assert run_cli("scan", "--ticks", "6000", "--out-dir",
+                   str(tmp_path / "scan")) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "tick_duration": 2e-5,
+                               "skip_unrefined": True, "coverage_grid": 7}))
+    base = ["--stream", str(tmp_path / "scan" / "stream.bin"),
+            "--cuts", "500 1200 2500 4200 6000"]
+    for command, flags in (
+            ("partition", []),
+            ("run", ["--seed", "3", "--tick-duration", "2e-5",
+                     "--skip-unrefined", "--coverage-grid", "7"]),
+            ("sweep", ["--seed", "3"])):
+        by_file, by_flags = tmp_path / f"{command}-file", tmp_path / command
+        assert run_cli(command, *base, "--config", str(cfg),
+                       "--out-dir", str(by_file)) == 0
+        assert run_cli(command, *base, *flags, "--out-dir", str(by_flags)) == 0
+        names = sorted(p.name for p in by_flags.iterdir())
+        assert names == sorted(p.name for p in by_file.iterdir())
+        for name in names:
+            assert ((by_file / name).read_bytes()
+                    == (by_flags / name).read_bytes()), (command, name)
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert manifest["config"]["coverage_grid"] == 7
+    assert json.loads((tmp_path / "run" / "metrics.json").read_text())[
+        "scale_miou_unrefined"] is None
 
 
 def test_config_file_manifest_equals_explicit_flags(tmp_path):

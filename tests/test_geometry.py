@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scalestream import Primitive, camera_basis, ray_intersect
-from scalestream.geometry import slab_distances
+from scalestream import Primitive, camera_basis, slab_distances
 
 
 def slab_oracle(origin, direction, lo, hi):
@@ -33,30 +32,31 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def hit_distance(origin, direction, prim):
+    """Distance along one ray to a primitive; inf on a miss."""
+    lo, hi = prim.corners()
+    return slab_distances(origin, np.asarray(direction, dtype=float)[None],
+                          lo, hi)[0]
+
+
 def test_axis_aligned_plane_hit():
     plane = Primitive((5, -10, -10), (5, 10, 10), label=0, name="px")
-    hit = ray_intersect((0, 0, 0), (1, 0, 0), plane)
-    assert hit is not None
-    dist, point = hit
-    assert dist == pytest.approx(5.0, abs=1e-12)
-    assert np.allclose(point, [5, 0, 0], atol=1e-12)
+    assert hit_distance((0, 0, 0), (1, 0, 0), plane) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_parallel_ray_misses_plane():
     plane = Primitive((5, -10, -10), (5, 10, 10), label=0)
-    assert ray_intersect((0, 0, 0), (0, 1, 0), plane) is None
+    assert hit_distance((0, 0, 0), (0, 1, 0), plane) == np.inf
 
 
 def test_ray_behind_box_misses():
     box = Primitive((1, 1, 1), (2, 2, 2), label=0)
-    assert ray_intersect((0, 0, 0), unit((-1, -1, -1)), box) is None
+    assert hit_distance((0, 0, 0), unit((-1, -1, -1)), box) == np.inf
 
 
 def test_origin_inside_box_hits_exit_face():
     box = Primitive((-1, -1, -1), (1, 1, 1), label=0)
-    dist, point = ray_intersect((0, 0, 0), (1, 0, 0), box)
-    assert dist == pytest.approx(1.0)
-    assert np.allclose(point, [1, 0, 0])
+    assert hit_distance((0, 0, 0), (1, 0, 0), box) == pytest.approx(1.0)
 
 
 def test_random_rays_match_slab_oracle():
@@ -76,33 +76,15 @@ def test_random_rays_match_slab_oracle():
         else:
             direction = unit(rng.normal(size=3))
         prim = Primitive(tuple(lo), tuple(hi), label=0)
-        got = ray_intersect(origin, direction, prim)
+        got = hit_distance(origin, direction, prim)
         want = slab_oracle(origin, direction, lo, hi)
         if want is None:
             misses += 1
-            assert got is None
+            assert got == np.inf
         else:
             hits += 1
-            assert got is not None
-            assert got[0] == pytest.approx(want, abs=1e-9)
+            assert got == pytest.approx(want, abs=1e-9)
     assert hits > 1000 and misses > 1000  # the mix exercises both outcomes
-
-
-def test_vectorized_matches_scalar():
-    rng = np.random.default_rng(5)
-    lo = np.array([-1.0, -2.0, 0.0])
-    hi = np.array([1.0, 2.0, 3.0])
-    prim = Primitive(tuple(lo), tuple(hi), label=0)
-    origin = np.array([0.0, 0.0, -5.0])
-    dirs = rng.normal(size=(500, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    batch = slab_distances(origin, dirs, lo, hi)
-    for i in range(len(dirs)):
-        single = ray_intersect(origin, dirs[i], prim)
-        if single is None:
-            assert not np.isfinite(batch[i])
-        else:
-            assert batch[i] == single[0]
 
 
 def test_degenerate_primitive_rejected():

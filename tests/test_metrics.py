@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from scalestream import (ConfusionMatrix, CumulativeOutput, LissajousConfig,
-                         MetricsError, cost_of_scalability, coverage, miou,
-                         miou_by_origin, scan)
+                         MetricsError, cost_of_scalability, coverage_curve,
+                         miou, miou_by_origin, scan)
 
 
 def make_output(gt, pred, class_count, origin=None):
@@ -93,7 +93,7 @@ def test_matches_brute_force_set_oracle():
 
 def test_confusion_matrix_total_and_layout():
     cm = ConfusionMatrix.from_labels([0, 0, 1], [0, 1, 1], 2)
-    assert cm.total == 3
+    assert cm.counts.sum() == 3
     assert cm.counts[0, 0] == 1 and cm.counts[0, 1] == 1 and cm.counts[1, 1] == 1
 
 
@@ -114,9 +114,12 @@ def test_cost_of_scalability():
 
 def test_coverage_basics(room, default_pose):
     stream = scan(room, default_pose, LissajousConfig(ticks=8000))
-    assert coverage(stream, stream.max_timestamp, 16) == 1.0
-    assert coverage(stream, -1, 16) == 0.0
-    values = [coverage(stream, t, 16) for t in (0, 100, 400, 1000, 4000, 7999)]
+    assert coverage_curve(stream, [-1, stream.max_timestamp], 16) == [
+        (-1, 0.0), (stream.max_timestamp, 1.0)]
+    ticks = [0, 100, 400, 1000, 4000, 7999]
+    curve = coverage_curve(stream, ticks, 16)
+    assert [t for t, _ in curve] == ticks
+    values = [c for _, c in curve]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -124,17 +127,17 @@ def test_coverage_regression_constant(room, default_pose):
     """Frozen at first build: the default room scan covers its full 16x16
     angular grid by tick 2000 (measured value 1.0)."""
     stream = scan(room, default_pose, LissajousConfig())
-    assert coverage(stream, 2000, 16) > 0.99
+    assert coverage_curve(stream, [2000], 16)[0][1] > 0.99
 
 
 def test_coverage_requires_scanner_meta():
     from conftest import make_random_stream
     stream = make_random_stream(np.random.default_rng(0), 10)
     with pytest.raises(ValueError, match="meta"):
-        coverage(stream, 5, 4)
+        coverage_curve(stream, [5], 4)
 
 
 def test_coverage_grid_validation(room, default_pose):
     stream = scan(room, default_pose, LissajousConfig(ticks=100))
     with pytest.raises(MetricsError):
-        coverage(stream, 5, 0)
+        coverage_curve(stream, [5], 0)

@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import chisquare
 
 from scalestream import (CameraPose, LissajousConfig, Primitive, Scene,
-                         SceneError, coverage, empty_room,
-                         lissajous_direction, place_cameras, scan)
+                         SceneError, coverage_curve, lissajous_direction,
+                         place_cameras, scan)
 from scalestream.scanner import deflection_angles
 
 
@@ -97,7 +97,8 @@ def test_place_cameras_too_low_room_errors():
 
 def test_scan_empty_scene_is_empty():
     pose = CameraPose((2, 2, 2), (1, 1, 1))
-    stream = scan(empty_room(), pose, LissajousConfig(ticks=500))
+    empty = Scene("empty-room", (0, 0, 0), (4, 4, 3), ())
+    stream = scan(empty, pose, LissajousConfig(ticks=500))
     assert len(stream) == 0
 
 
@@ -157,17 +158,16 @@ def test_scan_prefix_property(room, default_pose):
 def test_scan_coverage_regression(room, default_pose):
     """Regression guard: the default scan is spatially complete early.
 
-    Measured at first build on the default room/pose: coverage(2000) equals
-    coverage at full duration on a 16x16 grid (ratio 1.0), comfortably above
+    Measured at first build on the default room/pose: the coverage at tick
+    2000 equals the coverage at full duration on a 16x16 grid (ratio 1.0), comfortably above
     the expected >0.5; the frozen guard leaves margin only for genuine
     regressions.
     """
     stream = scan(room, default_pose, LissajousConfig())
-    full = stream.max_timestamp
-    ratio = coverage(stream, 2000, 16) / coverage(stream, full, 16)
-    assert ratio > 0.95
+    (_, early), (_, full) = coverage_curve(stream, [2000, stream.max_timestamp], 16)
+    assert early / full > 0.95
     ticks = [0, 200, 650, 2000, 6000, 65535]
-    values = [coverage(stream, t, 16) for t in ticks]
+    values = [c for _, c in coverage_curve(stream, ticks, 16)]
     assert all(b >= a for a, b in zip(values, values[1:]))  # non-decreasing
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scalestream import (INDOOR_CLASSES, Scene, SceneError, default_room,
-                         empty_room, load_scene, parse_scene, scene_text)
+                         load_scene, parse_scene, scene_text)
 from scalestream.geometry import Primitive
 
 
@@ -84,5 +84,17 @@ def test_custom_classes():
     assert scene.primitives[0].label == 0
 
 
-def test_empty_room():
-    assert empty_room().primitives == ()
+@pytest.mark.parametrize("bad", ["x", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("template", [
+    "room 0 0 0 4 4 {}",
+    "room 0 0 0 4 4 3\nbox chair 1 1 0 {} 2 1",
+    "room 0 0 0 4 4 3\nrect wall 0 0 0 {} 4 3",
+], ids=["room", "box", "rect"])
+def test_parse_scene_rejects_non_finite_coordinates(template, bad):
+    """A coordinate that is not a number, or not finite, is an error that
+    names its line, on every line kind that holds coordinates."""
+    text = template.format(bad)
+    lineno = text.count("\n") + 1
+    with pytest.raises(SceneError, match=f"^line {lineno}: coordinates must "
+                                         f"be finite numbers, got .*{bad}"):
+        parse_scene(text)

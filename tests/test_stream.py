@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from scalestream import (INDOOR_CLASSES, LabelMap, PointStream,
-                         StreamFormatError, StreamValidationError, export_csv,
+                         StreamFormatError, StreamValidationError,
                          read_stream, write_stream)
-from scalestream.stream import RECORD_SIZE
+from scalestream.stream import RECORD_SIZE, format_rows
 
 from conftest import make_random_stream
 
@@ -115,19 +115,24 @@ def test_equal_timestamps_are_legal():
     assert roundtrip(s) == s
 
 
+def csv_rows(stream):
+    return list(format_rows("{},{},{},{},{}", stream.positions, stream.labels,
+                            stream.timestamps))
+
+
 def test_csv_empty_and_literal():
     empty = PointStream(np.zeros((0, 3)), [], [], class_count=11)
-    assert export_csv(empty) == "x,y,z,label,t\n"
+    assert csv_rows(empty) == []
     one = PointStream([[1.5, 0, 0]], [2], [7], class_count=11)
-    assert export_csv(one).splitlines()[1] == "1.5,0,0,2,7"
+    assert csv_rows(one) == ["1.5,0,0,2,7"]
 
 
 def test_csv_parse_back_exact():
     rng = np.random.default_rng(11)
     s = make_random_stream(rng, 200)
-    lines = export_csv(s).splitlines()
-    assert lines[0] == "x,y,z,label,t"
-    for i, line in enumerate(lines[1:]):
+    lines = csv_rows(s)
+    assert len(lines) == len(s)
+    for i, line in enumerate(lines):
         x, y, z, lab, t = line.split(",")
         assert np.float32(x) == s.positions[i, 0]
         assert np.float32(y) == s.positions[i, 1]
