@@ -25,7 +25,6 @@ from .scene import Scene, SceneError, default_room, load_scene, parse_scene, sce
 from .stream import (INDOOR_CLASSES, LabelMap, PointStream, StreamFormatError,
                      StreamValidationError, indoor_label_map, read_stream,
                      write_stream)
-from .update import (ScalePrediction, UpdateConfig, UpdateError, cascade_step,
-                     knn_batch)
+from .update import UpdateConfig, UpdateError, cascade_step, knn_batch
 
 __version__ = "0.1.0"

@@ -27,12 +27,11 @@ from .partition import DEFAULT_CUTS, PartitionError, PartitionSpec, partition
 from .pipeline import (PipelineError, TimingModel, Timeline, baseline_timeline,
                        latency_metrics, run_baseline, run_scalable)
 from .plots import miou_plot, timeline_plot
-from .predictors import (DEFAULT_ERROR_RATES, PredictorConfig, PredictorError,
-                         make_seed_cloud)
+from .predictors import DEFAULT_ERROR_RATES, PredictorConfig, make_seed_cloud
 from .scanner import LissajousConfig, place_cameras, scan
 from .scene import SceneError, default_room, load_scene
 from .stream import PointStream, read_stream, write_stream
-from .update import UpdateConfig, UpdateError
+from .update import UpdateConfig
 
 
 def _scans(args: argparse.Namespace) -> bool:
@@ -631,8 +630,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_config_argv(subparsers, argv))
         return COMMANDS[args.command](args)
-    except (ConfigError, SceneError, PartitionError, PredictorError,
-            UpdateError) as exc:
+    except (ConfigError, SceneError, PartitionError) as exc:
         for problem in exc.args:
             print(f"config error: {problem}", file=sys.stderr)
         return 2

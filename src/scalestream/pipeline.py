@@ -7,9 +7,10 @@ cascade refines every lower scale before the cumulative output for that
 scale is published.  The non-scalable baseline can only start once the whole
 cloud is acquired.
 
-One in-order loop does the label work in every mode: per scale it predicts,
-refines the lower scales, assembles the cumulative output and publishes the
-next scale's context.  The modes differ only in the timeline:
+One in-order loop does the label work in every mode: per scale the
+predictor extends its context, the labeled prefix, by the scale; the cascade
+refines the lower scales of that prefix's labels in place; the same array is
+published as the cumulative output.  The modes differ only in the timeline:
 
 * ``overlap="full"`` / ``overlap="none"``: the simulator derives the
   timeline in closed form from the partition sizes and the ``TimingModel``;
@@ -34,9 +35,10 @@ import numpy as np
 
 from .assemble import CumulativeOutput, assemble
 from .partition import PartitionSpec, partition
-from .predictors import PredictorConfig, ScaleContext, predict, predict_full
+from .predictors import (PredictorConfig, PredictorError, ScaleContext,
+                         predict, predict_full)
 from .stream import PointStream
-from .update import ScalePrediction, UpdateConfig, cascade_step
+from .update import UpdateConfig, UpdateError, cascade_step
 
 PARTITION_READY = "partition_ready"
 SCALE_START = "scale_start"
@@ -192,6 +194,8 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
     Returns one cumulative output per scale plus the event timeline.
     ``update_cfg=None`` disables the refinement cascade (predictions keep
     their original labels, as in a pipeline without an update module).
+    A predictor or update failure is re-raised as a ``PipelineError`` that
+    names the scale.
     """
     if predictor_cfg.variant == "seeded-knn" and not timing.fusion_dependency:
         raise PipelineError(
@@ -210,27 +214,21 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
     for i, r in enumerate(ready, start=1):
         tl.add(PARTITION_READY, i, r)
     outputs: list[CumulativeOutput] = []
-    preds: list[ScalePrediction] = []
     tables: list = []  # each scale pair's neighbor table, searched once
-    ctx: ScaleContext | None = None  # what the next scale's predictor reads
+    ctx: ScaleContext | None = None  # scales 1..i; its labels are output i
     for i, part in enumerate(parts, start=1):
         while measured and (dt := ready[i - 1] - now()) > 0:
             time.sleep(dt)
         tl.add(SCALE_START, i, now())
-        labels, ctx = predict(part, ctx, predictor_cfg, stream.class_count)
-        tl.add(SCALE_DONE, i, now())
-        arrived = ScalePrediction(i, part.positions, labels)
-        if update_cfg is None:
-            preds.append(arrived)
-        else:
-            preds = cascade_step(preds, arrived, update_cfg, tables,
-                                 lambda s, _nl, _nu, _dt: tl.add(
-                                     REFINE_DONE, s, now(), arrival=i))
-        out = assemble(stream, parts[:i],
-                       np.concatenate([p.labels for p in preds]))
-        outputs.append(out)
-        if update_cfg is not None:  # the refined prefix replaces the raw one
-            ctx = ScaleContext(out.positions, out.pred_labels)
+        try:
+            _, ctx = predict(part, ctx, predictor_cfg, stream.class_count)
+            tl.add(SCALE_DONE, i, now())
+            if update_cfg is not None:
+                cascade_step(parts[:i - 1], part, ctx.labels, update_cfg, tables,
+                             lambda s: tl.add(REFINE_DONE, s, now(), arrival=i))
+        except (PredictorError, UpdateError) as exc:
+            raise PipelineError(f"scale {i}: {exc}") from exc
+        outputs.append(assemble(stream, parts[:i], ctx.labels))
         tl.add(CUMULATIVE_AVAILABLE, i, now())
     if measured:
         return outputs, tl
@@ -289,11 +287,14 @@ def run_baseline(stream: PointStream, predictor_cfg: PredictorConfig,
     In measured mode the baseline's duration is the wall-clock time of the
     full-cloud prediction, otherwise the synthetic cost model's value; see
     ``baseline_timeline`` for its schedule.  An empty stream completes
-    immediately.
+    immediately.  A predictor failure is re-raised as a ``PipelineError``.
     """
     t0 = time.perf_counter()
-    labels = predict_full(stream.positions, stream.labels, predictor_cfg,
-                          stream.class_count)
+    try:
+        labels = predict_full(stream.positions, stream.labels, predictor_cfg,
+                              stream.class_count)
+    except (PredictorError, UpdateError) as exc:
+        raise PipelineError(f"baseline: {exc}") from exc
     measured = time.perf_counter() - t0
     if timing.overlap == "measured" and len(stream):
         duration = measured

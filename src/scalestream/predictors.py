@@ -11,8 +11,10 @@ implementations are provided:
   (scale 1 votes against a user-provided labeled seed cloud).
 
 Both are pure functions of their inputs and the seed, so results never
-depend on scheduling.  The context payload is opaque to the pipeline; a
-learned backbone can replace these without touching anything else.
+depend on scheduling.  The context is not opaque: it is the labeled cloud
+of scales ``1..i`` in capture order, whose labels the pipeline refines in
+place and publishes as the cumulative output, so a learned backbone that
+replaces these must return the same.
 """
 
 from __future__ import annotations
@@ -103,8 +105,10 @@ def predict(part: Partition, ctx: ScaleContext | None, cfg: PredictorConfig,
     """Predict labels for one partition and hand a context to the next scale.
 
     Returns one int64 label per partition point, order-aligned, plus the
-    cumulative labeled cloud through this scale.  Deterministic for a fixed
-    config seed: each scale draws from its own seeded RNG stream.
+    cumulative labeled cloud through this scale, which shares no memory
+    with ``ctx``, so the caller may refine its labels in place.
+    Deterministic for a fixed config seed: each scale draws from its own
+    seeded RNG stream.
     """
     if part.scale < 1:
         raise PredictorError(f"partition has invalid scale {part.scale}")
@@ -121,11 +125,8 @@ def predict(part: Partition, ctx: ScaleContext | None, cfg: PredictorConfig,
         reference = ctx if ctx is not None and len(ctx) else cfg.seed_cloud
         labels = _vote_labels(part.positions, reference, cfg.k_cls)
 
-    if ctx is None:
-        new_ctx = ScaleContext(part.positions, labels)
-    else:
-        new_ctx = ctx.extended(part.positions, labels)
-    return labels, new_ctx
+    return labels, (ScaleContext(part.positions, labels) if ctx is None
+                    else ctx.extended(part.positions, labels))
 
 
 def predict_full(positions: np.ndarray, gt_labels: np.ndarray,

@@ -110,6 +110,7 @@ def parse_scene(text: str, name_hint: str = "scene") -> Scene:
     label_map = indoor_label_map()
     room = None
     prims: list[Primitive] = []
+    seen: dict[str, int] = {}  # line of each once-only directive
 
     def fail(lineno, msg):
         raise SceneError(f"line {lineno}: {msg}")
@@ -132,6 +133,11 @@ def parse_scene(text: str, name_hint: str = "scene") -> Scene:
             continue
         parts = line.split()
         kind = parts[0].lower()
+        if kind in ("scene", "classes", "room"):
+            if kind in seen:
+                fail(lineno, f"second {kind} line (the first is line "
+                             f"{seen[kind]})")
+            seen[kind] = lineno
         if kind == "scene":
             if len(parts) != 2:
                 fail(lineno, "scene takes exactly one name")
@@ -147,6 +153,8 @@ def parse_scene(text: str, name_hint: str = "scene") -> Scene:
             if len(parts) != 7:
                 fail(lineno, "room needs 6 coordinates")
             room = corners(lineno, parts[1:])
+            if not all(a < b for a, b in zip(*room)):
+                fail(lineno, f"degenerate room box {room[0]}..{room[1]}")
         elif kind in ("box", "rect"):
             if len(parts) not in (8, 9):
                 fail(lineno, f"{kind} needs a class name, 6 coordinates and an "

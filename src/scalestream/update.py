@@ -6,6 +6,10 @@ label.  Refinements cascade: the arrival of scale ``j`` first refines scale
 ``j-1`` with ``j``, then ``j-2`` with the freshly refined ``j-1``, and so on
 down to scale 1, so every step votes with the most up-to-date labels.
 
+The labels of scales ``1..j`` are one array (in a run, the labels of the
+predictor's context) that the cascade refines in place; of the partitions
+it reads only positions and sizes, never the ground truth.
+
 The neighbors depend on positions alone, so each scale pair is searched
 once per run: the arrival of scale ``j`` searches pair ``(j-1, j)`` and
 appends the index table to the run's list, and every later vote of that
@@ -19,12 +23,14 @@ oracles bit for bit.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .partition import Partition
 
 
 class UpdateError(ValueError):
@@ -40,22 +46,6 @@ class UpdateConfig:
     def __post_init__(self):
         if self.k < 1:
             raise UpdateError(f"update neighbor count must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
-class ScalePrediction:
-    """Predicted labels for one scale's points."""
-
-    scale: int
-    positions: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.positions):
-            raise UpdateError("one label per position required")
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def knn_batch(queries, reference, k: int) -> np.ndarray:
@@ -104,15 +94,17 @@ def _majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
     return winner
 
 
-def cascade_step(lowers: Sequence[ScalePrediction], arrived: ScalePrediction,
-                 cfg: UpdateConfig, tables: list[np.ndarray | None],
-                 on_refine: Callable[[int, int, int, float], None] | None = None,
-                 ) -> list[ScalePrediction]:
+def cascade_step(lowers: Sequence[Partition], arrived: Partition,
+                 labels: np.ndarray, cfg: UpdateConfig,
+                 tables: list[np.ndarray | None],
+                 on_refine: Callable[[int], None] | None = None) -> None:
     """Incorporate a newly arrived scale: refine every lower scale, top-down.
 
-    ``lowers`` must hold scales ``1..j-1`` as the arrival of scale ``j-1``
-    left them and ``arrived`` the raw prediction of scale ``j``.  Returns
-    scales ``1..j`` refined by scale ``j``.
+    ``lowers`` are the partitions of scales ``1..j-1`` and ``arrived`` that
+    of scale ``j``; only their positions and sizes are read.  ``labels``
+    holds one label per point of scales ``1..j`` in capture order: scales
+    ``1..j-1`` as the arrival of scale ``j-1`` left them, then the raw
+    prediction of scale ``j``.  Scales ``j-1..1`` of it are refined in place.
 
     ``tables[s-1]`` is the :func:`knn_batch` index table from scale ``s``
     into scale ``s+1``, or ``None`` when either side is empty and the pair
@@ -121,31 +113,31 @@ def cascade_step(lowers: Sequence[ScalePrediction], arrived: ScalePrediction,
     one list for a run searches each pair once, one that passes ``[]``
     searches every pair.
 
-    The optional ``on_refine(lower_scale, n_lower, n_upper, seconds)`` hook
-    fires after each refinement, in execution order, for timing
-    instrumentation; the first refinement's seconds include the searches.
+    The optional ``on_refine(lower_scale)`` hook fires after each
+    refinement, in execution order.
     """
-    out = [*lowers, arrived]
-    j = len(out)
-    for i, p in enumerate(out, start=1):
+    parts = [*lowers, arrived]
+    j = len(parts)
+    for i, p in enumerate(parts, start=1):
         if p.scale != i:
             raise UpdateError(
-                f"predictions must cover scales 1..{j} in order; "
+                f"partitions must cover scales 1..{j} in order; "
                 f"position {i} holds scale {p.scale}")
+    bounds = [0, *accumulate(len(p) for p in parts)]
+    if len(labels) != bounds[-1]:
+        raise UpdateError(f"{len(labels)} labels for the {bounds[-1]} points "
+                          f"of scales 1..{j}")
     if len(tables) > j - 1:
         raise UpdateError(f"{len(tables)} neighbor tables given for the "
                           f"{j - 1} scale pairs below scale {j}")
 
-    t0 = time.perf_counter()
     for s in range(len(tables) + 1, j):
-        lower, upper = out[s - 1], out[s]
+        lower, upper = parts[s - 1], parts[s]
         tables.append(knn_batch(lower.positions, upper.positions, cfg.k)
                       if len(lower) and len(upper) else None)
     for i in range(j - 1, 0, -1):
         if tables[i - 1] is not None:
-            out[i - 1] = replace(
-                out[i - 1], labels=_majority_vote(out[i].labels[tables[i - 1]]))
+            upper = labels[bounds[i]:bounds[i + 1]]
+            labels[bounds[i - 1]:bounds[i]] = _majority_vote(upper[tables[i - 1]])
         if on_refine is not None:
-            on_refine(i, len(out[i - 1]), len(out[i]), time.perf_counter() - t0)
-        t0 = time.perf_counter()
-    return out
+            on_refine(i)

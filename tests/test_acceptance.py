@@ -19,12 +19,13 @@ from scalestream import (LissajousConfig, PartitionSpec, PredictorConfig,
                          run_scalable, scan, slab_distances, write_stream)
 from scalestream.pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY,
                                   SCALE_DONE, SCALE_START, Timeline)
-from scalestream.update import cascade_step, knn_batch
+from scalestream.update import knn_batch
 
 from conftest import make_counted_stream, make_random_stream
 from test_geometry import slab_oracle, unit
 from test_partition import brute_force_split
-from test_update import brute_knn, brute_refine_labels, random_prediction
+from test_update import (arrivals, brute_knn, brute_refine_labels,
+                         random_prediction, two_scale)
 
 
 def _report(num, label, fn):
@@ -108,10 +109,10 @@ def test_criterion_3_update_module_fidelity():
             lower = random_prediction(rng, 1, int(rng.integers(1, 50)), grid=grid)
             upper = random_prediction(rng, 2, int(rng.integers(1, 50)), grid=grid)
             k = cfg_ks[trial % 3]
-            got = cascade_step([lower], upper, UpdateConfig(k=k), [])[0]
+            got = two_scale(lower, upper, UpdateConfig(k=k))
             want = brute_refine_labels(lower.positions, upper.positions,
                                        upper.labels, k)
-            assert np.array_equal(got.labels, want)
+            assert np.array_equal(got, want)
 
         # the cascade equals the literal nested composition for m=3
         for _ in range(50):
@@ -122,23 +123,20 @@ def test_criterion_3_update_module_fidelity():
             y2_s3 = brute_refine_labels(y2.positions, y3.positions, y3.labels, k)
             y1_s2 = brute_refine_labels(y1.positions, y2.positions, y2.labels, k)
             y1_s3 = brute_refine_labels(y1.positions, y2.positions, y2_s3, k)
-            got, tables = [], []
-            for y in (y1, y2, y3):
-                got = cascade_step(got, y, UpdateConfig(k=k), tables)
-            assert np.array_equal(got[0].labels, y1_s3)
-            assert np.array_equal(got[1].labels, y2_s3)
+            got = arrivals([y1, y2, y3], UpdateConfig(k=k), [])[-1]
+            assert np.array_equal(got[0], y1_s3)
+            assert np.array_equal(got[1], y2_s3)
 
         # one table list kept across the arrivals equals a fresh list on
         # each arrival, for 5 scales
         for _ in range(30):
             preds = [random_prediction(rng, s, int(rng.integers(0, 40)))
                      for s in range(1, 6)]
-            persistent, fresh, tables = [], [], []
-            for p in preds:
-                persistent = cascade_step(persistent, p, UpdateConfig(k=5), tables)
-                fresh = cascade_step(fresh, p, UpdateConfig(k=5), [])
-                for a, b in zip(persistent, fresh):
-                    assert np.array_equal(a.labels, b.labels)
+            persistent = arrivals(preds, UpdateConfig(k=5), [])
+            fresh = arrivals(preds, UpdateConfig(k=5), None)
+            for after_p, after_f in zip(persistent, fresh):
+                for a, b in zip(after_p, after_f):
+                    assert np.array_equal(a, b)
 
     _report(3, "update module: cascade steps vs brute-force oracles", check)
 

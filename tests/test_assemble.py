@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalestream import (AssembleError, PartitionSpec, PointStream,
-                         PredictorConfig, ScalePrediction, TimingModel,
+                         PredictorConfig, TimingModel,
                          UpdateConfig, assemble, cascade_step, cumulative_csv,
                          partition, predict, run_scalable)
 from scalestream.assemble import row_heads
@@ -15,23 +15,23 @@ from conftest import make_random_stream
 
 def raw_predictions(stream, spec, seed=0):
     parts = partition(stream, spec)
-    preds = []
+    raw = []
     ctx = None
     for p in parts:
         labels, ctx = predict(p, ctx, PredictorConfig(seed=seed,
                                                       error_rates=(0.3,) * len(spec.cuts)),
                               class_count=stream.class_count)
-        preds.append(ScalePrediction(p.scale, p.positions, labels))
-    return parts, preds
+        raw.append(labels)
+    return parts, raw
 
 
 def test_single_scale_is_that_prediction():
     rng = np.random.default_rng(1)
     stream = make_random_stream(rng, 100, t_max=500)
     spec = PartitionSpec((500,))
-    parts, preds = raw_predictions(stream, spec)
-    out = assemble(stream, parts[:1], preds[0].labels)
-    assert np.array_equal(out.pred_labels, preds[0].labels)
+    parts, raw = raw_predictions(stream, spec)
+    out = assemble(stream, parts[:1], raw[0])
+    assert np.array_equal(out.pred_labels, raw[0])
     assert np.array_equal(out.gt_labels, stream.labels)
     assert out.scale == 1
 
@@ -41,9 +41,7 @@ def test_perfect_predictions_reproduce_stream_labels():
     stream = make_random_stream(rng, 200, t_max=999)
     spec = PartitionSpec((300, 600, 999))
     parts = partition(stream, spec)
-    preds = [ScalePrediction(p.scale, p.positions, p.labels.copy())
-             for p in parts]
-    out = assemble(stream, parts, np.concatenate([p.labels for p in preds]))
+    out = assemble(stream, parts, np.concatenate([p.labels for p in parts]))
     assert np.array_equal(out.pred_labels, stream.labels)
     assert np.array_equal(out.positions, stream.positions)
 
@@ -54,11 +52,11 @@ def test_cumulative_cardinality_matches_prefix_counts():
     spec = PartitionSpec((100, 400, 900, 1500, 2000))
     parts, raw = raw_predictions(stream, spec)
     cfg = UpdateConfig(k=3)
-    state, tables = [], []
-    for i, p in enumerate(raw, start=1):
-        state = cascade_step(state, p, cfg, tables)
-        out = assemble(stream, parts[:i],
-                       np.concatenate([p.labels for p in state]))
+    labels, tables = np.zeros(0, dtype=np.int64), []
+    for i, p in enumerate(parts, start=1):
+        labels = np.concatenate([labels, raw[i - 1]])
+        cascade_step(parts[:i - 1], p, labels, cfg, tables)
+        out = assemble(stream, parts[:i], labels)
         want = int(np.sum(stream.timestamps <= spec.cuts[i - 1]))
         assert len(out) == want
         assert np.array_equal(out.timestamps, stream.timestamps[:want])
@@ -80,8 +78,8 @@ def test_csv_layout():
     rng = np.random.default_rng(6)
     stream = make_random_stream(rng, 10, t_max=100)
     spec = PartitionSpec((100,))
-    parts, preds = raw_predictions(stream, spec)
-    out = assemble(stream, parts, preds[0].labels)
+    parts, raw = raw_predictions(stream, spec)
+    out = assemble(stream, parts, raw[0])
     lines = cumulative_csv(out, row_heads(out)).splitlines()
     assert lines[0] == "x,y,z,t,origin_scale,pred,gt"
     assert len(lines) == 11
@@ -151,8 +149,8 @@ def test_csv_with_uint16_class_ids():
 def test_csv_rejects_too_few_heads():
     rng = np.random.default_rng(9)
     stream = make_random_stream(rng, 20, t_max=100)
-    parts, preds = raw_predictions(stream, PartitionSpec((100,)))
-    out = assemble(stream, parts, preds[0].labels)
+    parts, raw = raw_predictions(stream, PartitionSpec((100,)))
+    out = assemble(stream, parts, raw[0])
     with pytest.raises(AssembleError, match="row heads"):
         cumulative_csv(out, row_heads(out)[:-1])
 

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import scalestream.cli as cli
 import scalestream.pipeline as pipeline
 from conftest import make_counted_stream
-from scalestream import (PartitionSpec, PredictorConfig, Timeline, TimingModel,
-                         UpdateConfig, latency_metrics, make_seed_cloud,
-                         read_stream, run_baseline, run_scalable, write_stream)
+from scalestream import (PartitionSpec, PredictorConfig, PredictorError,
+                         Timeline, TimingModel, UpdateConfig, latency_metrics,
+                         make_seed_cloud, read_stream, run_baseline,
+                         run_scalable, write_stream)
 from scalestream.plots import MARGIN_L, MARGIN_R, W
 
 
@@ -274,6 +275,47 @@ def test_scan_scene_with_bad_coordinate_exits_2(tmp_path, capsys):
         "config error: line 2: coordinates must be finite numbers, "
         "got 1 1 0 nan 2 1\n")
     assert not out.exists()
+
+
+def test_scan_scene_with_second_room_exits_2(tmp_path, capsys):
+    scene = tmp_path / "twice.scene"
+    scene.write_text("room 0 0 0 4 4 3\nroom 0 0 0 5 5 3\n")
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--scene", str(scene), "--ticks", "100",
+                   "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 2: second room line (the first is line 1)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_predictor_failure_in_the_run_exits_1_naming_the_scale(
+        tmp_path, monkeypatch, capsys, command):
+    """A failure inside the label loop is a runtime error of that scale, not
+    a configuration error."""
+    real = pipeline.predict
+
+    def failing(part, *args):
+        if part.scale == 3:
+            raise PredictorError("no labels today")
+        return real(part, *args)
+
+    monkeypatch.setattr(pipeline, "predict", failing)
+    out = tmp_path / "out"
+    argv = FAST if command == "run" else FAST_SWEEP
+    assert run_cli(command, *argv, "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == "error: scale 3: no labels today\n"
+    assert not out.exists()
+
+
+def test_baseline_failure_exits_1_naming_the_baseline(tmp_path, monkeypatch,
+                                                       capsys):
+    def failing(*args):
+        raise PredictorError("no labels today")
+
+    monkeypatch.setattr(pipeline, "predict_full", failing)
+    assert run_cli("run", *FAST, "--out-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: baseline: no labels today\n"
 
 
 def test_run_from_stream_file(tmp_path):

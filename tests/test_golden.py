@@ -1,0 +1,120 @@
+"""Golden digests of ``run_scalable`` on small synthetic streams.
+
+Coordinates are multiples of 1/8 and timestamps are integers, so every
+squared distance and every modelled instant is computed exactly and the
+digests do not depend on the platform's math library.  Each case hashes the
+predicted labels of every cumulative output and the simulated timeline.
+The digests were recorded before the cascade began refining the
+predictor's context in place; a change in any label or instant shows here.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from scalestream import (PartitionSpec, PointStream, PredictorConfig,
+                         TimingModel, UpdateConfig, make_seed_cloud,
+                         run_scalable)
+
+
+def _stream(seed, n, grid, t_max, gap=None):
+    """``n`` points on a ``grid``-cell lattice with spacing 1/8, integer
+    timestamps in ``[0, t_max]``, none inside ``gap`` when given."""
+    rng = np.random.default_rng(seed)
+    ts = rng.integers(0, t_max + 1, size=n)
+    if gap is not None:
+        ts = ts[(ts <= gap[0]) | (ts > gap[1])]
+    ts = np.sort(ts)
+    positions = rng.integers(0, grid, size=(len(ts), 3)) / 8.0
+    labels = rng.integers(0, 4, size=len(ts))
+    return PointStream(positions, labels, ts, 4)
+
+
+STREAMS = {
+    # scale 3, (20, 30], holds no point
+    "gapped": (lambda: _stream(5, 240, 32, 50, gap=(20, 30)),
+               (10, 20, 30, 40, 50)),
+    # four cells a side: distances and votes tie everywhere
+    "ties": (lambda: _stream(6, 160, 4, 60), (15, 30, 45, 60)),
+}
+
+GOLDEN = {
+    "gapped/noisy-oracle/k=None/full":
+        "4f40110ff1dd547ae5640421e514a7f2395a7be0eaa92780d8a4eec898e96b57",
+    "gapped/noisy-oracle/k=None/none":
+        "dd1ead628c5ce5b836ec78785f399e355a6ca45a866c26601f1512429b3197d3",
+    "gapped/noisy-oracle/k=1/full":
+        "65ae03c2afdc737d2d1dd249f21321477d483d8814a5e381893d9f75072fa0ae",
+    "gapped/noisy-oracle/k=1/none":
+        "c48ad5d03d5790634cf6dc52687209c1831774997eb516d527b6a74aaf8bb7e5",
+    "gapped/noisy-oracle/k=5/full":
+        "58ef988004d56d42650848be07c0b609d2e2c7ae51f960263c7994845a89efb6",
+    "gapped/noisy-oracle/k=5/none":
+        "0ade504b710dea97fc5550e7bbd0db1867fa5e0791c154d1dcd75027b02216bb",
+    "gapped/seeded-knn/k=None/full":
+        "92868a1ae7bceabf0bf6aeab4527db3fa7f039eb7f9fcf8e768a7676bf083d50",
+    "gapped/seeded-knn/k=None/none":
+        "818b8eac8dfe2cf1b33160d1b6c4960b60fbb55c2481a063e3c897648dc3270a",
+    "gapped/seeded-knn/k=1/full":
+        "23e793dd50f9b3d81be44da92edad10b02a0e7e703d1357d7a3d5b60ed723a37",
+    "gapped/seeded-knn/k=1/none":
+        "d42e83edcac7f7eb0a319f4b0b60434c9a15c702d464084e443646951fd2070b",
+    "gapped/seeded-knn/k=5/full":
+        "1d493b88342b4a86f6341bf48b8bc6fa06bf9149f01a5fc1e49b53b9e3ddec39",
+    "gapped/seeded-knn/k=5/none":
+        "3df6b1e4ff37afb17b3189793ddf174d82be65980fa38b614c1168abf8ddba5b",
+    "ties/noisy-oracle/k=None/full":
+        "1783f65a523dce787f0e8e3cd2ae6a4a34f02089b732eae9dd612aa892842c6a",
+    "ties/noisy-oracle/k=None/none":
+        "f7b3e3c8e79863a15a681964e4015329257b138b0b2ce941434710a1d392d8c7",
+    "ties/noisy-oracle/k=1/full":
+        "0b97b1bf4458d6959b0c021329b50c17bc81676cac3be1ade630a859d5ab3496",
+    "ties/noisy-oracle/k=1/none":
+        "f70d2fcd3a8623889e0ee937da5694c1c466ed96d6007d8384aa4167286ff501",
+    "ties/noisy-oracle/k=5/full":
+        "2991cc6b13e00aec6120ea0d9991453cb7fbc4ee214a2aa922d405da2bc166c6",
+    "ties/noisy-oracle/k=5/none":
+        "5e2b8e0b4ce0a5a1f885c7d3eb595d077bcad98470864b2bb6f230e1b9d8f64d",
+    "ties/seeded-knn/k=None/full":
+        "4cedd6293fca309d6712f5cfb5621ef8617e90a907a9799da50058d1c19c009c",
+    "ties/seeded-knn/k=None/none":
+        "e4d73a288a73b443c900864c932a1ef378f0db9a7205d751c3be72d494674772",
+    "ties/seeded-knn/k=1/full":
+        "fdc03d8d17ddd53ae2f68f80a209c45e248a6f5357478635b6a422fc17a0b707",
+    "ties/seeded-knn/k=1/none":
+        "89dafe783799177fb1447d0884f7fe7d57b8c473644ea4a1e9eb13d323d7b4c0",
+    "ties/seeded-knn/k=5/full":
+        "5c0c34cffe2e614aac2955f4b64373da2b0f37c3e0995e1200b13ed40320e869",
+    "ties/seeded-knn/k=5/none":
+        "ca8822843577e2a71272f9eeea75563bf19a5aa12ccf0a66dbd4e619012c768a",
+}
+
+
+def _digest(outputs, timeline) -> str:
+    h = hashlib.sha256()
+    for o in outputs:
+        h.update(np.ascontiguousarray(o.pred_labels, dtype=np.int64).tobytes())
+    h.update(json.dumps(timeline.to_dict(), sort_keys=True).encode("utf-8"))
+    return h.hexdigest()
+
+
+CASES = [(s, p, k, o) for s in STREAMS for p in ("noisy-oracle", "seeded-knn")
+         for k in (None, 1, 5) for o in ("full", "none")]
+
+
+@pytest.mark.parametrize("stream_name,variant,k,overlap", CASES)
+def test_run_scalable_golden_digest(stream_name, variant, k, overlap):
+    make, cuts = STREAMS[stream_name]
+    stream = make()
+    cfg = PredictorConfig(variant=variant, seed=2,
+                          error_rates=(0.4, 0.3, 0.2, 0.1, 0.05))
+    if variant == "seeded-knn":
+        cfg = PredictorConfig(variant=variant, seed_cloud=make_seed_cloud(
+            stream.positions, stream.labels, 0.1, seed=3))
+    outputs, timeline = run_scalable(
+        stream, PartitionSpec(cuts), cfg,
+        None if k is None else UpdateConfig(k=k), TimingModel(overlap=overlap))
+    key = f"{stream_name}/{variant}/k={k}/{overlap}"
+    assert _digest(outputs, timeline) == GOLDEN[key], key

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import scalestream.pipeline as pipeline
 import scalestream.update as update
 from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream,
-                         PredictorConfig, TimingModel, UpdateConfig,
+                         PredictorConfig, PredictorError, TimingModel,
+                         UpdateConfig, UpdateError,
                          latency_metrics, make_seed_cloud, run_baseline,
                          run_scalable)
 from scalestream.pipeline import (CUMULATIVE_AVAILABLE, OVERLAP_MODES,
@@ -376,14 +377,13 @@ def test_each_scale_pair_is_searched_once(monkeypatch):
         assert searched == [(counts[lo - 1], counts[up - 1]) for lo, up in pairs]
 
 
-class Boom(RuntimeError):
-    pass
-
-
 @pytest.mark.parametrize("fusion", [True, False])
 @pytest.mark.parametrize("target", ["predict", "cascade_step"])
 def test_real_executor_failure_surfaces_without_leaks(monkeypatch, target, fusion):
-    boom = Boom("scale 3")
+    """A predictor or update failure at scale 3 ends the run, as a
+    PipelineError that names the scale and keeps the failure as its cause,
+    and leaves no thread behind."""
+    boom = (PredictorError if target == "predict" else UpdateError)("boom")
     real = getattr(pipeline, target)
 
     def failing(*args, **kwargs):
@@ -403,7 +403,7 @@ def test_real_executor_failure_surfaces_without_leaks(monkeypatch, target, fusio
                          UpdateConfig(k=3),
                          TimingModel(tick_duration=1e-6, overlap="measured",
                                      fusion_dependency=fusion))
-        except Boom as exc:
+        except PipelineError as exc:
             raised.append(exc)
 
     before = threading.active_count()
@@ -411,8 +411,54 @@ def test_real_executor_failure_surfaces_without_leaks(monkeypatch, target, fusio
     caller.start()
     caller.join(timeout=5.0)
     assert not caller.is_alive()
-    assert raised == [boom]
+    assert [str(exc) for exc in raised] == ["scale 3: boom"]
+    assert raised[0].__cause__ is boom
     assert threading.active_count() == before
+
+
+def test_baseline_failure_names_the_baseline():
+    stream = small_stream(17, n=50)
+    with pytest.raises(PipelineError, match="^baseline: seeded-knn") as info:
+        run_baseline(stream, PredictorConfig(variant="seeded-knn"), TimingModel())
+    assert isinstance(info.value.__cause__, PredictorError)
+
+
+@pytest.mark.parametrize("variant", ["noisy-oracle", "seeded-knn"])
+def test_each_output_is_the_refined_context_and_stays_as_published(
+        monkeypatch, variant):
+    """The cascade refines the label array of the context that the predictor
+    returned, that array is published as the output, and no later arrival
+    writes into an output published before it."""
+    stream = small_stream(18, n=600)
+    cfg = PredictorConfig(variant=variant, error_rates=RATES, seed=3,
+                          seed_cloud=make_seed_cloud(stream.positions,
+                                                     stream.labels, 0.1, 0))
+    contexts, refined, published = [], [], []
+    real_predict, real_cascade = pipeline.predict, pipeline.cascade_step
+    real_assemble = pipeline.assemble
+
+    def spy_predict(*args):
+        labels, ctx = real_predict(*args)
+        contexts.append(ctx)
+        return labels, ctx
+
+    def spy_cascade(lowers, arrived, labels, *rest):
+        refined.append(labels)
+        return real_cascade(lowers, arrived, labels, *rest)
+
+    def spy_assemble(stream, parts, labels):
+        published.append(labels.copy())
+        return real_assemble(stream, parts, labels)
+
+    monkeypatch.setattr(pipeline, "predict", spy_predict)
+    monkeypatch.setattr(pipeline, "cascade_step", spy_cascade)
+    monkeypatch.setattr(pipeline, "assemble", spy_assemble)
+    outputs, _ = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3),
+                              TimingModel())
+    assert len(outputs) == len(contexts) == len(refined) == 5
+    for out, ctx, labels, snapshot in zip(outputs, contexts, refined, published):
+        assert out.pred_labels is ctx.labels and labels is ctx.labels
+        assert np.array_equal(out.pred_labels, snapshot)
 
 
 def test_seeded_knn_labels_identical_across_backends():

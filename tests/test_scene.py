@@ -74,6 +74,27 @@ def test_parse_scene_errors_name_line():
         parse_scene("room 0 0 0 1 1 1\nrect wall 0 0 0 0 1 1\nclasses a,b")
 
 
+@pytest.mark.parametrize("kind,line", [
+    ("room", "room 0 0 0 5 5 3"),
+    ("scene", "scene other"),
+    ("classes", "classes a,b"),
+])
+def test_parse_scene_rejects_a_second_once_only_line(kind, line):
+    """``room``, ``scene`` and ``classes`` may each appear once; a second
+    one is an error that names both lines instead of replacing the first."""
+    text = "scene x\nclasses floor,wall\nroom 0 0 0 4 4 3\n\n" + line + "\n"
+    first = {"scene": 1, "classes": 2, "room": 3}[kind]
+    with pytest.raises(SceneError, match=f"^line 5: second {kind} line "
+                                         f"\\(the first is line {first}\\)$"):
+        parse_scene(text)
+
+
+def test_parse_scene_degenerate_room_names_its_line():
+    with pytest.raises(SceneError, match=r"^line 2: degenerate room box "
+                                         r"\(0.0, 0.0, 0.0\)..\(4.0, 4.0, 0.0\)$"):
+        parse_scene("scene x\nroom 0 0 0 4 4 0\n")
+
+
 def test_custom_classes():
     scene = parse_scene("""
         classes ground, obstacle

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scalestream import (ScalePrediction, UpdateConfig, UpdateError,
-                         cascade_step, knn_batch)
+from scalestream import (Partition, UpdateConfig, UpdateError, cascade_step,
+                         knn_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +56,38 @@ def nested_oracle(preds, k):
     return states
 
 
+def scale_part(scale, positions, labels):
+    """A partition of ``scale`` whose ``labels`` stand for its raw
+    prediction; the cascade reads only its positions and size."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    return Partition(scale, (scale - 1, scale), positions,
+                     np.asarray(labels, dtype=np.int64),
+                     np.full(len(positions), scale), 0)
+
+
 def two_scale(lower, upper, cfg):
-    """Scale 1 refined by the arrival of scale 2."""
-    return cascade_step([lower], upper, cfg, [])[0]
+    """Scale 1's labels refined by the arrival of scale 2."""
+    labels = np.concatenate([lower.labels, upper.labels])
+    cascade_step([lower], upper, labels, cfg, [])
+    assert np.array_equal(labels[len(lower):], upper.labels)
+    return labels[:len(lower)]
+
+
+def arrivals(parts, cfg, tables, raw=None):
+    """Each scale's labels after each arrival, as ``run_scalable`` computes
+    them: the label array of scales ``1..j`` is that of ``1..j-1`` extended
+    by ``raw[j-1]``, the raw prediction of scale ``j`` (by default the
+    partition's own labels), and the arrival of ``j`` refines it in place.
+    ``tables=None`` passes a fresh table list to every arrival."""
+    raw = [p.labels for p in parts] if raw is None else raw
+    labels = np.zeros(0, dtype=np.int64)
+    states = []
+    for j, part in enumerate(parts, start=1):
+        labels = np.concatenate([labels, raw[j - 1]])
+        cascade_step(parts[:j - 1], part, labels, cfg,
+                     [] if tables is None else tables)
+        states.append(np.split(labels, np.cumsum([len(p) for p in parts[:j]])[:-1]))
+    return states
 
 
 def random_prediction(rng, scale, n, classes=4, grid=None):
@@ -66,8 +95,7 @@ def random_prediction(rng, scale, n, classes=4, grid=None):
         pos = rng.integers(0, grid, size=(n, 3)) / 2.0  # exact ties likely
     else:
         pos = rng.uniform(-1, 1, size=(n, 3))
-    labels = rng.integers(0, classes, size=n)
-    return ScalePrediction(scale, pos.astype(float), labels.astype(np.int64))
+    return scale_part(scale, pos, rng.integers(0, classes, size=n))
 
 
 # ---------------------------------------------------------------------------
@@ -124,44 +152,40 @@ def test_knn_matches_oracle_with_ties():
 # ---------------------------------------------------------------------------
 
 def test_refine_unanimous_vote():
-    lower = ScalePrediction(1, np.zeros((3, 3)), np.array([0, 1, 2]))
-    upper = ScalePrediction(2, np.random.default_rng(0).uniform(size=(8, 3)),
-                            np.full(8, 7))
+    lower = scale_part(1, np.zeros((3, 3)), [0, 1, 2])
+    upper = scale_part(2, np.random.default_rng(0).uniform(size=(8, 3)),
+                       np.full(8, 7))
     out = two_scale(lower, upper, UpdateConfig(k=5))
-    assert out.labels.tolist() == [7, 7, 7]
-    assert out.scale == 1
-    assert out.positions is lower.positions
+    assert out.tolist() == [7, 7, 7]
+    assert lower.labels.tolist() == [0, 1, 2]  # the partition is only read
 
 
 def test_refine_k1_adopts_nearest():
-    lower = ScalePrediction(1, np.array([[0.0, 0, 0], [10.0, 0, 0]]),
-                            np.array([0, 0]))
-    upper = ScalePrediction(2, np.array([[1.0, 0, 0], [9.0, 0, 0]]),
-                            np.array([3, 5]))
+    lower = scale_part(1, [[0.0, 0, 0], [10.0, 0, 0]], [0, 0])
+    upper = scale_part(2, [[1.0, 0, 0], [9.0, 0, 0]], [3, 5])
     out = two_scale(lower, upper, UpdateConfig(k=1))
-    assert out.labels.tolist() == [3, 5]
+    assert out.tolist() == [3, 5]
 
 
 def test_refine_vote_tie_goes_to_nearest_tied_class():
-    lower = ScalePrediction(1, np.array([[0.0, 0, 0]]), np.array([9]))
-    upper = ScalePrediction(2, np.array([[1.0, 0, 0], [2.0, 0, 0]]),
-                            np.array([5, 3]))
+    lower = scale_part(1, [[0.0, 0, 0]], [9])
+    upper = scale_part(2, [[1.0, 0, 0], [2.0, 0, 0]], [5, 3])
     out = two_scale(lower, upper, UpdateConfig(k=2))
-    assert out.labels.tolist() == [5]
+    assert out.tolist() == [5]
 
 
 def test_refine_empty_upper_passes_through():
-    lower = ScalePrediction(1, np.array([[0.0, 0, 0]]), np.array([4]))
-    upper = ScalePrediction(2, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-    tables = []
-    out = cascade_step([lower], upper, UpdateConfig(k=3), tables)
-    assert out[0].labels.tolist() == [4]
+    lower = scale_part(1, [[0.0, 0, 0]], [4])
+    upper = scale_part(2, np.zeros((0, 3)), [])
+    tables, labels = [], np.array([4])
+    cascade_step([lower], upper, labels, UpdateConfig(k=3), tables)
+    assert labels.tolist() == [4]
     assert tables == [None]
 
 
 def test_refine_scale_mismatch_errors():
-    lower = ScalePrediction(1, np.zeros((1, 3)), np.array([0]))
-    upper = ScalePrediction(3, np.zeros((1, 3)), np.array([0]))
+    lower = scale_part(1, np.zeros((1, 3)), [0])
+    upper = scale_part(3, np.zeros((1, 3)), [0])
     with pytest.raises(UpdateError):
         two_scale(lower, upper, UpdateConfig())
 
@@ -177,8 +201,7 @@ def test_refine_matches_brute_force_oracle():
             got = two_scale(lower, upper, UpdateConfig(k=k))
             want = brute_refine_labels(lower.positions, upper.positions,
                                        upper.labels, k)
-            assert np.array_equal(got.labels, want), (trial, k)
-            assert np.array_equal(got.positions, lower.positions)
+            assert np.array_equal(got, want), (trial, k)
 
 
 def test_refine_labels_come_from_upper_neighborhoods():
@@ -186,7 +209,7 @@ def test_refine_labels_come_from_upper_neighborhoods():
     lower = random_prediction(rng, 1, 40)
     upper = random_prediction(rng, 2, 60, classes=6)
     out = two_scale(lower, upper, UpdateConfig(k=5))
-    assert set(out.labels.tolist()) <= set(upper.labels.tolist())
+    assert set(out.tolist()) <= set(upper.labels.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +217,10 @@ def test_refine_labels_come_from_upper_neighborhoods():
 # ---------------------------------------------------------------------------
 
 def test_cascade_single_scale_is_identity():
-    p = ScalePrediction(1, np.zeros((2, 3)), np.array([1, 2]))
-    tables = []
-    out = cascade_step([], p, UpdateConfig(), tables)
-    assert len(out) == 1
-    assert np.array_equal(out[0].labels, p.labels)
+    p = scale_part(1, np.zeros((2, 3)), [1, 2])
+    tables, labels = [], np.array([1, 2])
+    assert cascade_step([], p, labels, UpdateConfig(), tables) is None
+    assert labels.tolist() == [1, 2]
     assert tables == []
 
 
@@ -222,13 +244,11 @@ def test_cascade_equals_nested_composition():
         y1_s3 = um(y1.positions, y1_s2, y2.positions, y2_s3)
 
         tables = []
-        got = cascade_step([], y1, cfg, tables)
-        got = cascade_step(got, y2, cfg, tables)
-        assert np.array_equal(got[0].labels, y1_s2)
-        got = cascade_step(got, y3, cfg, tables)
-        assert np.array_equal(got[0].labels, y1_s3)
-        assert np.array_equal(got[1].labels, y2_s3)
-        assert np.array_equal(got[2].labels, y3.labels)
+        after_1, after_2, after_3 = arrivals([y1, y2, y3], cfg, tables)
+        assert np.array_equal(after_2[0], y1_s2)
+        assert np.array_equal(after_3[0], y1_s3)
+        assert np.array_equal(after_3[1], y2_s3)
+        assert np.array_equal(after_3[2], y3.labels)
         assert len(tables) == 2
 
 
@@ -244,38 +264,64 @@ def test_cascade_step_matches_nested_oracle(data):
     preds = []
     for scale in range(1, data.draw(st.integers(1, 6), label="scales") + 1):
         n = data.draw(st.integers(0, 30))
-        preds.append(ScalePrediction(
+        preds.append(scale_part(
             scale, data.draw(arrays(np.float64, (n, 3), elements=coords)),
             data.draw(arrays(np.int64, n, elements=st.integers(0, 3)))))
     cfg = UpdateConfig(k=k)
-    tables, persistent, fresh = [], [], []
-    for arrived, want in zip(preds, nested_oracle(preds, k)):
-        persistent = cascade_step(persistent, arrived, cfg, tables)
-        fresh = cascade_step(fresh, arrived, cfg, [])
-        for a, b, w in zip(persistent, fresh, want):
-            assert np.array_equal(a.labels, w)
-            assert np.array_equal(b.labels, w)
+    tables = []
+    persistent = arrivals(preds, cfg, tables)
+    fresh = arrivals(preds, cfg, None)
+    for a, b, want in zip(persistent, fresh, nested_oracle(preds, k)):
+        for x, y, w in zip(a, b, want):
+            assert np.array_equal(x, w)
+            assert np.array_equal(y, w)
     assert len(tables) == len(preds) - 1
 
 
+def test_cascade_reads_no_ground_truth():
+    """Partitions whose labels are poisoned with -1 give the nested oracle's
+    labels: the cascade votes with the label array it is given alone."""
+    rng = np.random.default_rng(4242)
+    for trial in range(40):
+        grid = 4 if trial % 2 else None
+        preds = [random_prediction(rng, s, int(rng.integers(0, 25)), grid=grid)
+                 for s in range(1, 6)]
+        poisoned = [scale_part(p.scale, p.positions, np.full(len(p), -1))
+                    for p in preds]
+        k = (1, 3, 5)[trial % 3]
+        states = arrivals(poisoned, UpdateConfig(k=k), [],
+                          raw=[p.labels for p in preds])
+        for got, want in zip(states, nested_oracle(preds, k)):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), trial
+
+
 def test_cascade_validation():
-    p1 = ScalePrediction(1, np.zeros((1, 3)), np.array([0]))
-    p2 = ScalePrediction(2, np.zeros((1, 3)), np.array([0]))
-    p3 = ScalePrediction(3, np.zeros((1, 3)), np.array([0]))
+    p1, p2, p3 = (scale_part(s, np.zeros((1, 3)), [0]) for s in (1, 2, 3))
     with pytest.raises(UpdateError, match="scale"):
-        cascade_step([p1, p3], p3, UpdateConfig(), [])
+        cascade_step([p1, p3], p3, np.zeros(3, dtype=np.int64), UpdateConfig(), [])
     with pytest.raises(UpdateError):
-        cascade_step([p1], p3, UpdateConfig(), [])
+        cascade_step([p1], p3, np.zeros(2, dtype=np.int64), UpdateConfig(), [])
+    # one label per point of scales 1..j
+    with pytest.raises(UpdateError, match="3 labels for the 2 points"):
+        cascade_step([p1], p2, np.zeros(3, dtype=np.int64), UpdateConfig(), [])
     # tables from further up than the arrival reaches
     with pytest.raises(UpdateError, match="tables"):
-        cascade_step([p1], p2, UpdateConfig(), [None, None])
+        cascade_step([p1], p2, np.zeros(2, dtype=np.int64), UpdateConfig(),
+                     [None, None])
+
+
+def test_cascade_reports_each_refinement_top_down():
+    parts = [scale_part(s, np.eye(3) * s, [s] * 3) for s in (1, 2, 3, 4)]
+    seen = []
+    cascade_step(parts[:3], parts[3], np.arange(12), UpdateConfig(k=1), [],
+                 seen.append)
+    assert seen == [3, 2, 1]
 
 
 def test_update_config_validation():
     with pytest.raises(UpdateError):
         UpdateConfig(k=0)
-    with pytest.raises(UpdateError):
-        ScalePrediction(1, np.zeros((2, 3)), np.array([0]))
 
 
 def test_refine_matches_oracle_on_scanner_data():
@@ -286,10 +332,9 @@ def test_refine_matches_oracle_on_scanner_data():
     pose = place_cameras(room, seed=0)[0]
     stream = scan(room, pose, LissajousConfig(ticks=900))
     parts = partition(stream, PartitionSpec((300, 900)))
-    lower = ScalePrediction(1, parts[0].positions, parts[0].labels)
-    upper = ScalePrediction(2, parts[1].positions, parts[1].labels)
+    lower, upper = parts
     got = two_scale(lower, upper, UpdateConfig(k=5))
     want = brute_refine_labels(np.asarray(lower.positions, dtype=float),
                                np.asarray(upper.positions, dtype=float),
                                upper.labels, 5)
-    assert np.array_equal(got.labels, want)
+    assert np.array_equal(got, want)
