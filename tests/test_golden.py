@@ -1,11 +1,19 @@
-"""Golden digests of ``run_scalable`` on small synthetic streams.
+"""Golden digests of ``run_scalable`` and of ``scalestream scan``.
 
-Coordinates are multiples of 1/8 and timestamps are integers, so every
-squared distance and every modelled instant is computed exactly and the
-digests do not depend on the platform's math library.  Each case hashes the
-predicted labels of every cumulative output and the simulated timeline.
-The digests were recorded before the cascade began refining the
-predictor's context in place; a change in any label or instant shows here.
+``run_scalable`` runs on small synthetic streams.  Coordinates are
+multiples of 1/8 and timestamps are integers, so every squared distance and
+every modelled instant is computed exactly and the digests do not depend on
+the platform's math library.  Each case hashes the predicted labels of every
+cumulative output and the simulated timeline.  The digests were recorded
+before the cascade began refining the predictor's context in place; a change
+in any label or instant shows here.
+
+The scan digests hash the ``stream.bin`` that ``scalestream scan`` writes.
+The ray directions come from numpy's ``sin`` and ``cos``, so these digests
+hold for the numpy build they were recorded with (as do the stream digests
+in ``perfbench/references.json``).  They were recorded before the slab test
+was rewritten one axis at a time; a change in any point, label or timestamp
+shows here.
 """
 
 import hashlib
@@ -14,6 +22,7 @@ import json
 import numpy as np
 import pytest
 
+import scalestream.cli as cli
 from scalestream import (PartitionSpec, PointStream, PredictorConfig,
                          TimingModel, UpdateConfig, make_seed_cloud,
                          run_scalable)
@@ -118,3 +127,51 @@ def test_run_scalable_golden_digest(stream_name, variant, k, overlap):
         None if k is None else UpdateConfig(k=k), TimingModel(overlap=overlap))
     key = f"{stream_name}/{variant}/k={k}/{overlap}"
     assert _digest(outputs, timeline) == GOLDEN[key], key
+
+
+# Pose 37 of the seed-0 placement sits at (2.95, 0.05, 1.5), on the room's
+# mid-height plane, and looks at the room center (2, 2, 1.5): its tick-0 ray
+# is horizontal, with a direction component of exactly zero along z.  That
+# ray grazes the top face of the chair box and lies in the plane of the shelf
+# rectangle; the board lies in the camera's own wall plane y = 0.05.
+BOUNDARY_SCENE = """\
+scene boundary
+room 0 0 0 4 4 3
+rect floor 0 0 0 4 4 0
+rect wall 0 0 0 0 4 3
+rect wall 4 0 0 4 4 3
+rect wall 0 0 0 4 0 3
+rect wall 0 4 0 4 4 3
+box chair 2.4 0.4 0 2.9 0.9 1.5 chair-top-at-camera-height
+rect table 1 1 1.5 3 3 1.5 shelf-in-camera-plane
+rect board 0.5 0.05 1.6 1.5 0.05 2.5 board-in-camera-wall
+"""
+
+SCANS = {
+    "default": [],
+    "4x": ["--ticks", "262144", "--ticks-per-period", repr(262144 / 983)],
+    "dropout": ["--dropout", "0.1"],
+    "boundary": ["--scene", "{scene}", "--camera-index", "37"],
+}
+
+SCAN_GOLDEN = {
+    "default":
+        "4a3428bb1fbe7f3a76197e79362601413297fdcd37b81856d95d9a85be97b722",
+    "4x":
+        "061fd63d6e02a0ecd28cd68bd38e5f5f220bbd2e9f95e25a9d2f020c3e3a8a73",
+    "dropout":
+        "1917ebc26ba90453d813d5c6ab183a0b3ce1d134a0e8b4de3d58e011b6fc9254",
+    "boundary":
+        "5dc9a41bd7ddf62408d33576a66a90a01dd143b70f1d00afdca67c46ca184156",
+}
+
+
+@pytest.mark.parametrize("name", SCANS)
+def test_scan_golden_digest(name, tmp_path):
+    scene = tmp_path / "boundary.scene"
+    scene.write_text(BOUNDARY_SCENE)
+    args = [a.format(scene=scene) for a in SCANS[name]]
+    out = tmp_path / "scan"
+    assert cli.main(["scan", "--out-dir", str(out), "--seed", "0", *args]) == 0
+    digest = hashlib.sha256((out / "stream.bin").read_bytes()).hexdigest()
+    assert digest == SCAN_GOLDEN[name], name
