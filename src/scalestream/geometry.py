@@ -50,26 +50,37 @@ def slab_distances(origin: np.ndarray, directions: np.ndarray,
     Returns an (N,) array of distances; misses are +inf.  A ray starting
     inside a box hits its exit face.  Degenerate (rectangle) axes fall out
     of the same arithmetic: the slab there collapses to a single plane.
+    The slabs are tested one axis at a time, folding each axis's entry and
+    exit distances into running ``tmin``/``tmax`` arrays.
     """
     directions = np.atleast_2d(directions)
     o = np.asarray(origin, dtype=float)
+    n = len(directions)
+    tmin = np.full(n, -np.inf)
+    tmax = np.full(n, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - o) / directions
-        t2 = (hi - o) / directions
-    # Parallel axes (direction component 0) produce +-inf or NaN; a NaN means
-    # the origin coordinate sits exactly on the slab boundary.  Replace NaN by
-    # the no-constraint pair so max/min below ignore that axis, and handle
-    # out-of-slab parallel rays explicitly.
-    lo_t = np.fmin(t1, t2)
-    hi_t = np.fmax(t1, t2)
-    lo_t = np.where(np.isnan(lo_t), -np.inf, lo_t)
-    hi_t = np.where(np.isnan(hi_t), np.inf, hi_t)
-    tmin = lo_t.max(axis=1)
-    tmax = hi_t.min(axis=1)
-    parallel_miss = ((directions == 0.0) & ((o < lo) | (o > hi))).any(axis=1)
-    hit = (tmax >= tmin) & (tmax >= 0.0) & ~parallel_miss
-    dist = np.where(tmin >= 0.0, tmin, tmax)
-    return np.where(hit, dist, np.inf)
+        for a in range(3):
+            d = directions[:, a]
+            t1 = (lo[a] - o[a]) / d
+            t2 = (hi[a] - o[a]) / d
+            near = np.fmin(t1, t2)
+            far = np.fmax(t1, t2, out=t2)
+            # A parallel ray (d == 0) gets +-inf from a nonzero numerator,
+            # which empties the interval when the origin is outside the
+            # slab and leaves it unconstrained inside.  0/0 = NaN occurs
+            # only when the origin lies on a face plane; replace NaN by the
+            # no-constraint pair.
+            if o[a] == lo[a] or o[a] == hi[a]:
+                near[np.isnan(near)] = -np.inf
+                far[np.isnan(far)] = np.inf
+            np.maximum(tmin, near, out=tmin)
+            np.minimum(tmax, far, out=tmax)
+    miss = tmax < tmin
+    miss |= tmax < 0.0
+    # a ray starting inside the box exits at tmax
+    np.copyto(tmin, tmax, where=tmin < 0.0)
+    tmin[miss] = np.inf
+    return tmin
 
 
 def camera_basis(position, target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

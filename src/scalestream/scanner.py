@@ -165,8 +165,8 @@ def scan(scene: Scene, pose: CameraPose, cfg: LissajousConfig,
         lo, hi = prim.corners()
         dist = slab_distances(origin, dirs, lo, hi)
         closer = dist < best  # strict: ties keep the lower primitive index
-        best = np.where(closer, dist, best)
-        owner = np.where(closer, pi, owner)
+        best[closer] = dist[closer]
+        owner[closer] = pi
 
     emit = np.isfinite(best)
     if dropout > 0.0:
