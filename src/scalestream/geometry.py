@@ -2,8 +2,11 @@
 
 Primitives are axis-aligned boxes given by two corners; a rectangle is a box
 that is flat along exactly one axis (``lo[k] == hi[k]``).  Intersection uses
-the slab method, vectorized over rays so a whole scan's worth of directions
-can be tested against a primitive at once.
+the slab method (Kay and Kajiya, SIGGRAPH 1986; Williams et al., JGT 2005),
+evaluated one axis at a time and vectorized over rays, so a whole scan's
+worth of directions can be tested against a primitive at once.  A ray
+parallel to an axis is inside that axis's slab when its origin lies between
+the two face planes, on either plane included.
 """
 
 from __future__ import annotations
@@ -50,8 +53,12 @@ def slab_distances(origin: np.ndarray, directions: np.ndarray,
     Returns an (N,) array of distances; misses are +inf.  A ray starting
     inside a box hits its exit face.  Degenerate (rectangle) axes fall out
     of the same arithmetic: the slab there collapses to a single plane.
-    The slabs are tested one axis at a time, folding each axis's entry and
-    exit distances into running ``tmin``/``tmax`` arrays.
+
+    The slabs are tested one axis at a time: each axis's entry and exit
+    distances fold into running ``tmin``/``tmax`` arrays, and the ray hits
+    if ``tmin <= tmax`` and ``tmax >= 0``.  A ray parallel to an axis is
+    unconstrained by it when ``lo[a] <= origin[a] <= hi[a]`` (a ray in a
+    face plane counts as inside that slab) and misses otherwise.
     """
     directions = np.atleast_2d(directions)
     o = np.asarray(origin, dtype=float)
@@ -65,14 +72,15 @@ def slab_distances(origin: np.ndarray, directions: np.ndarray,
             t2 = (hi[a] - o[a]) / d
             near = np.fmin(t1, t2)
             far = np.fmax(t1, t2, out=t2)
-            # A parallel ray (d == 0) gets +-inf from a nonzero numerator,
-            # which empties the interval when the origin is outside the
-            # slab and leaves it unconstrained inside.  0/0 = NaN occurs
-            # only when the origin lies on a face plane; replace NaN by the
-            # no-constraint pair.
+            # A parallel ray (d == 0) lies inside the slab iff
+            # lo[a] <= o[a] <= hi[a].  Off the face planes the signed
+            # infinities of x/0 say so: they empty the interval outside the
+            # slab and leave it unconstrained inside.  On a face plane one
+            # of them is 0/0 = NaN, so set the no-constraint pair there.
             if o[a] == lo[a] or o[a] == hi[a]:
-                near[np.isnan(near)] = -np.inf
-                far[np.isnan(far)] = np.inf
+                parallel = d == 0.0
+                near[parallel] = -np.inf
+                far[parallel] = np.inf
             np.maximum(tmin, near, out=tmin)
             np.minimum(tmax, far, out=tmax)
     miss = tmax < tmin

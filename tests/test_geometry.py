@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -85,6 +86,41 @@ def test_random_rays_match_slab_oracle():
             hits += 1
             assert got == pytest.approx(want, abs=1e-9)
     assert hits > 1000 and misses > 1000  # the mix exercises both outcomes
+
+
+def test_origin_on_face_plane_of_parallel_ray_hits():
+    """A ray parallel to an axis, starting on a face plane of that axis,
+    lies inside the slab and hits the box."""
+    box = Primitive((1, 0, -1), (2, 1, 1), label=0)
+    assert hit_distance((0, 0, 0), (1, 0, 0), box) == 1.0
+    assert hit_distance((0, 1, 0), (1, 0, 0), box) == 1.0
+    assert hit_distance((3, 1, 1), (-1, 0, 0), box) == 1.0
+
+
+def test_integer_lattice_rays_match_slab_oracle():
+    """Every box with integer corners in [0, 2], origins on the integer
+    lattice around it and the 26 directions with components in {-1, 0, 1}:
+    rays start on face planes, run parallel to them, or both.  The divisions
+    are exact, so the distances must agree exactly."""
+    directions = np.array([d for d in itertools.product((-1.0, 0.0, 1.0),
+                                                        repeat=3) if any(d)])
+    origins = list(itertools.product(range(-1, 4), repeat=3))
+    hits = checked = 0
+    for hi in itertools.product(range(3), repeat=3):
+        if hi.count(0) > 1:
+            continue  # flat on two axes is not a primitive
+        lo = np.zeros(3)
+        hi = np.asarray(hi, dtype=float)
+        for origin in origins:
+            got = slab_distances(np.asarray(origin, dtype=float), directions,
+                                 lo, hi)
+            for g, d in zip(got, directions):
+                want = slab_oracle(origin, d, lo, hi)
+                assert g == (np.inf if want is None else want), (lo, hi,
+                                                                 origin, d)
+                hits += want is not None
+                checked += 1
+    assert checked == 20 * 125 * 26 and hits > 5000
 
 
 def test_degenerate_primitive_rejected():

@@ -13,7 +13,8 @@ The ray directions come from numpy's ``sin`` and ``cos``, so these digests
 hold for the numpy build they were recorded with (as do the stream digests
 in ``perfbench/references.json``).  They were recorded before the slab test
 was rewritten one axis at a time; a change in any point, label or timestamp
-shows here.
+shows here.  The boundary scene's digest was re-recorded once, when a ray in
+a box's face plane began to hit that box (see ``BOUNDARY_SCENE``).
 """
 
 import hashlib
@@ -133,7 +134,9 @@ def test_run_scalable_golden_digest(stream_name, variant, k, overlap):
 # mid-height plane, and looks at the room center (2, 2, 1.5): its tick-0 ray
 # is horizontal, with a direction component of exactly zero along z.  That
 # ray grazes the top face of the chair box and lies in the plane of the shelf
-# rectangle; the board lies in the camera's own wall plane y = 0.05.
+# rectangle; the board lies in the camera's own wall plane y = 0.05.  The
+# tick-0 ray hits the chair's side face at y = 0.4; before grazing rays
+# counted as inside the slab it passed the chair and hit the shelf at y = 1.
 BOUNDARY_SCENE = """\
 scene boundary
 room 0 0 0 4 4 3
@@ -162,7 +165,7 @@ SCAN_GOLDEN = {
     "dropout":
         "1917ebc26ba90453d813d5c6ab183a0b3ce1d134a0e8b4de3d58e011b6fc9254",
     "boundary":
-        "5dc9a41bd7ddf62408d33576a66a90a01dd143b70f1d00afdca67c46ca184156",
+        "16f8ec5154a99b6f1f5a2a14336398aa36e99de88162f17cfb1ce5fff6de7694",
 }
 
 
