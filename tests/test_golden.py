@@ -6,7 +6,9 @@ every modelled instant is computed exactly and the digests do not depend on
 the platform's math library.  Each case hashes the predicted labels of every
 cumulative output and the simulated timeline.  The digests were recorded
 before the cascade began refining the predictor's context in place; a change
-in any label or instant shows here.
+in any label or instant shows here.  The ``no-fusion`` digests, which pin
+the schedule that starts each scale without waiting for the previous
+output, were recorded before the simulated schedules shared one start rule.
 
 The scan digests hash the ``stream.bin`` that ``scalestream scan`` writes.
 The ray directions come from numpy's ``sin`` and ``cos``, so these digests
@@ -99,6 +101,18 @@ GOLDEN = {
         "5c0c34cffe2e614aac2955f4b64373da2b0f37c3e0995e1200b13ed40320e869",
     "ties/seeded-knn/k=5/none":
         "ca8822843577e2a71272f9eeea75563bf19a5aa12ccf0a66dbd4e619012c768a",
+    "gapped/noisy-oracle/k=None/full/no-fusion":
+        "d7082a0244860f570025b603d1b2fab4c0d9c1b69d229c9b050d2c7a61d5ead8",
+    "gapped/noisy-oracle/k=1/full/no-fusion":
+        "b3b796f484369734870e2a7b4d689ad0427a3437c3fbfde5bfc091f6da5fec9c",
+    "gapped/noisy-oracle/k=5/full/no-fusion":
+        "1021327fb364499042334dcd5fa8e8bc566ce6c54e576c340cb513e9e326052b",
+    "ties/noisy-oracle/k=None/full/no-fusion":
+        "234b6b486b4d3bb1d52dc66d984024dd6b980bb9ea49ba4f8e2c7163e376f64a",
+    "ties/noisy-oracle/k=1/full/no-fusion":
+        "44c85142a6e2a8a4a169e7a6bd7a2298aff1f462c544684338de5b621d8cf4c1",
+    "ties/noisy-oracle/k=5/full/no-fusion":
+        "2a0f7137734b3ce4545b0a16af0a943f43b35bef1557cf4fe1cd50b2c9cede4b",
 }
 
 
@@ -110,12 +124,16 @@ def _digest(outputs, timeline) -> str:
     return h.hexdigest()
 
 
-CASES = [(s, p, k, o) for s in STREAMS for p in ("noisy-oracle", "seeded-knn")
+CASES = [(s, p, k, o, True) for s in STREAMS
+         for p in ("noisy-oracle", "seeded-knn")
          for k in (None, 1, 5) for o in ("full", "none")]
+# seeded-knn refuses fusion off; under overlap none fusion changes nothing
+CASES += [(s, "noisy-oracle", k, "full", False) for s in STREAMS
+          for k in (None, 1, 5)]
 
 
-@pytest.mark.parametrize("stream_name,variant,k,overlap", CASES)
-def test_run_scalable_golden_digest(stream_name, variant, k, overlap):
+@pytest.mark.parametrize("stream_name,variant,k,overlap,fusion", CASES)
+def test_run_scalable_golden_digest(stream_name, variant, k, overlap, fusion):
     make, cuts = STREAMS[stream_name]
     stream = make()
     cfg = PredictorConfig(variant=variant, seed=2,
@@ -125,8 +143,9 @@ def test_run_scalable_golden_digest(stream_name, variant, k, overlap):
             stream.positions, stream.labels, 0.1, seed=3))
     outputs, timeline = run_scalable(
         stream, PartitionSpec(cuts), cfg,
-        None if k is None else UpdateConfig(k=k), TimingModel(overlap=overlap))
-    key = f"{stream_name}/{variant}/k={k}/{overlap}"
+        None if k is None else UpdateConfig(k=k),
+        TimingModel(overlap=overlap, fusion_dependency=fusion))
+    key = f"{stream_name}/{variant}/k={k}/{overlap}" + ("" if fusion else "/no-fusion")
     assert _digest(outputs, timeline) == GOLDEN[key], key
 
 
