@@ -14,8 +14,9 @@ published as the cumulative output.  The modes differ only in the timeline:
 
 * ``overlap="full"`` / ``overlap="none"``: the simulator derives the
   timeline in closed form from the partition sizes and the ``TimingModel``;
-  "full" overlaps processing with acquisition as the gates allow (unlimited
-  workers), "none" serializes everything after acquisition.
+  both start scale ``i`` at ``max(ready_i, avail_{i-1})``, but "full"
+  (unlimited workers) omits ``avail_{i-1}`` without the fusion dependency
+  and "none" reads the acquisition end as ``ready_i``, serializing all.
 * ``overlap="measured"``: the loop sleeps until each partition is acquired
   and records wall-clock instants on the calling thread, so scale ``i``
   starts at ``max(ready_i, avail_{i-1})`` with or without the fusion
@@ -127,16 +128,21 @@ class TimelineEvent:
 @dataclass
 class Timeline:
     events: list[TimelineEvent] = field(default_factory=list)
+    # (kind, scale) -> its first event's instant; add events through ``add``
+    _first: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._first = {(e.kind, e.scale): e.instant for e in reversed(self.events)}
 
     def add(self, kind: str, scale: int, instant: float, arrival: int | None = None):
         if instant < 0:
             raise PipelineError(f"negative instant for {kind}({scale}): {instant}")
         self.events.append(TimelineEvent(kind, scale, float(instant), arrival))
+        self._first.setdefault((kind, scale), self.events[-1].instant)
 
     def instant(self, kind: str, scale: int = 0) -> float:
-        for e in self.events:
-            if e.kind == kind and e.scale == scale:
-                return e.instant
+        if (kind, scale) in self._first:
+            return self._first[kind, scale]
         raise PipelineError(f"timeline has no {kind} event for scale {scale}")
 
     def select(self, kind: str) -> list[TimelineEvent]:
@@ -240,9 +246,12 @@ def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
                  refining: bool) -> Timeline:
     """The simulated schedule, from partition sizes and ready instants alone.
 
-    The arrival of scale ``i`` refines scales ``i-1, ..., 1`` in that order;
-    refining scale ``j`` votes its ``counts[j-1]`` points against the
-    ``counts[j]`` points of scale ``j+1``.
+    Scale ``i`` starts at ``max(ready_i, avail_{i-1})``, reading the
+    acquisition end as ``ready_i`` when serial and 0 as ``avail_{i-1}`` under
+    full overlap without the fusion dependency; its cascade starts at
+    ``max(done_i, avail_{i-1})``.  The arrival of scale ``i`` refines scales
+    ``i-1, ..., 1`` in that order; refining scale ``j`` votes its
+    ``counts[j-1]`` points against the ``counts[j]`` points of scale ``j+1``.
     """
     tl = Timeline()
     for i, r in enumerate(ready, start=1):
@@ -250,14 +259,12 @@ def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
     serial = timing.overlap == "none"
     prev_avail = 0.0
     for i, count in enumerate(counts, start=1):
-        if serial:  # everything after acquisition, one stage at a time
-            start = prev_avail if i > 1 else ready[-1]
-        else:
-            start = max(ready[i - 1], prev_avail if timing.fusion_dependency else 0.0)
+        start = max(ready[-1] if serial else ready[i - 1],
+                    prev_avail if serial or timing.fusion_dependency else 0.0)
         done = start + timing.predict_duration(count)
         tl.add(SCALE_START, i, start)
         tl.add(SCALE_DONE, i, done)
-        t = done if serial else max(done, prev_avail)
+        t = max(done, prev_avail)
         if refining:
             for j in range(i - 1, 0, -1):
                 t += timing.refine_duration(counts[j - 1], counts[j])

@@ -361,6 +361,17 @@ def test_sweep_two_point(tmp_path):
     assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
 
+def test_sweep_slow_ticks_give_a_row_each(tmp_path):
+    """Slow ticks put the instants near 1e4 s, where two residuals equal in
+    the model differ in their last bits; every duration still gets its
+    row."""
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--scan-inline", "--ticks", "8000",
+                   "--tick-durations", "0.1 0.3", "--out-dir", str(out)) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.1, 0.3]
+
+
 @pytest.fixture
 def predict_full_calls(monkeypatch):
     """Each full-cloud baseline prediction appends its point count."""

@@ -13,9 +13,11 @@ from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream
                          UpdateConfig, UpdateError,
                          latency_metrics, make_seed_cloud, run_baseline,
                          run_scalable)
-from scalestream.pipeline import (CUMULATIVE_AVAILABLE, OVERLAP_MODES,
+from scalestream.pipeline import (BASELINE_DONE, BASELINE_START,
+                                  CUMULATIVE_AVAILABLE, OVERLAP_MODES,
                                   PARTITION_READY, SCALE_DONE, SCALE_START,
                                   Timeline, baseline_timeline, refine_intervals)
+from scalestream.plots import timeline_plot
 
 from conftest import make_counted_stream, make_random_stream
 
@@ -279,6 +281,54 @@ def test_sim_timeline_deterministic():
     assert tl1.to_dict() == tl2.to_dict()
 
 
+def test_timeline_instant_is_the_first_event_of_its_kind_and_scale():
+    """Events added one by one and events given at construction answer
+    alike; the first event of a kind and scale wins, and equality and the
+    dict form see the events alone."""
+    added = Timeline()
+    for kind, scale, t in ((SCALE_START, 1, 0.5), (SCALE_START, 2, 0.25),
+                           (SCALE_START, 1, 0.75)):
+        added.add(kind, scale, t)
+    built = Timeline(events=list(added.events))
+    for tl in (added, built, Timeline.from_dict(added.to_dict())):
+        assert tl == added
+        assert tl.instant(SCALE_START, 1) == 0.5
+        assert tl.instant(SCALE_START, 2) == 0.25
+        with pytest.raises(PipelineError,
+                           match="timeline has no scale_done event for scale 1"):
+            tl.instant(SCALE_DONE, 1)
+
+
+class CountingList(list):
+    """A list that counts the loops over it."""
+
+    loops = 0
+
+    def __iter__(self):
+        self.loops += 1
+        return super().__iter__()
+
+
+def test_reading_a_timeline_loops_over_it_a_fixed_number_of_times():
+    """``latency_metrics`` and ``timeline_plot`` loop over a timeline's
+    events as often at 200 scales as at 10, so reading a K-scale timeline of
+    about K^2/2 events costs O(K^2), not O(K^3)."""
+    loops = []
+    for k in (10, 200):
+        sim = pipeline._sim_timeline([20] * k, [i * 1e-3 for i in range(1, k + 1)],
+                                     TimingModel(), refining=True)
+        events = CountingList(sim.events)
+        tl = Timeline(events=events)
+        base = Timeline()
+        base.add(BASELINE_START, 0, k * 1e-3)
+        base.add(BASELINE_DONE, 0, k * 1e-3 + 1.0)
+        events.loops = 0
+        lat = latency_metrics(tl, base)
+        timeline_plot(tl, base, lat)
+        loops.append(events.loops)
+    assert loops[0] == loops[1], loops
+
+
 def test_timing_model_validation():
     with pytest.raises(PipelineError):
         TimingModel(tick_duration=0)
@@ -511,7 +561,8 @@ def test_run_scalable_properties(data):
     """Random streams, cuts (empty scales and a last cut past the last
     timestamp included), predictors, update settings and affine costs: the
     labels are the same under every schedule, every timeline is causal, and
-    a simulated residual lies within its bounds."""
+    a simulated residual lies within its bounds and does not grow when
+    acquisition slows."""
     n = data.draw(st.integers(1, 200), label="points")
     classes = data.draw(st.integers(1, 5), label="classes")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
@@ -545,6 +596,7 @@ def test_run_scalable_properties(data):
     base = TimingModel(tick_duration=tick, **costs, baseline_factor=data.draw(
         st.floats(0, 4), label="baseline_factor"))
     _, base_tl = run_baseline(stream, cfg, base)
+    slowdown = data.draw(st.floats(1, 1e4), label="slowdown")
 
     reference = None
     for overlap in OVERLAP_MODES:
@@ -561,3 +613,11 @@ def test_run_scalable_properties(data):
                 slack = 1e-9 * (1.0 + lat.post_acq_upper)
                 assert lat.post_acq_lower <= lat.post_acq + slack
                 assert lat.post_acq <= lat.post_acq_upper + slack
+                # the residual is max_i(ready_i - ready_K + S_i), where S_i
+                # sums modelled costs alone, so slower ticks cannot raise
+                # it; the slack scales with the largest instant
+                slow = replace(timing, tick_duration=tick * slowdown)
+                slow_lat = latency_metrics(
+                    run_scalable(stream, spec, cfg, update_cfg, slow)[1], base_tl)
+                assert slow_lat.post_acq <= lat.post_acq + 1e-9 * (
+                    1.0 + slow_lat.acquisition_end + slow_lat.post_acq_upper)
