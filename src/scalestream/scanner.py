@@ -148,10 +148,16 @@ def scan(scene: Scene, pose: CameraPose, cfg: LissajousConfig,
     ``dropout`` probability) emit nothing, so timestamps in the output are a
     strictly increasing subsequence of ``[0, cfg.ticks)``.  The full scan
     configuration is recorded in the stream's meta so downstream metrics can
-    reconstruct the angular field of view.
+    reconstruct the angular field of view.  A camera on or inside a
+    primitive, whose every ray would hit at distance 0, is a ``SceneError``.
     """
     if not 0.0 <= dropout <= 1.0:
         raise ValueError("dropout must be a probability")
+    for prim in scene.primitives:
+        lo, hi = prim.corners()
+        if np.all((lo <= pose.position) & (pose.position <= hi)):
+            raise SceneError(f"camera position {tuple(map(float, pose.position))}"
+                             f" lies on or inside primitive {prim.name!r}")
     right, up, forward = camera_basis(pose.position, pose.target)
     ts = np.arange(cfg.ticks, dtype=np.int64)
     d = lissajous_direction(cfg, ts)

@@ -148,7 +148,10 @@ def parse_scene(text: str, name_hint: str = "scene") -> Scene:
             names = tuple(n.strip() for n in " ".join(parts[1:]).split(",") if n.strip())
             if not names:
                 fail(lineno, "classes needs at least one name")
-            label_map = LabelMap(names)
+            try:
+                label_map = LabelMap(names)
+            except ValueError as exc:
+                fail(lineno, str(exc))
         elif kind == "room":
             if len(parts) != 7:
                 fail(lineno, "room needs 6 coordinates")

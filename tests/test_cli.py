@@ -288,6 +288,39 @@ def test_scan_scene_with_second_room_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_scene_with_repeated_class_exits_2(tmp_path, capsys):
+    scene = tmp_path / "repeat.scene"
+    scene.write_text("scene repeat\nclasses a,b,a\nroom 0 0 0 4 4 3\n")
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--scene", str(scene), "--ticks", "100",
+                   "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 2: class names must be unique\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index,position", [
+    (7, "(2.05, 0.05, 1.7)"), (37, "(2.95, 0.05, 1.5)"),
+    (48, "(2.45, 0.05, 1.7)")])
+@pytest.mark.parametrize("command", ["scan", "run"])
+def test_camera_on_a_primitive_exits_2(tmp_path, capsys, command, index,
+                                       position):
+    """Poses 7, 37 and 48 of the seed-0 placement lie on the board in the
+    camera's wall plane, where every ray would hit at distance 0."""
+    scene = tmp_path / "board.scene"
+    scene.write_text("room 0 0 0 4 4 3\nrect floor 0 0 0 4 4 0\n"
+                     "rect board 2 0.05 1 3.5 0.05 2 board-at-camera\n")
+    out = tmp_path / "out"
+    args = ["--scan-inline", "--cuts", "500 2000", "--error-rates", "0.1 0.1"]
+    assert run_cli(command, "--scene", str(scene), "--camera-index", str(index),
+                   "--ticks", "2000", *(args if command == "run" else []),
+                   "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: camera position {position} lies on or inside "
+        "primitive 'board-at-camera'\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_predictor_failure_in_the_run_exits_1_naming_the_scale(
         tmp_path, monkeypatch, capsys, command):

@@ -132,7 +132,8 @@ CASES += [(s, "noisy-oracle", k, "full", False) for s in STREAMS
           for k in (None, 1, 5)]
 
 
-@pytest.mark.parametrize("stream_name,variant,k,overlap,fusion", CASES)
+@pytest.mark.parametrize("stream_name,variant,k,overlap,fusion", CASES, ids=[
+    "-".join(map(str, c[:4])) + ("" if c[4] else "-no-fusion") for c in CASES])
 def test_run_scalable_golden_digest(stream_name, variant, k, overlap, fusion):
     make, cuts = STREAMS[stream_name]
     stream = make()

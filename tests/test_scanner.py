@@ -114,6 +114,22 @@ def test_scan_full_wall_hits_every_tick():
     assert np.array_equal(stream.timestamps, np.arange(2000))
 
 
+@pytest.mark.parametrize("position,outside", [
+    ((1.5, 1.5, 0.5), (1.5, 1.5, 1.25)),
+    ((1, 1.5, 0.5), (0.999, 1.5, 0.5)),
+    ((2, 2, 1), (2, 2, 1.001))], ids=["inside", "face", "corner"])
+def test_scan_from_on_or_inside_a_primitive_is_a_scene_error(position, outside):
+    """A camera in a primitive's closed box is refused before any ray is
+    cast; just outside it, the scan runs."""
+    box = Primitive((1, 1, 0), (2, 2, 1), label=0, name="crate")
+    scene = Scene("crate-room", (0, 0, 0), (4, 4, 3), (box,))
+    cfg = LissajousConfig(ticks=10)
+    with pytest.raises(SceneError, match=r"^camera position \(.*\) lies on or "
+                                         r"inside primitive 'crate'$"):
+        scan(scene, CameraPose(position, (3, 3, 3)), cfg)
+    scan(scene, CameraPose(outside, (3, 3, 3)), cfg)
+
+
 def test_scan_points_on_surface_with_matching_label(room, default_pose):
     stream = scan(room, default_pose, LissajousConfig(ticks=4096))
     prims = room.primitives
