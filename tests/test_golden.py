@@ -17,6 +17,14 @@ in ``perfbench/references.json``).  They were recorded before the slab test
 was rewritten one axis at a time; a change in any point, label or timestamp
 shows here.  The boundary scene's digest was re-recorded once, when a ray in
 a box's face plane began to hit that box (see ``BOUNDARY_SCENE``).
+
+The report digests hash the ``metrics.json``, ``metrics.csv``,
+``miou_vs_scale.svg`` and ``timeline.svg`` that ``scalestream run --stream``
+writes for a lattice stream.  Such a stream carries no scanner metadata, so
+the run draws no coverage curve and calls no math-library function; the
+digests hold on every platform.  They were recorded before the report became
+the dict that ``metrics.json`` holds; a change in any byte of those files
+shows here.
 """
 
 import hashlib
@@ -28,7 +36,7 @@ import pytest
 import scalestream.cli as cli
 from scalestream import (PartitionSpec, PointStream, PredictorConfig,
                          TimingModel, UpdateConfig, make_seed_cloud,
-                         run_scalable)
+                         run_scalable, write_stream)
 
 
 def _stream(seed, n, grid, t_max, gap=None):
@@ -198,3 +206,57 @@ def test_scan_golden_digest(name, tmp_path):
     assert cli.main(["scan", "--out-dir", str(out), "--seed", "0", *args]) == 0
     digest = hashlib.sha256((out / "stream.bin").read_bytes()).hexdigest()
     assert digest == SCAN_GOLDEN[name], name
+
+
+REPORT_STREAMS = {
+    **STREAMS,
+    # scale 1, [0, 10], holds no point: its mIoU is null
+    "empty-first": (lambda: _stream(7, 200, 32, 50, gap=(-1, 10)),
+                    (10, 20, 30, 40, 50)),
+    # twelve scales: the origin_miou keys sort as "1", "10", "11", "12", "2"
+    "many": (lambda: _stream(8, 360, 32, 120), tuple(range(10, 121, 10))),
+}
+
+REPORT_RUNS = {
+    "noisy-oracle": ("gapped", []),
+    "seeded-knn": ("gapped", ["--predictor", "seeded-knn",
+                              "--seed-ref-fraction", "0.1"]),
+    "skip-unrefined": ("ties", ["--skip-unrefined"]),
+    "no-update": ("ties", ["--no-update"]),
+    "empty-first": ("empty-first", []),
+    "many": ("many", ["--error-rates", " ".join(["0.3"] * 12)]),
+}
+
+REPORT_GOLDEN = {
+    "noisy-oracle":
+        "a99cdd728e2dd4c8bff1fc5b72ac859e822fb498e84087e651f729ddb29fa496",
+    "seeded-knn":
+        "c901901d53caa2b63f180d28d7ef81ec677390be1c537ae95a51c349869b6263",
+    "skip-unrefined":
+        "11c244976fa2e1226c979f1c6607cadb1be04f9bcc7412f07d731df5279d54f1",
+    "no-update":
+        "8537308966212c14f027bd38470960f8baf8c1ac5c9b5603ad91c3ddb9d0594d",
+    "empty-first":
+        "ea8e947ca41f056388434332362a2b24ac03e148b70b3b0a966150dbf0cd2b68",
+    "many":
+        "dd6f1258155187fc42e3205ce83d3d3eafd2edc558cdcf437e8a94ec90f53249",
+}
+
+REPORT_FILES = ("metrics.json", "metrics.csv", "miou_vs_scale.svg",
+                "timeline.svg")
+
+
+@pytest.mark.parametrize("name", REPORT_RUNS)
+def test_run_report_files_golden_digest(name, tmp_path):
+    stream_name, args = REPORT_RUNS[name]
+    make, cuts = REPORT_STREAMS[stream_name]
+    path = tmp_path / "stream.bin"
+    write_stream(make(), path)
+    out = tmp_path / "run"
+    assert cli.main(["run", "--stream", str(path), "--seed", "0",
+                     "--cuts", " ".join(map(str, cuts)),
+                     "--out-dir", str(out), *args]) == 0
+    h = hashlib.sha256()
+    for fname in REPORT_FILES:
+        h.update((out / fname).read_bytes())
+    assert h.hexdigest() == REPORT_GOLDEN[name], name
