@@ -11,8 +11,8 @@ first-prediction fraction) against a non-scalable baseline.
 
 from .assemble import AssembleError, CumulativeOutput, assemble, cumulative_csv
 from .geometry import Primitive, camera_basis, slab_distances
-from .metrics import (ConfusionMatrix, MetricsError, MetricsReport,
-                      cost_of_scalability, coverage_curve, miou, miou_by_origin)
+from .metrics import (MetricsError, cost_of_scalability, coverage_curve, miou,
+                      miou_by_origin)
 from .partition import (DEFAULT_CUTS, Partition, PartitionError, PartitionSpec,
                         default_spec, partition)
 from .pipeline import (LatencyMetrics, PipelineError, Timeline, TimelineEvent,

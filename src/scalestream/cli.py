@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .assemble import cumulative_csv, row_heads
-from .metrics import (MetricsReport, cost_of_scalability, coverage_curve,
-                      miou, miou_by_origin)
+from .metrics import (cost_of_scalability, coverage_curve, metrics_csv, miou,
+                      miou_by_origin)
 from .partition import DEFAULT_CUTS, PartitionError, PartitionSpec, partition
 from .pipeline import (PipelineError, TimingModel, Timeline, baseline_timeline,
                        latency_metrics, run_baseline, run_scalable)
@@ -464,27 +464,28 @@ def cmd_run(args) -> int:
 
     scale_mious = [_scale_miou(o) for o in outputs]
     final = outputs[-1]
-    class_iou, _final_miou = miou(final)
+    class_iou = miou(final)[0]
     names = (stream.label_map.names if stream.label_map is not None
              else tuple(f"class_{c}" for c in range(stream.class_count)))
-    per_class = {names[c]: float(class_iou[c])
-                 for c in range(stream.class_count) if not np.isnan(class_iou[c])}
     base_miou = miou(base_out)[1]
 
     curve = []
     if "camera_position" in stream.meta:
         curve = coverage_curve(stream, spec.cuts, args.coverage_grid)
 
-    report = MetricsReport(
-        scale_miou=scale_mious,
-        scale_miou_unrefined=unrefined_miou,
-        origin_miou=miou_by_origin(final),
-        per_class_iou=per_class,
-        baseline_miou=base_miou,
-        cost_of_scalability_pct=cost_of_scalability(base_miou, scale_mious[-1]),
-        latency=asdict(lat),
-        coverage_curve=curve,
-    )
+    # per-scale mIoU is None where the scale's cumulative prefix is empty
+    metrics = {
+        "scale_miou": scale_mious,
+        "scale_miou_unrefined": unrefined_miou,
+        "origin_miou": {str(s): v for s, v in miou_by_origin(final).items()},
+        "per_class_iou": {names[c]: float(class_iou[c])
+                          for c in range(stream.class_count)
+                          if not np.isnan(class_iou[c])},
+        "baseline_miou": base_miou,
+        "cost_of_scalability_pct": cost_of_scalability(base_miou, scale_mious[-1]),
+        "latency": asdict(lat),
+        "coverage_curve": [[t, c] for t, c in curve],
+    }
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -494,20 +495,20 @@ def cmd_run(args) -> int:
     if warnings:
         manifest["warnings"] = warnings
     _write_json(out / "run_manifest.json", manifest)
-    _write_json(out / "metrics.json", report.to_dict())
-    (out / "metrics.csv").write_text(report.to_csv(), encoding="utf-8")
+    _write_json(out / "metrics.json", metrics)
+    (out / "metrics.csv").write_text(metrics_csv(metrics), encoding="utf-8")
     _write_json(out / "timeline.json", timeline.to_dict())
     _write_json(out / "baseline_timeline.json", base_tl.to_dict())
     heads = row_heads(final)
     for o in outputs:
         (out / f"cumulative_scale_{o.scale}.csv").write_text(
             cumulative_csv(o, heads), encoding="utf-8")
-    (out / "miou_vs_scale.svg").write_text(miou_plot(report), encoding="utf-8")
+    (out / "miou_vs_scale.svg").write_text(miou_plot(metrics), encoding="utf-8")
     (out / "timeline.svg").write_text(timeline_plot(timeline, base_tl, lat),
                                       encoding="utf-8")
 
     print(f"final mIoU {scale_mious[-1]:.4f} vs baseline {base_miou:.4f} "
-          f"(cost of scalability {report.cost_of_scalability_pct:+.2f} pp)")
+          f"(cost of scalability {metrics['cost_of_scalability_pct']:+.2f} pp)")
     print(f"speedup {lat.speedup:.1%}, first prediction at "
           f"{lat.first_prediction_fraction:.1%} of baseline inference")
     return 0
@@ -576,20 +577,19 @@ def cmd_report(args) -> int:
     data = _read_object(metrics_path)
     unrefined, latency = data.get("scale_miou_unrefined"), data.get("latency", {})
     try:  # only the fields that the plot and the summary render
-        report = MetricsReport(
-            scale_miou=_floats(data["scale_miou"]),
-            scale_miou_unrefined=None if unrefined is None else _floats(unrefined),
-            origin_miou={}, per_class_iou={},
-            baseline_miou=float(data["baseline_miou"]),
-            cost_of_scalability_pct=float(data["cost_of_scalability_pct"]),
-            latency=({"speedup": float(latency["speedup"])}
-                     if "speedup" in latency else {}),
-        )
+        metrics = {
+            "scale_miou": _floats(data["scale_miou"]),
+            "scale_miou_unrefined": None if unrefined is None else _floats(unrefined),
+            "baseline_miou": float(data["baseline_miou"]),
+            "cost_of_scalability_pct": float(data["cost_of_scalability_pct"]),
+            "latency": ({"speedup": float(latency["speedup"])}
+                        if "speedup" in latency else {}),
+        }
     except KeyError as exc:
         raise ValueError(f"{metrics_path} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{metrics_path} holds a wrongly typed field: {exc}") from None
-    (run_dir / "miou_vs_scale.svg").write_text(miou_plot(report), encoding="utf-8")
+    (run_dir / "miou_vs_scale.svg").write_text(miou_plot(metrics), encoding="utf-8")
     tl_path = run_dir / "timeline.json"
     base_path = run_dir / "baseline_timeline.json"
     if tl_path.exists() and base_path.exists():
@@ -597,13 +597,13 @@ def cmd_report(args) -> int:
         lat = latency_metrics(tl, base_tl)
         (run_dir / "timeline.svg").write_text(timeline_plot(tl, base_tl, lat),
                                               encoding="utf-8")
-    print(f"scales: {len(report.scale_miou)}")
-    for i, v in enumerate(report.scale_miou, start=1):
+    print(f"scales: {len(metrics['scale_miou'])}")
+    for i, v in enumerate(metrics["scale_miou"], start=1):
         print(f"  mIoU@scale{i}: {'n/a' if v is None else f'{v:.4f}'}")
-    print(f"baseline mIoU: {report.baseline_miou:.4f}")
-    print(f"cost of scalability: {report.cost_of_scalability_pct:+.2f} pp")
-    if report.latency:
-        print(f"speedup: {report.latency['speedup']:.1%}")
+    print(f"baseline mIoU: {metrics['baseline_miou']:.4f}")
+    print(f"cost of scalability: {metrics['cost_of_scalability_pct']:+.2f} pp")
+    if metrics["latency"]:
+        print(f"speedup: {metrics['latency']['speedup']:.1%}")
     return 0
 
 

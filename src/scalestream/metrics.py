@@ -1,4 +1,5 @@
-"""Accuracy and coverage metrics: confusion matrix, IoU, spatial coverage.
+"""Accuracy and coverage metrics: IoU per class and mIoU, spatial coverage,
+and the ``metrics.csv`` rows of a run's report.
 
 mIoU follows the common convention of excluding classes with zero union
 (neither predicted nor present) from the mean.  Coverage measures how much
@@ -8,8 +9,6 @@ is what makes a stream "spatially complete" long before it is dense.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,44 +22,34 @@ class MetricsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """C x C counts; rows are ground truth, columns are predictions."""
-
-    counts: np.ndarray
-
-    @classmethod
-    def from_labels(cls, gt, pred, class_count: int) -> "ConfusionMatrix":
-        gt = np.asarray(gt, dtype=np.int64)
-        pred = np.asarray(pred, dtype=np.int64)
-        if gt.shape != pred.shape:
-            raise MetricsError("ground truth and prediction lengths differ")
-        if len(gt) and (gt.min() < 0 or gt.max() >= class_count
-                        or pred.min() < 0 or pred.max() >= class_count):
-            raise MetricsError("labels outside [0, class_count)")
-        counts = np.bincount(gt * class_count + pred,
-                             minlength=class_count * class_count)
-        return cls(counts.reshape(class_count, class_count))
-
-    def iou(self) -> tuple[np.ndarray, float]:
-        """Per-class IoU (NaN where the union is empty) and their mean."""
-        tp = np.diag(self.counts).astype(float)
-        union = self.counts.sum(axis=0) + self.counts.sum(axis=1) - tp
-        with np.errstate(invalid="ignore", divide="ignore"):
-            per_class = np.where(union > 0, tp / union, np.nan)
-        included = ~np.isnan(per_class)
-        if not included.any():
-            raise MetricsError("no class has a nonzero union")
-        return per_class, float(per_class[included].mean())
+def _iou(gt, pred, class_count: int) -> tuple[np.ndarray, float]:
+    """Per-class IoU (NaN where the union is empty) and their mean, from the
+    C x C counts of (ground truth, prediction) pairs."""
+    gt = np.asarray(gt, dtype=np.int64)
+    pred = np.asarray(pred, dtype=np.int64)
+    if gt.shape != pred.shape:
+        raise MetricsError("ground truth and prediction lengths differ")
+    if len(gt) and (gt.min() < 0 or gt.max() >= class_count
+                    or pred.min() < 0 or pred.max() >= class_count):
+        raise MetricsError("labels outside [0, class_count)")
+    counts = np.bincount(gt * class_count + pred,
+                         minlength=class_count * class_count
+                         ).reshape(class_count, class_count)
+    tp = np.diag(counts).astype(float)
+    union = counts.sum(axis=0) + counts.sum(axis=1) - tp
+    with np.errstate(invalid="ignore", divide="ignore"):
+        per_class = np.where(union > 0, tp / union, np.nan)
+    included = ~np.isnan(per_class)
+    if not included.any():
+        raise MetricsError("no class has a nonzero union")
+    return per_class, float(per_class[included].mean())
 
 
 def miou(output: CumulativeOutput) -> tuple[np.ndarray, float]:
     """Per-class IoU and mIoU of a cumulative output (error when empty)."""
     if len(output) == 0:
         raise MetricsError("cannot evaluate an empty output")
-    cm = ConfusionMatrix.from_labels(output.gt_labels, output.pred_labels,
-                                     output.class_count)
-    return cm.iou()
+    return _iou(output.gt_labels, output.pred_labels, output.class_count)
 
 
 def miou_by_origin(output: CumulativeOutput) -> dict[int, float]:
@@ -68,10 +57,8 @@ def miou_by_origin(output: CumulativeOutput) -> dict[int, float]:
     result = {}
     for s in np.unique(output.origin_scales):
         mask = output.origin_scales == s
-        cm = ConfusionMatrix.from_labels(output.gt_labels[mask],
-                                         output.pred_labels[mask],
-                                         output.class_count)
-        result[int(s)] = cm.iou()[1]
+        result[int(s)] = _iou(output.gt_labels[mask], output.pred_labels[mask],
+                              output.class_count)[1]
     return result
 
 
@@ -118,48 +105,21 @@ def _occupied_cells(stream: PointStream, g: int) -> np.ndarray:
     return ix * g + iy
 
 
-@dataclass
-class MetricsReport:
-    """Everything a run produces, ready for JSON/CSV serialization.
-
-    A per-scale mIoU is None (JSON null, an empty CSV value) when the
-    scale's cumulative prefix holds no point."""
-
-    scale_miou: list[float | None]          # cumulative outputs, scales 1..K
-    scale_miou_unrefined: list[float | None] | None
-    origin_miou: dict[int, float]           # final scale, split by origin
-    per_class_iou: dict[str, float]         # final scale, NaN classes omitted
-    baseline_miou: float
-    cost_of_scalability_pct: float
-    latency: dict = field(default_factory=dict)
-    coverage_curve: list[tuple[int, float]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "scale_miou": self.scale_miou,
-            "scale_miou_unrefined": self.scale_miou_unrefined,
-            "origin_miou": {str(k): v for k, v in self.origin_miou.items()},
-            "per_class_iou": self.per_class_iou,
-            "baseline_miou": self.baseline_miou,
-            "cost_of_scalability_pct": self.cost_of_scalability_pct,
-            "latency": self.latency,
-            "coverage_curve": [[t, c] for t, c in self.coverage_curve],
-        }
-
-    def to_csv(self) -> str:
-        rows = ["metric,scale,value"]
-        for i, v in enumerate(self.scale_miou, start=1):
-            rows.append(f"miou,{i},{'' if v is None else repr(v)}")
-        if self.scale_miou_unrefined is not None:
-            for i, v in enumerate(self.scale_miou_unrefined, start=1):
-                rows.append(f"miou_unrefined,{i},{'' if v is None else repr(v)}")
-        for name, v in self.per_class_iou.items():
-            rows.append(f"iou_{name},,{v!r}")
-        rows.append(f"baseline_miou,,{self.baseline_miou!r}")
-        rows.append(f"cost_of_scalability_pct,,{self.cost_of_scalability_pct!r}")
-        for key, v in sorted(self.latency.items()):
-            if isinstance(v, (int, float)):
-                rows.append(f"latency_{key},,{v!r}")
-        for t, c in self.coverage_curve:
-            rows.append(f"coverage,{t},{c!r}")
-        return "\n".join(rows) + "\n"
+def metrics_csv(metrics: dict) -> str:
+    """``metrics.csv``: the numbers of the dict that ``metrics.json`` holds
+    as ``metric,scale,value`` rows; a None mIoU is an empty value."""
+    rows = ["metric,scale,value"]
+    for name, key in (("miou", "scale_miou"),
+                      ("miou_unrefined", "scale_miou_unrefined")):
+        for i, v in enumerate(metrics[key] or (), start=1):
+            rows.append(f"{name},{i},{'' if v is None else repr(v)}")
+    for name, v in metrics["per_class_iou"].items():
+        rows.append(f"iou_{name},,{v!r}")
+    rows.append(f"baseline_miou,,{metrics['baseline_miou']!r}")
+    rows.append(f"cost_of_scalability_pct,,{metrics['cost_of_scalability_pct']!r}")
+    for key, v in sorted(metrics["latency"].items()):
+        if isinstance(v, (int, float)):
+            rows.append(f"latency_{key},,{v!r}")
+    for t, c in metrics["coverage_curve"]:
+        rows.append(f"coverage,{t},{c!r}")
+    return "\n".join(rows) + "\n"

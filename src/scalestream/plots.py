@@ -1,15 +1,15 @@
 """Dependency-free SVG report plots.
 
-Two figures: accuracy per scale (refined vs. unrefined vs. baseline) and a
-timeline Gantt whose shaded band marks the post-acquisition latency zone
-between the full-overlap and no-overlap bounds.  The SVG structure is
+Two figures: accuracy per scale (refined vs. unrefined vs. baseline), drawn
+from the dict that ``metrics.json`` holds, and a timeline Gantt whose shaded
+band marks the post-acquisition latency zone between the full-overlap and
+no-overlap bounds.  The SVG structure is
 deliberately minimal and stable (fixed canvas, one ``<g>`` per series) so
 the files are diffable; see docs/FORMATS.md.
 """
 
 from __future__ import annotations
 
-from .metrics import MetricsReport
 from .pipeline import (BASELINE_DONE, BASELINE_START, CUMULATIVE_AVAILABLE,
                        PARTITION_READY, SCALE_DONE, SCALE_START,
                        LatencyMetrics, Timeline, refine_intervals)
@@ -46,10 +46,12 @@ def _axes(x_label: str, y_label: str) -> list[str]:
     ]
 
 
-def miou_plot(report: MetricsReport) -> str:
-    """Accuracy-per-scale line chart with the baseline as a dashed rule;
-    a scale without an mIoU (empty prefix) has no point."""
-    k = len(report.scale_miou)
+def miou_plot(metrics: dict) -> str:
+    """Accuracy-per-scale line chart of the ``scale_miou``,
+    ``scale_miou_unrefined`` and ``baseline_miou`` of ``metrics``, the
+    baseline as a dashed rule; a scale without an mIoU (empty prefix) has
+    no point."""
+    k = len(metrics["scale_miou"])
     x0, y0, x1, y1 = MARGIN_L, H - MARGIN_B, W - MARGIN_R, MARGIN_T
 
     def px(scale: int) -> float:
@@ -69,7 +71,7 @@ def miou_plot(report: MetricsReport) -> str:
         parts.append(f'<text x="{_f(px(i))}" y="{y0 + 16}" text-anchor="middle" '
                      f'font-size="10" font-family="sans-serif">{i}</text>')
 
-    yb = py(report.baseline_miou)
+    yb = py(metrics["baseline_miou"])
     parts.append(f'<g id="baseline"><line x1="{x0}" y1="{_f(yb)}" x2="{x1}" '
                  f'y2="{_f(yb)}" stroke="#555555" stroke-dasharray="6 3"/>'
                  f'<text x="{x1 - 4}" y="{_f(yb - 4)}" text-anchor="end" '
@@ -84,9 +86,10 @@ def miou_plot(report: MetricsReport) -> str:
         return (f'<g id="{gid}"><polyline points="{pts}" fill="none" '
                 f'stroke="{color}" stroke-width="2"/>{dots}</g>')
 
-    if report.scale_miou_unrefined is not None:
-        parts.append(series("unrefined", report.scale_miou_unrefined, "#cc6633"))
-    parts.append(series("refined", report.scale_miou, "#336699"))
+    if metrics["scale_miou_unrefined"] is not None:
+        parts.append(series("unrefined", metrics["scale_miou_unrefined"],
+                            "#cc6633"))
+    parts.append(series("refined", metrics["scale_miou"], "#336699"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
