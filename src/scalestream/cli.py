@@ -563,6 +563,8 @@ def _read_timeline(path: Path) -> Timeline:
         raise ValueError(f"{path} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path} holds a wrongly typed event: {exc}") from None
+    except PipelineError as exc:
+        raise PipelineError(f"{path}: {exc}") from None
 
 
 def _floats(values) -> list[float | None]:
@@ -589,14 +591,18 @@ def cmd_report(args) -> int:
         raise ValueError(f"{metrics_path} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{metrics_path} holds a wrongly typed field: {exc}") from None
-    (run_dir / "miou_vs_scale.svg").write_text(miou_plot(metrics), encoding="utf-8")
     tl_path = run_dir / "timeline.json"
     base_path = run_dir / "baseline_timeline.json"
+    svgs = {"miou_vs_scale.svg": miou_plot(metrics)}
     if tl_path.exists() and base_path.exists():
         tl, base_tl = _read_timeline(tl_path), _read_timeline(base_path)
-        lat = latency_metrics(tl, base_tl)
-        (run_dir / "timeline.svg").write_text(timeline_plot(tl, base_tl, lat),
-                                              encoding="utf-8")
+        try:
+            lat = latency_metrics(tl, base_tl)
+        except PipelineError as exc:
+            raise PipelineError(f"{tl_path} and {base_path}: {exc}") from None
+        svgs["timeline.svg"] = timeline_plot(tl, base_tl, lat)
+    for name, svg in svgs.items():  # every input read and checked first
+        (run_dir / name).write_text(svg, encoding="utf-8")
     print(f"scales: {len(metrics['scale_miou'])}")
     for i, v in enumerate(metrics["scale_miou"], start=1):
         print(f"  mIoU@scale{i}: {'n/a' if v is None else f'{v:.4f}'}")

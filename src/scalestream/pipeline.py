@@ -135,6 +135,8 @@ class Timeline:
         self._first = {(e.kind, e.scale): e.instant for e in reversed(self.events)}
 
     def add(self, kind: str, scale: int, instant: float, arrival: int | None = None):
+        if not math.isfinite(instant):
+            raise PipelineError(f"non-finite instant for {kind}({scale}): {instant}")
         if instant < 0:
             raise PipelineError(f"negative instant for {kind}({scale}): {instant}")
         self.events.append(TimelineEvent(kind, scale, float(instant), arrival))
@@ -379,7 +381,7 @@ def latency_metrics(scalable: Timeline, baseline: Timeline) -> LatencyMetrics:
     else:
         raise PipelineError("baseline processing time is zero but the "
                             "scalable run has nonzero residual latency")
-    return LatencyMetrics(
+    lat = LatencyMetrics(
         acquisition_end=acq_end,
         post_acq=post_acq,
         post_acq_lower=lower,
@@ -391,3 +393,8 @@ def latency_metrics(scalable: Timeline, baseline: Timeline) -> LatencyMetrics:
         predict_durations=pd,
         refine_total=refine_total,
     )
+    for f in fields(lat):
+        if f.type == "float" and not math.isfinite(getattr(lat, f.name)):
+            raise PipelineError(f"latency {f.name} is not finite: "
+                                f"{getattr(lat, f.name)}")
+    return lat

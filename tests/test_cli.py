@@ -473,14 +473,85 @@ def test_sweep_empty_range_exits_2(tmp_path, capsys):
 
 
 def test_report_regenerates_plots(tmp_path, capsys):
+    """The plots that report draws equal the run's, byte for byte."""
+    for mode in ("sim", "real"):
+        out = tmp_path / mode
+        assert run_cli("run", *FAST, "--mode", mode, "--out-dir", str(out),
+                       "--seed", "6") == 0
+        svgs = {}
+        for name in ("miou_vs_scale.svg", "timeline.svg"):
+            svgs[name] = (out / name).read_bytes()
+            (out / name).unlink()
+        capsys.readouterr()
+        assert run_cli("report", "--run-dir", str(out)) == 0
+        for name, data in svgs.items():
+            assert (out / name).read_bytes() == data, (mode, name)
+        assert "mIoU@scale5" in capsys.readouterr().out
+
+
+def _drop_scale_done_2(run_dir):
+    path = run_dir / "timeline.json"
+    data = json.loads(path.read_text())
+    data["events"] = [e for e in data["events"]
+                      if (e["kind"], e["scale"]) != ("scale_done", 2)]
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _empty_baseline(run_dir):
+    path = run_dir / "baseline_timeline.json"
+    path.write_text(json.dumps({"events": []}))
+    return path
+
+
+def _negative_instant(run_dir):
+    path = run_dir / "timeline.json"
+    data = json.loads(path.read_text())
+    data["events"][0]["instant"] = -1
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("break_timeline, message", [
+    (_drop_scale_done_2, "incomplete timeline: timeline has no scale_done "
+                         "event for scale 2"),
+    (_empty_baseline, "incomplete timeline: timeline has no baseline_start "
+                      "event for scale 0"),
+    (_negative_instant, "negative instant for partition_ready(1): -1"),
+], ids=["no-scale-done-2", "empty-baseline", "negative-instant"])
+def test_report_malformed_timeline_names_the_file_and_writes_nothing(
+        tmp_path, capsys, break_timeline, message):
     out = tmp_path / "run"
-    assert run_cli("run", *FAST, "--out-dir", str(out), "--seed", "6") == 0
+    assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
+    broken = break_timeline(out)
     (out / "miou_vs_scale.svg").unlink()
-    (out / "timeline.svg").unlink()
-    assert run_cli("report", "--run-dir", str(out)) == 0
-    assert (out / "miou_vs_scale.svg").exists()
-    assert (out / "timeline.svg").exists()
-    assert "mIoU@scale5" in capsys.readouterr().out
+    capsys.readouterr()
+    assert run_cli("report", "--run-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+    assert str(broken) in err
+    assert err.count("\n") == 1
+    assert not (out / "miou_vs_scale.svg").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("run", [], "non-finite instant for scale_done(2): inf"),
+    ("run", ["--no-fusion-dependency"],
+     "latency post_acq_upper is not finite: inf"),
+    ("sweep", ["--tick-durations", "1e-5"],
+     "non-finite instant for scale_done(2): inf"),
+], ids=["run", "run-no-fusion", "sweep"])
+def test_timing_overflow_exits_1_writing_nothing(tmp_path, capsys, command,
+                                                 flags, message):
+    """Modelled instants past the largest float are an error naming the
+    event or the field, not Infinity in the outputs."""
+    out = tmp_path / "out"
+    rc = run_cli(command, "--scan-inline", "--ticks", "2000",
+                 "--cuts", "1000 2000", "--predict-fixed", "1e308", *flags,
+                 "--out-dir", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_report_missing_dir_exits_2(tmp_path):
