@@ -1,11 +1,11 @@
 """Dependency-free SVG report plots.
 
-Two figures: accuracy per scale (refined vs. unrefined vs. baseline), drawn
-from the dict that ``metrics.json`` holds, and a timeline Gantt whose shaded
-band marks the post-acquisition latency zone between the full-overlap and
-no-overlap bounds.  The SVG structure is
+Two figures: accuracy per scale (refined vs. unrefined vs. baseline) and a
+timeline Gantt whose shaded band marks the post-acquisition latency zone
+between the full-overlap and no-overlap bounds.  The SVG structure is
 deliberately minimal and stable (fixed canvas, one ``<g>`` per series) so
-the files are diffable; see docs/FORMATS.md.
+the files are diffable; see docs/FORMATS.md.  The accuracy chart reads the
+dict that ``metrics.json`` holds.
 """
 
 from __future__ import annotations
