@@ -279,23 +279,6 @@ def test_timeline_refuses_a_non_finite_instant(instant):
         Timeline().add(SCALE_DONE, 2, instant)
 
 
-def test_latency_overflow_is_refused_naming_the_field():
-    """Two finite predict durations near the largest float sum to infinity
-    in the no-overlap bound."""
-    tl = Timeline()
-    for i in (1, 2):
-        tl.add(PARTITION_READY, i, 0.0)
-        tl.add(SCALE_START, i, 0.0)
-        tl.add(SCALE_DONE, i, 1e308)
-        tl.add(CUMULATIVE_AVAILABLE, i, 1e308)
-    base = Timeline()
-    base.add(BASELINE_START, 0, 0.0)
-    base.add(BASELINE_DONE, 0, 1e308)
-    with pytest.raises(PipelineError,
-                       match="latency post_acq_upper is not finite: inf"):
-        latency_metrics(tl, base)
-
-
 def test_sim_timeline_deterministic():
     stream = small_stream(11)
     cfg = PredictorConfig(error_rates=RATES, seed=5)
