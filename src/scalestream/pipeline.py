@@ -2,15 +2,16 @@
 
 A scalable run launches each scale's predictor as soon as its partition has
 been acquired (and, when the fusion dependency is on, as soon as the
-previous scale's context exists).  When a scale completes, the update
-cascade refines every lower scale before the cumulative output for that
-scale is published.  The non-scalable baseline can only start once the whole
+previous scale's cumulative output exists).  When a scale completes, the
+update cascade refines every lower scale before the cumulative output for
+that scale is published.  The non-scalable baseline can only start once the whole
 cloud is acquired.
 
 One in-order loop does the label work in every mode: per scale the
-predictor extends its context, the labeled prefix, by the scale; the cascade
-refines the lower scales of that prefix's labels in place; the same array is
-published as the cumulative output.  The modes differ only in the timeline:
+predictor reads the previous cumulative output as its context and returns
+the labels of the prefix through this scale as a new array; the cascade
+refines its lower scales in place; the same array is published as the
+cumulative output.  The modes differ only in the timeline:
 
 * ``overlap="full"`` / ``overlap="none"``: the simulator derives the
   timeline in closed form from the partition sizes and the ``TimingModel``;
@@ -36,8 +37,7 @@ import numpy as np
 
 from .assemble import CumulativeOutput, assemble
 from .partition import PartitionSpec, partition
-from .predictors import (PredictorConfig, PredictorError, ScaleContext,
-                         predict, predict_full)
+from .predictors import PredictorConfig, PredictorError, predict, predict_full
 from .stream import PointStream
 from .update import UpdateConfig, UpdateError, cascade_step
 
@@ -67,7 +67,7 @@ class TimingModel:
     ``fusion_dependency`` shapes only the simulated schedule: it starts
     scale ``i`` no earlier than scale ``i-1``'s cumulative output, as for
     predictors that consume previous scales' side information.  Labels never
-    read it: ``predict`` always receives the previous scale's context, and
+    read it: ``predict`` always receives the previous cumulative output, and
     measured runs handle the scales in order either way.
     """
 
@@ -223,20 +223,21 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
         tl.add(PARTITION_READY, i, r)
     outputs: list[CumulativeOutput] = []
     tables: list = []  # each scale pair's neighbor table, searched once
-    ctx: ScaleContext | None = None  # scales 1..i; its labels are output i
     for i, part in enumerate(parts, start=1):
         while measured and (dt := ready[i - 1] - now()) > 0:
             time.sleep(dt)
         tl.add(SCALE_START, i, now())
         try:
-            _, ctx = predict(part, ctx, predictor_cfg, stream.class_count)
+            # the labels of scales 1..i, published below as output i
+            _, labels = predict(part, outputs[-1] if outputs else None,
+                                predictor_cfg, stream.class_count)
             tl.add(SCALE_DONE, i, now())
             if update_cfg is not None:
-                cascade_step(parts[:i - 1], part, ctx.labels, update_cfg, tables,
+                cascade_step(parts[:i - 1], part, labels, update_cfg, tables,
                              lambda s: tl.add(REFINE_DONE, s, now(), arrival=i))
         except (PredictorError, UpdateError) as exc:
             raise PipelineError(f"scale {i}: {exc}") from exc
-        outputs.append(assemble(stream, parts[:i], ctx.labels))
+        outputs.append(assemble(stream, parts[:i], labels))
         tl.add(CUMULATIVE_AVAILABLE, i, now())
     if measured:
         return outputs, tl

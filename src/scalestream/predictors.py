@@ -7,14 +7,15 @@ implementations are provided:
   per-scale error probability, mirroring the usual pattern that coarse
   scales predict worse than fine ones.
 * ``seeded-knn`` labels each point by majority vote among its nearest
-  neighbors in the context cloud handed down from the previous scale
-  (scale 1 votes against a user-provided labeled seed cloud).
+  neighbors in the previous scale's cumulative output (scale 1 votes
+  against a user-provided labeled seed cloud).
 
 Both are pure functions of their inputs and the seed, so results never
-depend on scheduling.  The context is not opaque: it is the labeled cloud
-of scales ``1..i`` in capture order, whose labels the pipeline refines in
-place and publishes as the cumulative output, so a learned backbone that
-replaces these must return the same.
+depend on scheduling.  The context of scale ``i`` is the cumulative output
+that scale ``i-1`` published; ``predict`` returns the labels of scales
+``1..i`` in capture order as a new array, which the pipeline refines in
+place and publishes as the next output, so a learned backbone that replaces
+these must return the same.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assemble import CumulativeOutput
 from .partition import Partition
 from .update import _majority_vote, knn_batch
 
@@ -41,12 +43,8 @@ class PredictorError(ValueError):
 
 @dataclass(frozen=True)
 class ScaleContext:
-    """Labeled cloud carried from one scale to the next.
-
-    For the reference predictors this holds the cumulative labeled points of
-    all scales processed so far (refined labels, when the update module is
-    active).
-    """
+    """The seeded-knn seed cloud: labeled points that scale 1 (and any
+    scale whose previous cumulative output is empty) votes against."""
 
     positions: np.ndarray
     labels: np.ndarray
@@ -57,10 +55,6 @@ class ScaleContext:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def extended(self, positions, labels) -> "ScaleContext":
-        return ScaleContext(np.concatenate([self.positions, positions]),
-                            np.concatenate([self.labels, labels]))
 
 
 @dataclass(frozen=True)
@@ -91,24 +85,32 @@ def _corrupt(gt: np.ndarray, p: float, class_count: int,
     return np.where(flip, (gt + offset) % class_count, gt)
 
 
-def _vote_labels(positions: np.ndarray, reference: ScaleContext, k: int) -> np.ndarray:
-    if reference is None or len(reference) == 0:
+def _vote_labels(positions: np.ndarray, prev: CumulativeOutput | None,
+                 cfg: PredictorConfig) -> np.ndarray:
+    """Vote against ``prev``; an empty or absent one (all earlier partitions
+    missed, or scale 1) degrades to the seed cloud."""
+    if prev is not None and len(prev):
+        ref_positions, ref_labels = prev.positions, prev.pred_labels
+    elif cfg.seed_cloud is not None and len(cfg.seed_cloud):
+        ref_positions, ref_labels = cfg.seed_cloud.positions, cfg.seed_cloud.labels
+    else:
         raise PredictorError("seeded-knn predictor needs a nonempty reference cloud")
     if len(positions) == 0:
         return np.zeros(0, dtype=np.int64)
-    neighbors = knn_batch(positions, reference.positions, k)
-    return _majority_vote(np.asarray(reference.labels, dtype=np.int64)[neighbors])
+    neighbors = knn_batch(positions, ref_positions, cfg.k_cls)
+    return _majority_vote(np.asarray(ref_labels, dtype=np.int64)[neighbors])
 
 
-def predict(part: Partition, ctx: ScaleContext | None, cfg: PredictorConfig,
-            class_count: int) -> tuple[np.ndarray, ScaleContext]:
-    """Predict labels for one partition and hand a context to the next scale.
+def predict(part: Partition, prev: CumulativeOutput | None,
+            cfg: PredictorConfig, class_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Predict labels for one partition, given the previous scale's output.
 
-    Returns one int64 label per partition point, order-aligned, plus the
-    cumulative labeled cloud through this scale, which shares no memory
-    with ``ctx``, so the caller may refine its labels in place.
-    Deterministic for a fixed config seed: each scale draws from its own
-    seeded RNG stream.
+    ``prev`` is the cumulative output of scale ``i-1`` (``None`` at scale
+    1).  Returns one int64 label per partition point, order-aligned, plus
+    the labels of scales ``1..i`` in capture order: ``prev.pred_labels``
+    followed by those labels, in a new array that shares no memory with
+    ``prev``, so the caller may refine it in place.  Deterministic for a
+    fixed config seed: each scale draws from its own seeded RNG stream.
     """
     if part.scale < 1:
         raise PredictorError(f"partition has invalid scale {part.scale}")
@@ -120,13 +122,9 @@ def predict(part: Partition, ctx: ScaleContext | None, cfg: PredictorConfig,
         rng = np.random.default_rng([cfg.seed, part.scale])
         labels = _corrupt(part.labels, cfg.error_rates[part.scale - 1], class_count, rng)
     else:
-        # an empty context (all earlier partitions missed) degrades to the
-        # seed cloud, same as scale 1
-        reference = ctx if ctx is not None and len(ctx) else cfg.seed_cloud
-        labels = _vote_labels(part.positions, reference, cfg.k_cls)
+        labels = _vote_labels(part.positions, prev, cfg)
 
-    return labels, (ScaleContext(part.positions, labels) if ctx is None
-                    else ctx.extended(part.positions, labels))
+    return labels, labels if prev is None else np.concatenate([prev.pred_labels, labels])
 
 
 def predict_full(positions: np.ndarray, gt_labels: np.ndarray,
@@ -140,7 +138,7 @@ def predict_full(positions: np.ndarray, gt_labels: np.ndarray,
         rng = np.random.default_rng([cfg.seed, BASELINE_SCALE])
         return _corrupt(np.asarray(gt_labels, dtype=np.int64),
                         cfg.error_rates[-1], class_count, rng)
-    return _vote_labels(np.asarray(positions, dtype=float), cfg.seed_cloud, cfg.k_cls)
+    return _vote_labels(np.asarray(positions, dtype=float), None, cfg)
 
 
 def make_seed_cloud(positions, labels, fraction: float, seed: int) -> ScaleContext:

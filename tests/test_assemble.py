@@ -15,13 +15,12 @@ from conftest import make_random_stream
 
 def raw_predictions(stream, spec, seed=0):
     parts = partition(stream, spec)
-    raw = []
-    ctx = None
-    for p in parts:
-        labels, ctx = predict(p, ctx, PredictorConfig(seed=seed,
-                                                      error_rates=(0.3,) * len(spec.cuts)),
-                              class_count=stream.class_count)
+    cfg = PredictorConfig(seed=seed, error_rates=(0.3,) * len(spec.cuts))
+    raw, prev = [], None
+    for i, p in enumerate(parts, start=1):
+        labels, cumulative = predict(p, prev, cfg, class_count=stream.class_count)
         raw.append(labels)
+        prev = assemble(stream, parts[:i], cumulative)
     return parts, raw
 
 

@@ -483,21 +483,21 @@ def test_baseline_failure_names_the_baseline():
 @pytest.mark.parametrize("variant", ["noisy-oracle", "seeded-knn"])
 def test_each_output_is_the_refined_context_and_stays_as_published(
         monkeypatch, variant):
-    """The cascade refines the label array of the context that the predictor
-    returned, that array is published as the output, and no later arrival
-    writes into an output published before it."""
+    """The cascade refines the label array that the predictor returned, that
+    array is published as the output, and no later arrival writes into an
+    output published before it."""
     stream = small_stream(18, n=600)
     cfg = PredictorConfig(variant=variant, error_rates=RATES, seed=3,
                           seed_cloud=make_seed_cloud(stream.positions,
                                                      stream.labels, 0.1, 0))
-    contexts, refined, published = [], [], []
+    returned, refined, published = [], [], []
     real_predict, real_cascade = pipeline.predict, pipeline.cascade_step
     real_assemble = pipeline.assemble
 
     def spy_predict(*args):
-        labels, ctx = real_predict(*args)
-        contexts.append(ctx)
-        return labels, ctx
+        labels, cumulative = real_predict(*args)
+        returned.append(cumulative)
+        return labels, cumulative
 
     def spy_cascade(lowers, arrived, labels, *rest):
         refined.append(labels)
@@ -512,10 +512,36 @@ def test_each_output_is_the_refined_context_and_stays_as_published(
     monkeypatch.setattr(pipeline, "assemble", spy_assemble)
     outputs, _ = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3),
                               TimingModel())
-    assert len(outputs) == len(contexts) == len(refined) == 5
-    for out, ctx, labels, snapshot in zip(outputs, contexts, refined, published):
-        assert out.pred_labels is ctx.labels and labels is ctx.labels
+    assert len(outputs) == len(returned) == len(refined) == 5
+    for out, cumulative, labels, snapshot in zip(outputs, returned, refined,
+                                                 published):
+        assert out.pred_labels is cumulative and labels is cumulative
         assert np.array_equal(out.pred_labels, snapshot)
+
+
+@pytest.mark.parametrize("variant", ["noisy-oracle", "seeded-knn"])
+def test_each_scale_reads_the_previous_output(monkeypatch, variant):
+    """Scale i's context is output i-1 itself, whose positions are a view of
+    the stream, not a copy of its prefix."""
+    stream = small_stream(19, n=600)
+    cfg = PredictorConfig(variant=variant, error_rates=RATES, seed=4,
+                          seed_cloud=make_seed_cloud(stream.positions,
+                                                     stream.labels, 0.1, 0))
+    received = []
+    real_predict = pipeline.predict
+
+    def spy_predict(part, prev, *rest):
+        received.append(prev)
+        return real_predict(part, prev, *rest)
+
+    monkeypatch.setattr(pipeline, "predict", spy_predict)
+    for update_cfg in (UpdateConfig(k=3), None):
+        received.clear()
+        outputs, _ = run_scalable(stream, SPEC, cfg, update_cfg, TimingModel())
+        assert len(received) == len(outputs) == 5 and received[0] is None
+        for prev, out in zip(received[1:], outputs):
+            assert prev is out
+            assert np.shares_memory(prev.positions, stream.positions)
 
 
 def test_seeded_knn_labels_identical_across_backends():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from scalestream import (Partition, PredictorConfig, PredictorError,
-                         ScaleContext, make_seed_cloud, predict, predict_full)
+from scalestream import (CumulativeOutput, Partition, PartitionSpec,
+                         PredictorConfig, PredictorError, ScaleContext, assemble,
+                         make_seed_cloud, partition, predict, predict_full)
 from scalestream.predictors import DEFAULT_ERROR_RATES
+
+from conftest import make_counted_stream
 
 
 def make_partition(rng, scale, n, classes=11):
@@ -76,14 +79,19 @@ def test_empty_partition_gives_empty_labels():
 
 
 def test_context_accumulates():
+    """The second value is the labels of scales 1..i: the previous output's
+    labels, then this scale's, in an array that shares no memory with it."""
     rng = np.random.default_rng(5)
-    p1 = make_partition(rng, 1, 50)
-    p2 = make_partition(rng, 2, 70)
+    stream = make_counted_stream(rng, (50, 70), (100, 200), class_count=11)
+    p1, p2 = partition(stream, PartitionSpec((100, 200)))
     cfg = PredictorConfig(seed=0)
-    _, ctx1 = predict(p1, None, cfg, class_count=11)
-    _, ctx2 = predict(p2, ctx1, cfg, class_count=11)
-    assert len(ctx2) == 120
-    assert np.array_equal(ctx2.positions[:50], p1.positions)
+    _, labels1 = predict(p1, None, cfg, class_count=11)
+    prev = assemble(stream, [p1], labels1)
+    labels2, cumulative = predict(p2, prev, cfg, class_count=11)
+    assert len(cumulative) == 120
+    assert np.array_equal(cumulative[:50], prev.pred_labels)
+    assert np.array_equal(cumulative[50:], labels2)
+    assert not np.shares_memory(cumulative, prev.pred_labels)
 
 
 def test_seeded_knn_votes_from_reference():
@@ -100,14 +108,24 @@ def test_seeded_knn_votes_from_reference():
     assert np.array_equal(labels[20:], np.ones(20))
 
 
+def one_point_output(count, label):
+    return CumulativeOutput(1, np.zeros((count, 3)), np.full(count, label),
+                            np.zeros(count, dtype=np.int64),
+                            np.ones(count, dtype=np.int64),
+                            np.zeros(count, dtype=np.int64), class_count=11)
+
+
 def test_seeded_knn_uses_ctx_when_present():
+    """Scale 2 votes against the previous output, and against the seed cloud
+    only when that output is empty."""
     ref = ScaleContext(np.array([[0.0, 0, 0]]), np.array([3], dtype=np.int64))
-    ctx = ScaleContext(np.array([[0.0, 0, 0]]), np.array([5], dtype=np.int64))
     part = Partition(2, (-1, 10), np.array([[0.1, 0, 0]]),
                      np.array([0], dtype=np.int64), np.array([1]), 0)
     cfg = PredictorConfig(variant="seeded-knn", k_cls=1, seed_cloud=ref)
-    labels, _ = predict(part, ctx, cfg, class_count=11)
+    labels, _ = predict(part, one_point_output(1, 5), cfg, class_count=11)
     assert labels.tolist() == [5]
+    labels, _ = predict(part, one_point_output(0, 5), cfg, class_count=11)
+    assert labels.tolist() == [3]
 
 
 def test_seeded_knn_empty_reference_errors():
