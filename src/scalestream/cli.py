@@ -150,10 +150,6 @@ class ConfigError(ValueError):
     ``config error:`` line."""
 
 
-#: Dotted config-file spellings accepted alongside flag destination names.
-CONFIG_ALIASES = {"update.k": "um_k"}
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="scalestream",
@@ -228,7 +224,6 @@ def _config_argv(subparsers: dict, argv: list[str]) -> list[str]:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    values = {CONFIG_ALIASES.get(k, k): v for k, v in values.items()}
     unknown = sorted(set(values) - {a.dest for sp in subparsers.values()
                                     for a in sp._actions})
     if unknown:
@@ -301,6 +296,12 @@ def _settings(args) -> dict:
         if args.predictor == "seeded-knn" and args.no_fusion_dependency:
             problems.append("--no-fusion-dependency cannot be combined with the "
                             "seeded-knn predictor (it consumes previous-scale context)")
+        if args.mode == "real":
+            for flag, given in (("--overlap", args.overlap != "full"),
+                                ("--no-fusion-dependency", args.no_fusion_dependency)):
+                if given:
+                    problems.append(f"{flag} shapes only the simulated schedule; "
+                                    "--mode real measures its own")
         spec = built["spec"]
         built["predictor"] = predictor = _build(
             problems, args, PredictorConfig,
@@ -571,6 +572,23 @@ def _floats(values) -> list[float | None]:
     return [None if v is None else float(v) for v in values]
 
 
+def _check_report_metrics(path: Path, metrics: dict) -> None:
+    """Refuse an mIoU outside [0, 1] (NaN included) and a non-finite cost of
+    scalability or speedup, naming the file and the field."""
+    mious = {"baseline_miou": [metrics["baseline_miou"]],
+             "scale_miou": metrics["scale_miou"],
+             "scale_miou_unrefined": metrics["scale_miou_unrefined"] or []}
+    for field, values in mious.items():
+        for v in values:
+            if v is not None and not 0 <= v <= 1:
+                raise ValueError(f"{path}: {field} holds {v}, not an mIoU "
+                                 "in [0, 1]")
+    for field, v in (("cost_of_scalability_pct", metrics["cost_of_scalability_pct"]),
+                     ("latency.speedup", metrics["latency"].get("speedup", 0.0))):
+        if not math.isfinite(v):
+            raise ValueError(f"{path}: {field} is not finite: {v}")
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     metrics_path = run_dir / "metrics.json"
@@ -591,16 +609,19 @@ def cmd_report(args) -> int:
         raise ValueError(f"{metrics_path} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{metrics_path} holds a wrongly typed field: {exc}") from None
+    _check_report_metrics(metrics_path, metrics)
     tl_path = run_dir / "timeline.json"
     base_path = run_dir / "baseline_timeline.json"
-    svgs = {"miou_vs_scale.svg": miou_plot(metrics)}
-    if tl_path.exists() and base_path.exists():
-        tl, base_tl = _read_timeline(tl_path), _read_timeline(base_path)
-        try:
-            lat = latency_metrics(tl, base_tl)
-        except PipelineError as exc:
-            raise PipelineError(f"{tl_path} and {base_path}: {exc}") from None
-        svgs["timeline.svg"] = timeline_plot(tl, base_tl, lat)
+    for path in (tl_path, base_path):
+        if not path.exists():
+            raise ConfigError(f"no {path.name} under {run_dir}")
+    tl, base_tl = _read_timeline(tl_path), _read_timeline(base_path)
+    try:
+        lat = latency_metrics(tl, base_tl)
+    except PipelineError as exc:
+        raise PipelineError(f"{tl_path} and {base_path}: {exc}") from None
+    svgs = {"miou_vs_scale.svg": miou_plot(metrics),
+            "timeline.svg": timeline_plot(tl, base_tl, lat)}
     for name, svg in svgs.items():  # every input read and checked first
         (run_dir / name).write_text(svg, encoding="utf-8")
     print(f"scales: {len(metrics['scale_miou'])}")

@@ -243,6 +243,25 @@ def test_run_real_mode(tmp_path):
     assert lat["post_acq"] > 0
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flags, flag", [
+    (["--overlap", "none"], "--overlap"),
+    (["--no-fusion-dependency"], "--no-fusion-dependency"),
+])
+def test_real_mode_refuses_simulated_schedule_flags(tmp_path, capsys, monkeypatch,
+                                                    command, flags, flag):
+    """Real mode measures its schedule, so a flag that shapes only the
+    simulated one exits 2 naming it, before any scan."""
+    monkeypatch.setattr(cli, "scan", None)  # a scan would fail with exit 1
+    out = tmp_path / "out"
+    assert run_cli(command, *FAST_SWEEP, "--mode", "real", *flags,
+                   "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {flag} shapes only the simulated schedule; "
+        "--mode real measures its own\n")
+    assert not out.exists()
+
+
 def test_real_mode_unrefined_comparison_does_not_sleep(tmp_path, monkeypatch):
     """Only the refined run of a real-mode ``run`` waits for the acquisition;
     the unrefined comparison keeps no timeline, so it is simulated."""
@@ -558,6 +577,48 @@ def test_report_missing_dir_exits_2(tmp_path):
     assert run_cli("report", "--run-dir", str(tmp_path / "nope")) == 2
 
 
+@pytest.mark.parametrize("name", ["timeline.json", "baseline_timeline.json"])
+def test_report_missing_timeline_exits_2_writing_nothing(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
+    for svg in out.glob("*.svg"):
+        svg.unlink()
+    (out / name).unlink()
+    capsys.readouterr()
+    assert run_cli("report", "--run-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: no {name} under {out}\n"
+    assert not list(out.glob("*.svg"))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("scale_miou", [7.5, -3, 0.5], "scale_miou holds 7.5, not an mIoU in [0, 1]"),
+    ("scale_miou", [None, -3], "scale_miou holds -3.0, not an mIoU in [0, 1]"),
+    ("scale_miou_unrefined", [0.5, float("nan")],
+     "scale_miou_unrefined holds nan, not an mIoU in [0, 1]"),
+    ("baseline_miou", float("nan"), "baseline_miou holds nan, not an mIoU in [0, 1]"),
+    ("baseline_miou", 1.5, "baseline_miou holds 1.5, not an mIoU in [0, 1]"),
+    ("cost_of_scalability_pct", float("inf"),
+     "cost_of_scalability_pct is not finite: inf"),
+    ("latency", {"speedup": float("-inf")}, "latency.speedup is not finite: -inf"),
+], ids=["miou-above-1", "miou-below-0", "unrefined-nan", "baseline-nan",
+        "baseline-above-1", "cost-inf", "speedup-inf"])
+def test_report_refuses_impossible_metrics(tmp_path, capsys, field, value, message):
+    """An mIoU outside [0, 1] or a non-finite figure exits 1 naming the file
+    and the field, and no plot is written."""
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST, "--out-dir", str(out)) == 0
+    for svg in out.glob("*.svg"):
+        svg.unlink()
+    path = out / "metrics.json"
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("report", "--run-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not list(out.glob("*.svg"))
+
+
 def test_report_partial_metrics_exits_1(tmp_path, capsys):
     metrics = tmp_path / "metrics.json"
     metrics.write_text(json.dumps({"baseline_miou": 0.5,
@@ -752,7 +813,7 @@ def test_config_file_manifest_equals_explicit_flags(tmp_path):
     cfg.write_text(json.dumps({
         "scan_inline": True, "ticks": 6000, "cuts": "500 1200 2500 4200 6000",
         "tick_duration": 1e-5, "skip_unrefined": True, "predict_fixed": 0.01,
-        "update.k": 3}))
+        "um_k": 3}))
     a, b = tmp_path / "file", tmp_path / "flags"
     assert run_cli("run", "--config", str(cfg), "--out-dir", str(a)) == 0
     assert run_cli("run", *FAST, "--skip-unrefined", "--predict-fixed", "0.01",
@@ -881,13 +942,14 @@ def test_svgs_are_wellformed_xml(tmp_path):
     assert 'id="refined"' in svg and 'id="unrefined"' in svg
 
 
-def test_config_file_update_k_alias(tmp_path):
+def test_config_file_dotted_update_k_is_unknown(tmp_path, capsys):
+    """Each setting has one spelling: ``update.k`` is not ``um_k``."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"update.k": 7}))
+    cfg.write_text(json.dumps({"um_k": 3, "update.k": 7}))
     out = tmp_path / "run"
-    assert run_cli("run", *FAST, "--config", str(cfg), "--out-dir", str(out)) == 0
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["config"]["um_k"] == 7
+    assert run_cli("run", *FAST, "--config", str(cfg), "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: update.k\n"
+    assert not out.exists()
 
 
 def test_corrupt_stream_file_exits_1(tmp_path, capsys):
