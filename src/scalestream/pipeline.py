@@ -4,8 +4,8 @@ A scalable run launches each scale's predictor as soon as its partition has
 been acquired (and, when the fusion dependency is on, as soon as the
 previous scale's cumulative output exists).  When a scale completes, the
 update cascade refines every lower scale before the cumulative output for
-that scale is published.  The non-scalable baseline can only start once the whole
-cloud is acquired.
+that scale is published.  The non-scalable baseline can only start once the
+whole cloud is acquired.
 
 One in-order loop does the label work in every mode: per scale the
 predictor reads the previous cumulative output as its context and returns

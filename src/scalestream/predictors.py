@@ -87,8 +87,8 @@ def _corrupt(gt: np.ndarray, p: float, class_count: int,
 
 def _vote_labels(positions: np.ndarray, prev: CumulativeOutput | None,
                  cfg: PredictorConfig) -> np.ndarray:
-    """Vote against ``prev``; an empty or absent one (all earlier partitions
-    missed, or scale 1) degrades to the seed cloud."""
+    """Vote against ``prev``; an absent or empty one (the baseline, scale 1,
+    or all earlier partitions missed) degrades to the seed cloud."""
     if prev is not None and len(prev):
         ref_positions, ref_labels = prev.positions, prev.pred_labels
     elif cfg.seed_cloud is not None and len(cfg.seed_cloud):

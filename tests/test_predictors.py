@@ -108,7 +108,8 @@ def test_seeded_knn_votes_from_reference():
     assert np.array_equal(labels[20:], np.ones(20))
 
 
-def one_point_output(count, label):
+def output_at_origin(count, label):
+    """A cumulative output of ``count`` points at the origin, all ``label``."""
     return CumulativeOutput(1, np.zeros((count, 3)), np.full(count, label),
                             np.zeros(count, dtype=np.int64),
                             np.ones(count, dtype=np.int64),
@@ -122,9 +123,9 @@ def test_seeded_knn_uses_ctx_when_present():
     part = Partition(2, (-1, 10), np.array([[0.1, 0, 0]]),
                      np.array([0], dtype=np.int64), np.array([1]), 0)
     cfg = PredictorConfig(variant="seeded-knn", k_cls=1, seed_cloud=ref)
-    labels, _ = predict(part, one_point_output(1, 5), cfg, class_count=11)
+    labels, _ = predict(part, output_at_origin(1, 5), cfg, class_count=11)
     assert labels.tolist() == [5]
-    labels, _ = predict(part, one_point_output(0, 5), cfg, class_count=11)
+    labels, _ = predict(part, output_at_origin(0, 5), cfg, class_count=11)
     assert labels.tolist() == [3]
 
 
