@@ -18,7 +18,7 @@ from .partition import (DEFAULT_CUTS, Partition, PartitionError, PartitionSpec,
 from .pipeline import (LatencyMetrics, PipelineError, Timeline, TimelineEvent,
                        TimingModel, latency_metrics, run_baseline, run_scalable)
 from .predictors import (DEFAULT_ERROR_RATES, PredictorConfig, PredictorError,
-                         ScaleContext, make_seed_cloud, predict, predict_full)
+                         make_seed_cloud, predict, predict_full)
 from .scanner import (DEFAULT_TICKS_PER_PERIOD, CameraPose, LissajousConfig,
                       lissajous_direction, place_cameras, scan)
 from .scene import Scene, SceneError, default_room, load_scene, parse_scene, scene_text

@@ -46,7 +46,7 @@ def assemble(stream: PointStream, partitions: Sequence[Partition],
     """
     if not partitions:
         raise AssembleError("need at least one partition")
-    counts = [p.count for p in partitions]
+    counts = [len(p) for p in partitions]
     n = sum(counts)
     if len(labels) != n:
         raise AssembleError(

@@ -379,12 +379,12 @@ def cmd_partition(args) -> int:
         "cuts": list(spec.cuts),
         "total": len(stream),
         "scales": [{"scale": p.scale, "interval": list(p.interval),
-                    "count": p.count} for p in parts],
+                    "count": len(p)} for p in parts],
     }
     _write_json(out / "partitions.json", summary)
     for p in parts:
         print(f"scale {p.scale}: ({p.interval[0]}, {p.interval[1]}] "
-              f"-> {p.count} points")
+              f"-> {len(p)} points")
     return 0
 
 
@@ -399,8 +399,7 @@ def _load_or_scan(args, settings: dict) -> tuple[PointStream, PredictorConfig]:
     predictor_cfg = settings["predictor"]
     if args.predictor == "seeded-knn":
         predictor_cfg = replace(predictor_cfg, seed_cloud=make_seed_cloud(
-            stream.positions, stream.labels, fraction=args.seed_ref_fraction,
-            seed=args.seed))
+            stream, fraction=args.seed_ref_fraction, seed=args.seed))
     return stream, predictor_cfg
 
 
@@ -416,7 +415,7 @@ def _run_warnings(stream: PointStream, spec: PartitionSpec,
     against a next scale that holds fewer points.  Each warning is printed
     on stderr.
     """
-    counts = [p.count for p in partition(stream, spec)]
+    counts = [len(p) for p in partition(stream, spec)]
     warnings = []
     if predictor_cfg.seed_cloud is not None:
         k = predictor_cfg.k_cls

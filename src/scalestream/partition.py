@@ -50,25 +50,16 @@ def default_spec() -> PartitionSpec:
 
 @dataclass(frozen=True)
 class Partition:
-    """The points of one resolution scale, in capture order.
-
-    ``offset`` is the index of the partition's first point within the source
-    stream; partitions are contiguous stream slices because timestamps are
-    non-decreasing.
-    """
+    """The points of one resolution scale, in capture order: a contiguous
+    stream slice, because timestamps are non-decreasing."""
 
     scale: int
     interval: tuple[int, int]
     positions: np.ndarray
     labels: np.ndarray
     timestamps: np.ndarray
-    offset: int
 
     def __len__(self) -> int:
-        return len(self.timestamps)
-
-    @property
-    def count(self) -> int:
         return len(self.timestamps)
 
 
@@ -97,7 +88,6 @@ def partition(stream: PointStream, spec: PartitionSpec) -> list[Partition]:
             positions=stream.positions[start:end],
             labels=stream.labels[start:end],
             timestamps=ts[start:end],
-            offset=start,
         ))
         start = end
     return parts

@@ -163,8 +163,12 @@ class Timeline:
     def from_dict(cls, data: dict) -> "Timeline":
         tl = cls()
         for e in data["events"]:
-            tl.add(e["kind"], int(e["scale"]), e["instant"],
-                   None if e.get("arrival") is None else int(e["arrival"]))
+            scale, instant, arrival = e["scale"], e["instant"], e.get("arrival")
+            if (type(scale) is not int or type(instant) not in (int, float)
+                    or not (arrival is None or type(arrival) is int)):
+                raise TypeError(f"{e!r} needs an integer scale and arrival "
+                                "and a numeric instant")
+            tl.add(e["kind"], scale, instant, arrival)
         return tl
 
 
@@ -241,7 +245,7 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
         tl.add(CUMULATIVE_AVAILABLE, i, now())
     if measured:
         return outputs, tl
-    return outputs, _sim_timeline([p.count for p in parts], ready, timing,
+    return outputs, _sim_timeline([len(p) for p in parts], ready, timing,
                                  refining=update_cfg is not None)
 
 

@@ -8,8 +8,9 @@ implementations are provided:
   scales predict worse than fine ones.
 * ``seeded-knn`` labels each point by majority vote among its nearest
   neighbors in the previous scale's cumulative output (scale 1 votes
-  against a user-provided labeled seed cloud).
+  against a seed cloud, a labeled sample of the stream).
 
+The baseline is scale 0 of the same rule, run once over the whole cloud.
 Both are pure functions of their inputs and the seed, so results never
 depend on scheduling.  The context of scale ``i`` is the cumulative output
 that scale ``i-1`` published; ``predict`` returns the labels of scales
@@ -26,6 +27,7 @@ import numpy as np
 
 from .assemble import CumulativeOutput
 from .partition import Partition
+from .stream import PointStream
 from .update import _majority_vote, knn_batch
 
 #: Per-scale error probabilities for the noisy oracle, coarsest scale worst.
@@ -33,28 +35,9 @@ DEFAULT_ERROR_RATES = (0.40, 0.30, 0.20, 0.12, 0.05)
 
 VARIANTS = ("noisy-oracle", "seeded-knn")
 
-#: Scale tag used when deriving the baseline's RNG stream (real scales are 1-based).
-BASELINE_SCALE = 0
-
 
 class PredictorError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ScaleContext:
-    """The seeded-knn seed cloud: labeled points that scale 1 (and any
-    scale whose previous cumulative output is empty) votes against."""
-
-    positions: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        if len(self.positions) != len(self.labels):
-            raise PredictorError("context positions and labels must align")
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -63,7 +46,7 @@ class PredictorConfig:
     error_rates: tuple[float, ...] = DEFAULT_ERROR_RATES
     k_cls: int = 5
     seed: int = 0
-    seed_cloud: ScaleContext | None = None  # seeded-knn reference for scale 1
+    seed_cloud: PointStream | None = None  # seeded-knn reference for scale 1
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -85,10 +68,19 @@ def _corrupt(gt: np.ndarray, p: float, class_count: int,
     return np.where(flip, (gt + offset) % class_count, gt)
 
 
-def _vote_labels(positions: np.ndarray, prev: CumulativeOutput | None,
-                 cfg: PredictorConfig) -> np.ndarray:
-    """Vote against ``prev``; an absent or empty one (the baseline, scale 1,
-    or all earlier partitions missed) degrades to the seed cloud."""
+def _labels(scale: int, positions: np.ndarray, gt: np.ndarray,
+            prev: CumulativeOutput | None, cfg: PredictorConfig,
+            class_count: int) -> np.ndarray:
+    """The one labelling rule; scale 0 is the baseline over the whole cloud.
+
+    Seeded-knn votes against ``prev``; an absent or empty one (the baseline,
+    scale 1, or all earlier partitions missed) degrades to the seed cloud.
+    """
+    if cfg.variant == "noisy-oracle":
+        # scale 0 reads error_rates[-1], the final (best) rate, and draws
+        # from RNG tag 0, which no real (1-based) scale uses
+        rng = np.random.default_rng([cfg.seed, scale])
+        return _corrupt(gt, cfg.error_rates[scale - 1], class_count, rng)
     if prev is not None and len(prev):
         ref_positions, ref_labels = prev.positions, prev.pred_labels
     elif cfg.seed_cloud is not None and len(cfg.seed_cloud):
@@ -97,8 +89,7 @@ def _vote_labels(positions: np.ndarray, prev: CumulativeOutput | None,
         raise PredictorError("seeded-knn predictor needs a nonempty reference cloud")
     if len(positions) == 0:
         return np.zeros(0, dtype=np.int64)
-    neighbors = knn_batch(positions, ref_positions, cfg.k_cls)
-    return _majority_vote(np.asarray(ref_labels, dtype=np.int64)[neighbors])
+    return _majority_vote(ref_labels[knn_batch(positions, ref_positions, cfg.k_cls)])
 
 
 def predict(part: Partition, prev: CumulativeOutput | None,
@@ -114,42 +105,33 @@ def predict(part: Partition, prev: CumulativeOutput | None,
     """
     if part.scale < 1:
         raise PredictorError(f"partition has invalid scale {part.scale}")
-    if cfg.variant == "noisy-oracle":
-        if part.scale > len(cfg.error_rates):
-            raise PredictorError(
-                f"no error rate configured for scale {part.scale} "
-                f"(got {len(cfg.error_rates)} rates)")
-        rng = np.random.default_rng([cfg.seed, part.scale])
-        labels = _corrupt(part.labels, cfg.error_rates[part.scale - 1], class_count, rng)
-    else:
-        labels = _vote_labels(part.positions, prev, cfg)
-
+    if cfg.variant == "noisy-oracle" and part.scale > len(cfg.error_rates):
+        raise PredictorError(
+            f"no error rate configured for scale {part.scale} "
+            f"(got {len(cfg.error_rates)} rates)")
+    labels = _labels(part.scale, part.positions, part.labels, prev, cfg, class_count)
     return labels, labels if prev is None else np.concatenate([prev.pred_labels, labels])
 
 
 def predict_full(positions: np.ndarray, gt_labels: np.ndarray,
                  cfg: PredictorConfig, class_count: int) -> np.ndarray:
-    """Non-scalable baseline: one prediction over the complete cloud.
-
-    The noisy oracle runs at its final (best) error rate, matching a model
-    that always sees full-resolution input.
-    """
-    if cfg.variant == "noisy-oracle":
-        rng = np.random.default_rng([cfg.seed, BASELINE_SCALE])
-        return _corrupt(np.asarray(gt_labels, dtype=np.int64),
-                        cfg.error_rates[-1], class_count, rng)
-    return _vote_labels(np.asarray(positions, dtype=float), None, cfg)
+    """Non-scalable baseline: scale 0, one prediction over the complete
+    cloud.  The noisy oracle runs at its final (best) error rate, matching a
+    model that always sees full-resolution input."""
+    return _labels(0, positions, np.asarray(gt_labels, dtype=np.int64), None,
+                   cfg, class_count)
 
 
-def make_seed_cloud(positions, labels, fraction: float, seed: int) -> ScaleContext:
-    """Subsample a labeled cloud to serve as the seeded-knn scale-1 reference."""
+def make_seed_cloud(stream: PointStream, fraction: float, seed: int) -> PointStream:
+    """A labeled random sample of the stream, in stream order, to serve as
+    the seeded-knn reference of scale 1 and of the baseline."""
     if not 0.0 < fraction <= 1.0:
         raise PredictorError("seed cloud fraction must be in (0, 1]")
-    n = len(labels)
+    n = len(stream)
     if n == 0:
         raise PredictorError("cannot build a seed cloud from an empty cloud")
     rng = np.random.default_rng(seed)
     k = max(1, int(round(fraction * n)))
     idx = np.sort(rng.choice(n, size=k, replace=False))
-    return ScaleContext(np.asarray(positions, dtype=float)[idx],
-                        np.asarray(labels, dtype=np.int64)[idx])
+    return PointStream(stream.positions[idx], stream.labels[idx],
+                       stream.timestamps[idx], stream.class_count)

@@ -18,13 +18,14 @@ pair gathers labels through the same table.
 Everything here is exact and deterministic: neighbor ties are broken by the
 lower reference index and vote ties by the label of the nearest neighbor in
 a tied class.  Determinism is what lets the tests compare against brute-force
-oracles bit for bit.
+oracles bit for bit.  A tied search costs what its neighborhood holds, not a
+pass over the whole reference, so a scan that revisits directions stays fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,8 +55,10 @@ def knn_batch(queries, reference, k: int) -> np.ndarray:
     Results are ordered by ascending Euclidean distance with exact ties
     broken by the lower reference index.  A k-d tree answers the bulk of the
     queries; rows where the tree reports any equal consecutive distances are
-    re-answered by a stable brute-force sort, which pins down the tie order
-    the tree does not guarantee.
+    re-answered exactly, since the tree guarantees no tie order: a ball
+    query gathers every reference point out to the row's ``k``-th tree
+    distance, widened by a relative 1e-9 that can only add candidates, and
+    the candidates are ordered by (squared distance, index).
     """
     ref = np.asarray(reference, dtype=float).reshape(-1, 3)
     q = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -64,16 +67,36 @@ def knn_batch(queries, reference, k: int) -> np.ndarray:
         raise UpdateError("empty reference cloud")
     k_eff = min(k, n)
     kq = min(k_eff + 1, n)  # one spare neighbor to spot ties at the boundary
-    dist, idx = cKDTree(ref).query(q, k=kq)
+    tree = cKDTree(ref)
+    dist, idx = tree.query(q, k=kq)
     if kq == 1:
         dist = dist[:, None]
         idx = idx[:, None]
     out = np.ascontiguousarray(idx[:, :k_eff]).astype(np.int64)
     if kq > 1:
-        suspect = np.flatnonzero((dist[:, :-1] == dist[:, 1:]).any(axis=1))
-        for row in suspect:
-            d2 = ((ref - q[row]) ** 2).sum(axis=1)
-            out[row] = np.argsort(d2, kind="stable")[:k_eff]
+        tied = np.flatnonzero((dist[:, :-1] == dist[:, 1:]).any(axis=1))
+        out[tied] = _tied_neighbors(tree, ref, q[tied],
+                                    dist[tied, k_eff - 1] * (1 + 1e-9), k_eff)
+    return out
+
+
+def _tied_neighbors(tree, ref: np.ndarray, q: np.ndarray, radius: np.ndarray,
+                    k: int) -> np.ndarray:
+    """Per row, the first ``k`` reference indices within its radius by
+    (squared distance, index), in batches of about 2**18 candidates: a
+    cloud of one repeated point puts every reference point in every ball."""
+    sizes = tree.query_ball_point(q, radius, return_length=True)
+    batch = (np.cumsum(sizes) - sizes) >> 18
+    out = np.empty((len(q), k), dtype=np.int64)
+    for rows in np.split(np.arange(len(q)), np.flatnonzero(np.diff(batch)) + 1):
+        balls = tree.query_ball_point(q[rows], radius[rows], return_sorted=True)
+        n = sizes[rows]
+        cand = np.fromiter(chain.from_iterable(balls), np.int64, int(n.sum()))
+        row = np.repeat(np.arange(len(rows)), n)
+        d2 = ((ref[cand] - q[rows[row]]) ** 2).sum(axis=1)
+        # a stable sort keeps each ball's ascending indices within a tie
+        order = np.lexsort((d2, row))
+        out[rows] = cand[order][(np.cumsum(n) - n)[:, None] + np.arange(k)]
     return out
 
 

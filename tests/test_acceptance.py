@@ -63,7 +63,7 @@ def test_criterion_1_partition_losslessness():
                 assert np.array_equal(cat, stream.timestamps)
                 cat_pos = np.concatenate([p.positions for p in parts])
                 assert np.array_equal(cat_pos, stream.positions)
-            assert sum(p.count for p in parts) == n
+            assert sum(len(p) for p in parts) == n
             for p, idx in zip(parts, brute_force_split(stream, spec.cuts)):
                 assert np.array_equal(p.timestamps, stream.timestamps[idx])
                 assert np.array_equal(p.labels, stream.labels[idx])

@@ -61,7 +61,7 @@ def test_cumulative_cardinality_matches_prefix_counts():
         assert np.array_equal(out.timestamps, stream.timestamps[:want])
         # origin scales count back to partition sizes
         for j in range(1, i + 1):
-            assert int(np.sum(out.origin_scales == j)) == parts[j - 1].count
+            assert int(np.sum(out.origin_scales == j)) == len(parts[j - 1])
 
 
 def test_cardinality_mismatch_rejected():

@@ -470,7 +470,7 @@ def test_sweep_csv_equals_run_baseline_reference(tmp_path, predictor):
     cfg = PredictorConfig(variant=predictor, seed=2)
     if predictor == "seeded-knn":
         cfg = PredictorConfig(variant=predictor, seed=2, seed_cloud=make_seed_cloud(
-            stream.positions, stream.labels, fraction=0.02, seed=2))
+            stream, fraction=0.02, seed=2))
     lines = ["tick_duration,acquisition_end,post_acq,post_acq_lower,"
              "post_acq_upper,speedup,first_prediction_fraction"]
     for td in tds:
@@ -675,6 +675,32 @@ def test_report_wrongly_typed_field_exits_1(tmp_path, capsys, name, field, value
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} holds a wrongly typed ")
     assert err.count("\n") == 1
+
+
+def test_report_refuses_non_integer_event_values(tmp_path, capsys):
+    """A scale or arrival that is not a JSON integer, or an instant that is
+    a bool, is refused naming the file, not coerced or left to crash."""
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
+    for svg in out.glob("*.svg"):
+        svg.unlink()
+    path = out / "timeline.json"
+    good = json.loads(path.read_text())
+    refine = next(i for i, e in enumerate(good["events"]) if "arrival" in e)
+    for index, key, value in [(0, "scale", float("inf")), (0, "scale", 1.5),
+                              (0, "scale", True), (0, "scale", "1"),
+                              (0, "instant", True), (refine, "arrival", 1.5),
+                              (refine, "arrival", True),
+                              (refine, "arrival", float("inf"))]:
+        data = json.loads(json.dumps(good))
+        data["events"][index][key] = value
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_cli("report", "--run-dir", str(out)) == 1, (key, value)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} holds a wrongly typed event: ")
+        assert err.count("\n") == 1
+        assert not list(out.glob("*.svg"))
 
 
 def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
@@ -1026,7 +1052,7 @@ def test_tiny_seeded_knn_references_warn(tmp_path, capsys):
         stream = read_stream(scan_dir / "stream.bin")
         spec = PartitionSpec(tuple(int(c) for c in cuts.split()))
         cfg = PredictorConfig(variant="seeded-knn", seed_cloud=make_seed_cloud(
-            stream.positions, stream.labels, fraction=0.02, seed=0))
+            stream, fraction=0.02, seed=0))
         outputs, _ = run_scalable(stream, spec, cfg, UpdateConfig(k=5),
                                   TimingModel())
         for o in outputs:

@@ -149,7 +149,7 @@ def test_run_scalable_golden_digest(stream_name, variant, k, overlap, fusion):
                           error_rates=(0.4, 0.3, 0.2, 0.1, 0.05))
     if variant == "seeded-knn":
         cfg = PredictorConfig(variant=variant, seed_cloud=make_seed_cloud(
-            stream.positions, stream.labels, 0.1, seed=3))
+            stream, 0.1, seed=3))
     outputs, timeline = run_scalable(
         stream, PartitionSpec(cuts), cfg,
         None if k is None else UpdateConfig(k=k),

@@ -29,16 +29,16 @@ def test_five_partitions_on_full_scan(room, default_pose):
     stream = scan(room, default_pose, LissajousConfig())
     parts = partition(stream, default_spec())
     assert len(parts) == 5
-    assert sum(p.count for p in parts) == len(stream)
+    assert sum(len(p) for p in parts) == len(stream)
     # increasing cardinality with interval length, as for a real scan
-    assert all(parts[i].count < parts[i + 1].count for i in range(4))
+    assert all(len(parts[i]) < len(parts[i + 1]) for i in range(4))
 
 
 def test_empty_stream_gives_empty_partitions():
     stream = PointStream(np.zeros((0, 3)), [], [], class_count=3)
     parts = partition(stream, PartitionSpec((10, 20, 30)))
     assert len(parts) == 3
-    assert all(p.count == 0 for p in parts)
+    assert all(len(p) == 0 for p in parts)
 
 
 def test_cut_timestamp_belongs_to_exactly_one_partition():
@@ -87,19 +87,26 @@ def test_random_streams_lossless_and_match_oracle():
         # brute-force interval filter agrees
         want = brute_force_split(stream, spec.cuts)
         for p, idx in zip(parts, want):
-            assert p.count == len(idx)
+            assert len(p) == len(idx)
             assert np.array_equal(p.timestamps, stream.timestamps[idx])
         # every point inside its interval
         for p in parts:
-            if p.count:
+            if len(p):
                 lo, hi = p.interval
                 assert p.timestamps.min() > lo and p.timestamps.max() <= hi
 
 
-def test_partition_offsets_are_contiguous():
+def test_partitions_are_consecutive_stream_slices():
     rng = np.random.default_rng(77)
     stream = make_random_stream(rng, 300, t_max=500)
     parts = partition(stream, PartitionSpec((100, 200, 500)))
-    assert parts[0].offset == 0
-    for a, b in zip(parts, parts[1:]):
-        assert b.offset == a.offset + a.count
+    start = 0
+    for p in parts:
+        end = start + len(p)
+        for got, whole in ((p.positions, stream.positions),
+                           (p.labels, stream.labels),
+                           (p.timestamps, stream.timestamps)):
+            assert np.array_equal(got, whole[start:end])
+            assert np.shares_memory(got, whole)  # a view, not a copy
+        start = end
+    assert start == len(stream)

@@ -253,7 +253,7 @@ def test_final_scalable_output_matches_baseline_points():
 def test_seeded_knn_requires_fusion_dependency():
     stream = small_stream(10)
     from scalestream import make_seed_cloud
-    cloud = make_seed_cloud(stream.positions, stream.labels, 0.1, 0)
+    cloud = make_seed_cloud(stream, 0.1, 0)
     cfg = PredictorConfig(variant="seeded-knn", seed_cloud=cloud)
     with pytest.raises(PipelineError, match="fusion"):
         run_scalable(stream, SPEC, cfg, UpdateConfig(),
@@ -427,7 +427,7 @@ def test_each_scale_pair_is_searched_once(monkeypatch):
     cfg = PredictorConfig(error_rates=RATES, seed=4)
     for stream, pairs in ((full, [(1, 2), (2, 3), (3, 4), (4, 5)]),
                           (gapped, [(1, 2), (4, 5)])):
-        counts = [p.count for p in pipeline.partition(stream, spec)]
+        counts = [len(p) for p in pipeline.partition(stream, spec)]
         assert (counts[2] == 0) == (stream is gapped) and counts.count(0) <= 1
         searched.clear()
         run_scalable(stream, spec, cfg, UpdateConfig(k=3), TimingModel())
@@ -488,8 +488,7 @@ def test_each_output_is_the_refined_context_and_stays_as_published(
     output published before it."""
     stream = small_stream(18, n=600)
     cfg = PredictorConfig(variant=variant, error_rates=RATES, seed=3,
-                          seed_cloud=make_seed_cloud(stream.positions,
-                                                     stream.labels, 0.1, 0))
+                          seed_cloud=make_seed_cloud(stream, 0.1, 0))
     returned, refined, published = [], [], []
     real_predict, real_cascade = pipeline.predict, pipeline.cascade_step
     real_assemble = pipeline.assemble
@@ -525,8 +524,7 @@ def test_each_scale_reads_the_previous_output(monkeypatch, variant):
     the stream, not a copy of its prefix."""
     stream = small_stream(19, n=600)
     cfg = PredictorConfig(variant=variant, error_rates=RATES, seed=4,
-                          seed_cloud=make_seed_cloud(stream.positions,
-                                                     stream.labels, 0.1, 0))
+                          seed_cloud=make_seed_cloud(stream, 0.1, 0))
     received = []
     real_predict = pipeline.predict
 
@@ -546,7 +544,7 @@ def test_each_scale_reads_the_previous_output(monkeypatch, variant):
 
 def test_seeded_knn_labels_identical_across_backends():
     stream = small_stream(16)
-    cloud = make_seed_cloud(stream.positions, stream.labels, 0.1, 0)
+    cloud = make_seed_cloud(stream, 0.1, 0)
     cfg = PredictorConfig(variant="seeded-knn", k_cls=3, seed_cloud=cloud)
     models = [
         TimingModel(tick_duration=1e-6),
@@ -610,8 +608,7 @@ def test_run_scalable_properties(data):
         fraction = data.draw(st.floats(0.01, 1.0), label="seed_fraction")
         cfg = PredictorConfig(
             variant="seeded-knn", k_cls=data.draw(st.integers(1, 8), label="k_cls"),
-            seed=seed, seed_cloud=make_seed_cloud(stream.positions, stream.labels,
-                                                  fraction, seed))
+            seed=seed, seed_cloud=make_seed_cloud(stream, fraction, seed))
     else:
         rates = data.draw(st.lists(st.floats(0, 1), min_size=len(cuts),
                                    max_size=len(cuts)), label="rates")

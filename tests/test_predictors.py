@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scalestream import (CumulativeOutput, Partition, PartitionSpec,
-                         PredictorConfig, PredictorError, ScaleContext, assemble,
+                         PointStream, PredictorConfig, PredictorError, assemble,
                          make_seed_cloud, partition, predict, predict_full)
 from scalestream.predictors import DEFAULT_ERROR_RATES
 
@@ -13,7 +13,7 @@ def make_partition(rng, scale, n, classes=11):
     pos = rng.uniform(-2, 2, size=(n, 3))
     labels = rng.integers(0, classes, size=n).astype(np.int64)
     ts = np.sort(rng.integers(0, 1000, size=n))
-    return Partition(scale, (-1, 1000), pos, labels, ts, offset=0)
+    return Partition(scale, (-1, 1000), pos, labels, ts)
 
 
 def test_default_rates_decrease():
@@ -58,7 +58,7 @@ def test_deterministic_per_seed_and_scale():
     assert np.array_equal(a, b)
     # a different scale draws from a different stream
     part2 = Partition(2, part1.interval, part1.positions, part1.labels,
-                      part1.timestamps, 0)
+                      part1.timestamps)
     c, _ = predict(part2, None, PredictorConfig(seed=42, error_rates=(0.4, 0.4)),
                    class_count=11)
     assert not np.array_equal(a, c)
@@ -73,7 +73,7 @@ def test_missing_rate_for_scale_errors():
 
 def test_empty_partition_gives_empty_labels():
     part = Partition(1, (-1, 10), np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
-                     np.zeros(0, dtype=np.int64), 0)
+                     np.zeros(0, dtype=np.int64))
     labels, ctx = predict(part, None, PredictorConfig(), class_count=11)
     assert len(labels) == 0 and len(ctx) == 0
 
@@ -97,7 +97,7 @@ def test_context_accumulates():
 def test_seeded_knn_votes_from_reference():
     # left half labeled 0, right half labeled 1
     ref_pos = np.array([[-1.0, 0, 0], [-1.1, 0, 0], [1.0, 0, 0], [1.1, 0, 0]])
-    ref = ScaleContext(ref_pos, np.array([0, 0, 1, 1], dtype=np.int64))
+    ref = PointStream(ref_pos, [0, 0, 1, 1], np.zeros(4), class_count=2)
     rng = np.random.default_rng(6)
     part = make_partition(rng, 1, 40, classes=2)
     part.positions[:20, 0] = -np.abs(part.positions[:20, 0]) - 0.5
@@ -119,9 +119,9 @@ def output_at_origin(count, label):
 def test_seeded_knn_uses_ctx_when_present():
     """Scale 2 votes against the previous output, and against the seed cloud
     only when that output is empty."""
-    ref = ScaleContext(np.array([[0.0, 0, 0]]), np.array([3], dtype=np.int64))
+    ref = PointStream(np.zeros((1, 3)), [3], [0], class_count=11)
     part = Partition(2, (-1, 10), np.array([[0.1, 0, 0]]),
-                     np.array([0], dtype=np.int64), np.array([1]), 0)
+                     np.array([0], dtype=np.int64), np.array([1]))
     cfg = PredictorConfig(variant="seeded-knn", k_cls=1, seed_cloud=ref)
     labels, _ = predict(part, output_at_origin(1, 5), cfg, class_count=11)
     assert labels.tolist() == [5]
@@ -131,7 +131,7 @@ def test_seeded_knn_uses_ctx_when_present():
 
 def test_seeded_knn_empty_reference_errors():
     part = Partition(1, (-1, 10), np.array([[0.0, 0, 0]]),
-                     np.array([0], dtype=np.int64), np.array([1]), 0)
+                     np.array([0], dtype=np.int64), np.array([1]))
     cfg = PredictorConfig(variant="seeded-knn")
     with pytest.raises(PredictorError, match="reference"):
         predict(part, None, cfg, class_count=11)
@@ -147,16 +147,34 @@ def test_predict_full_uses_final_rate():
     assert 0.93 <= acc <= 0.97
 
 
+def test_predict_full_is_one_partition_over_the_stream():
+    """Seeded-knn's baseline labels equal those of one scale-1 partition
+    that covers the whole stream, predicted without a previous output."""
+    rng = np.random.default_rng(9)
+    stream = make_counted_stream(rng, (300,), (1000,), class_count=7)
+    cfg = PredictorConfig(variant="seeded-knn", k_cls=3,
+                          seed_cloud=make_seed_cloud(stream, 0.1, seed=1))
+    (whole,) = partition(stream, PartitionSpec((1000,)))
+    labels, _ = predict(whole, None, cfg, class_count=7)
+    assert np.array_equal(predict_full(stream.positions, stream.labels, cfg, 7),
+                          labels)
+
+
 def test_make_seed_cloud():
     rng = np.random.default_rng(8)
-    pos = rng.uniform(size=(1000, 3))
-    labels = rng.integers(0, 5, size=1000)
-    cloud = make_seed_cloud(pos, labels, fraction=0.1, seed=4)
-    assert len(cloud) == 100
-    again = make_seed_cloud(pos, labels, fraction=0.1, seed=4)
-    assert np.array_equal(cloud.positions, again.positions)
+    stream = PointStream(rng.uniform(size=(1000, 3)), rng.integers(0, 5, size=1000),
+                         np.arange(1000), class_count=5)
+    cloud = make_seed_cloud(stream, fraction=0.1, seed=4)
+    assert len(cloud) == 100 and cloud.class_count == 5
+    # rows of the stream, in stream order (each timestamp is its index)
+    idx = cloud.timestamps
+    assert np.all(np.diff(idx) > 0)
+    assert np.array_equal(cloud.positions, stream.positions[idx])
+    assert np.array_equal(cloud.labels, stream.labels[idx])
+    again = make_seed_cloud(stream, fraction=0.1, seed=4)
+    assert np.array_equal(again.timestamps, idx)
     with pytest.raises(PredictorError):
-        make_seed_cloud(pos, labels, fraction=0.0, seed=4)
+        make_seed_cloud(stream, fraction=0.0, seed=4)
 
 
 def test_config_validation():

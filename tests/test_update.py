@@ -1,11 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scalestream import (Partition, UpdateConfig, UpdateError, cascade_step,
-                         knn_batch)
+from scalestream import (LissajousConfig, Partition, UpdateConfig, UpdateError,
+                         cascade_step, default_spec, knn_batch, partition, scan)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +64,7 @@ def scale_part(scale, positions, labels):
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     return Partition(scale, (scale - 1, scale), positions,
                      np.asarray(labels, dtype=np.int64),
-                     np.full(len(positions), scale), 0)
+                     np.full(len(positions), scale))
 
 
 def two_scale(lower, upper, cfg):
@@ -145,6 +147,23 @@ def test_knn_matches_oracle_with_ties():
         got = knn_batch(queries, ref, k)
         for i in range(len(queries)):
             assert np.array_equal(got[i], brute_knn(queries[i], ref, k)), (i, k)
+
+
+def test_knn_periodic_scan_ties_match_oracle_quickly(room, default_pose):
+    """A trajectory that repeats its directions puts 53k points on 536
+    positions, so the tree ties nearly every row of scale pair (3, 4).  Tied
+    rows are answered from their neighborhoods, not by a sort of the whole
+    reference per row (which took 13 s on a 2-vCPU host)."""
+    stream = scan(room, default_pose, LissajousConfig(ticks_per_period=64.0))
+    lower, upper = partition(stream, default_spec())[2:4]
+    t0 = time.perf_counter()
+    got = knn_batch(lower.positions, upper.positions, 5)
+    elapsed = time.perf_counter() - t0
+    ref = np.asarray(upper.positions, dtype=float)
+    for row in range(0, len(lower), 25):  # a stable sort is the tie rule
+        d2 = ((ref - np.asarray(lower.positions[row], dtype=float)) ** 2).sum(axis=1)
+        assert np.array_equal(got[row], np.argsort(d2, kind="stable")[:5]), row
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------------------
