@@ -67,24 +67,23 @@ def knn_batch(queries, reference, k: int) -> np.ndarray:
         raise UpdateError("empty reference cloud")
     k_eff = min(k, n)
     kq = min(k_eff + 1, n)  # one spare neighbor to spot ties at the boundary
-    tree = cKDTree(ref)
-    dist, idx = tree.query(q, k=kq)
-    if kq == 1:
-        dist = dist[:, None]
-        idx = idx[:, None]
+    dist, idx = cKDTree(ref).query(q, k=kq)
+    dist, idx = dist.reshape(len(q), kq), idx.reshape(len(q), kq)  # k=1 comes back 1-D
     out = np.ascontiguousarray(idx[:, :k_eff]).astype(np.int64)
-    if kq > 1:
-        tied = np.flatnonzero((dist[:, :-1] == dist[:, 1:]).any(axis=1))
-        out[tied] = _tied_neighbors(tree, ref, q[tied],
+    tied = np.flatnonzero((dist[:, :-1] == dist[:, 1:]).any(axis=1))
+    if len(tied):
+        out[tied] = _tied_neighbors(ref, q[tied],
                                     dist[tied, k_eff - 1] * (1 + 1e-9), k_eff)
     return out
 
 
-def _tied_neighbors(tree, ref: np.ndarray, q: np.ndarray, radius: np.ndarray,
+def _tied_neighbors(ref: np.ndarray, q: np.ndarray, radius: np.ndarray,
                     k: int) -> np.ndarray:
     """Per row, the first ``k`` reference indices within its radius by
     (squared distance, index), in batches of about 2**18 candidates: a
-    cloud of one repeated point puts every reference point in every ball."""
+    cloud of one repeated point puts every reference point in every ball.
+    The tree is built again here so that untied searches do not hold it."""
+    tree = cKDTree(ref)
     sizes = tree.query_ball_point(q, radius, return_length=True)
     batch = (np.cumsum(sizes) - sizes) >> 18
     out = np.empty((len(q), k), dtype=np.int64)
