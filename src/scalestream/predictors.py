@@ -10,9 +10,9 @@ implementations are provided:
   neighbors in the previous scale's cumulative output (scale 1 votes
   against a seed cloud, a labeled sample of the stream).
 
-The baseline is scale 0 of the same rule, run once over the whole cloud.
 Both are pure functions of their inputs and the seed, so results never
-depend on scheduling.  The context of scale ``i`` is the cumulative output
+depend on scheduling.  The baseline is scale 0 of the same rule, run once
+over the whole cloud.  The context of scale ``i`` is the cumulative output
 that scale ``i-1`` published; ``predict`` returns the labels of scales
 ``1..i`` in capture order as a new array, which the pipeline refines in
 place and publishes as the next output, so a learned backbone that replaces
