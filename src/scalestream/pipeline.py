@@ -168,6 +168,9 @@ class Timeline:
                     or not (arrival is None or type(arrival) is int)):
                 raise TypeError(f"{e!r} needs an integer scale and arrival "
                                 "and a numeric instant")
+            if e["kind"] == REFINE_DONE and (arrival is None or arrival <= scale):
+                raise PipelineError(f"{REFINE_DONE}({scale}) has arrival "
+                                    f"{arrival}, which must exceed its scale")
             tl.add(e["kind"], scale, instant, arrival)
         return tl
 

@@ -20,10 +20,16 @@ lower reference index and vote ties by the label of the nearest neighbor in
 a tied class.  Determinism is what lets the tests compare against brute-force
 oracles bit for bit.  A tied search costs what its neighborhood holds, not a
 pass over the whole reference, so a scan that revisits directions stays fast.
+
+The cascade runs on the calling thread.  Each neighbor search splits its
+queries across the CPUs the process may run on and joins those threads
+before it returns; every query row is answered on its own, so the labels
+do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Callable, Sequence
@@ -32,6 +38,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .partition import Partition
+
+# scipy's workers=-1 counts the host's CPUs, not the ones this process may use
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 class UpdateError(ValueError):
@@ -59,6 +69,10 @@ def knn_batch(queries, reference, k: int) -> np.ndarray:
     query gathers every reference point out to the row's ``k``-th tree
     distance, widened by a relative 1e-9 that can only add candidates, and
     the candidates are ordered by (squared distance, index).
+
+    The queries are split across the CPUs the process may run on, and the
+    threads are joined before this returns.  Each row is answered on its
+    own, so the table does not depend on the CPU count.
     """
     ref = np.asarray(reference, dtype=float).reshape(-1, 3)
     q = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -67,9 +81,9 @@ def knn_batch(queries, reference, k: int) -> np.ndarray:
         raise UpdateError("empty reference cloud")
     k_eff = min(k, n)
     kq = min(k_eff + 1, n)  # one spare neighbor to spot ties at the boundary
-    dist, idx = cKDTree(ref).query(q, k=kq)
+    dist, idx = cKDTree(ref).query(q, k=kq, workers=_WORKERS)
     dist, idx = dist.reshape(len(q), kq), idx.reshape(len(q), kq)  # k=1 comes back 1-D
-    out = np.ascontiguousarray(idx[:, :k_eff]).astype(np.int64)
+    out = idx[:, :k_eff].astype(np.int64)
     tied = np.flatnonzero((dist[:, :-1] == dist[:, 1:]).any(axis=1))
     if len(tied):
         out[tied] = _tied_neighbors(ref, q[tied],
@@ -80,22 +94,31 @@ def knn_batch(queries, reference, k: int) -> np.ndarray:
 def _tied_neighbors(ref: np.ndarray, q: np.ndarray, radius: np.ndarray,
                     k: int) -> np.ndarray:
     """Per row, the first ``k`` reference indices within its radius by
-    (squared distance, index), in batches of about 2**18 candidates: a
-    cloud of one repeated point puts every reference point in every ball.
-    The tree is built again here so that untied searches do not hold it."""
-    tree = cKDTree(ref)
-    sizes = tree.query_ball_point(q, radius, return_length=True)
-    batch = (np.cumsum(sizes) - sizes) >> 18
+    (squared distance, index), in batches of at most 2**18 candidates.
+
+    The balls are gathered over the distinct reference positions, and each
+    position stands for at most ``k`` of its lowest indices: no more of them
+    can be among a row's first ``k``.  A cloud of one repeated point thus
+    costs ``k`` candidates per row, not the whole reference."""
+    order = np.lexsort(ref.T[::-1])  # stable: equal positions keep index order
+    first = np.flatnonzero(np.r_[True, (np.diff(ref[order], axis=0) != 0).any(axis=1)])
+    kept = np.minimum(np.diff(np.r_[first, len(ref)]), k)
+    tree = cKDTree(ref[order[first]])
+    sizes = tree.query_ball_point(q, radius, return_length=True, workers=_WORKERS)
+    batch = (np.cumsum(sizes) - sizes) * int(kept.max()) >> 18
     out = np.empty((len(q), k), dtype=np.int64)
     for rows in np.split(np.arange(len(q)), np.flatnonzero(np.diff(batch)) + 1):
-        balls = tree.query_ball_point(q[rows], radius[rows], return_sorted=True)
-        n = sizes[rows]
-        cand = np.fromiter(chain.from_iterable(balls), np.int64, int(n.sum()))
-        row = np.repeat(np.arange(len(rows)), n)
+        balls = tree.query_ball_point(q[rows], radius[rows], workers=_WORKERS)
+        groups = np.fromiter(chain.from_iterable(balls), np.int64, int(sizes[rows].sum()))
+        # each position's lowest indices, at most k of them
+        n_kept = kept[groups]
+        rank = np.arange(int(n_kept.sum())) - np.repeat(np.cumsum(n_kept) - n_kept, n_kept)
+        cand = order[np.repeat(first[groups], n_kept) + rank]
+        row = np.repeat(np.repeat(np.arange(len(rows)), sizes[rows]), n_kept)
         d2 = ((ref[cand] - q[rows[row]]) ** 2).sum(axis=1)
-        # a stable sort keeps each ball's ascending indices within a tie
-        order = np.lexsort((d2, row))
-        out[rows] = cand[order][(np.cumsum(n) - n)[:, None] + np.arange(k)]
+        n = np.bincount(row, minlength=len(rows))
+        heads = (np.cumsum(n) - n)[:, None] + np.arange(k)
+        out[rows] = cand[np.lexsort((cand, d2, row))][heads]
     return out
 
 

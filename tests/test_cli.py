@@ -531,13 +531,26 @@ def _negative_instant(run_dir):
     return path
 
 
+def _refine_before_arrival(run_dir):
+    path = run_dir / "timeline.json"
+    data = json.loads(path.read_text())
+    refine = next(e for e in data["events"] if e["kind"] == "refine_done")
+    assert (refine["scale"], refine["arrival"]) == (1, 2)
+    refine["arrival"] = 1
+    path.write_text(json.dumps(data))
+    return path
+
+
 @pytest.mark.parametrize("break_timeline, message", [
     (_drop_scale_done_2, "incomplete timeline: timeline has no scale_done "
                          "event for scale 2"),
     (_empty_baseline, "incomplete timeline: timeline has no baseline_start "
                       "event for scale 0"),
     (_negative_instant, "negative instant for partition_ready(1): -1"),
-], ids=["no-scale-done-2", "empty-baseline", "negative-instant"])
+    (_refine_before_arrival, "refine_done(1) has arrival 1, which must "
+                             "exceed its scale"),
+], ids=["no-scale-done-2", "empty-baseline", "negative-instant",
+        "refine-before-arrival"])
 def test_report_malformed_timeline_names_the_file_and_writes_nothing(
         tmp_path, capsys, break_timeline, message):
     out = tmp_path / "run"

@@ -387,22 +387,49 @@ def test_empty_scale_costs_nothing():
     assert lat.predict_durations[1] > 0.0
 
 
-def test_real_executor_starts_no_thread(monkeypatch):
+def test_measured_run_keeps_scales_on_the_calling_thread(monkeypatch):
+    """A measured run predicts, refines and assembles every scale on the
+    caller's thread.  With one search worker it starts no thread at all;
+    with two, each neighbor search runs at most two threads and joins them
+    before it returns, and the labels are the same."""
     stream = small_stream(14, n=400, t_max=4000)
     spec = PartitionSpec(tuple(range(100, 4001, 100)))
     cfg = PredictorConfig(error_rates=(0.2,) * 40, seed=1)
-    started = []
+    caller = threading.get_ident()
+    callers, started, alive = set(), [], []
     start = threading.Thread.start
 
     def counted(thread):
         started.append(thread.name)
-        return start(thread)
+        start(thread)
+        alive.append(threading.active_count())
+
+    def on_caller(fn):
+        def wrapped(*args, **kwargs):
+            callers.add((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapped
 
     monkeypatch.setattr(threading.Thread, "start", counted)
-    outputs, _ = run_scalable(stream, spec, cfg, UpdateConfig(k=3),
-                              TimingModel(tick_duration=1e-7, overlap="measured"))
-    assert len(outputs) == 40
-    assert started == []
+    for name in ("predict", "cascade_step", "assemble"):
+        monkeypatch.setattr(pipeline, name, on_caller(getattr(pipeline, name)))
+    before = threading.active_count()
+    labels = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(update, "_WORKERS", workers)
+        started.clear()
+        outputs, _ = run_scalable(stream, spec, cfg, UpdateConfig(k=3),
+                                  TimingModel(tick_duration=1e-7, overlap="measured"))
+        assert len(outputs) == 40
+        labels[workers] = [o.pred_labels for o in outputs]
+        if workers == 1:
+            assert started == []
+    assert started
+    assert max(alive) - before <= 2
+    assert threading.active_count() == before
+    assert callers == {(n, caller) for n in ("predict", "cascade_step", "assemble")}
+    for one, two in zip(labels[1], labels[2]):
+        np.testing.assert_array_equal(one, two)
 
 
 def test_each_scale_pair_is_searched_once(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import scalestream.update as update
 from scalestream import (LissajousConfig, Partition, UpdateConfig, UpdateError,
                          cascade_step, default_spec, knn_batch, partition, scan)
 
@@ -149,21 +150,56 @@ def test_knn_matches_oracle_with_ties():
             assert np.array_equal(got[i], brute_knn(queries[i], ref, k)), (i, k)
 
 
-def test_knn_periodic_scan_ties_match_oracle_quickly(room, default_pose):
-    """A trajectory that repeats its directions puts 53k points on 536
-    positions, so the tree ties nearly every row of scale pair (3, 4).  Tied
-    rows are answered from their neighborhoods, not by a sort of the whole
-    reference per row (which took 13 s on a 2-vCPU host)."""
+@pytest.fixture(scope="module")
+def periodic_pair(room, default_pose):
+    """Scale pair (3, 4) of a trajectory that repeats its directions: 53k
+    points on 536 positions, so the tree ties nearly every row."""
     stream = scan(room, default_pose, LissajousConfig(ticks_per_period=64.0))
     lower, upper = partition(stream, default_spec())[2:4]
+    return lower.positions, upper.positions
+
+
+def test_knn_periodic_scan_ties_match_oracle_quickly(periodic_pair):
+    """Tied rows are answered from their neighborhoods, not by a sort of the
+    whole reference per row (which took 13 s on a 2-vCPU host)."""
+    queries, ref = periodic_pair
     t0 = time.perf_counter()
-    got = knn_batch(lower.positions, upper.positions, 5)
+    got = knn_batch(queries, ref, 5)
     elapsed = time.perf_counter() - t0
-    ref = np.asarray(upper.positions, dtype=float)
-    for row in range(0, len(lower), 25):  # a stable sort is the tie rule
-        d2 = ((ref - np.asarray(lower.positions[row], dtype=float)) ** 2).sum(axis=1)
+    ref = np.asarray(ref, dtype=float)
+    for row in range(0, len(queries), 25):  # a stable sort is the tie rule
+        d2 = ((ref - np.asarray(queries[row], dtype=float)) ** 2).sum(axis=1)
         assert np.array_equal(got[row], np.argsort(d2, kind="stable")[:5]), row
     assert elapsed < 2.0
+
+
+def test_knn_repeated_point_costs_k_candidates_per_row():
+    """Every row of one repeated point ties; its ball holds each copy, but
+    only the k lowest indices are candidates (the whole reference per row
+    took 8-11 s at n = 8,000 on a 2-vCPU host)."""
+    cloud = np.ones((8000, 3))
+    t0 = time.perf_counter()
+    got = knn_batch(cloud, cloud, 5)
+    elapsed = time.perf_counter() - t0
+    assert (got == np.arange(5)).all()
+    assert elapsed < 2.0
+
+
+def test_knn_table_does_not_depend_on_worker_count(monkeypatch, periodic_pair):
+    """Each query row is answered on its own, so one search worker and two
+    give the same table, tied rows included, and both follow the tie rule."""
+    rng = np.random.default_rng(7)
+    cases = [periodic_pair,
+             (rng.uniform(-1, 1, size=(1000, 3)), rng.uniform(-1, 1, size=(5000, 3))),
+             (np.ones((1000, 3)), np.ones((1000, 3)))]
+    for queries, ref in cases:
+        tables = []
+        for workers in (1, 2):
+            monkeypatch.setattr(update, "_WORKERS", workers)
+            tables.append(knn_batch(queries, ref, 5))
+        np.testing.assert_array_equal(tables[0], tables[1])
+        for row in range(0, len(queries), max(1, len(queries) // 20)):
+            assert np.array_equal(tables[0][row], brute_knn(queries[row], ref, 5)), row
 
 
 # ---------------------------------------------------------------------------
