@@ -24,8 +24,9 @@ from .assemble import cumulative_csv, row_heads
 from .metrics import (cost_of_scalability, coverage_curve, metrics_csv, miou,
                       miou_by_origin)
 from .partition import DEFAULT_CUTS, PartitionError, PartitionSpec, partition
-from .pipeline import (PipelineError, TimingModel, Timeline, baseline_timeline,
-                       latency_metrics, run_baseline, run_scalable)
+from .pipeline import (PipelineError, TimingModel, Timeline, _is_number,
+                       baseline_timeline, latency_metrics, run_baseline,
+                       run_scalable)
 from .plots import miou_plot, timeline_plot
 from .predictors import DEFAULT_ERROR_RATES, PredictorConfig, make_seed_cloud
 from .scanner import LissajousConfig, place_cameras, scan
@@ -561,31 +562,40 @@ def _read_timeline(path: Path) -> Timeline:
         return Timeline.from_dict(data)
     except KeyError as exc:
         raise ValueError(f"{path} lacks the key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path} holds a wrongly typed event: {exc}") from None
     except PipelineError as exc:
         raise PipelineError(f"{path}: {exc}") from None
 
 
-def _floats(values) -> list[float | None]:
-    return [None if v is None else float(v) for v in values]
-
-
 def _check_report_metrics(path: Path, metrics: dict) -> None:
-    """Refuse an mIoU outside [0, 1] (NaN included) and a non-finite cost of
-    scalability or speedup, naming the file and the field."""
+    """Refuse, naming the file and the field, a ``scale_miou`` that is not a
+    non-empty list ending in an mIoU, a ``scale_miou_unrefined`` that is
+    neither null nor a list, and a ``baseline_miou`` or list entry that is
+    not a JSON number in [0, 1] (NaN included); a null entry marks an empty
+    prefix."""
+    for key in ("scale_miou", "scale_miou_unrefined", "baseline_miou"):
+        if key not in metrics:
+            raise ValueError(f"{path} lacks the key {key!r}")
+    scale, unrefined = metrics["scale_miou"], metrics["scale_miou_unrefined"]
+    if type(scale) is not list or not scale or scale[-1] is None:
+        raise ValueError(f"{path} holds a wrongly typed field: scale_miou is "
+                         f"{scale!r}, not a non-empty list ending in an mIoU")
+    if unrefined is not None and type(unrefined) is not list:
+        raise ValueError(f"{path} holds a wrongly typed field: "
+                         f"scale_miou_unrefined is {unrefined!r}, not null "
+                         "or a list")
     mious = {"baseline_miou": [metrics["baseline_miou"]],
-             "scale_miou": metrics["scale_miou"],
-             "scale_miou_unrefined": metrics["scale_miou_unrefined"] or []}
+             "scale_miou": [v for v in scale if v is not None],
+             "scale_miou_unrefined": [v for v in unrefined or [] if v is not None]}
     for field, values in mious.items():
         for v in values:
-            if v is not None and not 0 <= v <= 1:
-                raise ValueError(f"{path}: {field} holds {v}, not an mIoU "
+            if not (_is_number(v) and 0 <= v <= 1):
+                # an int is shown as a float, without converting one that
+                # a float cannot hold
+                shown = f"{v}.0" if type(v) is int else repr(v)
+                raise ValueError(f"{path}: {field} holds {shown}, not an mIoU "
                                  "in [0, 1]")
-    for field, v in (("cost_of_scalability_pct", metrics["cost_of_scalability_pct"]),
-                     ("latency.speedup", metrics["latency"].get("speedup", 0.0))):
-        if not math.isfinite(v):
-            raise ValueError(f"{path}: {field} is not finite: {v}")
 
 
 def cmd_report(args) -> int:
@@ -593,21 +603,7 @@ def cmd_report(args) -> int:
     metrics_path = run_dir / "metrics.json"
     if not metrics_path.exists():
         raise ConfigError(f"no metrics.json under {run_dir}")
-    data = _read_object(metrics_path)
-    unrefined, latency = data.get("scale_miou_unrefined"), data.get("latency", {})
-    try:  # only the fields that the plot and the summary render
-        metrics = {
-            "scale_miou": _floats(data["scale_miou"]),
-            "scale_miou_unrefined": None if unrefined is None else _floats(unrefined),
-            "baseline_miou": float(data["baseline_miou"]),
-            "cost_of_scalability_pct": float(data["cost_of_scalability_pct"]),
-            "latency": ({"speedup": float(latency["speedup"])}
-                        if "speedup" in latency else {}),
-        }
-    except KeyError as exc:
-        raise ValueError(f"{metrics_path} lacks the key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{metrics_path} holds a wrongly typed field: {exc}") from None
+    metrics = _read_object(metrics_path)
     _check_report_metrics(metrics_path, metrics)
     tl_path = run_dir / "timeline.json"
     base_path = run_dir / "baseline_timeline.json"
@@ -623,13 +619,14 @@ def cmd_report(args) -> int:
             "timeline.svg": timeline_plot(tl, base_tl, lat)}
     for name, svg in svgs.items():  # every input read and checked first
         (run_dir / name).write_text(svg, encoding="utf-8")
-    print(f"scales: {len(metrics['scale_miou'])}")
-    for i, v in enumerate(metrics["scale_miou"], start=1):
+    scale_mious, base_miou = metrics["scale_miou"], metrics["baseline_miou"]
+    print(f"scales: {len(scale_mious)}")
+    for i, v in enumerate(scale_mious, start=1):
         print(f"  mIoU@scale{i}: {'n/a' if v is None else f'{v:.4f}'}")
-    print(f"baseline mIoU: {metrics['baseline_miou']:.4f}")
-    print(f"cost of scalability: {metrics['cost_of_scalability_pct']:+.2f} pp")
-    if metrics["latency"]:
-        print(f"speedup: {metrics['latency']['speedup']:.1%}")
+    print(f"baseline mIoU: {base_miou:.4f}")
+    print(f"cost of scalability: "
+          f"{cost_of_scalability(base_miou, scale_mious[-1]):+.2f} pp")
+    print(f"speedup: {lat.speedup:.1%}")
     return 0
 
 

@@ -125,6 +125,12 @@ class TimelineEvent:
     arrival: int | None = None  # refine events: the scale whose arrival triggered it
 
 
+def _is_number(v) -> bool:
+    """Whether a value read from JSON is a number: an int or a float, never
+    a bool (a Python int) or a string."""
+    return type(v) in (int, float)
+
+
 @dataclass
 class Timeline:
     events: list[TimelineEvent] = field(default_factory=list)
@@ -164,7 +170,7 @@ class Timeline:
         tl = cls()
         for e in data["events"]:
             scale, instant, arrival = e["scale"], e["instant"], e.get("arrival")
-            if (type(scale) is not int or type(instant) not in (int, float)
+            if (type(scale) is not int or not _is_number(instant)
                     or not (arrival is None or type(arrival) is int)):
                 raise TypeError(f"{e!r} needs an integer scale and arrival "
                                 "and a numeric instant")
@@ -359,7 +365,7 @@ def latency_metrics(scalable: Timeline, baseline: Timeline) -> LatencyMetrics:
     if not scales:
         raise PipelineError("scalable timeline contains no scale events")
     K = scales[-1]
-    if scales != list(range(1, K + 1)):
+    if scales != list(range(1, len(scales) + 1)):
         raise PipelineError(f"timeline is missing scales: found {scales}")
     try:
         ready = {i: scalable.instant(PARTITION_READY, i) for i in scales}

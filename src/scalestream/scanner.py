@@ -115,29 +115,22 @@ def place_cameras(scene: Scene, max_poses: int = 50,
     def axis(a, b):
         return np.arange(a, b + 1e-9, _GRID_PITCH)
 
+    x_walls = (lo[0] + _WALL_INSET, hi[0] - _WALL_INSET)
+    y_walls = (lo[1] + _WALL_INSET, hi[1] - _WALL_INSET)
     zs = axis(z_lo, z_hi)
-    xs = axis(lo[0] + _WALL_INSET, hi[0] - _WALL_INSET)
-    ys = axis(lo[1] + _WALL_INSET, hi[1] - _WALL_INSET)
-    candidates = []
-    for x in (lo[0] + _WALL_INSET, hi[0] - _WALL_INSET):
-        for y in ys:
-            for z in zs:
-                candidates.append((x, y, z))
-    for y in (lo[1] + _WALL_INSET, hi[1] - _WALL_INSET):
-        for x in xs:
-            for z in zs:
-                candidates.append((x, y, z))
+    planes = [np.meshgrid(x_walls, axis(*y_walls), zs, indexing="ij"),
+              np.meshgrid(axis(*x_walls), y_walls, zs, indexing="ij")]
+    grid = np.concatenate([np.stack(p, axis=-1).reshape(-1, 3) for p in planes])
     # the four vertical edges appear on two planes each
-    candidates = sorted(set((round(x, 9), round(y, 9), round(z, 9))
-                            for x, y, z in candidates))
-    if not candidates:
+    candidates = np.unique(np.round(grid, 9), axis=0)
+    if not len(candidates):
         raise SceneError("no camera candidate satisfies the placement constraints")
 
     rng = np.random.default_rng(seed)
     k = min(max_poses, len(candidates))
     chosen = rng.choice(len(candidates), size=k, replace=False)
     target = tuple(scene.center)
-    return [CameraPose(candidates[i], target) for i in chosen]
+    return [CameraPose(tuple(candidates[i]), target) for i in chosen]
 
 
 def scan(scene: Scene, pose: CameraPose, cfg: LissajousConfig,

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import re
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,20 +494,36 @@ def test_sweep_empty_range_exits_2(tmp_path, capsys):
 
 
 def test_report_regenerates_plots(tmp_path, capsys):
-    """The plots that report draws equal the run's, byte for byte."""
+    """The plots that report draws equal the run's, byte for byte, and it
+    prints the cost of scalability and the speedup that run stored,
+    recomputed from the mIoUs and the timelines: corrupting the stored
+    copies changes neither its summary nor its plots."""
     for mode in ("sim", "real"):
         out = tmp_path / mode
         assert run_cli("run", *FAST, "--mode", mode, "--out-dir", str(out),
                        "--seed", "6") == 0
-        svgs = {}
-        for name in ("miou_vs_scale.svg", "timeline.svg"):
-            svgs[name] = (out / name).read_bytes()
-            (out / name).unlink()
-        capsys.readouterr()
-        assert run_cli("report", "--run-dir", str(out)) == 0
-        for name, data in svgs.items():
-            assert (out / name).read_bytes() == data, (mode, name)
-        assert "mIoU@scale5" in capsys.readouterr().out
+        metrics = json.loads((out / "metrics.json").read_text())
+        cost, speedup = (metrics["cost_of_scalability_pct"],
+                         metrics["latency"]["speedup"])
+        lines = (f"cost of scalability: {cost:+.2f} pp\n",
+                 f"speedup: {speedup:.1%}\n")
+        svgs = {name: (out / name).read_bytes()
+                for name in ("miou_vs_scale.svg", "timeline.svg")}
+        corrupt = {**metrics, "cost_of_scalability_pct": float("inf"),
+                   "latency": {"speedup": float("-inf")}}
+        summaries = []
+        for stored in (metrics, corrupt):
+            (out / "metrics.json").write_text(json.dumps(stored))
+            for name in svgs:
+                (out / name).unlink()
+            capsys.readouterr()
+            assert run_cli("report", "--run-dir", str(out)) == 0
+            for name, data in svgs.items():
+                assert (out / name).read_bytes() == data, (mode, name)
+            summaries.append(capsys.readouterr().out)
+        assert "mIoU@scale5" in summaries[0]
+        assert all(line in summaries[0] for line in lines), (mode, summaries[0])
+        assert summaries[1] == summaries[0], mode
 
 
 def _drop_scale_done_2(run_dir):
@@ -603,6 +621,38 @@ def test_report_missing_timeline_exits_2_writing_nothing(tmp_path, capsys, name)
     assert not list(out.glob("*.svg"))
 
 
+REPORT_INPUTS = ("metrics.json", "timeline.json", "baseline_timeline.json")
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """The three JSON files that report reads, from one small sim run."""
+    out = tmp_path_factory.mktemp("small") / "run"
+    assert run_cli("run", "--scan-inline", "--ticks", "4000",
+                   "--cuts", "500 1000 2000 4000",
+                   "--error-rates", "0.3 0.2 0.1 0.05", "--out-dir", str(out)) == 0
+    return {name: json.loads((out / name).read_text()) for name in REPORT_INPUTS}
+
+
+def _write_run_dir(path, docs):
+    path.mkdir()
+    for name, doc in docs.items():
+        (path / name).write_text(json.dumps(doc))
+    return path
+
+
+def _report(run_dir):
+    """Exit code, stdout and stderr of ``report`` on ``run_dir``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli("report", "--run-dir", str(run_dir))
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Strings and bools in place of an mIoU, which report refuses, not coerces.
+COERCIBLE = {"str": "0.5", "padded-str": " 0.25 ", "true": True, "false": False}
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("scale_miou", [7.5, -3, 0.5], "scale_miou holds 7.5, not an mIoU in [0, 1]"),
     ("scale_miou", [None, -3], "scale_miou holds -3.0, not an mIoU in [0, 1]"),
@@ -610,26 +660,92 @@ def test_report_missing_timeline_exits_2_writing_nothing(tmp_path, capsys, name)
      "scale_miou_unrefined holds nan, not an mIoU in [0, 1]"),
     ("baseline_miou", float("nan"), "baseline_miou holds nan, not an mIoU in [0, 1]"),
     ("baseline_miou", 1.5, "baseline_miou holds 1.5, not an mIoU in [0, 1]"),
-    ("cost_of_scalability_pct", float("inf"),
-     "cost_of_scalability_pct is not finite: inf"),
-    ("latency", {"speedup": float("-inf")}, "latency.speedup is not finite: -inf"),
+    *[(field, v if field == "baseline_miou" else [v, 0.5],
+       f"{field} holds {v!r}, not an mIoU in [0, 1]")
+      for field in ("scale_miou", "scale_miou_unrefined", "baseline_miou")
+      for v in COERCIBLE.values()],
 ], ids=["miou-above-1", "miou-below-0", "unrefined-nan", "baseline-nan",
-        "baseline-above-1", "cost-inf", "speedup-inf"])
-def test_report_refuses_impossible_metrics(tmp_path, capsys, field, value, message):
-    """An mIoU outside [0, 1] or a non-finite figure exits 1 naming the file
-    and the field, and no plot is written."""
-    out = tmp_path / "run"
-    assert run_cli("run", *FAST, "--out-dir", str(out)) == 0
-    for svg in out.glob("*.svg"):
-        svg.unlink()
-    path = out / "metrics.json"
-    data = json.loads(path.read_text())
-    data[field] = value
-    path.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert run_cli("report", "--run-dir", str(out)) == 1
-    assert capsys.readouterr().err == f"error: {path}: {message}\n"
-    assert not list(out.glob("*.svg"))
+        "baseline-above-1",
+        *[f"{field}-{name}"
+          for field in ("scale_miou", "scale_miou_unrefined", "baseline_miou")
+          for name in COERCIBLE]])
+def test_report_refuses_impossible_metrics(tmp_path, small_run, field, value,
+                                           message):
+    """An mIoU outside [0, 1], or a string or a bool in its place, exits 1
+    naming the file and the field, and no plot is written."""
+    metrics = {**small_run["metrics.json"], field: value}
+    run_dir = _write_run_dir(tmp_path / "run",
+                             {**small_run, "metrics.json": metrics})
+    code, _, err = _report(run_dir)
+    assert code == 1
+    assert err == f"error: {run_dir / 'metrics.json'}: {message}\n"
+    assert not list(run_dir.glob("*.svg"))
+
+
+def _field_paths(doc, path=()):
+    """Every key path into a JSON document, the root's ``()`` included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _field_paths(value, (*path, key))
+
+
+def _is_miou(v):
+    return type(v) in (int, float) and 0 <= v <= 1
+
+
+_DROP = object()
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308]),
+    st.sampled_from(["0.5", "1", " 0.25 ", ""]), st.text(max_size=4))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_report_survives_any_single_field_mutation(small_run, data):
+    """Set one field of one input file to any JSON value, or drop it: report
+    exits 0 with every mIoU a JSON number in [0, 1] (null for an empty
+    prefix), or exits 1 or 2 with one line that names the file and writes
+    no plot.  Never a traceback."""
+    docs = json.loads(json.dumps(small_run))
+    name = data.draw(st.sampled_from(REPORT_INPUTS))
+    path = data.draw(st.sampled_from(list(_field_paths(docs[name]))))
+    value = data.draw(st.just(_DROP) | _json_values if path else _json_values)
+    if not path:
+        docs[name] = value
+    else:
+        container = docs[name]
+        for key in path[:-1]:
+            container = container[key]
+        if value is _DROP:
+            del container[path[-1]]
+        else:
+            container[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = _write_run_dir(Path(tmp) / "run", docs)
+        code, _, err = _report(run_dir)
+        assert code in (0, 1, 2)
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert str(run_dir / name) in err, err
+            assert not list(run_dir.glob("*.svg"))
+            return
+    metrics = docs["metrics.json"]
+    scale, unrefined = metrics["scale_miou"], metrics["scale_miou_unrefined"]
+    assert type(scale) is list and _is_miou(scale[-1])
+    assert unrefined is None or type(unrefined) is list
+    for v in [*scale, *(unrefined or [])]:
+        assert v is None or _is_miou(v)
+    assert _is_miou(metrics["baseline_miou"])
 
 
 def test_report_partial_metrics_exits_1(tmp_path, capsys):
@@ -675,19 +791,20 @@ def test_report_timeline_without_events_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("name, field, value", [
     ("timeline.json", "events", [1]),
     ("metrics.json", "scale_miou", 5),
+    # the cost of scalability needs the final scale's mIoU, and the final
+    # prefix, the whole stream, is never empty
+    ("metrics.json", "scale_miou", [0.5, None]),
+    ("metrics.json", "scale_miou", []),
 ])
-def test_report_wrongly_typed_field_exits_1(tmp_path, capsys, name, field, value):
-    out = tmp_path / "run"
-    assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
-    capsys.readouterr()
-    path = out / name
-    data = json.loads(path.read_text())
-    data[field] = value
-    path.write_text(json.dumps(data))
-    assert run_cli("report", "--run-dir", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path} holds a wrongly typed ")
+def test_report_wrongly_typed_field_exits_1(tmp_path, small_run, name, field,
+                                            value):
+    run_dir = _write_run_dir(tmp_path / "run", {
+        **small_run, name: {**small_run[name], field: value}})
+    code, _, err = _report(run_dir)
+    assert code == 1
+    assert err.startswith(f"error: {run_dir / name} holds a wrongly typed ")
     assert err.count("\n") == 1
+    assert not list(run_dir.glob("*.svg"))
 
 
 def test_report_refuses_non_integer_event_values(tmp_path, capsys):

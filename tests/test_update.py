@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import scalestream.update as update
-from scalestream import (LissajousConfig, Partition, UpdateConfig, UpdateError,
-                         cascade_step, default_spec, knn_batch, partition, scan)
+from scalestream import (LissajousConfig, Partition, PartitionSpec,
+                         PredictorConfig, TimingModel, UpdateConfig,
+                         UpdateError, cascade_step, default_spec, knn_batch,
+                         miou, partition, run_scalable, scan)
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +395,30 @@ def test_refine_matches_oracle_on_scanner_data():
                                np.asarray(upper.positions, dtype=float),
                                upper.labels, 5)
     assert np.array_equal(got, want)
+
+
+@pytest.fixture(scope="module")
+def uniform_scan(room, default_pose):
+    """20,000 ticks of the default room from pose 0, sweeping the field of
+    view as often per tick as the default scan does."""
+    return scan(room, default_pose,
+                LissajousConfig(ticks=20000, ticks_per_period=20000 / 983))
+
+
+@pytest.mark.parametrize("scales, sign", [(5, 1), (50, -1)],
+                         ids=["5-scales-lift", "50-scales-loss"])
+def test_cascade_lift_turns_into_a_loss_at_many_scales(uniform_scan, scales,
+                                                       sign):
+    """At 5 uniform scales the cascade lifts the noisy oracle's final mIoU
+    by at least 5 points; at 50 it loses at least 5.  Each arrival re-votes
+    every lower scale, so scale 1 is filtered K-1 times and the labels drift
+    towards a local consensus.  This test documents that loss; it does not
+    bless it (README, "Accuracy against the number of scales")."""
+    spec = PartitionSpec(tuple(20000 * i // scales for i in range(1, scales + 1)))
+    for seed in range(3):
+        cfg = PredictorConfig(error_rates=(0.1,) * scales, seed=seed)
+        refined, _ = run_scalable(uniform_scan, spec, cfg, UpdateConfig(k=5),
+                                  TimingModel())
+        unrefined, _ = run_scalable(uniform_scan, spec, cfg, None, TimingModel())
+        gain = miou(refined[-1])[1] - miou(unrefined[-1])[1]
+        assert sign * gain >= 0.05, (seed, gain)
