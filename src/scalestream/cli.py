@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage/configuration error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -47,9 +48,7 @@ def _manifest_config(args: argparse.Namespace) -> dict:
     stream file instead of scanning leaves out the scan flags."""
     skip = {"command", "config", "out_dir"}
     if not _scans(args):
-        scan_flags = argparse.ArgumentParser(add_help=False)
-        _add_scan_args(scan_flags)
-        skip |= {a.dest for a in scan_flags._actions}
+        skip |= build_parser()[2]  # the scan flags' destinations
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
@@ -107,7 +106,8 @@ def _add_field_flags(p: argparse.ArgumentParser, cls, names: tuple,
                        help=helps.get(name))
 
 
-def _add_scan_args(p: argparse.ArgumentParser) -> None:
+def _add_scan_args(p: argparse.ArgumentParser) -> frozenset[str]:
+    n = len(p._actions)
     p.add_argument("--scene", type=str, default="builtin",
                    help="scene file path, or 'builtin' for the default room")
     p.add_argument("--room", type=str, default="4 4 3",
@@ -118,6 +118,7 @@ def _add_scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-poses", type=int, default=50)
     p.add_argument("--camera-index", type=int, default=0,
                    help="which sampled camera pose to scan from")
+    return frozenset(a.dest for a in p._actions[n:])
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
@@ -151,7 +152,8 @@ class ConfigError(ValueError):
     ``config error:`` line."""
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+@functools.cache  # one parser per process
+def build_parser() -> tuple[argparse.ArgumentParser, dict, frozenset[str]]:
     parser = argparse.ArgumentParser(
         prog="scalestream",
         description="Resolution-scalable point-stream scanning, processing "
@@ -165,7 +167,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p_scan = command("scan", help="scan a scene into a stream file")
     _add_common(p_scan)
-    _add_scan_args(p_scan)
+    scan_dests = _add_scan_args(p_scan)
 
     p_part = command("partition", help="split a stream into scales")
     _add_common(p_part)
@@ -204,7 +206,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_rep.add_argument("--run-dir", type=str, required=True)
     subparsers = {"scan": p_scan, "partition": p_part, "run": p_run,
                   "sweep": p_sweep, "report": p_rep}
-    return parser, subparsers
+    return parser, subparsers, scan_dests
 
 
 def _config_argv(subparsers: dict, argv: list[str]) -> list[str]:
@@ -218,13 +220,13 @@ def _config_argv(subparsers: dict, argv: list[str]) -> list[str]:
         return argv
     path = Path(known.config)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"--config: config file not found: {path}")
     try:
         values = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        raise ConfigError(f"--config: config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ConfigError(f"--config: config file {path} must hold a JSON object")
     unknown = sorted(set(values) - {a.dest for sp in subparsers.values()
                                     for a in sp._actions})
     if unknown:
@@ -641,7 +643,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    parser, subparsers, _ = build_parser()
     try:
         args = parser.parse_args(_config_argv(subparsers, argv))
         return COMMANDS[args.command](args)

@@ -48,6 +48,8 @@ REFINE_DONE = "refine_done"
 CUMULATIVE_AVAILABLE = "cumulative_available"
 BASELINE_START = "baseline_start"
 BASELINE_DONE = "baseline_done"
+_EVENT_KINDS = (PARTITION_READY, SCALE_START, SCALE_DONE, REFINE_DONE,
+                CUMULATIVE_AVAILABLE, BASELINE_START, BASELINE_DONE)
 
 OVERLAP_MODES = ("full", "none", "measured")
 
@@ -174,6 +176,8 @@ class Timeline:
                     or not (arrival is None or type(arrival) is int)):
                 raise TypeError(f"{e!r} needs an integer scale and arrival "
                                 "and a numeric instant")
+            if e["kind"] not in _EVENT_KINDS:
+                raise PipelineError(f"unknown event {e['kind']}({scale})")
             if e["kind"] == REFINE_DONE and (arrival is None or arrival <= scale):
                 raise PipelineError(f"{REFINE_DONE}({scale}) has arrival "
                                     f"{arrival}, which must exceed its scale")

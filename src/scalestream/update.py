@@ -125,18 +125,10 @@ def _tied_neighbors(ref: np.ndarray, q: np.ndarray, radius: np.ndarray,
 def _majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
     """Most frequent label per row; ties go to the earliest (nearest) column
     holding a tied label."""
-    nq, k_eff = neighbor_labels.shape
-    span = int(neighbor_labels.max()) + 1
-    offsets = neighbor_labels + span * np.arange(nq)[:, None]
-    counts = np.bincount(offsets.ravel(), minlength=nq * span).reshape(nq, span)
-    top = counts.max(axis=1)
-    rows = np.arange(nq)
-    winner = np.full(nq, -1, dtype=np.int64)
-    for col in range(k_eff):
-        lab = neighbor_labels[:, col]
-        take = (winner < 0) & (counts[rows, lab] == top)
-        winner[take] = lab[take]
-    return winner
+    rows = np.arange(len(neighbor_labels))
+    offsets = neighbor_labels + (int(neighbor_labels.max()) + 1) * rows[:, None]
+    counts = np.bincount(offsets.ravel())[offsets]  # each column's label count
+    return neighbor_labels[rows, counts.argmax(axis=1)]  # the first top column
 
 
 def cascade_step(lowers: Sequence[Partition], arrived: Partition,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from scalestream import LabelMap, PointStream, default_room, place_cameras
 
@@ -26,6 +27,30 @@ def make_counted_stream(rng: np.random.Generator, counts, cuts,
         for lo, hi, n in zip(lows, cuts, counts)]))
     base = make_random_stream(rng, len(timestamps), class_count)
     return PointStream(base.positions, base.labels, timestamps, class_count)
+
+
+def mutate_one_line(data: st.DataObject, text: str, tokens) -> str:
+    """``text`` with one line dropped, repeated or moved, or with one of
+    ``tokens`` put in place of, or before, one of its tokens."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    op = data.draw(st.sampled_from(["drop", "repeat", "move", "replace", "insert"]),
+                   label="op")
+    if op == "drop":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(i, lines[i])
+    elif op == "move":
+        lines.insert(data.draw(st.integers(0, len(lines) - 1), label="to"),
+                     lines.pop(i))
+    else:
+        words = lines[i].split()
+        j = data.draw(st.integers(0, max(len(words) - (op == "replace"), 0)),
+                      label="token")
+        words[j:j + (op == "replace")] = [data.draw(st.sampled_from(tokens),
+                                                    label="with")]
+        lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import scalestream.cli as cli
 import scalestream.pipeline as pipeline
-from conftest import make_counted_stream
+from conftest import make_counted_stream, mutate_one_line
 from scalestream import (PartitionSpec, PredictorConfig, PredictorError,
                          Timeline, TimingModel, UpdateConfig, latency_metrics,
                          make_seed_cloud, read_stream, run_baseline,
@@ -168,16 +168,31 @@ def test_run_lists_all_config_errors(tmp_path, capsys):
                              ("sweep", cli.TIMING_FLAGS[1:]))
       for flag in flags for value in ("nan", "inf")),
     ("sweep", "--tick-durations", "1e-5 nan"),
+    *((command, "--config", name) for command in ("scan", "run")
+      for name in ("missing.json", "bad.json", "list.json")),
+    *((command, "--seed", "-1") for command in ("scan", "run", "sweep")),
+    *((command, "--seed-ref-fraction", value) for command in ("run", "sweep")
+      for value in ("0", "1.5")),
+    *(pytest.param(command, "--no-fusion-dependency", ["--predictor", "seeded-knn"],
+                   id=f"{command}---no-fusion-dependency-seeded-knn")
+      for command in ("run", "sweep")),
+    *((command, "--error-rates", "0.1 0.1") for command in ("run", "sweep")),
+    ("scan", "--camera-index", "50"),
 ])
 def test_bad_flag_exits_2_before_any_scan_or_read(tmp_path, monkeypatch, capsys,
                                                   no_work, command, flag, value):
-    """Each flag that a config object checks, on every command that takes
-    it: the command exits 2 and names the flag before any scan or read."""
+    """Each flag that a config object or a CLI rule checks, on every command
+    that takes it: the command exits 2 and names the flag before any scan
+    or read.  A config file that is missing, not JSON or not a JSON object
+    is refused the same way."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "stream.bin").write_bytes(b"")
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[]")
     base = {"scan": [], "partition": ["--stream", "stream.bin"]}.get(
         command, [] if flag == "--stream" else ["--scan-inline"])
-    assert run_cli(command, *base, flag, value, "--out-dir", "out") == 2
+    values = [value] if isinstance(value, str) else value
+    assert run_cli(command, *base, flag, *values, "--out-dir", "out") == 2
     assert f"config error: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -559,6 +574,23 @@ def _refine_before_arrival(run_dir):
     return path
 
 
+def _misspelled_kind(run_dir):
+    path = run_dir / "timeline.json"
+    data = json.loads(path.read_text())
+    refine = next(e for e in data["events"] if e["kind"] == "refine_done")
+    refine["kind"] = "refine_dne"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _numeric_kind(run_dir):
+    path = run_dir / "timeline.json"
+    data = json.loads(path.read_text())
+    data["events"].append({"kind": 5, "scale": 1, "instant": 0.0})
+    path.write_text(json.dumps(data))
+    return path
+
+
 @pytest.mark.parametrize("break_timeline, message", [
     (_drop_scale_done_2, "incomplete timeline: timeline has no scale_done "
                          "event for scale 2"),
@@ -567,10 +599,15 @@ def _refine_before_arrival(run_dir):
     (_negative_instant, "negative instant for partition_ready(1): -1"),
     (_refine_before_arrival, "refine_done(1) has arrival 1, which must "
                              "exceed its scale"),
+    (_misspelled_kind, "unknown event refine_dne(1)"),
+    (_numeric_kind, "unknown event 5(1)"),
 ], ids=["no-scale-done-2", "empty-baseline", "negative-instant",
-        "refine-before-arrival"])
+        "refine-before-arrival", "misspelled-kind", "numeric-kind"])
 def test_report_malformed_timeline_names_the_file_and_writes_nothing(
         tmp_path, capsys, break_timeline, message):
+    """A timeline that lacks an event, holds a negative instant, a refine
+    before its arrival, or an event of a kind other than the seven that a
+    run writes: report exits 1 naming the file and writes no plot."""
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
     broken = break_timeline(out)
@@ -884,7 +921,7 @@ def test_run_manifest_records_every_flag(tmp_path):
     """A scanning command's manifest config holds every flag destination of
     the command except --config and --out-dir, so flags that change the
     outputs, such as --skip-unrefined, change the config hash."""
-    _, subparsers = cli.build_parser()
+    _, subparsers, _ = cli.build_parser()
     manifests = {}
     for name, argv in (("scan", ["scan", "--ticks", "2000"]),
                        ("run", ["run", *FAST]),
@@ -1077,6 +1114,50 @@ def test_config_file_and_flags_agree(prop_dir, data):
         assert by_flags is None
 
 
+#: A valid run config file, one key per line and one token per key and
+#: per value.
+RUN_CONFIG = json.dumps({
+    "cuts": "500,1200,2500,4200,6000", "error_rates": "0.3,0.2,0.1,0.05,0.02",
+    "predictor": "noisy-oracle", "k_cls": 5, "um_k": 3, "seed": 2,
+    "seed_ref_fraction": 0.05, "no_update": False, "skip_unrefined": True,
+    "overlap": "full", "mode": "sim", "tick_duration": 1e-5,
+    "predict_fixed": 0.01, "coverage_grid": 8}, indent=0)
+
+#: Tokens that a hand edit may leave in a config file, bare and as a value
+#: followed by the comma that JSON needs between members.
+CONFIG_TOKENS = tuple(token + comma for comma in ("", ",") for token in (
+    "null", "true", "false", "0", "-1", "2.5", "1e308", "-1e308", "1e999",
+    "NaN", "Infinity", '"x"', '""', '"0 0"', "[]", "{}", '"seeded-knn"',
+    '"real"', '"none"', '"scan_inline":', '"ticks":', '"um_k":', '"config":',
+    "}", "{"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_run_survives_any_single_line_config_mutation(prop_dir, data):
+    """Drop, repeat or move one line of a valid config file, or replace or
+    insert one token: run exits 2 writing nothing, on one config error line
+    per problem or on argparse's usage error, or it reaches the stream
+    read.  Never a traceback."""
+    cfg = prop_dir / "mutated.json"
+    cfg.write_text(mutate_one_line(data, RUN_CONFIG, CONFIG_TOKENS))
+    out = prop_dir / "mutated-out"
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(cli, "scan", _reached)
+        mp.setattr(cli, "read_stream", _reached)
+        try:
+            code = exit_code("run", "--stream", str(prop_dir / "stream.bin"),
+                             "--config", str(cfg), "--out-dir", str(out))
+        except Reached:
+            return
+    assert code == 2, err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert lines and (all(line.startswith("config error: ") for line in lines)
+                      or lines[-1].startswith("scalestream run: error: ")), lines
+    assert not out.exists()
+
+
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tiks": 3000}))
@@ -1122,6 +1203,30 @@ def test_run_no_update(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["scale_miou_unrefined"] is None
     assert (out / "miou_vs_scale.svg").exists()
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    """Three runs through ``main`` in one process, the second without the
+    update module, build no parser after the first call, and the first and
+    third write byte-identical directories: nothing of one call's flags
+    stays behind for the next."""
+    assert run_cli("scan", "--ticks", "6000", "--out-dir", str(tmp_path / "scan")) == 0
+    built = []
+    add_scan_args = cli._add_scan_args
+    monkeypatch.setattr(cli, "_add_scan_args",
+                        lambda p: built.append(p) or add_scan_args(p))
+    base = ["run", "--stream", str(tmp_path / "scan" / "stream.bin"),
+            "--cuts", "500 1200 2500 4200 6000"]
+    dirs = [tmp_path / name for name in ("first", "no-update", "third")]
+    for out, flags in zip(dirs, ([], ["--no-update"], [])):
+        assert run_cli(*base, *flags, "--out-dir", str(out)) == 0
+    assert built == []
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[2].iterdir())
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[2] / name).read_bytes(), name
+    manifests = [json.loads((d / "run_manifest.json").read_text()) for d in dirs]
+    assert [m["config"]["no_update"] for m in manifests] == [False, True, False]
 
 
 def test_empty_stream_exits_2(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import mutate_one_line
 from scalestream import (INDOOR_CLASSES, Scene, SceneError, default_room,
                          load_scene, parse_scene, scene_text)
 from scalestream.geometry import Primitive
@@ -72,6 +75,17 @@ def test_parse_scene_errors_name_line():
         parse_scene("box table 0 0 0 1 1 1")
     with pytest.raises(SceneError, match="classes must precede"):
         parse_scene("room 0 0 0 1 1 1\nrect wall 0 0 0 0 1 1\nclasses a,b")
+    room = "room 0 0 0 4 4 3\n"
+    for text, lineno, message in [
+            (room + "scene a b", 2, "scene takes exactly one name"),
+            ("classes ,\n" + room, 1, "classes needs at least one name"),
+            ("room 0 0 0 4 4", 1, "room needs 6 coordinates"),
+            (room + "box chair 0 0 0 1 1", 2, "box needs a class name"),
+            (room + "box chair 0 0 0 1 1 0", 2, "box must have positive extent"),
+            (room + "box chair 1 1 1 0 0 0", 2, "hi corner below lo corner"),
+            (room + "cone 0 0 0 1 1 1", 2, "unknown directive 'cone'")]:
+        with pytest.raises(SceneError, match=f"^line {lineno}: {message}"):
+            parse_scene(text)
 
 
 @pytest.mark.parametrize("kind,line", [
@@ -119,3 +133,23 @@ def test_parse_scene_rejects_non_finite_coordinates(template, bad):
     with pytest.raises(SceneError, match=f"^line {lineno}: coordinates must "
                                          f"be finite numbers, got .*{bad}"):
         parse_scene(text)
+
+
+#: Tokens that a hand edit may leave in a scene file: non-finite and
+#: extreme numbers, a comment mark, a directive name, a class separator.
+SCENE_TOKENS = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-0",
+                "-1", "x", "#", ",", "a,b", "room", "scene", "classes", "box",
+                "rect", "chair", "wall", "floor,floor")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_scene_survives_any_single_line_mutation(data):
+    """Drop, repeat or move one line of the built-in room's scene text, or
+    replace or insert one token: the parser returns a scene or raises a
+    SceneError, and nothing else."""
+    text = mutate_one_line(data, scene_text(default_room()), SCENE_TOKENS)
+    try:
+        assert isinstance(parse_scene(text), Scene)
+    except SceneError:
+        pass

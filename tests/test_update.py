@@ -26,23 +26,22 @@ def brute_knn(query, reference, k):
     return np.array(order[:min(k, len(reference))], dtype=np.int64)
 
 
+def brute_vote(labels):
+    """Explicit vote counting over one row of labels, nearest first; a tie
+    goes to the tied label that comes first."""
+    votes = {}
+    for lab in labels:
+        votes[lab] = votes.get(lab, 0) + 1
+    top = max(votes.values())
+    return next(lab for lab in labels if votes[lab] == top)
+
+
 def brute_refine_labels(lower_pos, upper_pos, upper_labels, k):
     """Explicit vote counting per point, ties to the nearest tied-class
     neighbor."""
-    out = []
-    for q in lower_pos:
-        idx = brute_knn(q, upper_pos, k)
-        votes = {}
-        for i in idx:
-            lab = int(upper_labels[i])
-            votes[lab] = votes.get(lab, 0) + 1
-        top = max(votes.values())
-        tied = {lab for lab, c in votes.items() if c == top}
-        for i in idx:
-            if int(upper_labels[i]) in tied:
-                out.append(int(upper_labels[i]))
-                break
-    return np.array(out, dtype=np.int64)
+    return np.array([brute_vote([int(upper_labels[i])
+                                 for i in brute_knn(q, upper_pos, k)])
+                     for q in lower_pos], dtype=np.int64)
 
 
 def nested_oracle(preds, k):
@@ -267,6 +266,25 @@ def test_refine_labels_come_from_upper_neighborhoods():
     upper = random_prediction(rng, 2, 60, classes=6)
     out = two_scale(lower, upper, UpdateConfig(k=5))
     assert set(out.tolist()) <= set(upper.labels.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_majority_vote_matches_counting_oracle(data):
+    """Up to 16 neighbors and 40 classes, with rows whose labels all differ,
+    rows that repeat one label and every tie in between: each row's winner
+    is the per-row count's."""
+    n = data.draw(st.integers(1, 30), label="rows")
+    k = data.draw(st.integers(1, 16), label="k")
+    classes = data.draw(st.integers(1, 40), label="classes")
+    if data.draw(st.booleans(), label="distinct") and k <= classes:
+        rows = [data.draw(st.permutations(range(classes)))[:k] for _ in range(n)]
+        table = np.array(rows, dtype=np.int64)
+    else:
+        table = data.draw(arrays(np.int64, (n, k),
+                                 elements=st.integers(0, classes - 1)))
+    got = update._majority_vote(table)
+    assert got.tolist() == [brute_vote(row) for row in table.tolist()]
 
 
 # ---------------------------------------------------------------------------
