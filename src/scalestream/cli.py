@@ -218,15 +218,10 @@ def _config_argv(subparsers: dict, argv: list[str]) -> list[str]:
     known, _ = pre.parse_known_args(argv)
     if known.config is None or not argv or argv[0] not in subparsers:
         return argv
-    path = Path(known.config)
-    if not path.exists():
-        raise ConfigError(f"--config: config file not found: {path}")
     try:
-        values = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--config: config file {path} is not valid JSON: {exc}")
-    if not isinstance(values, dict):
-        raise ConfigError(f"--config: config file {path} must hold a JSON object")
+        values = _read_json(Path(known.config), dict, "field")
+    except ValueError as exc:  # ConfigError included: every fault exits 2
+        raise ConfigError(f"--config: {exc}") from None
     unknown = sorted(set(values) - {a.dest for sp in subparsers.values()
                                     for a in sp._actions})
     if unknown:
@@ -546,47 +541,44 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_object(path: Path) -> dict:
-    """The JSON object a run-directory file holds; anything else is an error
-    that names the file."""
+def _read_json(path: Path, parse, what: str):
+    """``parse`` of the JSON object that the file at ``path`` holds.
+
+    A missing file is a ConfigError.  Every other fault is one error line
+    that names the file: a document that is not valid JSON or not an
+    object, and, from ``parse``, a KeyError (a missing key), a TypeError or
+    OverflowError (a wrongly typed ``what``, field or event) and a
+    ValueError or PipelineError (an impossible value)."""
+    if not path.exists():
+        raise ConfigError(f"no {path.name} under {path.parent}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad bytes, deep nesting
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not hold a JSON object")
-    return data
-
-
-def _read_timeline(path: Path) -> Timeline:
-    data = _read_object(path)
     try:
-        return Timeline.from_dict(data)
+        return parse(data)
     except KeyError as exc:
         raise ValueError(f"{path} lacks the key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path} holds a wrongly typed event: {exc}") from None
-    except PipelineError as exc:
-        raise PipelineError(f"{path}: {exc}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{path} holds a wrongly typed {what}: {exc}") from None
+    except (ValueError, PipelineError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _check_report_metrics(path: Path, metrics: dict) -> None:
-    """Refuse, naming the file and the field, a ``scale_miou`` that is not a
-    non-empty list ending in an mIoU, a ``scale_miou_unrefined`` that is
-    neither null nor a list, and a ``baseline_miou`` or list entry that is
-    not a JSON number in [0, 1] (NaN included); a null entry marks an empty
-    prefix."""
-    for key in ("scale_miou", "scale_miou_unrefined", "baseline_miou"):
-        if key not in metrics:
-            raise ValueError(f"{path} lacks the key {key!r}")
+def _check_report_metrics(metrics: dict) -> dict:
+    """``metrics``, once ``scale_miou`` is a non-empty list ending in an
+    mIoU, ``scale_miou_unrefined`` null or a list, and ``baseline_miou``
+    and each list entry a JSON number in [0, 1] (NaN excluded); a null
+    entry marks an empty prefix."""
     scale, unrefined = metrics["scale_miou"], metrics["scale_miou_unrefined"]
     if type(scale) is not list or not scale or scale[-1] is None:
-        raise ValueError(f"{path} holds a wrongly typed field: scale_miou is "
-                         f"{scale!r}, not a non-empty list ending in an mIoU")
+        raise TypeError(f"scale_miou is {scale!r}, not a non-empty list "
+                        "ending in an mIoU")
     if unrefined is not None and type(unrefined) is not list:
-        raise ValueError(f"{path} holds a wrongly typed field: "
-                         f"scale_miou_unrefined is {unrefined!r}, not null "
-                         "or a list")
+        raise TypeError(f"scale_miou_unrefined is {unrefined!r}, not null "
+                        "or a list")
     mious = {"baseline_miou": [metrics["baseline_miou"]],
              "scale_miou": [v for v in scale if v is not None],
              "scale_miou_unrefined": [v for v in unrefined or [] if v is not None]}
@@ -596,23 +588,17 @@ def _check_report_metrics(path: Path, metrics: dict) -> None:
                 # an int is shown as a float, without converting one that
                 # a float cannot hold
                 shown = f"{v}.0" if type(v) is int else repr(v)
-                raise ValueError(f"{path}: {field} holds {shown}, not an mIoU "
-                                 "in [0, 1]")
+                raise ValueError(f"{field} holds {shown}, not an mIoU in [0, 1]")
+    return metrics
 
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    metrics_path = run_dir / "metrics.json"
-    if not metrics_path.exists():
-        raise ConfigError(f"no metrics.json under {run_dir}")
-    metrics = _read_object(metrics_path)
-    _check_report_metrics(metrics_path, metrics)
+    metrics = _read_json(run_dir / "metrics.json", _check_report_metrics, "field")
     tl_path = run_dir / "timeline.json"
     base_path = run_dir / "baseline_timeline.json"
-    for path in (tl_path, base_path):
-        if not path.exists():
-            raise ConfigError(f"no {path.name} under {run_dir}")
-    tl, base_tl = _read_timeline(tl_path), _read_timeline(base_path)
+    tl, base_tl = (_read_json(p, Timeline.from_dict, "event")
+                   for p in (tl_path, base_path))
     try:
         lat = latency_metrics(tl, base_tl)
     except PipelineError as exc:

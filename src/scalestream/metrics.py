@@ -23,8 +23,8 @@ class MetricsError(ValueError):
 
 
 def _iou(gt, pred, class_count: int) -> tuple[np.ndarray, float]:
-    """Per-class IoU (NaN where the union is empty) and their mean, from the
-    C x C counts of (ground truth, prediction) pairs."""
+    """Per-class IoU (NaN where the union is empty) and their mean, from
+    three length-C counts: true positives, ground truth and predictions."""
     gt = np.asarray(gt, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
     if gt.shape != pred.shape:
@@ -32,11 +32,9 @@ def _iou(gt, pred, class_count: int) -> tuple[np.ndarray, float]:
     if len(gt) and (gt.min() < 0 or gt.max() >= class_count
                     or pred.min() < 0 or pred.max() >= class_count):
         raise MetricsError("labels outside [0, class_count)")
-    counts = np.bincount(gt * class_count + pred,
-                         minlength=class_count * class_count
-                         ).reshape(class_count, class_count)
-    tp = np.diag(counts).astype(float)
-    union = counts.sum(axis=0) + counts.sum(axis=1) - tp
+    tp = np.bincount(gt[gt == pred], minlength=class_count).astype(float)
+    union = (np.bincount(pred, minlength=class_count)
+             + np.bincount(gt, minlength=class_count) - tp)
     with np.errstate(invalid="ignore", divide="ignore"):
         per_class = np.where(union > 0, tp / union, np.nan)
     included = ~np.isnan(per_class)

@@ -140,9 +140,20 @@ class Timeline:
     _first: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._first = {(e.kind, e.scale): e.instant for e in reversed(self.events)}
+        # events given here pass the same rules as added ones
+        given, self._first = self.events[:], {}
+        self.events.clear()
+        for e in given:
+            self.add(e.kind, e.scale, e.instant, e.arrival)
 
     def add(self, kind: str, scale: int, instant: float, arrival: int | None = None):
+        """Append an event of a known kind at a finite, non-negative
+        instant; a ``refine_done`` names an arrival above its scale."""
+        if kind not in _EVENT_KINDS:
+            raise PipelineError(f"unknown event {kind}({scale})")
+        if kind == REFINE_DONE and (arrival is None or arrival <= scale):
+            raise PipelineError(f"{REFINE_DONE}({scale}) has arrival {arrival}, "
+                                "which must exceed its scale")
         if not math.isfinite(instant):
             raise PipelineError(f"non-finite instant for {kind}({scale}): {instant}")
         if instant < 0:
@@ -176,11 +187,6 @@ class Timeline:
                     or not (arrival is None or type(arrival) is int)):
                 raise TypeError(f"{e!r} needs an integer scale and arrival "
                                 "and a numeric instant")
-            if e["kind"] not in _EVENT_KINDS:
-                raise PipelineError(f"unknown event {e['kind']}({scale})")
-            if e["kind"] == REFINE_DONE and (arrival is None or arrival <= scale):
-                raise PipelineError(f"{REFINE_DONE}({scale}) has arrival "
-                                    f"{arrival}, which must exceed its scale")
             tl.add(e["kind"], scale, instant, arrival)
         return tl
 
@@ -349,8 +355,6 @@ def refine_intervals(tl: Timeline) -> dict[int, list[tuple[float, float]]]:
     """
     by_arrival: dict[int, list[TimelineEvent]] = {}
     for e in tl.select(REFINE_DONE):
-        if e.arrival is None:
-            raise PipelineError("refine event lacks its arrival tag")
         by_arrival.setdefault(e.arrival, []).append(e)
     intervals: dict[int, list[tuple[float, float]]] = {}
     for arrival, events in by_arrival.items():

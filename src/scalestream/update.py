@@ -124,9 +124,16 @@ def _tied_neighbors(ref: np.ndarray, q: np.ndarray, radius: np.ndarray,
 
 def _majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
     """Most frequent label per row; ties go to the earliest (nearest) column
-    holding a tied label."""
+    holding a tied label.
+
+    Each row counts over the span of labels the table holds, so the counts
+    take rows x (largest - smallest label + 1) integers: labels near the
+    top of the class range cost what labels near 0 cost, but a table that
+    mixes far-apart labels still costs rows x span."""
     rows = np.arange(len(neighbor_labels))
-    offsets = neighbor_labels + (int(neighbor_labels.max()) + 1) * rows[:, None]
+    low = int(neighbor_labels.min())
+    span = int(neighbor_labels.max()) - low + 1
+    offsets = neighbor_labels + (span * rows - low)[:, None]
     counts = np.bincount(offsets.ravel())[offsets]  # each column's label count
     return neighbor_labels[rows, counts.argmax(axis=1)]  # the first top column
 

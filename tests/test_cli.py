@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -14,10 +18,11 @@ from hypothesis import strategies as st
 import scalestream.cli as cli
 import scalestream.pipeline as pipeline
 from conftest import make_counted_stream, mutate_one_line
-from scalestream import (PartitionSpec, PredictorConfig, PredictorError,
-                         Timeline, TimingModel, UpdateConfig, latency_metrics,
-                         make_seed_cloud, read_stream, run_baseline,
-                         run_scalable, write_stream)
+from scalestream import (LissajousConfig, PartitionSpec, PointStream,
+                         PredictorConfig, PredictorError, Timeline, TimingModel,
+                         UpdateConfig, latency_metrics, make_seed_cloud,
+                         read_stream, run_baseline, run_scalable, scan,
+                         write_stream)
 from scalestream.plots import MARGIN_L, MARGIN_R, W
 
 
@@ -249,6 +254,32 @@ def test_run_seeded_knn(tmp_path, capsys):
     assert all(0 <= m <= 1 for m in metrics["scale_miou"])
     assert "warning" not in capsys.readouterr().err
     assert "warnings" not in json.loads((out / "run_manifest.json").read_text())
+
+
+def test_many_declared_classes_run_under_a_memory_cap(tmp_path, room,
+                                                      default_pose):
+    """A 3,252-point stream that declares 40,000 classes, every label below
+    13: run exits 0 without a traceback in a process capped at 3,000,000 KiB
+    of address space, where a large allocation fails at once instead of
+    paging.  The mIoU counts once took a 40,000 x 40,000 table (11.9 GiB)."""
+    scanned = scan(room, default_pose, LissajousConfig(ticks=4000))
+    stream = tmp_path / "classes.bin"
+    write_stream(PointStream(scanned.positions, scanned.labels,
+                             scanned.timestamps, 40000), stream)
+    cap = 3_000_000 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "scalestream.cli", "run", "--stream", str(stream),
+         "--cuts", "500 1000 2000 4000", "--error-rates", "0.3 0.2 0.1 0.05",
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, preexec_fn=limit, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_real_mode(tmp_path):
@@ -1155,6 +1186,33 @@ def test_run_survives_any_single_line_config_mutation(prop_dir, data):
     lines = err.getvalue().splitlines()
     assert lines and (all(line.startswith("config error: ") for line in lines)
                       or lines[-1].startswith("scalestream run: error: ")), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "no cfg.json under {dir}\n"),
+    ("{not json", "{path} is not valid JSON: Expecting property name enclosed "
+                  "in double quotes: line 1 column 2 (char 1)\n"),
+    ("[]", "{path} does not hold a JSON object\n"),
+    (b"\xff{}", "{path} is not valid JSON: "),
+    ("[" * 100000 + "]" * 100000, "{path} is not valid JSON: "),
+], ids=["missing", "not-json", "list", "not-utf8", "too-deep"])
+def test_config_file_fault_is_one_line_naming_the_file(tmp_path, capsys, no_work,
+                                                       text, message):
+    """The reader that reads report's inputs reads the config file too; each
+    of its faults is one exit-2 line that names the file."""
+    cfg = tmp_path / "cfg.json"
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    elif text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("run", "--scan-inline", "--config", str(cfg),
+                   "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --config: "
+                          + message.format(dir=tmp_path, path=cfg))
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

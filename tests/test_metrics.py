@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,27 @@ def test_miou_of_asymmetric_counts_hand_computed():
         per_class, m = miou(make_output(a, b, 3))
         assert per_class.tolist() == [2 / 3, 1 / 3, 1 / 2]
         assert m == pytest.approx(0.5, rel=1e-15)
+
+
+def test_iou_memory_is_linear_in_the_class_count():
+    """65,535 classes, the stream format's limit, with labels near the top:
+    the counts take a few length-C arrays, under 8 MB (a C x C table took
+    32 GiB), and the classes present score as they do numbered from 0."""
+    c = 65535
+    rng = np.random.default_rng(5)
+    gt = rng.integers(0, 4, size=1000)
+    pred = np.where(rng.random(1000) < 0.3, rng.integers(0, 4, size=1000), gt)
+    tracemalloc.start()
+    try:
+        per_class, m = miou(make_output(gt + c - 4, pred + c - 4, c))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    low_per_class, low_m = miou(make_output(gt, pred, 4))
+    assert np.isnan(per_class[:c - 4]).all()
+    assert per_class[c - 4:].tolist() == low_per_class.tolist()
+    assert m == low_m
 
 
 def test_miou_by_origin():

@@ -15,8 +15,9 @@ from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream
                          run_scalable)
 from scalestream.pipeline import (BASELINE_DONE, BASELINE_START,
                                   CUMULATIVE_AVAILABLE, OVERLAP_MODES,
-                                  PARTITION_READY, SCALE_DONE, SCALE_START,
-                                  Timeline, baseline_timeline, refine_intervals)
+                                  PARTITION_READY, REFINE_DONE, SCALE_DONE,
+                                  SCALE_START, Timeline, TimelineEvent,
+                                  baseline_timeline, refine_intervals)
 from scalestream.plots import timeline_plot
 
 from conftest import make_counted_stream, make_random_stream
@@ -277,6 +278,27 @@ def test_timeline_refuses_a_non_finite_instant(instant):
     with pytest.raises(PipelineError,
                        match=r"non-finite instant for scale_done\(2\)"):
         Timeline().add(SCALE_DONE, 2, instant)
+
+
+@pytest.mark.parametrize("kind, scale, instant, arrival, message", [
+    (REFINE_DONE, 1, 0.5, None,
+     r"refine_done\(1\) has arrival None, which must exceed its scale"),
+    (REFINE_DONE, 2, 0.5, 2,
+     r"refine_done\(2\) has arrival 2, which must exceed its scale"),
+    ("refine_dne", 1, 0.5, None, r"unknown event refine_dne\(1\)"),
+    (SCALE_START, 1, -0.5, None, r"negative instant for scale_start\(1\): -0.5"),
+    (SCALE_START, 1, float("nan"), None, r"non-finite instant for scale_start\(1\)"),
+], ids=["refine-without-arrival", "refine-at-its-scale", "unknown-kind",
+        "negative-instant", "nan-instant"])
+def test_every_event_rule_holds_for_added_and_given_events(kind, scale, instant,
+                                                           arrival, message):
+    """An event added one by one and an event given at construction pass
+    the same rules: a known kind, a refine above its scale, and a finite,
+    non-negative instant."""
+    with pytest.raises(PipelineError, match=message):
+        Timeline().add(kind, scale, instant, arrival)
+    with pytest.raises(PipelineError, match=message):
+        Timeline(events=[TimelineEvent(kind, scale, instant, arrival)])
 
 
 def test_sim_timeline_deterministic():

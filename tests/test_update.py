@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,22 @@ def test_majority_vote_matches_counting_oracle(data):
         table = data.draw(arrays(np.int64, (n, k),
                                  elements=st.integers(0, classes - 1)))
     got = update._majority_vote(table)
+    assert got.tolist() == [brute_vote(row) for row in table.tolist()]
+
+
+def test_majority_vote_memory_follows_the_labels_it_holds():
+    """A 100 x 5 table of labels 65,532-65,534, near the stream format's
+    class limit, counts over those three labels: it peaks under 1 MB
+    (52 MB when the counts ran up to the largest label), and each row's
+    winner is the counting oracle's."""
+    table = np.random.default_rng(3).integers(65532, 65535, size=(100, 5))
+    tracemalloc.start()
+    try:
+        got = update._majority_vote(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
     assert got.tolist() == [brute_vote(row) for row in table.tolist()]
 
 
