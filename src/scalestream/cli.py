@@ -295,11 +295,17 @@ def _settings(args) -> dict:
             problems.append("--no-fusion-dependency cannot be combined with the "
                             "seeded-knn predictor (it consumes previous-scale context)")
         if args.mode == "real":
-            for flag, given in (("--overlap", args.overlap != "full"),
-                                ("--no-fusion-dependency", args.no_fusion_dependency)):
-                if given:
-                    problems.append(f"{flag} shapes only the simulated schedule; "
-                                    "--mode real measures its own")
+            changed = {"overlap": args.overlap != "full",
+                       "no_fusion_dependency": args.no_fusion_dependency,
+                       **{f: getattr(args, f) != getattr(TimingModel, f)
+                          for f in TIMING_FLAGS[1:]}}  # the stage costs
+            problems += [f"{_flag(dest)} shapes only the simulated schedule; "
+                         "--mode real measures its own"
+                         for dest, given in changed.items() if given]
+        elif args.overlap == "none" and args.no_fusion_dependency:
+            problems.append("--no-fusion-dependency shapes only the overlapped "
+                            "schedule; --overlap none starts each scale after "
+                            "the one before is published")
         spec = built["spec"]
         built["predictor"] = predictor = _build(
             problems, args, PredictorConfig,

@@ -22,11 +22,10 @@ sorted key order).
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -150,105 +149,104 @@ class PointStream:
         return int(self.timestamps[-1]) if len(self) else -1
 
 
-def _write_str(buf: BinaryIO, s: str, lenfmt: str) -> int:
-    data = s.encode("utf-8")
-    buf.write(struct.pack(lenfmt, len(data)))
-    buf.write(data)
-    return struct.calcsize(lenfmt) + len(data)
-
-
-def _read_exact(buf: BinaryIO, n: int, what: str) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise StreamFormatError(f"truncated stream file while reading {what}")
-    return data
-
-
-def _read_str(buf: BinaryIO, lenfmt: str, what: str) -> str:
-    (n,) = struct.unpack(lenfmt, _read_exact(buf, struct.calcsize(lenfmt), what))
-    return _read_exact(buf, n, what).decode("utf-8")
+def _pack(fmt: str, value, field: str) -> bytes:
+    """``value`` packed as ``fmt``; a string as its UTF-8 length in ``fmt``,
+    then the bytes.  A value that ``fmt`` cannot hold is a
+    StreamValidationError naming ``field``."""
+    try:
+        if isinstance(value, str):
+            data = value.encode("utf-8")
+            field += f" ({len(data)} UTF-8 bytes)"
+            return struct.pack(fmt, len(data)) + data
+        return struct.pack(fmt, value)
+    except (struct.error, UnicodeEncodeError) as exc:
+        raise StreamValidationError(
+            f"{field} does not fit the stream format: {exc}") from None
 
 
 def write_stream(stream: PointStream, destination) -> int:
-    """Serialize a stream to ``destination`` (path or binary file object).
+    """Serialize a stream to ``destination`` (path or binary file object)
+    in one write, and return the number of bytes written.
 
-    Returns the number of bytes written.  Raises StreamValidationError if a
-    label does not fit the header's class count (checked again here because
-    the file encodes labels as uint16).
+    A value that the format cannot hold (a count, name length or timestamp
+    past its field, or a string that UTF-8 cannot encode) raises
+    StreamValidationError naming the field before anything is written.
     """
-    if stream.class_count > 0xFFFF:
-        raise StreamValidationError("class_count exceeds uint16 range")
     if len(stream) and int(stream.timestamps.max()) > 0xFFFFFFFF:
         raise StreamValidationError("timestamp exceeds uint32 range")
-
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            return write_stream(stream, fh)
-
-    buf = destination
-    n = 0
-    buf.write(MAGIC)
-    buf.write(struct.pack("<HHI", FORMAT_VERSION, stream.class_count, len(stream)))
-    n += 4 + 8
     names = stream.label_map.names if stream.label_map is not None else ()
-    buf.write(struct.pack("<H", len(names)))
-    n += 2
-    for name in names:
-        n += _write_str(buf, name, "<H")
     items = sorted(stream.meta.items())
-    buf.write(struct.pack("<H", len(items)))
-    n += 2
-    for key, value in items:
-        n += _write_str(buf, key, "<H")
-        n += _write_str(buf, value, "<I")
-    records = np.empty(len(stream), dtype=RECORD_DTYPE)
-    records["x"] = stream.positions[:, 0]
-    records["y"] = stream.positions[:, 1]
-    records["z"] = stream.positions[:, 2]
-    records["label"] = stream.labels
-    records["t"] = stream.timestamps
-    data = records.tobytes()
-    buf.write(data)
-    return n + len(data)
+    parts = [MAGIC, _pack("<H", FORMAT_VERSION, "version"),
+             _pack("<H", stream.class_count, "class count"),
+             _pack("<I", len(stream), "point count"),
+             _pack("<H", len(names), "class name count"),
+             *(_pack("<H", name, f"class name {i}") for i, name in enumerate(names)),
+             _pack("<H", len(items), "meta entry count")]
+    for i, (key, value) in enumerate(items):
+        parts += [_pack("<H", key, f"meta key {i}"), _pack("<I", value, f"meta value {i}")]
+    parts.append(np.rec.fromarrays([*stream.positions.T, stream.labels, stream.timestamps],
+                                   dtype=RECORD_DTYPE).tobytes())
+    data = b"".join(parts)
+    if isinstance(destination, (str, Path)):
+        Path(destination).write_bytes(data)
+    else:
+        destination.write(data)
+    return len(data)
 
 
 def read_stream(source) -> PointStream:
-    """Parse a stream file produced by :func:`write_stream`.
-
-    A malformed file (wrong magic/version, truncated header or records,
-    trailing bytes) raises StreamFormatError without returning a partial
-    stream; content violations (label range, decreasing timestamps) raise
-    StreamValidationError naming the offending index.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return read_stream(fh)
+    """Parse stream bytes, or the file at path ``source``, written by
+    :func:`write_stream`.  A malformed file (wrong magic/version, truncation,
+    a name that is not UTF-8, trailing bytes) raises StreamFormatError naming
+    the field, never a partial stream; content violations (label range,
+    decreasing timestamps) raise StreamValidationError naming the offending
+    index.  Read from a path, either message starts with the path."""
     if isinstance(source, (bytes, bytearray)):
-        return read_stream(io.BytesIO(source))
+        return _parse_stream(source)
+    try:
+        return _parse_stream(Path(source).read_bytes())
+    except (StreamFormatError, StreamValidationError) as exc:
+        raise type(exc)(f"{source}: {exc}") from None
 
-    buf = source
-    magic = _read_exact(buf, 4, "magic")
+
+def _parse_stream(data: bytes) -> PointStream:
+    """The stream that ``data`` holds, read with one cursor ``pos``."""
+    pos = 0
+
+    def take(fmt: str, what: str) -> tuple:
+        nonlocal pos
+        try:
+            values = struct.unpack_from(fmt, data, pos)
+        except struct.error:
+            raise StreamFormatError(
+                f"truncated stream file while reading {what}") from None
+        pos += struct.calcsize(fmt)
+        return values
+
+    def text(lenfmt: str, what: str) -> str:
+        (raw,) = take(f"{take(lenfmt, what)[0]}s", what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StreamFormatError(f"{what} is not UTF-8: {exc}") from None
+
+    (magic,) = take("4s", "magic")
     if magic != MAGIC:
         raise StreamFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version, class_count, count = struct.unpack("<HHI", _read_exact(buf, 8, "header"))
+    version, class_count, count = take("<HHI", "header")
     if version != FORMAT_VERSION:
         raise StreamFormatError(f"unsupported format version {version}")
-    (n_names,) = struct.unpack("<H", _read_exact(buf, 2, "label map"))
-    names = tuple(_read_str(buf, "<H", "label map") for _ in range(n_names))
-    label_map = LabelMap(names) if n_names else None
-    (n_meta,) = struct.unpack("<H", _read_exact(buf, 2, "meta"))
-    meta = {}
-    for _ in range(n_meta):
-        key = _read_str(buf, "<H", "meta key")
-        meta[key] = _read_str(buf, "<I", "meta value")
-    data = buf.read()
-    if len(data) != count * RECORD_SIZE:
+    (n_names,) = take("<H", "label map")
+    names = tuple(text("<H", "class name") for _ in range(n_names))
+    (n_meta,) = take("<H", "meta")
+    meta = dict((text("<H", "meta key"), text("<I", "meta value"))
+                for _ in range(n_meta))
+    if len(data) - pos != count * RECORD_SIZE:
         raise StreamFormatError(
-            f"expected {count * RECORD_SIZE} record bytes, found {len(data)}")
-    records = np.frombuffer(data, dtype=RECORD_DTYPE)
-    positions = np.column_stack([records["x"], records["y"], records["z"]]).astype(np.float32)
-    return PointStream(positions, records["label"].astype(np.int64),
-                       records["t"].astype(np.int64), class_count, label_map, meta)
+            f"expected {count * RECORD_SIZE} record bytes, found {len(data) - pos}")
+    records = np.frombuffer(data, dtype=RECORD_DTYPE, offset=pos)
+    return PointStream(np.column_stack([records[a] for a in "xyz"]), records["label"],
+                       records["t"], class_count, LabelMap(names) if n_names else None, meta)
 
 
 #: Rows formatted per numpy call by :func:`format_rows`; bounds each of its

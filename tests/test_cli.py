@@ -183,6 +183,11 @@ def test_run_lists_all_config_errors(tmp_path, capsys):
       for command in ("run", "sweep")),
     *((command, "--error-rates", "0.1 0.1") for command in ("run", "sweep")),
     ("scan", "--camera-index", "50"),
+    *((command, cli._flag(flag), ["1", "--mode", "real"])
+      for command in ("run", "sweep") for flag in cli.TIMING_FLAGS[1:]),
+    *(pytest.param(command, "--no-fusion-dependency", ["--overlap", "none"],
+                   id=f"{command}---no-fusion-dependency-overlap-none")
+      for command in ("run", "sweep")),
 ])
 def test_bad_flag_exits_2_before_any_scan_or_read(tmp_path, monkeypatch, capsys,
                                                   no_work, command, flag, value):
@@ -256,6 +261,21 @@ def test_run_seeded_knn(tmp_path, capsys):
     assert "warnings" not in json.loads((out / "run_manifest.json").read_text())
 
 
+def run_capped(*argv):
+    """``scalestream *argv`` in a process capped at 3,000,000 KiB of address
+    space, where a large allocation fails at once instead of paging."""
+    cap = 3_000_000 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return subprocess.run(
+        [sys.executable, "-m", "scalestream.cli", *argv],
+        capture_output=True, text=True, preexec_fn=limit, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+
+
 def test_many_declared_classes_run_under_a_memory_cap(tmp_path, room,
                                                       default_pose):
     """A 3,252-point stream that declares 40,000 classes, every label below
@@ -266,18 +286,28 @@ def test_many_declared_classes_run_under_a_memory_cap(tmp_path, room,
     stream = tmp_path / "classes.bin"
     write_stream(PointStream(scanned.positions, scanned.labels,
                              scanned.timestamps, 40000), stream)
-    cap = 3_000_000 * 1024
+    proc = run_capped("run", "--stream", str(stream),
+                      "--cuts", "500 1000 2000 4000",
+                      "--error-rates", "0.3 0.2 0.1 0.05",
+                      "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "scalestream.cli", "run", "--stream", str(stream),
-         "--cuts", "500 1000 2000 4000", "--error-rates", "0.3 0.2 0.1 0.05",
-         "--out-dir", str(tmp_path / "out")],
-        capture_output=True, text=True, preexec_fn=limit, timeout=300,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+def test_scene_of_65535_classes_runs_under_a_memory_cap(tmp_path):
+    """A scene that declares 65,535 classes and puts its floor and walls on
+    classes 65,532-65,534: the noisy oracle flips labels over every class,
+    so the cascade's vote tables span nearly all ids.  run exits 0 without
+    a traceback under the 3,000,000 KiB cap; its vote once counted over
+    that span and asked for 3.53 GiB."""
+    names = ",".join(f"c{i}" for i in range(65535))
+    scene = tmp_path / "wide.scene"
+    scene.write_text(f"classes {names}\nroom 0 0 0 4 4 3\n"
+                     "rect c65532 0 0 0 4 4 0\n"
+                     "rect c65533 0 0 0 0 4 3\nrect c65533 4 0 0 4 4 3\n"
+                     "rect c65534 0 0 0 4 0 3\nrect c65534 0 4 0 4 4 3\n")
+    proc = run_capped("run", "--scan-inline", "--scene", str(scene),
+                      "--out-dir", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -295,11 +325,13 @@ def test_run_real_mode(tmp_path):
 @pytest.mark.parametrize("flags, flag", [
     (["--overlap", "none"], "--overlap"),
     (["--no-fusion-dependency"], "--no-fusion-dependency"),
+    *(([cli._flag(flag), "1"], cli._flag(flag)) for flag in cli.TIMING_FLAGS[1:]),
 ])
 def test_real_mode_refuses_simulated_schedule_flags(tmp_path, capsys, monkeypatch,
                                                     command, flags, flag):
     """Real mode measures its schedule, so a flag that shapes only the
-    simulated one exits 2 naming it, before any scan."""
+    simulated one, a stage cost included, exits 2 naming it, before any
+    scan."""
     monkeypatch.setattr(cli, "scan", None)  # a scan would fail with exit 1
     out = tmp_path / "out"
     assert run_cli(command, *FAST_SWEEP, "--mode", "real", *flags,

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalestream import (INDOOR_CLASSES, LabelMap, PointStream,
                          StreamFormatError, StreamValidationError,
@@ -168,3 +170,75 @@ def test_file_with_label_outside_class_count_rejected():
     blob = _forge_file([(0, 0, 0, 11, 0)])
     with pytest.raises(StreamValidationError, match="label"):
         read_stream(blob)
+
+
+def _bytes(stream):
+    buf = io.BytesIO()
+    write_stream(stream, buf)
+    return buf.getvalue()
+
+
+#: A small stream whose header (names and meta) is most of its bytes.
+NAMED = PointStream([[0, 0, 0], [1, 2, 3], [4, 5, 6]], [0, 3, 1], [0, 2, 2], 4,
+                    LabelMap(("floor", "wall", "c\u00e9", "door")),
+                    {"scene": "room", "ticks": "3"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_one_byte_mutation_parses_or_raises_a_stream_error(data):
+    """Flip, insert or delete one byte of a stream file: it reads back as a
+    stream or raises a stream error, never another exception."""
+    blob = bytearray(_bytes(NAMED))
+    i = data.draw(st.integers(0, len(blob)), label="at")
+    op = data.draw(st.sampled_from(["flip", "insert", "delete"]), label="op")
+    if op == "insert":
+        blob.insert(i, data.draw(st.integers(0, 255), label="byte"))
+    elif i < len(blob):
+        if op == "flip":
+            blob[i] ^= data.draw(st.integers(1, 255), label="mask")
+        else:
+            del blob[i]
+    try:
+        assert isinstance(read_stream(bytes(blob)), PointStream)
+    except (StreamFormatError, StreamValidationError):
+        pass
+
+
+def test_name_that_is_not_utf8_is_a_format_error():
+    blob = bytearray(_bytes(NAMED))
+    blob[blob.index(b"wall")] = 0xFF
+    with pytest.raises(StreamFormatError, match="class name is not UTF-8"):
+        read_stream(bytes(blob))
+
+
+def test_read_from_a_path_names_the_path(tmp_path):
+    path = tmp_path / "cut.bin"
+    path.write_bytes(_bytes(NAMED)[:-1])
+    with pytest.raises(StreamFormatError) as exc:
+        read_stream(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    path.write_bytes(_forge_file([(0, 0, 0, 11, 0)]))
+    with pytest.raises(StreamValidationError) as exc:
+        read_stream(str(path))
+    assert str(exc.value).startswith(f"{path}: label 11 at index 0")
+
+
+@pytest.mark.parametrize("names, meta, field", [
+    (("x" * 70000,), None, "class name 0"),
+    (("a", "\ud800"), None, "class name 1"),
+    (None, {"k" * 65536: ""}, "meta key 0"),
+    (None, {f"k{i:05}": "" for i in range(65536)}, "meta entry count"),
+], ids=["long-name", "surrogate", "long-meta-key", "many-meta-entries"])
+def test_value_the_format_cannot_hold_is_refused_before_writing(
+        tmp_path, names, meta, field):
+    """A class name or meta key past its uint16 length, a string that UTF-8
+    cannot encode or more meta entries than uint16 counts: write_stream
+    raises StreamValidationError naming the field and creates no file."""
+    label_map = LabelMap(names) if names else None
+    stream = PointStream(np.zeros((1, 3)), [0], [0], len(names or "a"),
+                         label_map, meta)
+    path = tmp_path / "stream.bin"
+    with pytest.raises(StreamValidationError, match=f"^{field} "):
+        write_stream(stream, path)
+    assert not path.exists()
