@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -354,10 +355,12 @@ def _do_scan(args, settings: dict) -> PointStream:
 
 def cmd_scan(args) -> int:
     stream = _do_scan(args, _settings(args))
+    data = io.BytesIO()
+    n_bytes = write_stream(stream, data)  # refuses before the directory is made
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stream_path = out / "stream.bin"
-    n_bytes = write_stream(stream, stream_path)
+    stream_path.write_bytes(data.getbuffer())
     cfg = _manifest_config(args)
     _write_json(out / "scan_manifest.json", {
         "command": "scan",

@@ -55,6 +55,8 @@ class LabelMap:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        if not all(isinstance(name, str) for name in self.names):
+            raise StreamValidationError("class names must be strings")
         if len(set(self.names)) != len(self.names):
             raise StreamValidationError("class names must be unique")
 
@@ -149,29 +151,27 @@ class PointStream:
         return int(self.timestamps[-1]) if len(self) else -1
 
 
-def _pack(fmt: str, value, field: str) -> bytes:
-    """``value`` packed as ``fmt``; a string as its UTF-8 length in ``fmt``,
-    then the bytes.  A value that ``fmt`` cannot hold is a
-    StreamValidationError naming ``field``."""
+def _pack(fmt: str, value: int, field: str) -> bytes:
+    """``value`` packed as ``fmt``, or a StreamValidationError naming ``field``."""
     try:
-        if isinstance(value, str):
-            data = value.encode("utf-8")
-            field += f" ({len(data)} UTF-8 bytes)"
-            return struct.pack(fmt, len(data)) + data
         return struct.pack(fmt, value)
-    except (struct.error, UnicodeEncodeError) as exc:
-        raise StreamValidationError(
-            f"{field} does not fit the stream format: {exc}") from None
+    except struct.error as exc:
+        raise StreamValidationError(f"{field} does not fit the stream format: {exc}") from None
+
+
+def _text(fmt: str, text: str, field: str) -> bytes:
+    """``text`` as its UTF-8 length packed as ``fmt``, then the bytes."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise StreamValidationError(f"{field} cannot be encoded as UTF-8: {exc}") from None
+    return _pack(fmt, len(data), f"{field} ({len(data)} UTF-8 bytes)") + data
 
 
 def write_stream(stream: PointStream, destination) -> int:
-    """Serialize a stream to ``destination`` (path or binary file object)
-    in one write, and return the number of bytes written.
-
-    A value that the format cannot hold (a count, name length or timestamp
-    past its field, or a string that UTF-8 cannot encode) raises
-    StreamValidationError naming the field before anything is written.
-    """
+    """Serialize a stream to ``destination`` (path or binary file object) in
+    one write and return its byte count.  A value that the format cannot hold
+    raises StreamValidationError naming the field before anything is written."""
     if len(stream) and int(stream.timestamps.max()) > 0xFFFFFFFF:
         raise StreamValidationError("timestamp exceeds uint32 range")
     names = stream.label_map.names if stream.label_map is not None else ()
@@ -180,10 +180,10 @@ def write_stream(stream: PointStream, destination) -> int:
              _pack("<H", stream.class_count, "class count"),
              _pack("<I", len(stream), "point count"),
              _pack("<H", len(names), "class name count"),
-             *(_pack("<H", name, f"class name {i}") for i, name in enumerate(names)),
+             *(_text("<H", name, f"class name {i}") for i, name in enumerate(names)),
              _pack("<H", len(items), "meta entry count")]
     for i, (key, value) in enumerate(items):
-        parts += [_pack("<H", key, f"meta key {i}"), _pack("<I", value, f"meta value {i}")]
+        parts += [_text("<H", key, f"meta key {i}"), _text("<I", value, f"meta value {i}")]
     parts.append(np.rec.fromarrays([*stream.positions.T, stream.labels, stream.timestamps],
                                    dtype=RECORD_DTYPE).tobytes())
     data = b"".join(parts)
@@ -197,10 +197,11 @@ def write_stream(stream: PointStream, destination) -> int:
 def read_stream(source) -> PointStream:
     """Parse stream bytes, or the file at path ``source``, written by
     :func:`write_stream`.  A malformed file (wrong magic/version, truncation,
-    a name that is not UTF-8, trailing bytes) raises StreamFormatError naming
-    the field, never a partial stream; content violations (label range,
-    decreasing timestamps) raise StreamValidationError naming the offending
-    index.  Read from a path, either message starts with the path."""
+    a name that is not UTF-8, meta keys out of order or repeated, trailing
+    bytes) raises StreamFormatError naming the field, never a partial
+    stream; content violations (label range, decreasing timestamps) raise
+    StreamValidationError naming the offending index.  Read from a path,
+    either message starts with the path."""
     if isinstance(source, (bytes, bytearray)):
         return _parse_stream(source)
     try:
@@ -218,8 +219,7 @@ def _parse_stream(data: bytes) -> PointStream:
         try:
             values = struct.unpack_from(fmt, data, pos)
         except struct.error:
-            raise StreamFormatError(
-                f"truncated stream file while reading {what}") from None
+            raise StreamFormatError(f"truncated stream file while reading {what}") from None
         pos += struct.calcsize(fmt)
         return values
 
@@ -239,14 +239,15 @@ def _parse_stream(data: bytes) -> PointStream:
     (n_names,) = take("<H", "label map")
     names = tuple(text("<H", "class name") for _ in range(n_names))
     (n_meta,) = take("<H", "meta")
-    meta = dict((text("<H", "meta key"), text("<I", "meta value"))
-                for _ in range(n_meta))
+    meta = [(text("<H", "meta key"), text("<I", "meta value")) for _ in range(n_meta)]
+    if any(a >= b for (a, _), (b, _) in zip(meta, meta[1:])):  # written sorted, once each
+        raise StreamFormatError("meta keys not strictly increasing")
     if len(data) - pos != count * RECORD_SIZE:
         raise StreamFormatError(
             f"expected {count * RECORD_SIZE} record bytes, found {len(data) - pos}")
     records = np.frombuffer(data, dtype=RECORD_DTYPE, offset=pos)
     return PointStream(np.column_stack([records[a] for a in "xyz"]), records["label"],
-                       records["t"], class_count, LabelMap(names) if n_names else None, meta)
+                       records["t"], class_count, LabelMap(names) if n_names else None, dict(meta))
 
 
 #: Rows formatted per numpy call by :func:`format_rows`; bounds each of its

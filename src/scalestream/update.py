@@ -122,32 +122,21 @@ def _tied_neighbors(ref: np.ndarray, q: np.ndarray, radius: np.ndarray,
     return out
 
 
-#: Largest label span, in multiples of k, that a vote counts over directly.
-_SPAN_PER_K = 8
-
-
 def _majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
     """Most frequent label per row; ties go to the earliest (nearest) column
     holding a tied label.
 
-    Each row counts over the span of labels the table holds when that span
-    is at most ``_SPAN_PER_K`` times k; otherwise over each label's rank
-    among its row's sorted labels, which is below k.  Either way the counts
-    take rows x k integers times a constant, whatever the class ids."""
+    Each column counts the columns of its row that hold its label, by
+    comparing every pair of columns once: rows x k^2 comparisons, and
+    rows x k integers whatever the class ids."""
+    columns = np.ascontiguousarray(neighbor_labels.T)  # contiguous k x rows
+    counts = np.ones(columns.shape, dtype=np.int32)
+    for d in range(1, len(columns)):  # columns d apart, counted on both sides
+        same = columns[d:] == columns[:-d]
+        counts[d:] += same
+        counts[:-d] += same
     rows = np.arange(len(neighbor_labels))
-    k = neighbor_labels.shape[1]
-    keys, low = neighbor_labels, int(neighbor_labels.min())
-    span = int(neighbor_labels.max()) - low + 1
-    if span > _SPAN_PER_K * k:
-        order = np.argsort(keys, axis=1)
-        ordered = np.take_along_axis(keys, order, axis=1)
-        keys = np.empty_like(order)
-        np.put_along_axis(keys, order, np.cumsum(
-            np.diff(ordered, axis=1, prepend=ordered[:, :1]) != 0, axis=1), axis=1)
-        low, span = 0, k
-    offsets = keys + (span * rows - low)[:, None]
-    counts = np.bincount(offsets.ravel())[offsets]  # each column's label count
-    return neighbor_labels[rows, counts.argmax(axis=1)]  # the first top column
+    return neighbor_labels[rows, counts.argmax(axis=0)]  # the first top column
 
 
 def cascade_step(lowers: Sequence[Partition], arrived: Partition,

@@ -387,6 +387,21 @@ def test_scan_scene_with_second_room_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_the_stream_format_cannot_hold_exits_1_making_nothing(tmp_path, capsys):
+    """A class name past the format's uint16 length is refused by the
+    writer: one error line, exit 1, and no output directory."""
+    scene = tmp_path / "long-name.scene"
+    scene.write_text(f"classes floor,{'x' * 70000}\nroom 0 0 0 4 4 3\n"
+                     "rect floor 0 0 0 4 4 0\n")
+    out = tmp_path / "scan" / "long-name"
+    assert run_cli("scan", "--scene", str(scene), "--ticks", "100",
+                   "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: class name 1 (70000 UTF-8 bytes) does not fit")
+    assert err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_scan_scene_with_repeated_class_exits_2(tmp_path, capsys):
     scene = tmp_path / "repeat.scene"
     scene.write_text("scene repeat\nclasses a,b,a\nroom 0 0 0 4 4 3\n")

@@ -148,6 +148,10 @@ def test_indoor_label_map():
     assert lm[0] == "floor" and lm.index("clutter") == 10
     with pytest.raises(StreamValidationError):
         LabelMap(("a", "a"))
+    # the writer packs each name as UTF-8 text, so another type is refused
+    for names in ((1, 2), ("a", b"b"), ("a", 1.5)):
+        with pytest.raises(StreamValidationError, match="class names must be strings"):
+            LabelMap(names)
 
 
 def _forge_file(records):
@@ -188,7 +192,8 @@ NAMED = PointStream([[0, 0, 0], [1, 2, 3], [4, 5, 6]], [0, 3, 1], [0, 2, 2], 4,
 @given(st.data())
 def test_any_one_byte_mutation_parses_or_raises_a_stream_error(data):
     """Flip, insert or delete one byte of a stream file: it reads back as a
-    stream or raises a stream error, never another exception."""
+    stream that writes to the same bytes, or raises a stream error, never
+    another exception."""
     blob = bytearray(_bytes(NAMED))
     i = data.draw(st.integers(0, len(blob)), label="at")
     op = data.draw(st.sampled_from(["flip", "insert", "delete"]), label="op")
@@ -200,9 +205,18 @@ def test_any_one_byte_mutation_parses_or_raises_a_stream_error(data):
         else:
             del blob[i]
     try:
-        assert isinstance(read_stream(bytes(blob)), PointStream)
+        assert _bytes(read_stream(bytes(blob))) == blob
     except (StreamFormatError, StreamValidationError):
         pass
+
+
+@pytest.mark.parametrize("key", [b"tzzzz", b"ticks"], ids=["out-of-order", "repeated"])
+def test_meta_keys_out_of_order_or_repeated_are_a_format_error(key):
+    """The writer puts each meta key once, in sorted order: a file with
+    "scene" overwritten so that it follows or repeats "ticks" is refused."""
+    blob = _bytes(NAMED).replace(b"scene", key)
+    with pytest.raises(StreamFormatError, match="meta keys not strictly increasing"):
+        read_stream(blob)
 
 
 def test_name_that_is_not_utf8_is_a_format_error():
