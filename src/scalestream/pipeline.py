@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -48,8 +48,8 @@ REFINE_DONE = "refine_done"
 CUMULATIVE_AVAILABLE = "cumulative_available"
 BASELINE_START = "baseline_start"
 BASELINE_DONE = "baseline_done"
-_EVENT_KINDS = (PARTITION_READY, SCALE_START, SCALE_DONE, REFINE_DONE,
-                CUMULATIVE_AVAILABLE, BASELINE_START, BASELINE_DONE)
+_EVENT_KINDS = (PARTITION_READY, SCALE_START, SCALE_DONE, CUMULATIVE_AVAILABLE,
+                BASELINE_START, BASELINE_DONE)
 
 OVERLAP_MODES = ("full", "none", "measured")
 
@@ -124,7 +124,6 @@ class TimelineEvent:
     kind: str
     scale: int                 # 0 for baseline events
     instant: float             # seconds from scan start
-    arrival: int | None = None  # refine events: the scale whose arrival triggered it
 
 
 def _is_number(v) -> bool:
@@ -133,61 +132,61 @@ def _is_number(v) -> bool:
     return type(v) in (int, float)
 
 
+def _checked(instant: float, what: str) -> float:
+    if not math.isfinite(instant):
+        raise PipelineError(f"non-finite instant for {what}: {instant}")
+    if instant < 0:
+        raise PipelineError(f"negative instant for {what}: {instant}")
+    return float(instant)
+
+
 @dataclass
 class Timeline:
-    events: list[TimelineEvent] = field(default_factory=list)
+    events: list[TimelineEvent] = field(default_factory=list, init=False)
+    # every refinement's end instant, in execution order (arrival-major)
+    refines: list[float] = field(default_factory=list, init=False)
     # (kind, scale) -> its first event's instant; add events through ``add``
-    _first: dict = field(init=False, repr=False, compare=False)
+    _first: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
-    def __post_init__(self):
-        # events given here pass the same rules as added ones
-        given, self._first = self.events[:], {}
-        self.events.clear()
-        for e in given:
-            self.add(e.kind, e.scale, e.instant, e.arrival)
-
-    def add(self, kind: str, scale: int, instant: float, arrival: int | None = None):
-        """Append an event of a known kind at a finite, non-negative
-        instant; a ``refine_done`` names an arrival above its scale."""
+    def add(self, kind: str, scale: int, instant: float):
+        """Append an event of a known kind at a finite, non-negative instant."""
         if kind not in _EVENT_KINDS:
             raise PipelineError(f"unknown event {kind}({scale})")
-        if kind == REFINE_DONE and (arrival is None or arrival <= scale):
-            raise PipelineError(f"{REFINE_DONE}({scale}) has arrival {arrival}, "
-                                "which must exceed its scale")
-        if not math.isfinite(instant):
-            raise PipelineError(f"non-finite instant for {kind}({scale}): {instant}")
-        if instant < 0:
-            raise PipelineError(f"negative instant for {kind}({scale}): {instant}")
-        self.events.append(TimelineEvent(kind, scale, float(instant), arrival))
+        self.events.append(TimelineEvent(kind, scale,
+                                         _checked(instant, f"{kind}({scale})")))
         self._first.setdefault((kind, scale), self.events[-1].instant)
+
+    def refine(self, instant: float):
+        """Append the next refinement's finite, non-negative end instant."""
+        self.refines.append(_checked(instant,
+                                     f"{REFINE_DONE}[{len(self.refines)}]"))
 
     def instant(self, kind: str, scale: int = 0) -> float:
         if (kind, scale) in self._first:
             return self._first[kind, scale]
         raise PipelineError(f"timeline has no {kind} event for scale {scale}")
 
-    def select(self, kind: str) -> list[TimelineEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     def scales(self) -> list[int]:
-        return sorted({e.scale for e in self.select(SCALE_START)})
+        return sorted({e.scale for e in self.events if e.kind == SCALE_START})
 
     def to_dict(self) -> dict:
-        return {"events": [
-            {"kind": e.kind, "scale": e.scale, "instant": e.instant,
-             **({"arrival": e.arrival} if e.arrival is not None else {})}
-            for e in self.events]}
+        return {"events": [asdict(e) for e in self.events],
+                REFINE_DONE: list(self.refines)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Timeline":
         tl = cls()
         for e in data["events"]:
-            scale, instant, arrival = e["scale"], e["instant"], e.get("arrival")
-            if (type(scale) is not int or not _is_number(instant)
-                    or not (arrival is None or type(arrival) is int)):
-                raise TypeError(f"{e!r} needs an integer scale and arrival "
-                                "and a numeric instant")
-            tl.add(e["kind"], scale, instant, arrival)
+            scale, instant = e["scale"], e["instant"]
+            if type(scale) is not int or not _is_number(instant):
+                raise TypeError(f"{e!r} needs an integer scale and a numeric "
+                                "instant")
+            tl.add(e["kind"], scale, instant)
+        for instant in data[REFINE_DONE]:
+            if not _is_number(instant):
+                raise TypeError(f"{REFINE_DONE} entry {instant!r} is not a number")
+            tl.refine(instant)
         return tl
 
 
@@ -257,7 +256,7 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
             tl.add(SCALE_DONE, i, now())
             if update_cfg is not None:
                 cascade_step(parts[:i - 1], part, labels, update_cfg, tables,
-                             lambda s: tl.add(REFINE_DONE, s, now(), arrival=i))
+                             lambda _: tl.refine(now()))
         except (PredictorError, UpdateError) as exc:
             raise PipelineError(f"scale {i}: {exc}") from exc
         outputs.append(assemble(stream, parts[:i], labels))
@@ -294,7 +293,7 @@ def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
         if refining:
             for j in range(i - 1, 0, -1):
                 t += timing.refine_duration(counts[j - 1], counts[j])
-                tl.add(REFINE_DONE, j, t, arrival=i)
+                tl.refine(t)
         tl.add(CUMULATIVE_AVAILABLE, i, t)
         prev_avail = t
     return tl
@@ -347,23 +346,23 @@ def run_baseline(stream: PointStream, predictor_cfg: PredictorConfig,
 
 
 def refine_intervals(tl: Timeline) -> dict[int, list[tuple[float, float]]]:
-    """Each arrival's refine jobs as ``(start, end)`` pairs, in instant order.
+    """Each arrival's refine jobs as ``(start, end)`` pairs, in run order.
 
-    The cascade an arrival triggers starts once the arriving scale is
-    predicted and the previous cumulative output is available; each later
-    refine starts where the one before it ended.
+    Arrival ``a`` owns the ``a-1`` instants of ``tl.refines`` from offset
+    ``(a-1)(a-2)/2``.  Its cascade starts once scale ``a`` is predicted and
+    the previous cumulative output is available; each later refine starts
+    where the one before it ended.
     """
-    by_arrival: dict[int, list[TimelineEvent]] = {}
-    for e in tl.select(REFINE_DONE):
-        by_arrival.setdefault(e.arrival, []).append(e)
-    intervals: dict[int, list[tuple[float, float]]] = {}
-    for arrival, events in by_arrival.items():
-        prev = max(tl.instant(SCALE_DONE, arrival),
-                   tl.instant(CUMULATIVE_AVAILABLE, arrival - 1))
-        intervals[arrival] = []
-        for e in sorted(events, key=lambda e: e.instant):
-            intervals[arrival].append((prev, e.instant))
-            prev = e.instant
+    k, ends = len(tl.scales()), tl.refines
+    if len(ends) not in (0, k * (k - 1) // 2):
+        raise PipelineError(f"{len(ends)} {REFINE_DONE} instants for {k} "
+                            f"scales, which refine 0 or {k * (k - 1) // 2} times")
+    intervals = {}
+    for a in range(2, k + 1):
+        own = ends[(a - 1) * (a - 2) // 2:a * (a - 1) // 2]
+        first = max(tl.instant(SCALE_DONE, a),
+                    tl.instant(CUMULATIVE_AVAILABLE, a - 1))
+        intervals[a] = list(zip([first, *own[:-1]], own))
     return intervals
 
 

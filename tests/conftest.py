@@ -29,6 +29,20 @@ def make_counted_stream(rng: np.random.Generator, counts, cuts,
     return PointStream(base.positions, base.labels, timestamps, class_count)
 
 
+def old_event_list(timeline: dict) -> list[dict]:
+    """The events of a timeline's dict form in the layout that kept each
+    refinement as an event naming its scale and arrival: arrival ``i``'s
+    refinements of scales ``i-1, ..., 1`` follow ``scale_done(i)``."""
+    events, ends = [], iter(timeline["refine_done"])
+    for e in timeline["events"]:
+        events.append(e)
+        if e["kind"] == "scale_done" and timeline["refine_done"]:
+            events += [{"kind": "refine_done", "scale": j, "instant": next(ends),
+                        "arrival": e["scale"]} for j in range(e["scale"] - 1, 0, -1)]
+    assert next(ends, None) is None
+    return events
+
+
 def mutate_one_line(data: st.DataObject, text: str, tokens) -> str:
     """``text`` with one line dropped, repeated or moved, or with one of
     ``tokens`` put in place of, or before, one of its tokens."""

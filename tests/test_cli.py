@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import scalestream.cli as cli
 import scalestream.pipeline as pipeline
-from conftest import make_counted_stream, mutate_one_line
+from conftest import make_counted_stream, mutate_one_line, old_event_list
 from scalestream import (LissajousConfig, PartitionSpec, PointStream,
                          PredictorConfig, PredictorError, Timeline, TimingModel,
                          UpdateConfig, latency_metrics, make_seed_cloud,
@@ -310,6 +310,26 @@ def test_scene_of_65535_classes_runs_under_a_memory_cap(tmp_path):
                       "--out-dir", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--ticks", "10000000000"],              # 74.5 GiB of ticks
+    ["scan", "--room", "1e7 1e7 3"],                 # 22.4 GiB camera grid
+    ["run", "--scan-inline", "--room", "4 4 1e7"],   # 59.6 GiB
+    ["scan", "--scene", "wide.scene"],               # a room 1e8 m wide
+], ids=["ticks", "room-camera-grid", "tall-room", "wide-scene"])
+def test_out_of_memory_is_one_error_line(tmp_path, argv):
+    """An input whose arrays cannot be allocated under the 3,000,000 KiB
+    cap: the command exits 1 with one ``error: out of memory`` line, no
+    traceback and no output directory."""
+    (tmp_path / "wide.scene").write_text("room 0 0 0 1e8 4 3\n")
+    argv = [str(tmp_path / a) if a.endswith(".scene") else a for a in argv]
+    out = tmp_path / "out"
+    proc = run_capped(*argv, "--out-dir", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
 
 
 def test_run_real_mode(tmp_path):
@@ -630,7 +650,7 @@ def _drop_scale_done_2(run_dir):
 
 def _empty_baseline(run_dir):
     path = run_dir / "baseline_timeline.json"
-    path.write_text(json.dumps({"events": []}))
+    path.write_text(json.dumps({"events": [], "refine_done": []}))
     return path
 
 
@@ -642,21 +662,20 @@ def _negative_instant(run_dir):
     return path
 
 
-def _refine_before_arrival(run_dir):
+def _old_format(run_dir):
+    """``timeline.json`` as it was before a run's refinements became one
+    list: a ``refine_done`` event in ``events`` for each of them."""
     path = run_dir / "timeline.json"
     data = json.loads(path.read_text())
-    refine = next(e for e in data["events"] if e["kind"] == "refine_done")
-    assert (refine["scale"], refine["arrival"]) == (1, 2)
-    refine["arrival"] = 1
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps({"events": old_event_list(data)}))
     return path
 
 
 def _misspelled_kind(run_dir):
     path = run_dir / "timeline.json"
     data = json.loads(path.read_text())
-    refine = next(e for e in data["events"] if e["kind"] == "refine_done")
-    refine["kind"] = "refine_dne"
+    done = next(e for e in data["events"] if e["kind"] == "scale_done")
+    done["kind"] = "scale_dne"
     path.write_text(json.dumps(data))
     return path
 
@@ -675,17 +694,17 @@ def _numeric_kind(run_dir):
     (_empty_baseline, "incomplete timeline: timeline has no baseline_start "
                       "event for scale 0"),
     (_negative_instant, "negative instant for partition_ready(1): -1"),
-    (_refine_before_arrival, "refine_done(1) has arrival 1, which must "
-                             "exceed its scale"),
-    (_misspelled_kind, "unknown event refine_dne(1)"),
+    (_old_format, "unknown event refine_done(1)"),
+    (_misspelled_kind, "unknown event scale_dne(1)"),
     (_numeric_kind, "unknown event 5(1)"),
 ], ids=["no-scale-done-2", "empty-baseline", "negative-instant",
-        "refine-before-arrival", "misspelled-kind", "numeric-kind"])
+        "old-format", "misspelled-kind", "numeric-kind"])
 def test_report_malformed_timeline_names_the_file_and_writes_nothing(
         tmp_path, capsys, break_timeline, message):
-    """A timeline that lacks an event, holds a negative instant, a refine
-    before its arrival, or an event of a kind other than the seven that a
-    run writes: report exits 1 naming the file and writes no plot."""
+    """A timeline that lacks an event, holds a negative instant, is in the
+    layout that kept refinements as events, or holds an event of a kind
+    other than the six that a run writes: report exits 1 naming the file
+    and writes no plot."""
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
     broken = break_timeline(out)
@@ -923,20 +942,17 @@ def test_report_wrongly_typed_field_exits_1(tmp_path, small_run, name, field,
 
 
 def test_report_refuses_non_integer_event_values(tmp_path, capsys):
-    """A scale or arrival that is not a JSON integer, or an instant that is
-    a bool, is refused naming the file, not coerced or left to crash."""
+    """A scale that is not a JSON integer, or an instant that is a bool, is
+    refused naming the file, not coerced or left to crash."""
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
     for svg in out.glob("*.svg"):
         svg.unlink()
     path = out / "timeline.json"
     good = json.loads(path.read_text())
-    refine = next(i for i, e in enumerate(good["events"]) if "arrival" in e)
     for index, key, value in [(0, "scale", float("inf")), (0, "scale", 1.5),
                               (0, "scale", True), (0, "scale", "1"),
-                              (0, "instant", True), (refine, "arrival", 1.5),
-                              (refine, "arrival", True),
-                              (refine, "arrival", float("inf"))]:
+                              (0, "instant", True)]:
         data = json.loads(json.dumps(good))
         data["events"][index][key] = value
         path.write_text(json.dumps(data))
@@ -946,6 +962,34 @@ def test_report_refuses_non_integer_event_values(tmp_path, capsys):
         assert err.startswith(f"error: {path} holds a wrongly typed event: ")
         assert err.count("\n") == 1
         assert not list(out.glob("*.svg"))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ends: ends[:-1],
+     "5 refine_done instants for 4 scales, which refine 0 or 6 times"),
+    (lambda ends: [-1, *ends[1:]], "negative instant for refine_done[0]: -1"),
+    (lambda ends: [*ends[:2], "0.5", *ends[3:]],
+     "wrongly typed event: refine_done entry '0.5' is not a number"),
+    (lambda ends: [*ends[:2], True, *ends[3:]],
+     "wrongly typed event: refine_done entry True is not a number"),
+    (lambda ends: [10**400, *ends[1:]],
+     "wrongly typed event: int too large to convert to float"),
+], ids=["one-short", "negative", "string", "bool", "400-digit"])
+def test_report_refuses_a_malformed_refine_list(tmp_path, small_run, edit,
+                                                message):
+    """A 4-scale run refines 6 times.  A ``refine_done`` list of another
+    length, or holding an entry that is negative or not a JSON number that
+    a float can hold, exits 1 naming the file, with no traceback and no
+    plot."""
+    timeline = small_run["timeline.json"]
+    assert len(timeline["refine_done"]) == 6
+    run_dir = _write_run_dir(tmp_path / "run", {**small_run, "timeline.json": {
+        **timeline, "refine_done": edit(timeline["refine_done"])}})
+    code, _, err = _report(run_dir)
+    assert code == 1
+    assert err.startswith(f"error: {run_dir / 'timeline.json'}")
+    assert err.endswith(f"{message}\n") and err.count("\n") == 1, err
+    assert not list(run_dir.glob("*.svg"))
 
 
 def test_fusion_off_refine_bar_spans_its_duration(tmp_path):

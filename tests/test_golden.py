@@ -4,7 +4,9 @@
 multiples of 1/8 and timestamps are integers, so every squared distance and
 every modelled instant is computed exactly and the digests do not depend on
 the platform's math library.  Each case hashes the predicted labels of every
-cumulative output and the simulated timeline.  The digests were recorded
+cumulative output and the simulated timeline, the latter in the layout it
+was recorded in: one event list in which each refinement is an event naming
+its scale and arrival (``old_event_list``).  The digests were recorded
 before the cascade began refining the predictor's context in place; a change
 in any label or instant shows here.  The ``no-fusion`` digests, which pin
 the schedule that starts each scale without waiting for the previous
@@ -37,6 +39,8 @@ import scalestream.cli as cli
 from scalestream import (PartitionSpec, PointStream, PredictorConfig,
                          TimingModel, UpdateConfig, make_seed_cloud,
                          run_scalable, write_stream)
+
+from conftest import old_event_list
 
 
 def _stream(seed, n, grid, t_max, gap=None):
@@ -128,7 +132,8 @@ def _digest(outputs, timeline) -> str:
     h = hashlib.sha256()
     for o in outputs:
         h.update(np.ascontiguousarray(o.pred_labels, dtype=np.int64).tobytes())
-    h.update(json.dumps(timeline.to_dict(), sort_keys=True).encode("utf-8"))
+    events = old_event_list(timeline.to_dict())
+    h.update(json.dumps({"events": events}, sort_keys=True).encode("utf-8"))
     return h.hexdigest()
 
 

@@ -15,9 +15,8 @@ from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream
                          run_scalable)
 from scalestream.pipeline import (BASELINE_DONE, BASELINE_START,
                                   CUMULATIVE_AVAILABLE, OVERLAP_MODES,
-                                  PARTITION_READY, REFINE_DONE, SCALE_DONE,
-                                  SCALE_START, Timeline, TimelineEvent,
-                                  baseline_timeline, refine_intervals)
+                                  PARTITION_READY, SCALE_DONE, SCALE_START,
+                                  Timeline, baseline_timeline, refine_intervals)
 from scalestream.plots import timeline_plot
 
 from conftest import make_counted_stream, make_random_stream
@@ -280,25 +279,41 @@ def test_timeline_refuses_a_non_finite_instant(instant):
         Timeline().add(SCALE_DONE, 2, instant)
 
 
-@pytest.mark.parametrize("kind, scale, instant, arrival, message", [
-    (REFINE_DONE, 1, 0.5, None,
-     r"refine_done\(1\) has arrival None, which must exceed its scale"),
-    (REFINE_DONE, 2, 0.5, 2,
-     r"refine_done\(2\) has arrival 2, which must exceed its scale"),
-    ("refine_dne", 1, 0.5, None, r"unknown event refine_dne\(1\)"),
-    (SCALE_START, 1, -0.5, None, r"negative instant for scale_start\(1\): -0.5"),
-    (SCALE_START, 1, float("nan"), None, r"non-finite instant for scale_start\(1\)"),
-], ids=["refine-without-arrival", "refine-at-its-scale", "unknown-kind",
-        "negative-instant", "nan-instant"])
+@pytest.mark.parametrize("kind, scale, instant, message", [
+    ("refine_dne", 1, 0.5, r"unknown event refine_dne\(1\)"),
+    # a refinement is an entry of ``refines``, never an event
+    ("refine_done", 1, 0.5, r"unknown event refine_done\(1\)"),
+    (SCALE_START, 1, -0.5, r"negative instant for scale_start\(1\): -0.5"),
+    (SCALE_START, 1, float("nan"), r"non-finite instant for scale_start\(1\)"),
+], ids=["unknown-kind", "refine-event", "negative-instant", "nan-instant"])
 def test_every_event_rule_holds_for_added_and_given_events(kind, scale, instant,
-                                                           arrival, message):
-    """An event added one by one and an event given at construction pass
-    the same rules: a known kind, a refine above its scale, and a finite,
-    non-negative instant."""
+                                                           message):
+    """An event added one by one and an event given in a timeline's dict
+    form pass the same rules: a known kind and a finite, non-negative
+    instant."""
     with pytest.raises(PipelineError, match=message):
-        Timeline().add(kind, scale, instant, arrival)
+        Timeline().add(kind, scale, instant)
+    event = {"kind": kind, "scale": scale, "instant": instant}
     with pytest.raises(PipelineError, match=message):
-        Timeline(events=[TimelineEvent(kind, scale, instant, arrival)])
+        Timeline.from_dict({"events": [event], "refine_done": []})
+
+
+@pytest.mark.parametrize("instant, message", [
+    (-0.5, r"negative instant for refine_done\[1\]: -0.5"),
+    (float("nan"), r"non-finite instant for refine_done\[1\]: nan"),
+    (float("-inf"), r"non-finite instant for refine_done\[1\]: -inf"),
+], ids=["negative", "nan", "minus-inf"])
+def test_every_refine_rule_holds_for_added_and_given_instants(instant, message):
+    """A refinement's end instant, added or given, is finite and
+    non-negative; the message names its position in ``refines``.  Which
+    scale and arrival it belongs to follows from that position alone."""
+    tl = Timeline()
+    tl.refine(0.25)
+    with pytest.raises(PipelineError, match=message):
+        tl.refine(instant)
+    assert tl.refines == [0.25]
+    with pytest.raises(PipelineError, match=message):
+        Timeline.from_dict({"events": [], "refine_done": [0.25, instant]})
 
 
 def test_sim_timeline_deterministic():
@@ -311,15 +326,17 @@ def test_sim_timeline_deterministic():
 
 
 def test_timeline_instant_is_the_first_event_of_its_kind_and_scale():
-    """Events added one by one and events given at construction answer
-    alike; the first event of a kind and scale wins, and equality and the
-    dict form see the events alone."""
+    """A timeline and its dict form's round trip answer alike; the first
+    event of a kind and scale wins, and equality and the dict form see the
+    events and the refines alone."""
     added = Timeline()
     for kind, scale, t in ((SCALE_START, 1, 0.5), (SCALE_START, 2, 0.25),
                            (SCALE_START, 1, 0.75)):
         added.add(kind, scale, t)
-    built = Timeline(events=list(added.events))
-    for tl in (added, built, Timeline.from_dict(added.to_dict())):
+    added.refine(0.5)
+    with pytest.raises(TypeError):
+        Timeline(events=list(added.events))
+    for tl in (added, Timeline.from_dict(added.to_dict())):
         assert tl == added
         assert tl.instant(SCALE_START, 1) == 0.5
         assert tl.instant(SCALE_START, 2) == 0.25
@@ -340,21 +357,19 @@ class CountingList(list):
 
 def test_reading_a_timeline_loops_over_it_a_fixed_number_of_times():
     """``latency_metrics`` and ``timeline_plot`` loop over a timeline's
-    events as often at 200 scales as at 10, so reading a K-scale timeline of
-    about K^2/2 events costs O(K^2), not O(K^3)."""
+    events and its refines as often at 200 scales as at 10, so reading a
+    K-scale timeline of about K^2/2 refines costs O(K^2), not O(K^3)."""
     loops = []
     for k in (10, 200):
-        sim = pipeline._sim_timeline([20] * k, [i * 1e-3 for i in range(1, k + 1)],
-                                     TimingModel(), refining=True)
-        events = CountingList(sim.events)
-        tl = Timeline(events=events)
+        tl = pipeline._sim_timeline([20] * k, [i * 1e-3 for i in range(1, k + 1)],
+                                    TimingModel(), refining=True)
+        tl.events, tl.refines = CountingList(tl.events), CountingList(tl.refines)
         base = Timeline()
         base.add(BASELINE_START, 0, k * 1e-3)
         base.add(BASELINE_DONE, 0, k * 1e-3 + 1.0)
-        events.loops = 0
         lat = latency_metrics(tl, base)
         timeline_plot(tl, base, lat)
-        loops.append(events.loops)
+        loops.append((tl.events.loops, tl.refines.loops))
     assert loops[0] == loops[1], loops
 
 
