@@ -24,13 +24,19 @@ cumulative output.  The modes differ only in the timeline:
   dependency.
 
 Label outputs are bit-identical across all backends and timing parameters;
-scheduling only ever affects the timeline.
+scheduling only ever affects the timeline.  So inside ``one_label_pass``
+simulated runs over the same input make one label pass, and with it one
+neighbor search per scale pair: a simulated sweep labels for its first
+tick duration and reuses those outputs for the others.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -132,8 +138,19 @@ def _is_number(v) -> bool:
     return type(v) in (int, float)
 
 
+def _json_list(data: dict, key: str) -> list:
+    """``data[key]``, once it is a JSON list."""
+    if type(data[key]) is not list:
+        raise TypeError(f"{key} is {data[key]!r}, not a list")
+    return data[key]
+
+
 def _checked(instant: float, what: str) -> float:
-    if not math.isfinite(instant):
+    try:
+        finite = math.isfinite(instant)
+    except OverflowError:  # an int past the largest float
+        raise OverflowError(f"{what} is not a number a float can hold") from None
+    if not finite:
         raise PipelineError(f"non-finite instant for {what}: {instant}")
     if instant < 0:
         raise PipelineError(f"negative instant for {what}: {instant}")
@@ -151,8 +168,9 @@ class Timeline:
 
     def add(self, kind: str, scale: int, instant: float):
         """Append an event of a known kind at a finite, non-negative instant."""
-        if kind not in _EVENT_KINDS:
-            raise PipelineError(f"unknown event {kind}({scale})")
+        if kind not in _EVENT_KINDS:  # a kind read from JSON may hold a newline
+            name = kind if str(kind).isprintable() else repr(kind)
+            raise PipelineError(f"unknown event {name}({scale})")
         self.events.append(TimelineEvent(kind, scale,
                                          _checked(instant, f"{kind}({scale})")))
         self._first.setdefault((kind, scale), self.events[-1].instant)
@@ -177,13 +195,13 @@ class Timeline:
     @classmethod
     def from_dict(cls, data: dict) -> "Timeline":
         tl = cls()
-        for e in data["events"]:
+        for e in _json_list(data, "events"):
             scale, instant = e["scale"], e["instant"]
             if type(scale) is not int or not _is_number(instant):
                 raise TypeError(f"{e!r} needs an integer scale and a numeric "
                                 "instant")
             tl.add(e["kind"], scale, instant)
-        for instant in data[REFINE_DONE]:
+        for instant in _json_list(data, REFINE_DONE):
             if not _is_number(instant):
                 raise TypeError(f"{REFINE_DONE} entry {instant!r} is not a number")
             tl.refine(instant)
@@ -214,6 +232,32 @@ class LatencyMetrics:
     refine_total: float
 
 
+# The label pass kept by this context's innermost ``one_label_pass``: None
+# outside the scope; inside, [] until the scope's first sim-mode pass, then
+# that pass's [(stream, spec, predictor_cfg, update_cfg), parts, outputs].
+_kept: ContextVar[list | None] = ContextVar("_kept", default=None)
+
+
+@contextmanager
+def one_label_pass():
+    """Label once for every simulated run of the block over the same input.
+
+    Labels never depend on the timing.  Inside the block the first sim-mode
+    ``run_scalable`` call keeps its partitions and outputs, and a later
+    sim-mode call given the same ``stream``, ``spec``, ``predictor_cfg``
+    and ``update_cfg`` objects returns those outputs, in a new list, with
+    its own simulated timeline.  The calls share the outputs, so each kept
+    ``pred_labels`` array is made read-only.  Measured calls neither read
+    nor fill the scope: their timeline times the label work.  Nothing is
+    kept after the block.
+    """
+    token = _kept.set([])
+    try:
+        yield
+    finally:
+        _kept.reset(token)
+
+
 def run_scalable(stream: PointStream, spec: PartitionSpec,
                  predictor_cfg: PredictorConfig,
                  update_cfg: UpdateConfig | None,
@@ -225,15 +269,23 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
     ``update_cfg=None`` disables the refinement cascade (predictions keep
     their original labels, as in a pipeline without an update module).
     A predictor or update failure is re-raised as a ``PipelineError`` that
-    names the scale.
+    names the scale.  Inside ``one_label_pass`` a sim-mode call may reuse
+    an earlier call's outputs.
     """
     if predictor_cfg.variant == "seeded-knn" and not timing.fusion_dependency:
         raise PipelineError(
             "seeded-knn consumes previous-scale context; fusion_dependency "
             "cannot be disabled for it")
+    measured = timing.overlap == "measured"
+    key = (stream, spec, predictor_cfg, update_cfg)
+    kept = _kept.get()
+    if not measured and kept and all(map(operator.is_, kept[0], key)):
+        _, parts, outputs = kept
+        ready = [p.interval[1] * timing.tick_duration for p in parts]
+        return list(outputs), _sim_timeline([len(p) for p in parts], ready,
+                                            timing, update_cfg is not None)
     parts = partition(stream, spec)
     ready = [p.interval[1] * timing.tick_duration for p in parts]
-    measured = timing.overlap == "measured"
     base = time.monotonic()
 
     def now() -> float:
@@ -244,7 +296,7 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
     for i, r in enumerate(ready, start=1):
         tl.add(PARTITION_READY, i, r)
     outputs: list[CumulativeOutput] = []
-    tables: list = []  # each scale pair's neighbor table, searched once
+    tables: list = []  # each scale pair's neighbor table, searched once per pass
     for i, part in enumerate(parts, start=1):
         while measured and (dt := ready[i - 1] - now()) > 0:
             time.sleep(dt)
@@ -263,6 +315,10 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
         tl.add(CUMULATIVE_AVAILABLE, i, now())
     if measured:
         return outputs, tl
+    if kept == []:  # the scope's first sim-mode pass
+        for o in outputs:
+            o.pred_labels.flags.writeable = False
+        kept[:] = key, parts, list(outputs)
     return outputs, _sim_timeline([len(p) for p in parts], ready, timing,
                                  refining=update_cfg is not None)
 

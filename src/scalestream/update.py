@@ -11,9 +11,10 @@ predictor's context) that the cascade refines in place; of the partitions
 it reads only positions and sizes, never the ground truth.
 
 The neighbors depend on positions alone, so each scale pair is searched
-once per run: the arrival of scale ``j`` searches pair ``(j-1, j)`` and
-appends the index table to the run's list, and every later vote of that
-pair gathers labels through the same table.
+once per label pass: the arrival of scale ``j`` searches pair ``(j-1, j)``
+and appends the index table to the pass's list, and every later vote of
+that pair gathers labels through the same table.  A simulated sweep makes
+one label pass for all its tick durations.
 
 Everything here is exact and deterministic: neighbor ties are broken by the
 lower reference index and vote ties by the label of the nearest neighbor in
@@ -155,8 +156,8 @@ def cascade_step(lowers: Sequence[Partition], arrived: Partition,
     into scale ``s+1``, or ``None`` when either side is empty and the pair
     passes its labels through.  The tables missing for pairs up to
     ``(j-1, j)`` are searched and appended, bottom up: a caller that keeps
-    one list for a run searches each pair once, one that passes ``[]``
-    searches every pair.
+    one list for a label pass searches each pair once per pass, one that
+    passes ``[]`` searches every pair.
 
     The optional ``on_refine(lower_scale)`` hook fires after each
     refinement, in execution order.

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import scalestream.pipeline as pipeline
+import scalestream.predictors as predictors
+import scalestream.update as update
 from scalestream import LabelMap, PointStream, default_room, place_cameras
 
 
@@ -75,3 +78,23 @@ def room():
 @pytest.fixture(scope="session")
 def default_pose(room):
     return place_cameras(room, seed=0)[0]
+
+
+@pytest.fixture
+def label_calls(monkeypatch):
+    """Counts the scale predictions and the neighbour searches, those of the
+    seeded-knn predictor and those of the update cascade alike."""
+    calls = {"predict": 0, "knn_batch": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+
+    counted(pipeline, "predict")
+    counted(update, "knn_batch")
+    counted(predictors, "knn_batch")
+    return calls

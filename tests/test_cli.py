@@ -562,12 +562,33 @@ def test_sim_sweep_predicts_no_baseline_labels(tmp_path, predict_full_calls,
     assert predict_full_calls == []
 
 
-def test_real_sweep_measures_each_baseline(tmp_path, predict_full_calls):
+def test_sim_sweep_labels_once_per_command(tmp_path, label_calls):
+    """A simulated seeded-knn sweep over five tick durations at the default
+    cuts makes one label pass: 5 predictions, and 9 searches (one per scale
+    for the predictor, one per scale pair for the cascade).  A second sweep
+    in the same process makes its own pass, so nothing outlives a command.
+    """
+    assert run_cli("scan", "--out-dir", str(tmp_path / "scan")) == 0
+    for n in (1, 2):
+        assert run_cli("sweep", "--stream", str(tmp_path / "scan" / "stream.bin"),
+                       "--predictor", "seeded-knn",
+                       "--tick-durations", "1e-6 3e-6 1e-5 3e-5 1e-4",
+                       "--out-dir", str(tmp_path / f"sweep{n}")) == 0
+        assert label_calls == {"predict": 5 * n, "knn_batch": 9 * n}
+    assert ((tmp_path / "sweep1" / "sweep.csv").read_bytes()
+            == (tmp_path / "sweep2" / "sweep.csv").read_bytes())
+
+
+def test_real_sweep_measures_each_baseline(tmp_path, predict_full_calls,
+                                           label_calls):
+    """A real sweep times real work: it labels and predicts the baseline
+    once per tick duration."""
     assert run_cli("sweep", *FAST_SWEEP, "--mode", "real",
                    "--tick-durations", "1e-7 1e-6 1e-7",
                    "--out-dir", str(tmp_path)) == 0
     assert len(predict_full_calls) == 3
     assert len(set(predict_full_calls)) == 1
+    assert label_calls["predict"] == 3 * 5
 
 
 @pytest.mark.parametrize("predictor", ["noisy-oracle", "seeded-knn"])
@@ -929,6 +950,7 @@ def test_report_timeline_without_events_exits_1(tmp_path, capsys):
     # prefix, the whole stream, is never empty
     ("metrics.json", "scale_miou", [0.5, None]),
     ("metrics.json", "scale_miou", []),
+    ("timeline.json", "events", {}),
 ])
 def test_report_wrongly_typed_field_exits_1(tmp_path, small_run, name, field,
                                             value):
@@ -973,14 +995,17 @@ def test_report_refuses_non_integer_event_values(tmp_path, capsys):
     (lambda ends: [*ends[:2], True, *ends[3:]],
      "wrongly typed event: refine_done entry True is not a number"),
     (lambda ends: [10**400, *ends[1:]],
-     "wrongly typed event: int too large to convert to float"),
-], ids=["one-short", "negative", "string", "bool", "400-digit"])
+     "wrongly typed event: refine_done[0] is not a number a float can hold"),
+    (lambda ends: {}, "wrongly typed event: refine_done is {}, not a list"),
+    (lambda ends: "", "wrongly typed event: refine_done is '', not a list"),
+], ids=["one-short", "negative", "string", "bool", "400-digit", "object",
+        "empty-string"])
 def test_report_refuses_a_malformed_refine_list(tmp_path, small_run, edit,
                                                 message):
     """A 4-scale run refines 6 times.  A ``refine_done`` list of another
     length, or holding an entry that is negative or not a JSON number that
-    a float can hold, exits 1 naming the file, with no traceback and no
-    plot."""
+    a float can hold, or a ``refine_done`` that is not a JSON list, exits 1
+    naming the file, with no traceback and no plot."""
     timeline = small_run["timeline.json"]
     assert len(timeline["refine_done"]) == 6
     run_dir = _write_run_dir(tmp_path / "run", {**small_run, "timeline.json": {

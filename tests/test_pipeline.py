@@ -169,6 +169,77 @@ def test_labels_identical_across_timing_models():
                 assert np.array_equal(a, b)
 
 
+SWEEP_TIMINGS = [TimingModel(tick_duration=1e-6),
+                 TimingModel(tick_duration=5.0, overlap="none"),
+                 TimingModel(tick_duration=1e-3),
+                 TimingModel(tick_duration=1e-4, predict_fixed=0.5,
+                             refine_per_point=0.0),
+                 TimingModel(tick_duration=2e-5, overlap="none")]
+
+
+@pytest.mark.parametrize("variant", ["noisy-oracle", "seeded-knn"])
+@pytest.mark.parametrize("update_cfg", [UpdateConfig(k=3), None])
+def test_one_label_pass_equals_a_fresh_pass_per_timing(label_calls, variant,
+                                                       update_cfg):
+    """Inside ``one_label_pass`` only the first sim-mode call labels.  Every
+    call returns, bit for bit, what a standalone call with its timing
+    returns, in a list of its own, and no caller can write a shared label
+    array."""
+    stream = small_stream(23, n=600)
+    cfg = PredictorConfig(variant=variant, error_rates=RATES, seed=5,
+                          seed_cloud=make_seed_cloud(stream, 0.1, 1))
+    fresh = [run_scalable(stream, SPEC, cfg, update_cfg, t)
+             for t in SWEEP_TIMINGS]
+    label_calls["predict"] = 0
+    with pipeline.one_label_pass():
+        reused = [run_scalable(stream, SPEC, cfg, update_cfg, t)
+                  for t in SWEEP_TIMINGS]
+    assert label_calls["predict"] == 5
+    for (outputs, tl), (ref_outputs, ref_tl) in zip(reused, fresh):
+        assert tl == ref_tl
+        assert len(outputs) == len(ref_outputs) == 5
+        for out, ref in zip(outputs, ref_outputs):
+            assert out.scale == ref.scale
+            assert out.class_count == ref.class_count
+            for name in ("positions", "pred_labels", "gt_labels",
+                         "origin_scales", "timestamps"):
+                a, b = getattr(out, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert len({id(outputs) for outputs, _ in reused}) == len(reused)
+    for out in reused[0][0]:
+        assert out is reused[-1][0][out.scale - 1]
+        with pytest.raises(ValueError, match="read-only"):
+            out.pred_labels[0] = 0
+
+
+def test_one_label_pass_keeps_nothing_for_measured_calls_or_other_inputs(
+        label_calls):
+    """A measured call neither reads nor fills the scope; a call given
+    other objects, even equal ones, labels afresh; and nothing is kept
+    after the block."""
+    stream = small_stream(24, n=400)
+    cfg = PredictorConfig(error_rates=RATES, seed=6)
+    update_cfg = UpdateConfig(k=3)
+    measured = TimingModel(tick_duration=1e-7, overlap="measured")
+    with pipeline.one_label_pass():
+        run_scalable(stream, SPEC, cfg, update_cfg, measured)
+        assert label_calls["predict"] == 5  # measured: labelled, nothing kept
+        kept, _ = run_scalable(stream, SPEC, cfg, update_cfg, TimingModel())
+        assert label_calls["predict"] == 10  # the first sim-mode call labels
+        outputs, _ = run_scalable(stream, SPEC, cfg, update_cfg, measured)
+        assert label_calls["predict"] == 15  # measured: not a lookup
+        assert outputs[0] is not kept[0]
+        outputs[0].pred_labels[0] = outputs[0].pred_labels[0]  # its own
+        run_scalable(stream, SPEC, replace(cfg), update_cfg, TimingModel())
+        run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), TimingModel())
+        assert label_calls["predict"] == 25  # equal, other objects: afresh
+        again, _ = run_scalable(stream, SPEC, cfg, update_cfg,
+                                TimingModel(tick_duration=1.0))
+        assert label_calls["predict"] == 25 and again[0] is kept[0]
+    run_scalable(stream, SPEC, cfg, update_cfg, TimingModel())
+    assert label_calls["predict"] == 30
+
+
 def test_real_executor_timeline_is_causal():
     """Measured runs handle the scales in order with the fusion dependency
     on and off: scale i starts once its partition is acquired and scale
@@ -285,7 +356,10 @@ def test_timeline_refuses_a_non_finite_instant(instant):
     ("refine_done", 1, 0.5, r"unknown event refine_done\(1\)"),
     (SCALE_START, 1, -0.5, r"negative instant for scale_start\(1\): -0.5"),
     (SCALE_START, 1, float("nan"), r"non-finite instant for scale_start\(1\)"),
-], ids=["unknown-kind", "refine-event", "negative-instant", "nan-instant"])
+    # an error is one line, whatever the kind holds
+    ("\n", 1, 0.5, r"^unknown event '\\n'\(1\)$"),
+], ids=["unknown-kind", "refine-event", "negative-instant", "nan-instant",
+        "newline-kind"])
 def test_every_event_rule_holds_for_added_and_given_events(kind, scale, instant,
                                                            message):
     """An event added one by one and an event given in a timeline's dict
@@ -314,6 +388,31 @@ def test_every_refine_rule_holds_for_added_and_given_instants(instant, message):
     assert tl.refines == [0.25]
     with pytest.raises(PipelineError, match=message):
         Timeline.from_dict({"events": [], "refine_done": [0.25, instant]})
+
+
+def test_an_instant_past_the_largest_float_names_its_entry():
+    """An integer instant too large for a float is refused naming the event
+    or the refine entry, added or given."""
+    event = r"scale_start\(1\) is not a number a float can hold"
+    with pytest.raises(OverflowError, match=event):
+        Timeline().add(SCALE_START, 1, 10**400)
+    with pytest.raises(OverflowError, match=event):
+        Timeline.from_dict({"events": [{"kind": SCALE_START, "scale": 1,
+                                        "instant": 10**400}],
+                            "refine_done": []})
+    entry = r"refine_done\[1\] is not a number a float can hold"
+    with pytest.raises(OverflowError, match=entry):
+        Timeline.from_dict({"events": [], "refine_done": [0.5, 10**400]})
+
+
+@pytest.mark.parametrize("key, value", [("events", {}), ("events", ""),
+                                        ("refine_done", {}),
+                                        ("refine_done", "")])
+def test_timeline_lists_must_be_lists(key, value):
+    """``events`` and ``refine_done`` are JSON lists, not any iterable."""
+    data = {"events": [], "refine_done": [], key: value}
+    with pytest.raises(TypeError, match=f"^{key} is {value!r}, not a list$"):
+        Timeline.from_dict(data)
 
 
 def test_sim_timeline_deterministic():
