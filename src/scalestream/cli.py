@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assemble import cumulative_csv, row_heads
+from .assemble import cumulative_csv, read_labels, row_heads, write_labels
 from .metrics import (cost_of_scalability, coverage_curve, metrics_csv, miou,
                       miou_by_origin)
 from .partition import DEFAULT_CUTS, PartitionError, PartitionSpec, partition
@@ -205,6 +205,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, frozenset[str]]:
 
     p_rep = command("report", help="re-render plots and a summary from a run directory")
     p_rep.add_argument("--run-dir", type=str, required=True)
+    p_rep.add_argument("--csv", action="store_true",
+                       help="also write cumulative_scale_<i>.csv from labels.npz")
     subparsers = {"scan": p_scan, "partition": p_part, "run": p_run,
                   "sweep": p_sweep, "report": p_rep}
     return parser, subparsers, scan_dests
@@ -506,10 +508,7 @@ def cmd_run(args) -> int:
     (out / "metrics.csv").write_text(metrics_csv(metrics), encoding="utf-8")
     _write_json(out / "timeline.json", timeline.to_dict())
     _write_json(out / "baseline_timeline.json", base_tl.to_dict())
-    heads = row_heads(final)
-    for o in outputs:
-        (out / f"cumulative_scale_{o.scale}.csv").write_text(
-            cumulative_csv(o, heads), encoding="utf-8")
+    write_labels(out / "labels.npz", outputs)
     (out / "miou_vs_scale.svg").write_text(miou_plot(metrics), encoding="utf-8")
     (out / "timeline.svg").write_text(timeline_plot(timeline, base_tl, lat),
                                       encoding="utf-8")
@@ -615,10 +614,21 @@ def cmd_report(args) -> int:
         lat = latency_metrics(tl, base_tl)
     except PipelineError as exc:
         raise PipelineError(f"{tl_path} and {base_path}: {exc}") from None
+    outputs = []
+    if args.csv:
+        labels_path = run_dir / "labels.npz"
+        if not labels_path.exists():
+            raise ConfigError(f"no labels.npz under {run_dir}")
+        outputs = read_labels(labels_path)
     svgs = {"miou_vs_scale.svg": miou_plot(metrics),
             "timeline.svg": timeline_plot(tl, base_tl, lat)}
     for name, svg in svgs.items():  # every input read and checked first
         (run_dir / name).write_text(svg, encoding="utf-8")
+    if outputs:
+        heads = row_heads(outputs[-1])
+        for o in outputs:
+            (run_dir / f"cumulative_scale_{o.scale}.csv").write_text(
+                cumulative_csv(o, heads), encoding="utf-8")
     scale_mious, base_miou = metrics["scale_miou"], metrics["baseline_miou"]
     print(f"scales: {len(scale_mious)}")
     for i, v in enumerate(scale_mious, start=1):
@@ -627,6 +637,8 @@ def cmd_report(args) -> int:
     print(f"cost of scalability: "
           f"{cost_of_scalability(base_miou, scale_mious[-1]):+.2f} pp")
     print(f"speedup: {lat.speedup:.1%}")
+    if outputs:
+        print(f"wrote cumulative_scale_1.csv ... cumulative_scale_{len(outputs)}.csv")
     return 0
 
 

@@ -7,7 +7,7 @@ from scalestream import (AssembleError, PartitionSpec, PointStream,
                          PredictorConfig, TimingModel,
                          UpdateConfig, assemble, cascade_step, cumulative_csv,
                          partition, predict, run_scalable)
-from scalestream.assemble import row_heads
+from scalestream.assemble import read_labels, row_heads, write_labels
 from scalestream.stream import format_rows
 
 from conftest import make_random_stream
@@ -143,6 +143,27 @@ def test_csv_with_uint16_class_ids():
     out = assemble(stream, partition(stream, PartitionSpec((n,))),
                    stream.labels[::-1].copy())
     assert cumulative_csv(out, row_heads(out)) == reference_csv(out)
+
+
+def test_labels_file_round_trip(tmp_path):
+    """read_labels gives back every cumulative output that write_labels
+    wrote, an empty first scale included, and each renders the same CSV."""
+    rng = np.random.default_rng(11)
+    base = make_random_stream(rng, 300, t_max=5000)
+    stream = PointStream(base.positions, base.labels, base.timestamps + 10, 11)
+    spec = PartitionSpec((5, 400, 1500, 3000, 5010))
+    outputs, _ = run_scalable(stream, spec,
+                              PredictorConfig(seed=3, error_rates=(0.4,) * 5),
+                              UpdateConfig(k=3), TimingModel())
+    write_labels(tmp_path / "labels.npz", outputs)
+    back = read_labels(tmp_path / "labels.npz")
+    assert [o.scale for o in back] == [1, 2, 3, 4, 5]
+    assert len(back[0]) == 0
+    for o, b in zip(outputs, back, strict=True):
+        assert b.positions.tobytes() == o.positions.tobytes()
+        for field in ("pred_labels", "gt_labels", "origin_scales", "timestamps"):
+            assert np.array_equal(getattr(b, field), getattr(o, field)), field
+        assert cumulative_csv(b, row_heads(back[-1])) == reference_csv(o)
 
 
 def test_csv_rejects_too_few_heads():

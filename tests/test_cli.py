@@ -7,7 +7,9 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -117,8 +119,8 @@ def test_run_default_shape(tmp_path):
     assert metrics["latency"]["speedup"] <= 1.0
     assert (out / "timeline.json").exists()
     assert (out / "baseline_timeline.json").exists()
-    for i in range(1, 6):
-        assert (out / f"cumulative_scale_{i}.csv").exists()
+    assert (out / "labels.npz").exists()
+    assert not list(out.glob("cumulative_scale_*.csv"))
     assert (out / "miou_vs_scale.svg").exists()
     assert (out / "timeline.svg").exists()
 
@@ -131,7 +133,7 @@ def test_run_sim_deterministic_byte_for_byte(tmp_path):
                        "--seed", "11") == 0
         outs.append(out)
     for fname in ("metrics.json", "timeline.json", "metrics.csv",
-                  "miou_vs_scale.svg", "cumulative_scale_3.csv"):
+                  "miou_vs_scale.svg", "labels.npz"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
@@ -796,11 +798,11 @@ def _write_run_dir(path, docs):
     return path
 
 
-def _report(run_dir):
+def _report(run_dir, *flags):
     """Exit code, stdout and stderr of ``report`` on ``run_dir``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli("report", "--run-dir", str(run_dir))
+        code = run_cli("report", "--run-dir", str(run_dir), *flags)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -901,6 +903,221 @@ def test_report_survives_any_single_field_mutation(small_run, data):
     for v in [*scale, *(unrefined or [])]:
         assert v is None or _is_miou(v)
     assert _is_miou(metrics["baseline_miou"])
+
+
+POINT_MEMBERS = ("positions", "timestamps", "gt")
+
+
+@pytest.fixture(scope="module")
+def labels_run(tmp_path_factory):
+    """A run of 24 points over four scales, so that zip and ``.npy`` headers
+    are most of its ``labels.npz``: every file of the run directory and the
+    CSVs that ``report --csv`` writes from it, by name."""
+    tmp = tmp_path_factory.mktemp("labels")
+    stream = make_counted_stream(np.random.default_rng(4), (4, 6, 6, 8),
+                                 (10, 20, 30, 40))
+    write_stream(stream, tmp / "stream.bin")
+    out = tmp / "run"
+    assert run_cli("run", "--stream", str(tmp / "stream.bin"),
+                   "--cuts", "10 20 30 40", "--error-rates", "0.3 0.2 0.1 0.05",
+                   "--out-dir", str(out)) == 0
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    code, _, err = _report(out, "--csv")
+    assert code == 0, err
+    csvs = {f.name: f.read_bytes() for f in out.glob("cumulative_scale_*.csv")}
+    assert sorted(csvs) == [f"cumulative_scale_{i}.csv" for i in range(1, 5)]
+    return files, csvs
+
+
+def _labels_dir(path, files, labels):
+    """A run directory of ``files`` whose ``labels.npz`` holds ``labels``,
+    and no plot or CSV."""
+    path.mkdir()
+    for name, data in files.items():
+        if name.endswith((".json", ".csv")):
+            (path / name).write_bytes(data)
+    (path / "labels.npz").write_bytes(labels)
+    return path
+
+
+def _members(labels: bytes) -> dict:
+    with np.load(io.BytesIO(labels), allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _npz(members: dict) -> bytes:
+    """A stored zip of ``.npy`` members, object arrays allowed."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, array in members.items():
+            with zf.open(f"{name}.npy", "w") as fh:
+                np.lib.format.write_array(fh, np.asarray(array), allow_pickle=True)
+    return buf.getvalue()
+
+
+def _flip(labels: bytes, member: str) -> bytes:
+    """``labels`` with the last byte of ``member``'s data flipped."""
+    blob = bytearray(labels)
+    with zipfile.ZipFile(io.BytesIO(labels)) as zf:
+        info = zf.getinfo(f"{member}.npy")
+    header = 30 + len(info.filename) + len(info.extra)  # the local header
+    blob[info.header_offset + header + info.compress_size - 1] ^= 0x55
+    return bytes(blob)
+
+
+def _edit(**changes):
+    """A labels file built from the run's members with ``changes`` applied:
+    a member name to an array (None drops it), or to a function of it."""
+    def make(labels):
+        members = _members(labels)
+        for name, change in changes.items():
+            if change is None:
+                del members[name]
+            else:
+                members[name] = change(members[name]) if callable(change) else change
+        return _npz(members)
+    return make
+
+
+def _set(index, value):
+    def change(a):
+        a = a.copy()
+        a[index] = value
+        return a
+    return change
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda b: b[:len(b) // 2], "File is not a zip file"),
+    (lambda b: b[:-1], "File is not a zip file"),
+    (lambda b: _flip(b, "pred_2"), "Bad CRC-32 for file 'pred_2.npy'"),
+    (_edit(gt=None), "member 3 is 'pred_1.npy', not gt.npy"),
+    (_edit(pred_1=None, pred_2=None, pred_3=None, pred_4=None),
+     "lacks the member pred_1.npy"),
+    (_edit(extra=np.zeros(3)), "member 8 is 'extra.npy', not pred_5.npy"),
+    (_edit(gt=lambda a: a.astype(np.int32)), "gt has dtype <i4, not <i8"),
+    (_edit(positions=lambda a: a.astype(np.float64)),
+     "positions has dtype <f8, not <f4"),
+    (_edit(pred_3=lambda a: a.astype(">i8")), "pred_3 has dtype >i8, not <i8"),
+    (_edit(timestamps=lambda a: a[:, None]), "timestamps has shape (24, 1)"),
+    (_edit(positions=lambda a: a[:, :2]), "positions (24, 2), timestamps (24,)"),
+    (_edit(gt=lambda a: a[:-1]), "gt (23,) are not (N, 3), (N,) and (N,)"),
+    (_edit(pred_2=lambda a: np.array(a.tolist(), dtype=object)),
+     "Object arrays cannot be loaded when allow_pickle=False"),
+    (_edit(gt=_set(5, -1)), "gt holds the label -1, not a class id in [0, "),
+    (_edit(pred_4=_set(0, 2 ** 40)), "pred_4 holds the label 1099511627776, "),
+    (_edit(positions=_set((3, 1), np.nan)),
+     "positions holds a value that is not finite"),
+    (_edit(positions=_set((0, 2), -np.inf)),
+     "positions holds a value that is not finite"),
+    (_edit(pred_2=lambda a: np.zeros(20, np.int64)),
+     "hold [4, 20, 16, 24] labels, which must not decrease"),
+    (_edit(pred_4=lambda a: a[:-1]),
+     "hold [4, 10, 16, 23] labels, which must not decrease and must end at "
+     "the 24 points"),
+], ids=["truncated-half", "truncated-last-byte", "flipped-byte", "missing-gt",
+        "no-pred", "extra-member", "gt-int32", "positions-float64",
+        "big-endian", "timestamps-2d", "positions-2-columns", "gt-short",
+        "object-array", "negative-gt", "huge-pred", "nan-position",
+        "inf-position", "decreasing-lengths", "short-final"])
+def test_report_csv_refuses_a_bad_labels_file(tmp_path, labels_run, make,
+                                              message):
+    """Each fault exits 1 on one line naming labels.npz, with no traceback,
+    and writes neither a CSV nor a plot."""
+    files, _ = labels_run
+    run_dir = _labels_dir(tmp_path / "run", files, make(files["labels.npz"]))
+    code, out, err = _report(run_dir, "--csv")
+    assert code == 1
+    assert err.startswith(f"error: {run_dir / 'labels.npz'}: "), err
+    assert message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not list(run_dir.glob("cumulative_*.csv")) and not list(run_dir.glob("*.svg"))
+
+
+def test_report_csv_without_labels_exits_2(tmp_path, labels_run):
+    files, _ = labels_run
+    run_dir = _labels_dir(tmp_path / "run", files, b"")
+    (run_dir / "labels.npz").unlink()
+    code, _, err = _report(run_dir, "--csv")
+    assert code == 2
+    assert err == f"config error: no labels.npz under {run_dir}\n"
+    assert not list(run_dir.glob("cumulative_*.csv")) and not list(run_dir.glob("*.svg"))
+
+
+def test_report_reads_labels_only_for_csv(tmp_path, labels_run):
+    """Without --csv, report neither reads labels.npz nor writes a CSV; with
+    it, a second export rewrites the same bytes."""
+    files, csvs = labels_run
+    run_dir = _labels_dir(tmp_path / "run", files, b"not a zip")
+    assert _report(run_dir)[0] == 0
+    assert not list(run_dir.glob("cumulative_*.csv"))
+    (run_dir / "labels.npz").write_bytes(files["labels.npz"])
+    for _ in range(2):
+        code, out, _ = _report(run_dir, "--csv")
+        assert code == 0
+        assert out.endswith("wrote cumulative_scale_1.csv ... "
+                            "cumulative_scale_4.csv\n")
+        assert {f.name: f.read_bytes()
+                for f in run_dir.glob("cumulative_scale_*.csv")} == csvs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_report_csv_survives_any_one_byte_mutation(labels_run, data):
+    """Flip, insert or delete one byte of labels.npz, or cut it short: report
+    --csv exits 1 on one line naming the file and writes no CSV, or writes
+    the CSVs of the unmutated file."""
+    files, csvs = labels_run
+    blob = bytearray(files["labels.npz"])
+    i = data.draw(st.integers(0, len(blob)), label="at")
+    op = data.draw(st.sampled_from(["flip", "insert", "delete", "truncate"]),
+                   label="op")
+    if op == "insert":
+        blob.insert(i, data.draw(st.integers(0, 255), label="byte"))
+    elif op == "truncate":
+        del blob[i:]
+    elif i < len(blob):
+        if op == "flip":
+            blob[i] ^= data.draw(st.integers(1, 255), label="mask")
+        else:
+            del blob[i]
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = _labels_dir(Path(tmp) / "run", files, bytes(blob))
+        code, _, err = _report(run_dir, "--csv")
+        written = {f.name: f.read_bytes()
+                   for f in run_dir.glob("cumulative_scale_*.csv")}
+    if code:
+        assert code == 1
+        assert err.startswith(f"error: {run_dir / 'labels.npz'}: "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert not written
+    else:
+        assert written == csvs
+
+
+def test_labels_npz_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    """Every member of labels.npz carries one fixed date, so runs under two
+    clocks write the same bytes; the file is a plain npz that np.load reads
+    without unpickling."""
+    blobs = []
+    for clock in (1e9, 2e9):
+        monkeypatch.setattr(time, "time", lambda: clock)
+        out = tmp_path / f"run-{clock:.0f}"
+        assert run_cli("run", *FAST, "--out-dir", str(out)) == 0
+        blobs.append((out / "labels.npz").read_bytes())
+        with zipfile.ZipFile(out / "labels.npz") as zf:
+            infos = zf.infolist()
+        assert [i.date_time for i in infos] == [(1980, 1, 1, 0, 0, 0)] * 8
+        assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+    assert blobs[0] == blobs[1]
+    members = _members(blobs[0])
+    assert list(members) == [*POINT_MEMBERS, *(f"pred_{i}" for i in range(1, 6))]
+    n = len(members["gt"])
+    assert members["positions"].shape == (n, 3)
+    assert members["positions"].dtype == np.float32
+    assert all(a.dtype == np.int64 for name, a in members.items()
+               if name != "positions")
+    assert len(members["pred_5"]) == n
 
 
 def test_report_partial_metrics_exits_1(tmp_path, capsys):
@@ -1464,10 +1681,11 @@ def test_tiny_seeded_knn_references_warn(tmp_path, capsys):
             stream, fraction=0.02, seed=0))
         outputs, _ = run_scalable(stream, spec, cfg, UpdateConfig(k=5),
                                   TimingModel())
-        for o in outputs:
-            csv = (out / f"cumulative_scale_{o.scale}.csv").read_text()
-            pred = [int(row.split(",")[5]) for row in csv.splitlines()[1:]]
-            assert np.array_equal(pred, o.pred_labels)
+        with np.load(out / "labels.npz", allow_pickle=False) as labels:
+            assert labels.files == ["positions", "timestamps", "gt", *(
+                f"pred_{o.scale}" for o in outputs)]
+            for o in outputs:
+                assert np.array_equal(labels[f"pred_{o.scale}"], o.pred_labels)
 
 
 def test_tiny_upper_scale_warns(tmp_path, capsys):

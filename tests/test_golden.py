@@ -27,6 +27,10 @@ the run draws no coverage curve and calls no math-library function; the
 digests hold on every platform.  They were recorded before the report became
 the dict that ``metrics.json`` holds; a change in any byte of those files
 shows here.
+
+The CSV digests hash each ``cumulative_scale_<i>.csv`` of those runs.  They
+were recorded when ``run`` still wrote the CSVs itself; ``report --csv`` now
+renders them from the run's ``labels.npz`` and must reproduce every byte.
 """
 
 import hashlib
@@ -247,12 +251,63 @@ REPORT_GOLDEN = {
         "dd6f1258155187fc42e3205ce83d3d3eafd2edc558cdcf437e8a94ec90f53249",
 }
 
+#: sha256 of cumulative_scale_1.csv, cumulative_scale_2.csv, ... of each run.
+REPORT_CSV_GOLDEN = {
+    "noisy-oracle": (
+        "9552ab2d995c3fda93229938c7c79cba27fbf1f759d1769e8a23f72e376364bd",
+        "04b4cb25c297592a45757acbec8c4c9dadbbb150efa59943e11d10c47de21f0f",
+        "04b4cb25c297592a45757acbec8c4c9dadbbb150efa59943e11d10c47de21f0f",
+        "64c96433b97a081b967894c1cc6d66e058458db830bf59bfe43c54976ea95e54",
+        "9523b3c71b4d663a520b43f74db8dd0b36385563091073a7b018a14ca7870d94",
+    ),
+    "seeded-knn": (
+        "1799d930bb840708ef1c8bb9ab74b99f3ff6d1bff2c1f695d1c4b4009928b88f",
+        "75d2d474f7076897c1410f85fadb534766b407b5e787cb29e794e80fefa7b2af",
+        "75d2d474f7076897c1410f85fadb534766b407b5e787cb29e794e80fefa7b2af",
+        "451b9d4c4724f3aeee3c85959538dcc51ac01f3a397159bf9ae31d5c79c1b1de",
+        "38bd3b8db6302766038743c6bc1f2d3fef5261b7eeb41fb0c3e4c296c2013859",
+    ),
+    "skip-unrefined": (
+        "e2393b8bbd20c86a3434fdd656e8d3c43ce03214ec2e40d49d677842532629db",
+        "8ee5309cd5163448059812d2080261da35aa4450ce6adaf5aef07741480200f1",
+        "be25fd1fd2910ed6796ad09781d0fe226dc3ce0817332af00a1204c630cbda79",
+        "2a99cc7df3ba874e73c9194bad63431eec7b9d43cebb19a6486c8bae4c0ecd92",
+    ),
+    "no-update": (
+        "e2393b8bbd20c86a3434fdd656e8d3c43ce03214ec2e40d49d677842532629db",
+        "26c31b68233c7e47d71769d29c550e41c8a1b5c7499018276d97974df3e9a04e",
+        "5d6f262c5747c4818d96ad4a1cd352ed23986841d1277b6db5bae7a3f2d6e3bd",
+        "b43b00d424314bbaaeb1bc5b770416732a851de545a10d0ff7c00012c9d5571d",
+    ),
+    "empty-first": (
+        "e20dc1f9ffaaac115bd3b3348b11bb413eb6c794e427f153f3011d053c5e156c",
+        "96d53f24e940ea802a6bbef2a2077100297535c06622b9ce132167bdbd723185",
+        "4ec2ee13fc32d810d401076ad48b74b58a60088f55014c2da4c05d823667e808",
+        "cb21979825279d0606d0fcdf786366ded3eaaed49eec2a84f55aa1bb368dc944",
+        "de7b9d2d1c9e7459c25d3fe2f2e0923db948bd4b2dc2adc0a9d637f421028954",
+    ),
+    "many": (
+        "c86168336d080255582b52bd2d11d74e21e5db2cb06a8593aabd9376ebf18aae",
+        "4f404465838d59c06f57cf723f7e533111feb8550eb2269e8a7bdf9c4e314bc3",
+        "1066dc584598c2a284bbcabb0e4a423d2434f2f23bee9d39b6a987cfbfbc75d0",
+        "cebca92e4c2ca5dbbff18ef20fd69b04d8929e329cb9c4ce4a397c3f9490905f",
+        "a92c03cbefeecccc52d2dc99d5fb640d149d7baa8957a9a4147eb15e366d43c1",
+        "0d22c197845cadfd9447e23e7d4a120f4adc7ea5efd929a8e255dd8134ecc498",
+        "9fe16ed541fee50aaebc826b1cbbbfc5a64d2c138fcfb64c1d386deadf7a01ea",
+        "efc2c8bb9f44a65e39303dfec0d63ff450cb331ab20a33aca6e79baeb7355d2c",
+        "ab5c4fcf94c5bddbe009cf3063e7f5205856a0bea1a0c84c3cd38917aa6cfded",
+        "bdf59dbd4d405a062f0c6883ca39d71c2e857951871caf1a957dd5edd06d0c87",
+        "ed93a9d0bde89ebe10c462e93ee08f5eb4881c2165331cb51236c0f57ec47054",
+        "60e64da9f9f83f01dc31293fd0a38c5815bf3966df405ab79a32864ff42df019",
+    ),
+}
+
 REPORT_FILES = ("metrics.json", "metrics.csv", "miou_vs_scale.svg",
                 "timeline.svg")
 
 
-@pytest.mark.parametrize("name", REPORT_RUNS)
-def test_run_report_files_golden_digest(name, tmp_path):
+def _report_run(name, tmp_path):
+    """The output directory of ``run --stream`` for report case ``name``."""
     stream_name, args = REPORT_RUNS[name]
     make, cuts = REPORT_STREAMS[stream_name]
     path = tmp_path / "stream.bin"
@@ -261,6 +316,24 @@ def test_run_report_files_golden_digest(name, tmp_path):
     assert cli.main(["run", "--stream", str(path), "--seed", "0",
                      "--cuts", " ".join(map(str, cuts)),
                      "--out-dir", str(out), *args]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", REPORT_RUNS)
+def test_report_csv_golden_digest(name, tmp_path):
+    out = _report_run(name, tmp_path)
+    assert not list(out.glob("cumulative_scale_*.csv"))
+    assert cli.main(["report", "--run-dir", str(out), "--csv"]) == 0
+    digests = tuple(
+        hashlib.sha256((out / f"cumulative_scale_{i}.csv").read_bytes()).hexdigest()
+        for i in range(1, len(REPORT_CSV_GOLDEN[name]) + 1))
+    assert digests == REPORT_CSV_GOLDEN[name], name
+    assert not (out / f"cumulative_scale_{len(digests) + 1}.csv").exists()
+
+
+@pytest.mark.parametrize("name", REPORT_RUNS)
+def test_run_report_files_golden_digest(name, tmp_path):
+    out = _report_run(name, tmp_path)
     h = hashlib.sha256()
     for fname in REPORT_FILES:
         h.update((out / fname).read_bytes())
