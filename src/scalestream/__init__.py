@@ -9,7 +9,7 @@ accuracy (mIoU, cost of scalability) and latency (overlap bounds, speedup,
 first-prediction fraction) against a non-scalable baseline.
 """
 
-from .assemble import AssembleError, CumulativeOutput, assemble, cumulative_csv
+from .assemble import AssembleError, CumulativeOutput, assemble
 from .geometry import Primitive, camera_basis, slab_distances
 from .metrics import (MetricsError, cost_of_scalability, coverage_curve, miou,
                       miou_by_origin)

@@ -27,8 +27,8 @@ from .metrics import (cost_of_scalability, coverage_curve, metrics_csv, miou,
                       miou_by_origin)
 from .partition import DEFAULT_CUTS, PartitionError, PartitionSpec, partition
 from .pipeline import (PipelineError, TimingModel, Timeline, _is_number,
-                       baseline_timeline, latency_metrics, one_label_pass,
-                       run_baseline, run_scalable)
+                       _json_list, baseline_timeline, latency_metrics,
+                       one_label_pass, run_baseline, run_scalable)
 from .plots import miou_plot, timeline_plot
 from .predictors import DEFAULT_ERROR_RATES, PredictorConfig, make_seed_cloud
 from .scanner import LissajousConfig, place_cameras, scan
@@ -203,7 +203,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, frozenset[str]]:
     for p in (p_scan, p_run, p_sweep):
         p.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
-    p_rep = command("report", help="re-render plots and a summary from a run directory")
+    p_rep = command("report", help="render a run directory's views and summary")
     p_rep.add_argument("--run-dir", type=str, required=True)
     p_rep.add_argument("--csv", action="store_true",
                        help="also write cumulative_scale_<i>.csv from labels.npz")
@@ -421,8 +421,8 @@ def _run_warnings(stream: PointStream, spec: PartitionSpec,
     points: scale 1, a scale after an empty prefix and the baseline vote
     against the seed cloud; every other scale votes against the points of
     the scales before it.  With the update module, where a scale is refined
-    against a next scale that holds fewer points.  Each warning is printed
-    on stderr.
+    against a next scale of fewer than ``--um-k`` points or under half its
+    size, not a point or two smaller.  Each warning is printed on stderr.
     """
     counts = [len(p) for p in partition(stream, spec)]
     warnings = []
@@ -439,7 +439,7 @@ def _run_warnings(stream: PointStream, spec: PartitionSpec,
             context += count
     if update_cfg is not None:
         for scale, (lower, upper) in enumerate(zip(counts, counts[1:]), start=1):
-            if 0 < upper < lower:
+            if lower and upper and (upper < update_cfg.k or 2 * upper < lower):
                 warnings.append(f"scale {scale} ({lower} points) is refined "
                                 f"against scale {scale + 1}, which holds only "
                                 f"{upper} point(s)")
@@ -505,13 +505,9 @@ def cmd_run(args) -> int:
         manifest["warnings"] = warnings
     _write_json(out / "run_manifest.json", manifest)
     _write_json(out / "metrics.json", metrics)
-    (out / "metrics.csv").write_text(metrics_csv(metrics), encoding="utf-8")
     _write_json(out / "timeline.json", timeline.to_dict())
     _write_json(out / "baseline_timeline.json", base_tl.to_dict())
     write_labels(out / "labels.npz", outputs)
-    (out / "miou_vs_scale.svg").write_text(miou_plot(metrics), encoding="utf-8")
-    (out / "timeline.svg").write_text(timeline_plot(timeline, base_tl, lat),
-                                      encoding="utf-8")
 
     print(f"final mIoU {scale_mious[-1]:.4f} vs baseline {base_miou:.4f} "
           f"(cost of scalability {metrics['cost_of_scalability_pct']:+.2f} pp)")
@@ -580,26 +576,38 @@ def _read_json(path: Path, parse, what: str):
 
 def _check_report_metrics(metrics: dict) -> dict:
     """``metrics``, once ``scale_miou`` is a non-empty list ending in an
-    mIoU, ``scale_miou_unrefined`` null or a list, and ``baseline_miou``
-    and each list entry a JSON number in [0, 1] (NaN excluded); a null
-    entry marks an empty prefix."""
+    mIoU, ``scale_miou_unrefined`` null or a list, ``per_class_iou`` an
+    object, ``coverage_curve`` a list of ``[integer tick, fraction]`` pairs,
+    and ``baseline_miou``, each list entry, IoU and fraction a JSON number
+    in [0, 1] (NaN excluded); a null mIoU marks an empty prefix."""
     scale, unrefined = metrics["scale_miou"], metrics["scale_miou_unrefined"]
+    per_class, curve = metrics["per_class_iou"], metrics["coverage_curve"]
     if type(scale) is not list or not scale or scale[-1] is None:
         raise TypeError(f"scale_miou is {scale!r}, not a non-empty list "
                         "ending in an mIoU")
     if unrefined is not None and type(unrefined) is not list:
         raise TypeError(f"scale_miou_unrefined is {unrefined!r}, not null "
                         "or a list")
-    mious = {"baseline_miou": [metrics["baseline_miou"]],
-             "scale_miou": [v for v in scale if v is not None],
-             "scale_miou_unrefined": [v for v in unrefined or [] if v is not None]}
-    for field, values in mious.items():
-        for v in values:
+    if type(per_class) is not dict:
+        raise TypeError(f"per_class_iou is {per_class!r}, not an object")
+    for pair in _json_list(metrics, "coverage_curve"):
+        if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not int:
+            raise TypeError(f"coverage_curve entry {pair!r} is not an "
+                            "[integer tick, fraction] pair")
+    values = {"baseline_miou": [metrics["baseline_miou"]],
+              "scale_miou": [v for v in scale if v is not None],
+              "scale_miou_unrefined": [v for v in unrefined or [] if v is not None],
+              "per_class_iou": per_class.values(),
+              "coverage_curve": [c for _, c in curve]}
+    what = {"per_class_iou": "an IoU", "coverage_curve": "a fraction"}
+    for field, field_values in values.items():
+        for v in field_values:
             if not (_is_number(v) and 0 <= v <= 1):
                 # an int is shown as a float, without converting one that
                 # a float cannot hold
                 shown = f"{v}.0" if type(v) is int else repr(v)
-                raise ValueError(f"{field} holds {shown}, not an mIoU in [0, 1]")
+                raise ValueError(f"{field} holds {shown}, not "
+                                 f"{what.get(field, 'an mIoU')} in [0, 1]")
     return metrics
 
 
@@ -620,22 +628,24 @@ def cmd_report(args) -> int:
         if not labels_path.exists():
             raise ConfigError(f"no labels.npz under {run_dir}")
         outputs = read_labels(labels_path)
-    svgs = {"miou_vs_scale.svg": miou_plot(metrics),
-            "timeline.svg": timeline_plot(tl, base_tl, lat)}
-    for name, svg in svgs.items():  # every input read and checked first
-        (run_dir / name).write_text(svg, encoding="utf-8")
+    scale_mious, base_miou = metrics["scale_miou"], metrics["baseline_miou"]
+    cost = cost_of_scalability(base_miou, scale_mious[-1])
+    views = {"metrics.csv": metrics_csv({**metrics, "latency": asdict(lat),
+                                         "cost_of_scalability_pct": cost}),
+             "miou_vs_scale.svg": miou_plot(metrics),
+             "timeline.svg": timeline_plot(tl, base_tl, lat)}
+    for name, view in views.items():  # every input read and checked first
+        (run_dir / name).write_text(view, encoding="utf-8")
     if outputs:
         heads = row_heads(outputs[-1])
         for o in outputs:
             (run_dir / f"cumulative_scale_{o.scale}.csv").write_text(
                 cumulative_csv(o, heads), encoding="utf-8")
-    scale_mious, base_miou = metrics["scale_miou"], metrics["baseline_miou"]
     print(f"scales: {len(scale_mious)}")
     for i, v in enumerate(scale_mious, start=1):
         print(f"  mIoU@scale{i}: {'n/a' if v is None else f'{v:.4f}'}")
     print(f"baseline mIoU: {base_miou:.4f}")
-    print(f"cost of scalability: "
-          f"{cost_of_scalability(base_miou, scale_mious[-1]):+.2f} pp")
+    print(f"cost of scalability: {cost:+.2f} pp")
     print(f"speedup: {lat.speedup:.1%}")
     if outputs:
         print(f"wrote cumulative_scale_1.csv ... cumulative_scale_{len(outputs)}.csv")

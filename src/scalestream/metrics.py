@@ -1,5 +1,5 @@
 """Accuracy and coverage metrics: IoU per class and mIoU, spatial coverage,
-and the ``metrics.csv`` rows of a run's report.
+and the ``metrics.csv`` rows that ``report`` renders from ``metrics.json``.
 
 mIoU follows the common convention of excluding classes with zero union
 (neither predicted nor present) from the mean.  Coverage measures how much
@@ -105,7 +105,8 @@ def _occupied_cells(stream: PointStream, g: int) -> np.ndarray:
 
 def metrics_csv(metrics: dict) -> str:
     """``metrics.csv``: the numbers of the dict that ``metrics.json`` holds
-    as ``metric,scale,value`` rows; a None mIoU is an empty value."""
+    as ``metric,scale,value`` rows, ``iou_*`` in ``per_class_iou``'s order
+    (class names, sorted, as read back); a None mIoU is an empty value."""
     rows = ["metric,scale,value"]
     for name, key in (("miou", "scale_miou"),
                       ("miou_unrefined", "scale_miou_unrefined")):

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalestream import (AssembleError, PartitionSpec, PointStream,
-                         PredictorConfig, TimingModel,
-                         UpdateConfig, assemble, cascade_step, cumulative_csv,
-                         partition, predict, run_scalable)
-from scalestream.assemble import read_labels, row_heads, write_labels
+                         PredictorConfig, TimingModel, UpdateConfig, assemble,
+                         cascade_step, partition, predict, run_scalable)
+from scalestream.assemble import (cumulative_csv, read_labels, row_heads,
+                                  write_labels)
 from scalestream.stream import format_rows
 
 from conftest import make_random_stream

@@ -32,6 +32,24 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+#: What ``run`` writes: the facts of a run, and nothing rendered from them.
+RUN_FILES = ("baseline_timeline.json", "labels.npz", "metrics.json",
+             "run_manifest.json", "timeline.json")
+#: What ``report`` renders from them, without ``--csv``.
+VIEWS = ("metrics.csv", "miou_vs_scale.svg", "timeline.svg")
+
+
+def no_view(run_dir) -> bool:
+    return not any((Path(run_dir) / view).exists() for view in VIEWS)
+
+
+def run_and_report(*argv):
+    """``run *argv`` and then ``report`` on its ``--out-dir``."""
+    out = argv[argv.index("--out-dir") + 1]
+    assert run_cli("run", *argv) == 0
+    assert run_cli("report", "--run-dir", out) == 0
+
+
 def exit_code(*argv):
     """The exit status of ``main``, also where the parser exits."""
     try:
@@ -121,19 +139,29 @@ def test_run_default_shape(tmp_path):
     assert (out / "baseline_timeline.json").exists()
     assert (out / "labels.npz").exists()
     assert not list(out.glob("cumulative_scale_*.csv"))
-    assert (out / "miou_vs_scale.svg").exists()
-    assert (out / "timeline.svg").exists()
+
+
+def test_run_writes_only_facts_and_report_renders_the_views(tmp_path):
+    """``run`` leaves exactly its five data files; ``report`` adds the three
+    views and touches none of the five."""
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST, "--out-dir", str(out)) == 0
+    data = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(data) == list(RUN_FILES)
+    assert run_cli("report", "--run-dir", str(out)) == 0
+    assert sorted(f.name for f in out.iterdir()) == sorted(RUN_FILES + VIEWS)
+    for name, content in data.items():
+        assert (out / name).read_bytes() == content, name
 
 
 def test_run_sim_deterministic_byte_for_byte(tmp_path):
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
-        assert run_cli("run", *FAST, "--mode", "sim", "--out-dir", str(out),
-                       "--seed", "11") == 0
+        run_and_report(*FAST, "--mode", "sim", "--out-dir", str(out),
+                       "--seed", "11")
         outs.append(out)
-    for fname in ("metrics.json", "timeline.json", "metrics.csv",
-                  "miou_vs_scale.svg", "labels.npz"):
+    for fname in RUN_FILES + VIEWS:
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
@@ -630,31 +658,32 @@ def test_sweep_empty_range_exits_2(tmp_path, capsys):
 
 
 def test_report_regenerates_plots(tmp_path, capsys):
-    """The plots that report draws equal the run's, byte for byte, and it
-    prints the cost of scalability and the speedup that run stored,
-    recomputed from the mIoUs and the timelines: corrupting the stored
-    copies changes neither its summary nor its plots."""
+    """Report draws the same views each time, and it prints the cost of
+    scalability and the speedup that run stored, recomputed from the mIoUs
+    and the timelines: corrupting the stored copies changes neither its
+    summary nor its views, metrics.csv included."""
     for mode in ("sim", "real"):
         out = tmp_path / mode
-        assert run_cli("run", *FAST, "--mode", mode, "--out-dir", str(out),
-                       "--seed", "6") == 0
+        run_and_report(*FAST, "--mode", mode, "--out-dir", str(out),
+                       "--seed", "6")
         metrics = json.loads((out / "metrics.json").read_text())
         cost, speedup = (metrics["cost_of_scalability_pct"],
                          metrics["latency"]["speedup"])
         lines = (f"cost of scalability: {cost:+.2f} pp\n",
                  f"speedup: {speedup:.1%}\n")
-        svgs = {name: (out / name).read_bytes()
-                for name in ("miou_vs_scale.svg", "timeline.svg")}
+        views = {name: (out / name).read_bytes() for name in VIEWS}
+        assert f"cost_of_scalability_pct,,{cost!r}\n".encode() in views["metrics.csv"]
+        assert f"latency_speedup,,{speedup!r}\n".encode() in views["metrics.csv"]
         corrupt = {**metrics, "cost_of_scalability_pct": float("inf"),
                    "latency": {"speedup": float("-inf")}}
         summaries = []
         for stored in (metrics, corrupt):
             (out / "metrics.json").write_text(json.dumps(stored))
-            for name in svgs:
+            for name in views:
                 (out / name).unlink()
             capsys.readouterr()
             assert run_cli("report", "--run-dir", str(out)) == 0
-            for name, data in svgs.items():
+            for name, data in views.items():
                 assert (out / name).read_bytes() == data, (mode, name)
             summaries.append(capsys.readouterr().out)
         assert "mIoU@scale5" in summaries[0]
@@ -727,18 +756,17 @@ def test_report_malformed_timeline_names_the_file_and_writes_nothing(
     """A timeline that lacks an event, holds a negative instant, is in the
     layout that kept refinements as events, or holds an event of a kind
     other than the six that a run writes: report exits 1 naming the file
-    and writes no plot."""
+    and writes no view."""
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
     broken = break_timeline(out)
-    (out / "miou_vs_scale.svg").unlink()
     capsys.readouterr()
     assert run_cli("report", "--run-dir", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(message + "\n")
     assert str(broken) in err
     assert err.count("\n") == 1
-    assert not (out / "miou_vs_scale.svg").exists()
+    assert sorted(f.name for f in out.iterdir()) == list(RUN_FILES)
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -769,13 +797,11 @@ def test_report_missing_dir_exits_2(tmp_path):
 def test_report_missing_timeline_exits_2_writing_nothing(tmp_path, capsys, name):
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
-    for svg in out.glob("*.svg"):
-        svg.unlink()
     (out / name).unlink()
     capsys.readouterr()
     assert run_cli("report", "--run-dir", str(out)) == 2
     assert capsys.readouterr().err == f"config error: no {name} under {out}\n"
-    assert not list(out.glob("*.svg"))
+    assert no_view(out)
 
 
 REPORT_INPUTS = ("metrics.json", "timeline.json", "baseline_timeline.json")
@@ -821,22 +847,30 @@ COERCIBLE = {"str": "0.5", "padded-str": " 0.25 ", "true": True, "false": False}
        f"{field} holds {v!r}, not an mIoU in [0, 1]")
       for field in ("scale_miou", "scale_miou_unrefined", "baseline_miou")
       for v in COERCIBLE.values()],
+    ("per_class_iou", {"floor": 0.5, "wall": "0.5"},
+     "per_class_iou holds '0.5', not an IoU in [0, 1]"),
+    ("per_class_iou", {"floor": True}, "per_class_iou holds True, not an IoU in [0, 1]"),
+    ("coverage_curve", [[500, 0.5], [4000, float("nan")]],
+     "coverage_curve holds nan, not a fraction in [0, 1]"),
+    ("coverage_curve", [[500, 2]], "coverage_curve holds 2.0, not a fraction in [0, 1]"),
 ], ids=["miou-above-1", "miou-below-0", "unrefined-nan", "baseline-nan",
         "baseline-above-1",
         *[f"{field}-{name}"
           for field in ("scale_miou", "scale_miou_unrefined", "baseline_miou")
-          for name in COERCIBLE]])
+          for name in COERCIBLE],
+        "iou-str", "iou-true", "coverage-nan", "coverage-above-1"])
 def test_report_refuses_impossible_metrics(tmp_path, small_run, field, value,
                                            message):
-    """An mIoU outside [0, 1], or a string or a bool in its place, exits 1
-    naming the file and the field, and no plot is written."""
+    """An mIoU, IoU or coverage fraction outside [0, 1], or a string or a
+    bool in its place, exits 1 naming the file and the field, and no view
+    is written."""
     metrics = {**small_run["metrics.json"], field: value}
     run_dir = _write_run_dir(tmp_path / "run",
                              {**small_run, "metrics.json": metrics})
     code, _, err = _report(run_dir)
     assert code == 1
     assert err == f"error: {run_dir / 'metrics.json'}: {message}\n"
-    assert not list(run_dir.glob("*.svg"))
+    assert sorted(f.name for f in run_dir.iterdir()) == sorted(REPORT_INPUTS)
 
 
 def _field_paths(doc, path=()):
@@ -870,9 +904,9 @@ _json_values = st.recursive(
 @given(data=st.data())
 def test_report_survives_any_single_field_mutation(small_run, data):
     """Set one field of one input file to any JSON value, or drop it: report
-    exits 0 with every mIoU a JSON number in [0, 1] (null for an empty
-    prefix), or exits 1 or 2 with one line that names the file and writes
-    no plot.  Never a traceback."""
+    exits 0 with every mIoU, IoU and coverage fraction a JSON number in
+    [0, 1] (an mIoU null for an empty prefix), or exits 1 or 2 with one line that names the file and writes
+    no view.  Never a traceback."""
     docs = json.loads(json.dumps(small_run))
     name = data.draw(st.sampled_from(REPORT_INPUTS))
     path = data.draw(st.sampled_from(list(_field_paths(docs[name]))))
@@ -894,7 +928,7 @@ def test_report_survives_any_single_field_mutation(small_run, data):
         if code:
             assert err.count("\n") == 1 and err.endswith("\n"), err
             assert str(run_dir / name) in err, err
-            assert not list(run_dir.glob("*.svg"))
+            assert no_view(run_dir)
             return
     metrics = docs["metrics.json"]
     scale, unrefined = metrics["scale_miou"], metrics["scale_miou_unrefined"]
@@ -903,6 +937,8 @@ def test_report_survives_any_single_field_mutation(small_run, data):
     for v in [*scale, *(unrefined or [])]:
         assert v is None or _is_miou(v)
     assert _is_miou(metrics["baseline_miou"])
+    assert all(map(_is_miou, metrics["per_class_iou"].values()))
+    assert all(type(t) is int and _is_miou(c) for t, c in metrics["coverage_curve"])
 
 
 POINT_MEMBERS = ("positions", "timestamps", "gt")
@@ -1023,7 +1059,7 @@ def _set(index, value):
 def test_report_csv_refuses_a_bad_labels_file(tmp_path, labels_run, make,
                                               message):
     """Each fault exits 1 on one line naming labels.npz, with no traceback,
-    and writes neither a CSV nor a plot."""
+    and writes neither a CSV nor a view."""
     files, _ = labels_run
     run_dir = _labels_dir(tmp_path / "run", files, make(files["labels.npz"]))
     code, out, err = _report(run_dir, "--csv")
@@ -1031,7 +1067,7 @@ def test_report_csv_refuses_a_bad_labels_file(tmp_path, labels_run, make,
     assert err.startswith(f"error: {run_dir / 'labels.npz'}: "), err
     assert message in err
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not list(run_dir.glob("cumulative_*.csv")) and not list(run_dir.glob("*.svg"))
+    assert not list(run_dir.glob("cumulative_*.csv")) and no_view(run_dir)
 
 
 def test_report_csv_without_labels_exits_2(tmp_path, labels_run):
@@ -1041,7 +1077,7 @@ def test_report_csv_without_labels_exits_2(tmp_path, labels_run):
     code, _, err = _report(run_dir, "--csv")
     assert code == 2
     assert err == f"config error: no labels.npz under {run_dir}\n"
-    assert not list(run_dir.glob("cumulative_*.csv")) and not list(run_dir.glob("*.svg"))
+    assert not list(run_dir.glob("cumulative_*.csv")) and no_view(run_dir)
 
 
 def test_report_reads_labels_only_for_csv(tmp_path, labels_run):
@@ -1168,16 +1204,22 @@ def test_report_timeline_without_events_exits_1(tmp_path, capsys):
     ("metrics.json", "scale_miou", [0.5, None]),
     ("metrics.json", "scale_miou", []),
     ("timeline.json", "events", {}),
+    ("metrics.json", "per_class_iou", [0.5, 0.25]),
+    ("metrics.json", "coverage_curve", [[500, 0.5, 1]]),
+    ("metrics.json", "coverage_curve", [[True, 0.5]]),
+    ("metrics.json", "coverage_curve", {"500": 0.5}),
 ])
 def test_report_wrongly_typed_field_exits_1(tmp_path, small_run, name, field,
                                             value):
+    """A field of the wrong JSON type exits 1 on one line naming the file,
+    and no view is written."""
     run_dir = _write_run_dir(tmp_path / "run", {
         **small_run, name: {**small_run[name], field: value}})
     code, _, err = _report(run_dir)
     assert code == 1
     assert err.startswith(f"error: {run_dir / name} holds a wrongly typed ")
     assert err.count("\n") == 1
-    assert not list(run_dir.glob("*.svg"))
+    assert sorted(f.name for f in run_dir.iterdir()) == sorted(REPORT_INPUTS)
 
 
 def test_report_refuses_non_integer_event_values(tmp_path, capsys):
@@ -1185,8 +1227,6 @@ def test_report_refuses_non_integer_event_values(tmp_path, capsys):
     refused naming the file, not coerced or left to crash."""
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
-    for svg in out.glob("*.svg"):
-        svg.unlink()
     path = out / "timeline.json"
     good = json.loads(path.read_text())
     for index, key, value in [(0, "scale", float("inf")), (0, "scale", 1.5),
@@ -1200,7 +1240,7 @@ def test_report_refuses_non_integer_event_values(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path} holds a wrongly typed event: ")
         assert err.count("\n") == 1
-        assert not list(out.glob("*.svg"))
+        assert no_view(out)
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -1222,7 +1262,7 @@ def test_report_refuses_a_malformed_refine_list(tmp_path, small_run, edit,
     """A 4-scale run refines 6 times.  A ``refine_done`` list of another
     length, or holding an entry that is negative or not a JSON number that
     a float can hold, or a ``refine_done`` that is not a JSON list, exits 1
-    naming the file, with no traceback and no plot."""
+    naming the file, with no traceback and no view."""
     timeline = small_run["timeline.json"]
     assert len(timeline["refine_done"]) == 6
     run_dir = _write_run_dir(tmp_path / "run", {**small_run, "timeline.json": {
@@ -1231,7 +1271,7 @@ def test_report_refuses_a_malformed_refine_list(tmp_path, small_run, edit,
     assert code == 1
     assert err.startswith(f"error: {run_dir / 'timeline.json'}")
     assert err.endswith(f"{message}\n") and err.count("\n") == 1, err
-    assert not list(run_dir.glob("*.svg"))
+    assert no_view(run_dir)
 
 
 def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
@@ -1239,9 +1279,9 @@ def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
     1's output is available; its cascade waits for that output, and its
     refine bar covers only the refine itself."""
     out = tmp_path / "run"
-    assert run_cli("run", "--scan-inline", "--ticks", "3020",
-                   "--cuts", "3000 3020", "--error-rates", "0.3 0.2",
-                   "--no-fusion-dependency", "--out-dir", str(out)) == 0
+    run_and_report("--scan-inline", "--ticks", "3020", "--cuts", "3000 3020",
+                   "--error-rates", "0.3 0.2", "--no-fusion-dependency",
+                   "--out-dir", str(out))
     tl = Timeline.from_dict(json.loads((out / "timeline.json").read_text()))
     base = Timeline.from_dict(
         json.loads((out / "baseline_timeline.json").read_text()))
@@ -1559,7 +1599,7 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
 
 def test_svgs_are_wellformed_xml(tmp_path):
     out = tmp_path / "run"
-    assert run_cli("run", *FAST, "--out-dir", str(out), "--seed", "8") == 0
+    run_and_report(*FAST, "--out-dir", str(out), "--seed", "8")
     for name in ("miou_vs_scale.svg", "timeline.svg"):
         root = ET.fromstring((out / name).read_text())
         assert root.tag.endswith("svg")
@@ -1590,7 +1630,7 @@ def test_corrupt_stream_file_exits_1(tmp_path, capsys):
 
 def test_run_no_update(tmp_path):
     out = tmp_path / "noup"
-    assert run_cli("run", *FAST, "--no-update", "--out-dir", str(out)) == 0
+    run_and_report(*FAST, "--no-update", "--out-dir", str(out))
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["scale_miou_unrefined"] is None
     assert (out / "miou_vs_scale.svg").exists()
@@ -1631,7 +1671,7 @@ def test_empty_stream_exits_2(tmp_path, capsys):
 
 def test_empty_prefix_reports_null_miou(tmp_path, capsys):
     """Dropout leaves 51 points and scale 1 empty: that scale's mIoU is
-    null, and the run, its CSV, its plot and the report still complete."""
+    null, and the run and the report, its CSV and its plot, still complete."""
     out = tmp_path / "sparse"
     assert run_cli("run", "--scan-inline", "--dropout", "0.999",
                    "--out-dir", str(out)) == 0
@@ -1639,13 +1679,13 @@ def test_empty_prefix_reports_null_miou(tmp_path, capsys):
     for key in ("scale_miou", "scale_miou_unrefined"):
         assert metrics[key][0] is None
         assert all(0 <= m <= 1 for m in metrics[key][1:])
+    capsys.readouterr()
+    assert run_cli("report", "--run-dir", str(out)) == 0
+    assert "mIoU@scale1: n/a" in capsys.readouterr().out
     rows = (out / "metrics.csv").read_text().splitlines()
     assert "miou,1," in rows and "miou_unrefined,1," in rows
     svg = (out / "miou_vs_scale.svg").read_text()
     assert svg.count('fill="#336699"/>') == 4  # no point for scale 1
-    capsys.readouterr()
-    assert run_cli("report", "--run-dir", str(out)) == 0
-    assert "mIoU@scale1: n/a" in capsys.readouterr().out
 
 
 def test_tiny_seeded_knn_references_warn(tmp_path, capsys):
@@ -1658,8 +1698,8 @@ def test_tiny_seeded_knn_references_warn(tmp_path, capsys):
         (["--ticks", "6000"], "1 2 3 6000",
          [f"scale {i} votes against a context of {i} point(s), fewer than "
           f"--k-cls 5" for i in (2, 3, 4)]
-         + ["scale 1 (2 points) is refined against scale 2, which holds "
-            "only 1 point(s)"]),
+         + [f"scale {i} ({n} points) is refined against scale {i + 1}, which "
+            "holds only 1 point(s)" for i, n in ((1, 2), (2, 1))]),
     ]
     for n, (scan_flags, cuts, warnings) in enumerate(cases):
         scan_dir, out = tmp_path / f"scan{n}", tmp_path / f"run{n}"
@@ -1689,9 +1729,10 @@ def test_tiny_seeded_knn_references_warn(tmp_path, capsys):
 
 
 def test_tiny_upper_scale_warns(tmp_path, capsys):
-    """A scale refined against a smaller next scale is reported on stderr
-    and in the run manifest; its labels stay what the cascade makes them.
-    Scales that grow give no warning."""
+    """A scale refined against a next scale under half its size is reported
+    on stderr and in the run manifest; its labels stay what the cascade
+    makes them.  Scales that grow or keep half their size give no
+    warning."""
     out = tmp_path / "tiny"
     assert run_cli("run", "--scan-inline", "--ticks", "3020",
                    "--cuts", "3000 3020", "--error-rates", "0.3 0.2",
@@ -1705,14 +1746,16 @@ def test_tiny_upper_scale_warns(tmp_path, capsys):
     assert round(metrics["scale_miou"][-1], 4) == 0.0255
     assert round(metrics["scale_miou_unrefined"][-1], 4) == 0.3579
 
-    # the quick-start stream: 1625/3254/1627/0/0 points, one warning
+    # sweep warns alike; without the update module nothing is refined
+    tiny = ["--scan-inline", "--ticks", "3020", "--cuts", "3000 3020",
+            "--error-rates", "0.3 0.2", "--out-dir", str(tmp_path / "sweep")]
+    assert run_cli("sweep", *tiny) == 0
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+    assert run_cli("sweep", *tiny, "--no-update") == 0
+    assert capsys.readouterr().err == ""
+
+    # the quick-start stream: 1625/3254/1627/0/0 points, exactly half
     assert run_cli("sweep", "--scan-inline", "--ticks", "8000",
-                   "--out-dir", str(tmp_path / "sweep")) == 0
-    assert capsys.readouterr().err == (
-        "warning: scale 2 (3254 points) is refined against scale 3, which "
-        "holds only 1627 point(s)\n")
-    # without the update module nothing is refined
-    assert run_cli("sweep", "--scan-inline", "--ticks", "8000", "--no-update",
                    "--out-dir", str(tmp_path / "sweep")) == 0
     assert capsys.readouterr().err == ""
 
@@ -1723,3 +1766,23 @@ def test_tiny_upper_scale_warns(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert "warnings" not in json.loads(
         (out / "run_manifest.json").read_text())
+
+
+@pytest.mark.parametrize("lower, upper, k, warns", [
+    (44, 43, 5, False),  # one point of noise between uniform cuts
+    (40, 19, 5, True),   # under half the lower scale's points
+    (2, 3, 5, True),     # fewer points than a vote takes
+], ids=["44-vs-43", "40-vs-19", "3-points-k5"])
+def test_refine_warning_rule(capsys, lower, upper, k, warns):
+    """A scale is flagged when its next scale holds fewer than ``--um-k``
+    points or under half as many as it does, and not for a point or two of
+    difference."""
+    stream = PointStream(np.arange(3 * (lower + upper)).reshape(-1, 3),
+                         np.zeros(lower + upper, np.int64),
+                         [1] * lower + [2] * upper, 1)
+    warnings = cli._run_warnings(stream, PartitionSpec((1, 2)),
+                                 PredictorConfig(), UpdateConfig(k=k))
+    want = [f"scale 1 ({lower} points) is refined against scale 2, which "
+            f"holds only {upper} point(s)"] if warns else []
+    assert warnings == want
+    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in want)

@@ -1,4 +1,5 @@
-"""Golden digests of ``run_scalable`` and of ``scalestream scan``.
+"""Golden digests of ``run_scalable``, of ``scalestream scan`` and of the
+files of a run directory.
 
 ``run_scalable`` runs on small synthetic streams.  Coordinates are
 multiples of 1/8 and timestamps are integers, so every squared distance and
@@ -20,13 +21,20 @@ was rewritten one axis at a time; a change in any point, label or timestamp
 shows here.  The boundary scene's digest was re-recorded once, when a ray in
 a box's face plane began to hit that box (see ``BOUNDARY_SCENE``).
 
-The report digests hash the ``metrics.json``, ``metrics.csv``,
-``miou_vs_scale.svg`` and ``timeline.svg`` that ``scalestream run --stream``
-writes for a lattice stream.  Such a stream carries no scanner metadata, so
-the run draws no coverage curve and calls no math-library function; the
-digests hold on every platform.  They were recorded before the report became
-the dict that ``metrics.json`` holds; a change in any byte of those files
-shows here.
+The report digests hash, one file each, the ``metrics.json`` that
+``scalestream run --stream`` writes for a lattice stream and the
+``metrics.csv``, ``miou_vs_scale.svg`` and ``timeline.svg`` that
+``scalestream report`` then renders from the run directory.  Such a stream
+carries no scanner metadata, so the run draws no coverage curve and calls no
+math-library function; the digests hold on every platform.  They were
+recorded as one digest per run before the report became the dict that
+``metrics.json`` holds, and split into one per file while ``run`` still
+rendered the three views itself; ``report`` must reproduce every byte.  The
+one exception is the ``named`` case, whose class names sort in another order
+than their ids: ``report`` writes the ``iou_*`` rows of its ``metrics.csv``
+in the class-name order that ``metrics.json`` keeps, where ``run`` wrote
+them in class-id order, so that file has a new digest.  The row digests,
+recorded with the old ones, pin every ``metrics.csv``'s rows as a multiset.
 
 The CSV digests hash each ``cumulative_scale_<i>.csv`` of those runs.  They
 were recorded when ``run`` still wrote the CSVs itself; ``report --csv`` now
@@ -40,9 +48,9 @@ import numpy as np
 import pytest
 
 import scalestream.cli as cli
-from scalestream import (PartitionSpec, PointStream, PredictorConfig,
-                         TimingModel, UpdateConfig, make_seed_cloud,
-                         run_scalable, write_stream)
+from scalestream import (LabelMap, PartitionSpec, PointStream,
+                         PredictorConfig, TimingModel, UpdateConfig,
+                         make_seed_cloud, run_scalable, write_stream)
 
 from conftest import old_event_list
 
@@ -217,6 +225,14 @@ def test_scan_golden_digest(name, tmp_path):
     assert digest == SCAN_GOLDEN[name], name
 
 
+def _named(stream):
+    """``stream`` with class names that sort in another order than their
+    ids."""
+    return PointStream(stream.positions, stream.labels, stream.timestamps,
+                       stream.class_count,
+                       LabelMap(("wall", "floor", "chair", "door")))
+
+
 REPORT_STREAMS = {
     **STREAMS,
     # scale 1, [0, 10], holds no point: its mIoU is null
@@ -224,6 +240,7 @@ REPORT_STREAMS = {
                     (10, 20, 30, 40, 50)),
     # twelve scales: the origin_miou keys sort as "1", "10", "11", "12", "2"
     "many": (lambda: _stream(8, 360, 32, 120), tuple(range(10, 121, 10))),
+    "named": (lambda: _named(STREAMS["gapped"][0]()), STREAMS["gapped"][1]),
 }
 
 REPORT_RUNS = {
@@ -235,20 +252,100 @@ REPORT_RUNS = {
     "empty-first": ("empty-first", []),
     "many": ("many", ["--error-rates", " ".join(["0.3"] * 12)]),
 }
+VIEW_RUNS = {**REPORT_RUNS, "named": ("named", [])}
 
+#: sha256 of each file of each run directory once ``report`` has run.
 REPORT_GOLDEN = {
+    "noisy-oracle": {
+        "metrics.json":
+            "a891f0604d8230a815d4b23055c1f1bc6d2031f30dfa6112e06953fb7f7ebf8a",
+        "metrics.csv":
+            "c0716c0f80e67c7fa5ff338697d7ce459bd07c9391546747fe237d3952291ce2",
+        "miou_vs_scale.svg":
+            "e969ced09dd13767a53e004e562d51cbfff4964d6f9d2ef3fa5d7fb67f79c327",
+        "timeline.svg":
+            "6b0d40b61608e2c4bfc45055ccabdf4ea8d2de815a763e85e18e7cce06591740",
+    },
+    "seeded-knn": {
+        "metrics.json":
+            "4d7e83100c51e8ae6233566e5026c86bb79202272f038a4311a443f5d3788502",
+        "metrics.csv":
+            "2c7cfb031135de17ca03122e8d7e70d1d7d43fd9e4e38fb4415b564ce9e7ce0f",
+        "miou_vs_scale.svg":
+            "28052b2b99e272003437fc52de3b905b94c932139e84bb6bb51c555937f45ba9",
+        "timeline.svg":
+            "6b0d40b61608e2c4bfc45055ccabdf4ea8d2de815a763e85e18e7cce06591740",
+    },
+    "skip-unrefined": {
+        "metrics.json":
+            "46779889e1d2faa04d06887496498bfa5800ef2bc086ba1e1244b544fce85575",
+        "metrics.csv":
+            "e7f9dd70db14a0679ca436b093bd34dbf9bd92357d814a21ef392b796125d191",
+        "miou_vs_scale.svg":
+            "f0f10f1cac004b514f2e81ea449492c964479c6d20579872ab534250e70f3903",
+        "timeline.svg":
+            "d32f0e4a2ceaaf878b7626c7aa4f24469ec6a07061feb2b0fee3376cdf600704",
+    },
+    "no-update": {
+        "metrics.json":
+            "2fc9015e13aad652b3b64d798f465915c2d1bdf594e9ff69d6da7c589f00e431",
+        "metrics.csv":
+            "5118fad765992fd5695792c943c341a32a0974da24efe65b7fb266d055104327",
+        "miou_vs_scale.svg":
+            "5e6b82ff39293da226da1f3bc515971bfb5ff64eef50ccbc70146505dfc637a7",
+        "timeline.svg":
+            "9c5e85d72d91e611cb62bfa2fc7fe2362beb0fa224de277b8aff01c98b7fff34",
+    },
+    "empty-first": {
+        "metrics.json":
+            "160379131e5d283399fab079242c6f424becd0f054ea623bf6fc372edaece8c4",
+        "metrics.csv":
+            "8f94e46c7db6c7ff92f3551f09dabbc2192f92e5fb2d7f115818e95587e56cf0",
+        "miou_vs_scale.svg":
+            "701ae8628ea5b74472dd63b755a7e16bc4247175b4d7a057b72a84a08d2beb63",
+        "timeline.svg":
+            "f07713c6d8e2b93c5421f133f86e9825e1688dd3651bc226b8e6aaeb99cca5df",
+    },
+    "many": {
+        "metrics.json":
+            "ab2ed91379b984f407990942d800940e35972c626ea53b3e031a9a3837fae368",
+        "metrics.csv":
+            "e38672431ae3032f89fe55eec294bf0bf2225db1fd001715ec9e23f556d1f40f",
+        "miou_vs_scale.svg":
+            "e13a55922048d2b59dffcb34ed79c508601b6a9af17cf96aa96641d258744b37",
+        "timeline.svg":
+            "28c85962c318303d41d249912fc7ac89b3ead20e318dbbc1535cbd22fae5c924",
+    },
+    "named": {
+        "metrics.json":
+            "f7c76c9c49d93e052c6f1df5c050427d64e850da443f0f2817993117f67ef879",
+        # the iou_* rows in class-name order; run wrote them in class-id
+        # order, as 1e2e0bb8ea8de996f7910348a4eae470efca53c7b6fb25b5b958c729cd17a278
+        "metrics.csv":
+            "63e890ee5982754c5b5d6d00f214c7e165a7ec56c746158fce2893fa750b7a04",
+        "miou_vs_scale.svg":
+            "e969ced09dd13767a53e004e562d51cbfff4964d6f9d2ef3fa5d7fb67f79c327",
+        "timeline.svg":
+            "6b0d40b61608e2c4bfc45055ccabdf4ea8d2de815a763e85e18e7cce06591740",
+    },
+}
+
+#: sha256 of the sorted lines of each run's metrics.csv, as ``run`` wrote it.
+METRICS_CSV_ROWS_GOLDEN = {
     "noisy-oracle":
-        "a99cdd728e2dd4c8bff1fc5b72ac859e822fb498e84087e651f729ddb29fa496",
+        "ae94c1475201a3cb0623777d50d20f27fd5cdd369178eba5c18b5fe57576c113",
     "seeded-knn":
-        "c901901d53caa2b63f180d28d7ef81ec677390be1c537ae95a51c349869b6263",
+        "6bc9178d2df4233a63e9055c12984405167798a6e7cdf46a2801e88738d59330",
     "skip-unrefined":
-        "11c244976fa2e1226c979f1c6607cadb1be04f9bcc7412f07d731df5279d54f1",
+        "6f368f347a8c76faf0d4ffa529924aa3934e43abea0f71ab5f3c63660980e99f",
     "no-update":
-        "8537308966212c14f027bd38470960f8baf8c1ac5c9b5603ad91c3ddb9d0594d",
+        "44daf78e89931e0ba3049d56cd48bf638f2325306a837e5b3459acf57ef28f4e",
     "empty-first":
-        "ea8e947ca41f056388434332362a2b24ac03e148b70b3b0a966150dbf0cd2b68",
+        "be8662ef631ee7a270a00ebed4ffd7b3579a814a5ca1e295c9cf385ebd76fb09",
     "many":
-        "dd6f1258155187fc42e3205ce83d3d3eafd2edc558cdcf437e8a94ec90f53249",
+        "3d627e7812e792e095f17cc82bc038a127c165b9a80842a02ea08b5592335382",
+    "named":
+        "49ad618b4ce5bb5e9c6747c8826f91200096766dc99e378040596275a9bd43de",
 }
 
 #: sha256 of cumulative_scale_1.csv, cumulative_scale_2.csv, ... of each run.
@@ -302,13 +399,10 @@ REPORT_CSV_GOLDEN = {
     ),
 }
 
-REPORT_FILES = ("metrics.json", "metrics.csv", "miou_vs_scale.svg",
-                "timeline.svg")
-
-
 def _report_run(name, tmp_path):
-    """The output directory of ``run --stream`` for report case ``name``."""
-    stream_name, args = REPORT_RUNS[name]
+    """The directory of ``run --stream`` for report case ``name``, once
+    ``report`` has rendered its views."""
+    stream_name, args = VIEW_RUNS[name]
     make, cuts = REPORT_STREAMS[stream_name]
     path = tmp_path / "stream.bin"
     write_stream(make(), path)
@@ -316,6 +410,7 @@ def _report_run(name, tmp_path):
     assert cli.main(["run", "--stream", str(path), "--seed", "0",
                      "--cuts", " ".join(map(str, cuts)),
                      "--out-dir", str(out), *args]) == 0
+    assert cli.main(["report", "--run-dir", str(out)]) == 0
     return out
 
 
@@ -331,10 +426,20 @@ def test_report_csv_golden_digest(name, tmp_path):
     assert not (out / f"cumulative_scale_{len(digests) + 1}.csv").exists()
 
 
-@pytest.mark.parametrize("name", REPORT_RUNS)
+@pytest.mark.parametrize("name", VIEW_RUNS)
 def test_run_report_files_golden_digest(name, tmp_path):
     out = _report_run(name, tmp_path)
-    h = hashlib.sha256()
-    for fname in REPORT_FILES:
-        h.update((out / fname).read_bytes())
-    assert h.hexdigest() == REPORT_GOLDEN[name], name
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in REPORT_GOLDEN[name]}
+    assert digests == REPORT_GOLDEN[name], name
+
+
+@pytest.mark.parametrize("name", VIEW_RUNS)
+def test_metrics_csv_holds_the_rows_run_wrote(name, tmp_path):
+    """Every ``metrics.csv`` holds the rows that ``run`` wrote, and only its
+    ``iou_*`` rows can come in another order: by class name."""
+    rows = (_report_run(name, tmp_path) / "metrics.csv").read_text().splitlines()
+    sorted_rows = "\n".join(sorted(rows)).encode("utf-8")
+    assert hashlib.sha256(sorted_rows).hexdigest() == METRICS_CSV_ROWS_GOLDEN[name]
+    iou = [r for r in rows if r.startswith("iou_")]
+    assert iou == sorted(iou)
