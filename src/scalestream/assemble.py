@@ -3,8 +3,8 @@
 The cumulative output at scale ``i`` concatenates the (refined) predictions
 of scales ``1..i``.  Because partitions are contiguous stream slices, that
 concatenation is exactly the stream prefix with ``t <= cuts[i-1]``; each
-point also carries its ground-truth label, origin scale and timestamp so
-reports can decompose accuracy by scale.
+point keeps its ground-truth label and timestamp, and ``i + 1`` prefix offsets
+give every point's origin scale, so reports can decompose accuracy by scale.
 
 A run keeps its cumulative outputs in one binary file, ``labels.npz``
 (:func:`write_labels`); :func:`read_labels` rebuilds them from it, and
@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import zipfile
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -30,11 +31,15 @@ class AssembleError(ValueError):
 
 @dataclass(frozen=True)
 class CumulativeOutput:
+    """Scales ``1..scale`` in capture order: scale ``s`` owns rows
+    ``bounds[s-1]:bounds[s]`` of the prefix offsets ``(0, n_1, n_1 + n_2,
+    ..., len(self))``."""
+
     scale: int
     positions: np.ndarray
     pred_labels: np.ndarray
     gt_labels: np.ndarray
-    origin_scales: np.ndarray
+    bounds: tuple[int, ...]
     timestamps: np.ndarray
     class_count: int
 
@@ -52,8 +57,8 @@ def assemble(stream: PointStream, partitions: Sequence[Partition],
     """
     if not partitions:
         raise AssembleError("need at least one partition")
-    counts = [len(p) for p in partitions]
-    n = sum(counts)
+    bounds = (0, *accumulate(len(p) for p in partitions))
+    n = bounds[-1]
     if len(labels) != n:
         raise AssembleError(
             f"{len(labels)} labels for the {n} points of scales "
@@ -63,8 +68,7 @@ def assemble(stream: PointStream, partitions: Sequence[Partition],
         positions=stream.positions[:n],
         pred_labels=labels,
         gt_labels=stream.labels[:n],
-        origin_scales=np.repeat(np.arange(1, len(counts) + 1, dtype=np.int64),
-                                counts),
+        bounds=bounds,
         timestamps=stream.timestamps[:n],
         class_count=stream.class_count,
     )
@@ -81,8 +85,9 @@ def row_heads(output: CumulativeOutput) -> list[str]:
     position, timestamp and origin scale are the same in each, so the final
     output's heads serve the CSV of every scale.
     """
+    origins = np.repeat(np.arange(1, len(output.bounds)), np.diff(output.bounds))
     return list(format_rows("{},{},{},{},{},", output.positions,
-                            output.timestamps, output.origin_scales))
+                            output.timestamps, origins))
 
 
 def cumulative_csv(output: CumulativeOutput, heads: Sequence[str]) -> str:
@@ -197,10 +202,8 @@ def _check_labels(arrays: dict[str, np.ndarray]) -> list[CumulativeOutput]:
                 raise ValueError(f"{name} holds the label {lo if lo < 0 else hi}, "
                                  f"not a class id in [0, {_LABEL_BOUND})")
             class_count = max(class_count, hi + 1)
-    origin_scales = np.repeat(np.arange(1, len(lengths) + 1, dtype=np.int64),
-                              np.diff(lengths, prepend=0))
     return [CumulativeOutput(scale=i, positions=positions[:m], pred_labels=p,
-                             gt_labels=gt[:m], origin_scales=origin_scales[:m],
+                             gt_labels=gt[:m], bounds=(0, *lengths[:i]),
                              timestamps=timestamps[:m], class_count=class_count)
             for i, (p, m) in enumerate(zip(arrays.values(), lengths), start=1)]
 

@@ -471,9 +471,9 @@ def cmd_run(args) -> int:
                                       replace(timing, overlap="full"))
         unrefined_miou = [_scale_miou(o) for o in raw_outputs]
 
-    scale_mious = [_scale_miou(o) for o in outputs]
-    final = outputs[-1]
-    class_iou = miou(final)[0]
+    *early, final = outputs
+    class_iou, final_miou = miou(final)
+    scale_mious = [*map(_scale_miou, early), final_miou]
     names = (stream.label_map.names if stream.label_map is not None
              else tuple(f"class_{c}" for c in range(stream.class_count)))
     base_miou = miou(base_out)[1]

@@ -51,13 +51,11 @@ def miou(output: CumulativeOutput) -> tuple[np.ndarray, float]:
 
 
 def miou_by_origin(output: CumulativeOutput) -> dict[int, float]:
-    """Scale-local mIoU: points grouped by the scale that predicted them."""
-    result = {}
-    for s in np.unique(output.origin_scales):
-        mask = output.origin_scales == s
-        result[int(s)] = _iou(output.gt_labels[mask], output.pred_labels[mask],
-                              output.class_count)[1]
-    return result
+    """Scale-local mIoU of each scale that holds a point, over its points."""
+    b = output.bounds
+    return {s: _iou(output.gt_labels[lo:hi], output.pred_labels[lo:hi],
+                    output.class_count)[1]
+            for s, (lo, hi) in enumerate(zip(b, b[1:]), start=1) if hi > lo}
 
 
 def cost_of_scalability(baseline_miou: float, scalable_final_miou: float) -> float:
@@ -103,17 +101,26 @@ def _occupied_cells(stream: PointStream, g: int) -> np.ndarray:
     return ix * g + iy
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: quoted, each ``"`` doubled, when it
+    holds a comma, a quote, a CR or an LF; otherwise as it is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def metrics_csv(metrics: dict) -> str:
     """``metrics.csv``: the numbers of the dict that ``metrics.json`` holds
     as ``metric,scale,value`` rows, ``iou_*`` in ``per_class_iou``'s order
-    (class names, sorted, as read back); a None mIoU is an empty value."""
+    (class names, sorted, as read back); a None mIoU is an empty value, and
+    a class name is quoted where RFC 4180 needs it."""
     rows = ["metric,scale,value"]
     for name, key in (("miou", "scale_miou"),
                       ("miou_unrefined", "scale_miou_unrefined")):
         for i, v in enumerate(metrics[key] or (), start=1):
             rows.append(f"{name},{i},{'' if v is None else repr(v)}")
     for name, v in metrics["per_class_iou"].items():
-        rows.append(f"iou_{name},,{v!r}")
+        rows.append(f"{_csv_field(f'iou_{name}')},,{v!r}")
     rows.append(f"baseline_miou,,{metrics['baseline_miou']!r}")
     rows.append(f"cost_of_scalability_pct,,{metrics['cost_of_scalability_pct']!r}")
     for key, v in sorted(metrics["latency"].items()):

@@ -39,8 +39,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 from .assemble import CumulativeOutput, assemble
 from .partition import PartitionSpec, partition
 from .predictors import PredictorConfig, PredictorError, predict, predict_full
@@ -394,7 +392,7 @@ def run_baseline(stream: PointStream, predictor_cfg: PredictorConfig,
         positions=stream.positions,
         pred_labels=labels,
         gt_labels=stream.labels,
-        origin_scales=np.ones(len(stream), dtype=np.int64),
+        bounds=(0, len(stream)),
         timestamps=stream.timestamps,
         class_count=stream.class_count,
     )

@@ -59,9 +59,9 @@ def test_cumulative_cardinality_matches_prefix_counts():
         want = int(np.sum(stream.timestamps <= spec.cuts[i - 1]))
         assert len(out) == want
         assert np.array_equal(out.timestamps, stream.timestamps[:want])
-        # origin scales count back to partition sizes
+        # each scale's rows count back to its partition's size
         for j in range(1, i + 1):
-            assert int(np.sum(out.origin_scales == j)) == len(parts[j - 1])
+            assert out.bounds[j] - out.bounds[j - 1] == len(parts[j - 1])
 
 
 def test_cardinality_mismatch_rejected():
@@ -92,13 +92,14 @@ def reference_fmt(v) -> str:
 
 
 def reference_csv(output) -> str:
-    """The per-point loop ``cumulative_csv`` ran before it shared row heads."""
+    """The per-point loop ``cumulative_csv`` ran before it shared row heads;
+    row ``r``'s origin scale is the smallest ``s`` with ``r < bounds[s]``."""
     lines = ["x,y,z,t,origin_scale,pred,gt"]
     pos = output.positions
     for r in range(len(output)):
         coords = ",".join(reference_fmt(pos[r, a]) for a in range(3))
         lines.append(f"{coords},{int(output.timestamps[r])},"
-                     f"{int(output.origin_scales[r])},"
+                     f"{int(np.searchsorted(output.bounds, r, side='right'))},"
                      f"{int(output.pred_labels[r])},{int(output.gt_labels[r])}")
     return "\n".join(lines) + "\n"
 
@@ -161,7 +162,8 @@ def test_labels_file_round_trip(tmp_path):
     assert len(back[0]) == 0
     for o, b in zip(outputs, back, strict=True):
         assert b.positions.tobytes() == o.positions.tobytes()
-        for field in ("pred_labels", "gt_labels", "origin_scales", "timestamps"):
+        assert b.bounds == o.bounds
+        for field in ("pred_labels", "gt_labels", "timestamps"):
             assert np.array_equal(getattr(b, field), getattr(o, field)), field
         assert cumulative_csv(b, row_heads(back[-1])) == reference_csv(o)
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import scalestream.cli as cli
 import scalestream.pipeline as pipeline
 from conftest import make_counted_stream, mutate_one_line, old_event_list
-from scalestream import (LissajousConfig, PartitionSpec, PointStream,
+from scalestream import (LabelMap, LissajousConfig, PartitionSpec, PointStream,
                          PredictorConfig, PredictorError, Timeline, TimingModel,
                          UpdateConfig, latency_metrics, make_seed_cloud,
                          read_stream, run_baseline, run_scalable, scan,
@@ -1667,6 +1668,29 @@ def test_empty_stream_exits_2(tmp_path, capsys):
                      "--out-dir", str(tmp_path / command))
         assert rc == 2
         assert "config error: stream has no points" in capsys.readouterr().err
+
+
+def test_metrics_csv_quotes_class_names(tmp_path):
+    """Class names that hold a comma, an LF or a double quote are quoted
+    fields of ``metrics.csv``: every row reads back through ``csv.reader``
+    as ``metric,scale,value``, each class under its own name."""
+    names = ("a,b", "c\nd", 'e"f')
+    rng = np.random.default_rng(0)
+    stream = PointStream(rng.uniform(-1, 1, size=(200, 3)),
+                         np.arange(200) % 3, np.sort(rng.integers(0, 65537, 200)),
+                         3, LabelMap(names))
+    write_stream(stream, tmp_path / "names.bin")
+    out = tmp_path / "run"
+    run_and_report("--stream", str(tmp_path / "names.bin"), "--out-dir", str(out))
+    with open(out / "metrics.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["metric", "scale", "value"]
+    assert all(len(row) == 3 for row in rows), rows
+    iou = {row[0]: row for row in rows if row[0].startswith("iou_")}
+    assert sorted(iou) == sorted(f"iou_{name}" for name in names)
+    per_class = json.loads((out / "metrics.json").read_text())["per_class_iou"]
+    for name in names:
+        assert iou[f"iou_{name}"][1:] == ["", repr(per_class[name])]
 
 
 def test_empty_prefix_reports_null_miou(tmp_path, capsys):

@@ -8,15 +8,15 @@ from scalestream import (CumulativeOutput, LissajousConfig, MetricsError,
                          miou_by_origin, scan)
 
 
-def make_output(gt, pred, class_count, origin=None):
+def make_output(gt, pred, class_count, bounds=None):
     n = len(gt)
+    bounds = (0, n) if bounds is None else tuple(bounds)
     return CumulativeOutput(
-        scale=1,
+        scale=len(bounds) - 1,
         positions=np.zeros((n, 3), dtype=np.float32),
         pred_labels=np.asarray(pred, dtype=np.int64),
         gt_labels=np.asarray(gt, dtype=np.int64),
-        origin_scales=(np.asarray(origin, dtype=np.int64) if origin is not None
-                       else np.ones(n, dtype=np.int64)),
+        bounds=bounds,
         timestamps=np.arange(n, dtype=np.int64),
         class_count=class_count,
     )
@@ -125,10 +125,32 @@ def test_iou_memory_is_linear_in_the_class_count():
 
 
 def test_miou_by_origin():
-    out = make_output([0, 0, 1, 1], [0, 1, 1, 1], 2, origin=[1, 1, 2, 2])
+    out = make_output([0, 0, 1, 1], [0, 1, 1, 1], 2, bounds=(0, 2, 4))
     by = miou_by_origin(out)
     assert by[1] == pytest.approx(0.25)  # IoU_A=1/2, IoU_B=0 within scale 1
     assert by[2] == 1.0
+
+
+def test_miou_by_origin_skips_an_empty_scale():
+    out = make_output([0, 0, 1, 1], [0, 1, 1, 1], 2, bounds=(0, 2, 2, 4))
+    assert miou_by_origin(out) == {1: pytest.approx(0.25), 3: 1.0}
+
+
+def test_miou_by_origin_matches_the_mask_definition():
+    """On random bounds, empty scales among them, each scale's entry is the
+    mIoU of the points whose origin scale is that scale, selected by mask
+    from a per-point origin array, and the keys come in the same order."""
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        n, k = int(rng.integers(1, 200)), int(rng.integers(1, 12))
+        bounds = (0, *np.sort(rng.integers(0, n + 1, size=k - 1)).tolist(), n)
+        gt = rng.integers(0, 5, size=n)
+        pred = np.where(rng.random(n) < 0.3, rng.integers(0, 5, size=n), gt)
+        origins = np.repeat(np.arange(1, k + 1), np.diff(bounds))
+        want = {int(s): miou(make_output(gt[origins == s], pred[origins == s], 5))[1]
+                for s in np.unique(origins)}
+        got = miou_by_origin(make_output(gt, pred, 5, bounds))
+        assert list(got.items()) == list(want.items())
 
 
 def test_cost_of_scalability():

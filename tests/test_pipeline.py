@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -201,8 +202,8 @@ def test_one_label_pass_equals_a_fresh_pass_per_timing(label_calls, variant,
         for out, ref in zip(outputs, ref_outputs):
             assert out.scale == ref.scale
             assert out.class_count == ref.class_count
-            for name in ("positions", "pred_labels", "gt_labels",
-                         "origin_scales", "timestamps"):
+            assert out.bounds == ref.bounds
+            for name in ("positions", "pred_labels", "gt_labels", "timestamps"):
                 a, b = getattr(out, name), getattr(ref, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert len({id(outputs) for outputs, _ in reused}) == len(reused)
@@ -492,10 +493,32 @@ def test_update_disabled_keeps_raw_labels():
     outputs, _ = run_scalable(stream, SPEC, cfg, None, TimingModel())
     refined, _ = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), TimingModel())
     # raw predictor output for the newest scale is shared; earlier scales differ
-    n_last = len(outputs[-1]) - int(np.sum(outputs[-1].origin_scales < 5))
+    n_last = len(outputs[-1]) - outputs[-1].bounds[4]
     assert np.array_equal(outputs[-1].pred_labels[-n_last:],
                           refined[-1].pred_labels[-n_last:])
     assert not np.array_equal(outputs[-1].pred_labels, refined[-1].pred_labels)
+
+
+def test_outputs_hold_little_beside_their_labels():
+    """Each cumulative output keeps its scales as prefix offsets, not as a
+    per-point array: the 200 outputs of a 4,000-point stream cut into 200
+    scales hold under 1.6 times their labels' bytes (an int64 origin scale
+    per point would make it about 2.1 times)."""
+    rng = np.random.default_rng(0)
+    n = 4000
+    stream = PointStream(rng.integers(0, 16, size=(n, 3)) / 8.0,
+                         rng.integers(0, 4, size=n), np.arange(n) // 2, 4)
+    spec = PartitionSpec(range(10, 2001, 10))
+    cfg = PredictorConfig(error_rates=(0.1,) * 200, seed=0)
+    tracemalloc.start()
+    try:
+        outputs, _ = run_scalable(stream, spec, cfg, None, TimingModel())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    labels = sum(o.pred_labels.nbytes for o in outputs)
+    assert held < 1.6 * labels, held / labels
+    assert [o.bounds for o in outputs[:2]] == [(0, 22), (0, 22, 42)]
 
 
 def test_empty_stream_has_zero_residual():

@@ -111,8 +111,7 @@ def test_seeded_knn_votes_from_reference():
 def output_at_origin(count, label):
     """A cumulative output of ``count`` points at the origin, all ``label``."""
     return CumulativeOutput(1, np.zeros((count, 3)), np.full(count, label),
-                            np.zeros(count, dtype=np.int64),
-                            np.ones(count, dtype=np.int64),
+                            np.zeros(count, dtype=np.int64), (0, count),
                             np.zeros(count, dtype=np.int64), class_count=11)
 
 
