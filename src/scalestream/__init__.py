@@ -14,7 +14,7 @@ from .geometry import Primitive, camera_basis, slab_distances
 from .metrics import (MetricsError, cost_of_scalability, coverage_curve, miou,
                       miou_by_origin)
 from .partition import (DEFAULT_CUTS, Partition, PartitionError, PartitionSpec,
-                        default_spec, partition)
+                        partition)
 from .pipeline import (LatencyMetrics, PipelineError, Timeline, TimelineEvent,
                        TimingModel, latency_metrics, run_baseline, run_scalable)
 from .predictors import (DEFAULT_ERROR_RATES, PredictorConfig, PredictorError,

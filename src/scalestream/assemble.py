@@ -117,36 +117,27 @@ def cumulative_csv(output: CumulativeOutput, heads: Sequence[str]) -> str:
 #: The members of ``labels.npz`` that come before ``pred_1`` ... ``pred_K``,
 #: and the dtype of each; every ``pred_i`` is ``<i8`` too.
 _POINT_MEMBERS = {"positions": "<f4", "timestamps": "<i8", "gt": "<i8"}
-#: The modification time of every member, set here rather than left to
-#: ``zipfile`` (whose ``writestr`` stamps the clock), so that the same
-#: outputs always give the same bytes.
-_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 #: Labels are class ids below this bound, so ``cumulative_csv``'s pair codes
 #: fit in int64.
 _LABEL_BOUND = 2 ** 31
 
 
 def write_labels(path, outputs: Sequence[CumulativeOutput]) -> None:
-    """Write the cumulative outputs of one run to ``path`` as ``labels.npz``.
+    """Write the cumulative outputs of one run to ``path`` with ``np.savez``.
 
     The file is a stored (uncompressed) zip of ``.npy`` members, in this
     order: ``positions`` (N x 3 float32), ``timestamps`` and ``gt`` (N
     int64) of the final output's points, then ``pred_1`` ... ``pred_K``
     (int64), the predicted labels of each cumulative output.  ``pred_i``
     covers the points of scales 1..i, so the lengths give each point's
-    origin scale.
+    origin scale.  Each member has ``ZipInfo``'s fixed date, not the clock's.
     """
     final = outputs[-1]
-    members = [("positions", final.positions), ("timestamps", final.timestamps),
-               ("gt", final.gt_labels),
-               *((f"pred_{o.scale}", o.pred_labels) for o in outputs)]
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for name, array in members:
-            info = zipfile.ZipInfo(f"{name}.npy", date_time=_DATE_TIME)
-            with zf.open(info, "w", force_zip64=True) as fh:
-                np.lib.format.write_array(
-                    fh, np.asarray(array, dtype=_POINT_MEMBERS.get(name, "<i8")),
-                    allow_pickle=False)
+    members = {"positions": final.positions, "timestamps": final.timestamps,
+               "gt": final.gt_labels,
+               **{f"pred_{o.scale}": o.pred_labels for o in outputs}}
+    np.savez(path, **{name: np.asarray(a, dtype=_POINT_MEMBERS.get(name, "<i8"))
+                      for name, a in members.items()})
 
 
 def _member_arrays(zf: zipfile.ZipFile) -> dict[str, np.ndarray]:

@@ -30,7 +30,8 @@ from .pipeline import (PipelineError, TimingModel, Timeline, _is_number,
                        _json_list, baseline_timeline, latency_metrics,
                        one_label_pass, run_baseline, run_scalable)
 from .plots import miou_plot, timeline_plot
-from .predictors import DEFAULT_ERROR_RATES, PredictorConfig, make_seed_cloud
+from .predictors import (DEFAULT_ERROR_RATES, VARIANTS, PredictorConfig,
+                         make_seed_cloud)
 from .scanner import LissajousConfig, place_cameras, scan
 from .scene import SceneError, default_room, load_scene
 from .stream import PointStream, read_stream, write_stream
@@ -126,7 +127,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cuts", type=str, default=" ".join(map(str, DEFAULT_CUTS)),
                    help="partition cut timestamps")
     p.add_argument("--predictor", type=str, default="noisy-oracle",
-                   choices=["noisy-oracle", "seeded-knn"])
+                   choices=VARIANTS)
     p.add_argument("--error-rates", type=str,
                    default=" ".join(map(str, DEFAULT_ERROR_RATES)),
                    help="noisy-oracle per-scale error probabilities")
@@ -387,13 +388,13 @@ def cmd_partition(args) -> int:
     summary = {
         "cuts": list(spec.cuts),
         "total": len(stream),
-        "scales": [{"scale": p.scale, "interval": list(p.interval),
+        "scales": [{"scale": p.scale, "interval": list(spec.interval(p.scale)),
                     "count": len(p)} for p in parts],
     }
     _write_json(out / "partitions.json", summary)
     for p in parts:
-        print(f"scale {p.scale}: ({p.interval[0]}, {p.interval[1]}] "
-              f"-> {len(p)} points")
+        lo, hi = spec.interval(p.scale)
+        print(f"scale {p.scale}: ({lo}, {hi}] -> {len(p)} points")
     return 0
 
 
@@ -613,7 +614,8 @@ def _check_report_metrics(metrics: dict) -> dict:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    metrics = _read_json(run_dir / "metrics.json", _check_report_metrics, "field")
+    metrics_path = run_dir / "metrics.json"
+    metrics = _read_json(metrics_path, _check_report_metrics, "field")
     tl_path = run_dir / "timeline.json"
     base_path = run_dir / "baseline_timeline.json"
     tl, base_tl = (_read_json(p, Timeline.from_dict, "event")
@@ -622,6 +624,12 @@ def cmd_report(args) -> int:
         lat = latency_metrics(tl, base_tl)
     except PipelineError as exc:
         raise PipelineError(f"{tl_path} and {base_path}: {exc}") from None
+    k = len(lat.scale_available)
+    for key in ("scale_miou", "scale_miou_unrefined"):
+        if metrics[key] is not None and len(metrics[key]) != k:
+            raise ValueError(f"{metrics_path} and {tl_path}: {key} holds "
+                             f"{len(metrics[key])} mIoUs for the {k} scales "
+                             "of the timeline")
     outputs = []
     if args.csv:
         labels_path = run_dir / "labels.npz"

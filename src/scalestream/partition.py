@@ -26,7 +26,7 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Strictly increasing cut timestamps; one scale per cut."""
+    """Strictly increasing, non-negative cut timestamps; one scale per cut."""
 
     cuts: tuple[int, ...]
 
@@ -37,15 +37,13 @@ class PartitionSpec:
             raise PartitionError("need at least one cut timestamp")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise PartitionError(f"cuts must be strictly increasing, got {cuts}")
+        if cuts[0] < 0:  # a timestamp is never negative
+            raise PartitionError(f"cuts must be non-negative, got {cuts}")
 
     def interval(self, scale: int) -> tuple[int, int]:
         """(exclusive lower, inclusive upper) tick bounds of a 1-based scale."""
         lo = -1 if scale == 1 else self.cuts[scale - 2]
         return lo, self.cuts[scale - 1]
-
-
-def default_spec() -> PartitionSpec:
-    return PartitionSpec(DEFAULT_CUTS)
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,6 @@ class Partition:
     stream slice, because timestamps are non-decreasing."""
 
     scale: int
-    interval: tuple[int, int]
     positions: np.ndarray
     labels: np.ndarray
     timestamps: np.ndarray
@@ -84,7 +81,6 @@ def partition(stream: PointStream, spec: PartitionSpec) -> list[Partition]:
         end = int(end)
         parts.append(Partition(
             scale=i,
-            interval=spec.interval(i),
             positions=stream.positions[start:end],
             labels=stream.labels[start:end],
             timestamps=ts[start:end],

@@ -160,18 +160,21 @@ class Timeline:
     events: list[TimelineEvent] = field(default_factory=list, init=False)
     # every refinement's end instant, in execution order (arrival-major)
     refines: list[float] = field(default_factory=list, init=False)
-    # (kind, scale) -> its first event's instant; add events through ``add``
-    _first: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    # (kind, scale) -> its event's instant; add events through ``add``
+    _instants: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def add(self, kind: str, scale: int, instant: float):
-        """Append an event of a known kind at a finite, non-negative instant."""
+        """Append an event of a known kind, which the timeline does not hold
+        yet, at a finite, non-negative instant."""
         if kind not in _EVENT_KINDS:  # a kind read from JSON may hold a newline
             name = kind if str(kind).isprintable() else repr(kind)
             raise PipelineError(f"unknown event {name}({scale})")
+        if (kind, scale) in self._instants:
+            raise PipelineError(f"repeated event {kind}({scale})")
         self.events.append(TimelineEvent(kind, scale,
                                          _checked(instant, f"{kind}({scale})")))
-        self._first.setdefault((kind, scale), self.events[-1].instant)
+        self._instants[kind, scale] = self.events[-1].instant
 
     def refine(self, instant: float):
         """Append the next refinement's finite, non-negative end instant."""
@@ -179,8 +182,8 @@ class Timeline:
                                      f"{REFINE_DONE}[{len(self.refines)}]"))
 
     def instant(self, kind: str, scale: int = 0) -> float:
-        if (kind, scale) in self._first:
-            return self._first[kind, scale]
+        if (kind, scale) in self._instants:
+            return self._instants[kind, scale]
         raise PipelineError(f"timeline has no {kind} event for scale {scale}")
 
     def scales(self) -> list[int]:
@@ -275,15 +278,14 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
             "seeded-knn consumes previous-scale context; fusion_dependency "
             "cannot be disabled for it")
     measured = timing.overlap == "measured"
+    ready = [cut * timing.tick_duration for cut in spec.cuts]
     key = (stream, spec, predictor_cfg, update_cfg)
     kept = _kept.get()
     if not measured and kept and all(map(operator.is_, kept[0], key)):
         _, parts, outputs = kept
-        ready = [p.interval[1] * timing.tick_duration for p in parts]
         return list(outputs), _sim_timeline([len(p) for p in parts], ready,
                                             timing, update_cfg is not None)
     parts = partition(stream, spec)
-    ready = [p.interval[1] * timing.tick_duration for p in parts]
     base = time.monotonic()
 
     def now() -> float:

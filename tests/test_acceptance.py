@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from scalestream import (LissajousConfig, PartitionSpec, PredictorConfig,
-                         TimingModel, UpdateConfig, coverage_curve,
-                         default_room, default_spec, latency_metrics, miou,
+from scalestream import (DEFAULT_CUTS, LissajousConfig, PartitionSpec,
+                         PredictorConfig, TimingModel, UpdateConfig,
+                         coverage_curve, default_room, latency_metrics, miou,
                          partition, place_cameras, read_stream, run_baseline,
                          run_scalable, scan, slab_distances, write_stream)
 from scalestream.pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY,
@@ -144,7 +144,7 @@ def test_criterion_3_update_module_fidelity():
 def test_criterion_4_accuracy_lift(default_scan):
     def check():
         stream = default_scan
-        spec = default_spec()
+        spec = PartitionSpec(DEFAULT_CUTS)
         timing = TimingModel()
         update = UpdateConfig(k=5)
         wins = 0

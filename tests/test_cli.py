@@ -219,6 +219,7 @@ def test_run_lists_all_config_errors(tmp_path, capsys):
     *(pytest.param(command, "--no-fusion-dependency", ["--overlap", "none"],
                    id=f"{command}---no-fusion-dependency-overlap-none")
       for command in ("run", "sweep")),
+    *((command, "--cuts", "-5 8000") for command in ("partition", "run", "sweep")),
 ])
 def test_bad_flag_exits_2_before_any_scan_or_read(tmp_path, monkeypatch, capsys,
                                                   no_work, command, flag, value):
@@ -741,6 +742,14 @@ def _numeric_kind(run_dir):
     return path
 
 
+def _repeated_event(run_dir):
+    path = run_dir / "timeline.json"
+    data = json.loads(path.read_text())
+    data["events"].append({"kind": "scale_start", "scale": 2, "instant": 999.0})
+    path.write_text(json.dumps(data))
+    return path
+
+
 @pytest.mark.parametrize("break_timeline, message", [
     (_drop_scale_done_2, "incomplete timeline: timeline has no scale_done "
                          "event for scale 2"),
@@ -750,14 +759,15 @@ def _numeric_kind(run_dir):
     (_old_format, "unknown event refine_done(1)"),
     (_misspelled_kind, "unknown event scale_dne(1)"),
     (_numeric_kind, "unknown event 5(1)"),
+    (_repeated_event, "repeated event scale_start(2)"),
 ], ids=["no-scale-done-2", "empty-baseline", "negative-instant",
-        "old-format", "misspelled-kind", "numeric-kind"])
+        "old-format", "misspelled-kind", "numeric-kind", "repeated-event"])
 def test_report_malformed_timeline_names_the_file_and_writes_nothing(
         tmp_path, capsys, break_timeline, message):
     """A timeline that lacks an event, holds a negative instant, is in the
-    layout that kept refinements as events, or holds an event of a kind
-    other than the six that a run writes: report exits 1 naming the file
-    and writes no view."""
+    layout that kept refinements as events, holds an event of a kind other
+    than the six that a run writes, or holds an event twice: report exits 1
+    naming the file and writes no view."""
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
     broken = break_timeline(out)
@@ -872,6 +882,24 @@ def test_report_refuses_impossible_metrics(tmp_path, small_run, field, value,
     assert code == 1
     assert err == f"error: {run_dir / 'metrics.json'}: {message}\n"
     assert sorted(f.name for f in run_dir.iterdir()) == sorted(REPORT_INPUTS)
+
+
+@pytest.mark.parametrize("field, count", [
+    ("scale_miou", 7), ("scale_miou", 3), ("scale_miou_unrefined", 5)])
+def test_report_refuses_metrics_of_another_scale_count(tmp_path, small_run,
+                                                       field, count):
+    """A ``scale_miou``, or a non-null ``scale_miou_unrefined``, that holds
+    another count of mIoUs than the timeline has scales exits 1 on one line
+    naming both files, and no view is written."""
+    metrics = {**small_run["metrics.json"], field: [0.5] * count}
+    run_dir = _write_run_dir(tmp_path / "run",
+                             {**small_run, "metrics.json": metrics})
+    code, _, err = _report(run_dir)
+    assert code == 1
+    assert err == (f"error: {run_dir / 'metrics.json'} and "
+                   f"{run_dir / 'timeline.json'}: {field} holds {count} mIoUs "
+                   "for the 4 scales of the timeline\n")
+    assert no_view(run_dir)
 
 
 def _field_paths(doc, path=()):

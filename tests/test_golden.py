@@ -39,6 +39,12 @@ recorded with the old ones, pin every ``metrics.csv``'s rows as a multiset.
 The CSV digests hash each ``cumulative_scale_<i>.csv`` of those runs.  They
 were recorded when ``run`` still wrote the CSVs itself; ``report --csv`` now
 renders them from the run's ``labels.npz`` and must reproduce every byte.
+
+The labels digests hash the ``labels.npz`` of those runs.  They were
+recorded when ``write_labels`` still built the zip member by member with
+``zipfile``; ``np.savez`` must reproduce every byte.  Like the report
+digests they hold on every platform; a change in how ``zipfile`` or
+``np.lib.format`` lays out a file would show here.
 """
 
 import hashlib
@@ -399,6 +405,23 @@ REPORT_CSV_GOLDEN = {
     ),
 }
 
+#: sha256 of the labels.npz of each run.
+LABELS_GOLDEN = {
+    "noisy-oracle":
+        "4c180fcb3b0dc47d1a982c6fad7a93564257bd83931c3877e00945977b0a311a",
+    "seeded-knn":
+        "088bdbaa1fe5114547c003f53b67271ecfb02e9c9bd00590f0f577402b8da518",
+    "skip-unrefined":
+        "ad903586c48dbd5349307d740c547538f39038d03b7be192acfa7210fee9944d",
+    "no-update":
+        "a6de5df7e7450c635ff00ed8582a6cedcf6df656b2a5f623267d842de24817cf",
+    "empty-first":
+        "f3df423908899875c67519f92feb695a561e0f991c47e7216ce3689eb746702f",
+    "many":
+        "5608e4942ad87ce59d10864d53d0acc5896c75be3836003c1ac238754f6ea93b",
+}
+
+
 def _report_run(name, tmp_path):
     """The directory of ``run --stream`` for report case ``name``, once
     ``report`` has rendered its views."""
@@ -424,6 +447,13 @@ def test_report_csv_golden_digest(name, tmp_path):
         for i in range(1, len(REPORT_CSV_GOLDEN[name]) + 1))
     assert digests == REPORT_CSV_GOLDEN[name], name
     assert not (out / f"cumulative_scale_{len(digests) + 1}.csv").exists()
+
+
+@pytest.mark.parametrize("name", REPORT_RUNS)
+def test_labels_npz_golden_digest(name, tmp_path):
+    out = _report_run(name, tmp_path)
+    digest = hashlib.sha256((out / "labels.npz").read_bytes()).hexdigest()
+    assert digest == LABELS_GOLDEN[name], name
 
 
 @pytest.mark.parametrize("name", VIEW_RUNS)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from scalestream import (LissajousConfig, PartitionError, PartitionSpec,
-                         PointStream, default_spec, partition, scan)
+from scalestream import (DEFAULT_CUTS, LissajousConfig, PartitionError,
+                         PartitionSpec, PointStream, partition, scan)
 
 from conftest import make_random_stream
 
@@ -20,14 +20,14 @@ def brute_force_split(stream, cuts):
 
 
 def test_default_spec_is_paper_cuts():
-    spec = default_spec()
+    spec = PartitionSpec(DEFAULT_CUTS)
     assert spec.cuts == (2000, 6000, 15000, 35000, 65536)
     assert all(b > a for a, b in zip(spec.cuts, spec.cuts[1:]))
 
 
 def test_five_partitions_on_full_scan(room, default_pose):
     stream = scan(room, default_pose, LissajousConfig())
-    parts = partition(stream, default_spec())
+    parts = partition(stream, PartitionSpec(DEFAULT_CUTS))
     assert len(parts) == 5
     assert sum(len(p) for p in parts) == len(stream)
     # increasing cardinality with interval length, as for a real scan
@@ -44,12 +44,13 @@ def test_empty_stream_gives_empty_partitions():
 def test_cut_timestamp_belongs_to_exactly_one_partition():
     ts = [0, 5, 10, 10, 11, 20, 25]
     stream = PointStream(np.zeros((7, 3)), [0] * 7, ts, class_count=1)
-    parts = partition(stream, PartitionSpec((10, 20, 30)))
+    spec = PartitionSpec((10, 20, 30))
+    parts = partition(stream, spec)
     assert parts[0].timestamps.tolist() == [0, 5, 10, 10]   # t=10 in scale 1
     assert parts[1].timestamps.tolist() == [11, 20]          # t=20 in scale 2
     assert parts[2].timestamps.tolist() == [25]
-    assert parts[0].interval == (-1, 10)
-    assert parts[1].interval == (10, 20)
+    assert spec.interval(1) == (-1, 10)
+    assert spec.interval(2) == (10, 20)
 
 
 def test_short_spec_reports_dropped_points():
@@ -65,6 +66,9 @@ def test_spec_validation():
         PartitionSpec((5, 5))
     with pytest.raises(PartitionError):
         PartitionSpec((10, 5))
+    # a timestamp is never negative, so neither is a cut
+    with pytest.raises(PartitionError, match="non-negative"):
+        PartitionSpec((-5, 8000))
 
 
 def test_random_streams_lossless_and_match_oracle():
@@ -92,7 +96,7 @@ def test_random_streams_lossless_and_match_oracle():
         # every point inside its interval
         for p in parts:
             if len(p):
-                lo, hi = p.interval
+                lo, hi = spec.interval(p.scale)
                 assert p.timestamps.min() > lo and p.timestamps.max() <= hi
 
 

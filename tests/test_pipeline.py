@@ -425,14 +425,16 @@ def test_sim_timeline_deterministic():
     assert tl1.to_dict() == tl2.to_dict()
 
 
-def test_timeline_instant_is_the_first_event_of_its_kind_and_scale():
-    """A timeline and its dict form's round trip answer alike; the first
-    event of a kind and scale wins, and equality and the dict form see the
-    events and the refines alone."""
+def test_timeline_holds_each_event_once():
+    """A timeline and its dict form's round trip answer alike; a second
+    event of a kind and scale is refused, leaving the timeline as it was,
+    and equality and the dict form see the events and the refines alone."""
     added = Timeline()
-    for kind, scale, t in ((SCALE_START, 1, 0.5), (SCALE_START, 2, 0.25),
-                           (SCALE_START, 1, 0.75)):
+    for kind, scale, t in ((SCALE_START, 1, 0.5), (SCALE_START, 2, 0.25)):
         added.add(kind, scale, t)
+    with pytest.raises(PipelineError, match=r"repeated event scale_start\(1\)"):
+        added.add(SCALE_START, 1, 0.75)
+    assert len(added.events) == 2
     added.refine(0.5)
     with pytest.raises(TypeError):
         Timeline(events=list(added.events))

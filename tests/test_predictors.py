@@ -13,7 +13,7 @@ def make_partition(rng, scale, n, classes=11):
     pos = rng.uniform(-2, 2, size=(n, 3))
     labels = rng.integers(0, classes, size=n).astype(np.int64)
     ts = np.sort(rng.integers(0, 1000, size=n))
-    return Partition(scale, (-1, 1000), pos, labels, ts)
+    return Partition(scale, pos, labels, ts)
 
 
 def test_default_rates_decrease():
@@ -57,8 +57,7 @@ def test_deterministic_per_seed_and_scale():
     b, _ = predict(part1, None, cfg, class_count=11)
     assert np.array_equal(a, b)
     # a different scale draws from a different stream
-    part2 = Partition(2, part1.interval, part1.positions, part1.labels,
-                      part1.timestamps)
+    part2 = Partition(2, part1.positions, part1.labels, part1.timestamps)
     c, _ = predict(part2, None, PredictorConfig(seed=42, error_rates=(0.4, 0.4)),
                    class_count=11)
     assert not np.array_equal(a, c)
@@ -72,7 +71,7 @@ def test_missing_rate_for_scale_errors():
 
 
 def test_empty_partition_gives_empty_labels():
-    part = Partition(1, (-1, 10), np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
+    part = Partition(1, np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
                      np.zeros(0, dtype=np.int64))
     labels, ctx = predict(part, None, PredictorConfig(), class_count=11)
     assert len(labels) == 0 and len(ctx) == 0
@@ -119,7 +118,7 @@ def test_seeded_knn_uses_ctx_when_present():
     """Scale 2 votes against the previous output, and against the seed cloud
     only when that output is empty."""
     ref = PointStream(np.zeros((1, 3)), [3], [0], class_count=11)
-    part = Partition(2, (-1, 10), np.array([[0.1, 0, 0]]),
+    part = Partition(2, np.array([[0.1, 0, 0]]),
                      np.array([0], dtype=np.int64), np.array([1]))
     cfg = PredictorConfig(variant="seeded-knn", k_cls=1, seed_cloud=ref)
     labels, _ = predict(part, output_at_origin(1, 5), cfg, class_count=11)
@@ -129,7 +128,7 @@ def test_seeded_knn_uses_ctx_when_present():
 
 
 def test_seeded_knn_empty_reference_errors():
-    part = Partition(1, (-1, 10), np.array([[0.0, 0, 0]]),
+    part = Partition(1, np.array([[0.0, 0, 0]]),
                      np.array([0], dtype=np.int64), np.array([1]))
     cfg = PredictorConfig(variant="seeded-knn")
     with pytest.raises(PredictorError, match="reference"):

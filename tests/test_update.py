@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import scalestream.update as update
-from scalestream import (LissajousConfig, Partition, PartitionSpec,
-                         PredictorConfig, TimingModel, UpdateConfig,
-                         UpdateError, cascade_step, default_spec, knn_batch,
+from scalestream import (DEFAULT_CUTS, LissajousConfig, Partition,
+                         PartitionSpec, PredictorConfig, TimingModel,
+                         UpdateConfig, UpdateError, cascade_step, knn_batch,
                          miou, partition, run_scalable, scan)
 
 
@@ -65,8 +65,7 @@ def scale_part(scale, positions, labels):
     """A partition of ``scale`` whose ``labels`` stand for its raw
     prediction; the cascade reads only its positions and size."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    return Partition(scale, (scale - 1, scale), positions,
-                     np.asarray(labels, dtype=np.int64),
+    return Partition(scale, positions, np.asarray(labels, dtype=np.int64),
                      np.full(len(positions), scale))
 
 
@@ -157,7 +156,7 @@ def periodic_pair(room, default_pose):
     """Scale pair (3, 4) of a trajectory that repeats its directions: 53k
     points on 536 positions, so the tree ties nearly every row."""
     stream = scan(room, default_pose, LissajousConfig(ticks_per_period=64.0))
-    lower, upper = partition(stream, default_spec())[2:4]
+    lower, upper = partition(stream, PartitionSpec(DEFAULT_CUTS))[2:4]
     return lower.positions, upper.positions
 
 
