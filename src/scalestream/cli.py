@@ -94,6 +94,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 SCAN_FLAGS = ("fx", "fy", "phase", "amp_x", "amp_y", "ticks", "ticks_per_period")
 TIMING_FLAGS = ("tick_duration", "predict_fixed", "predict_per_point",
                 "baseline_factor", "refine_fixed", "refine_per_point")
+#: ``--mode`` -> ``TimingModel.overlap``, the schedule.
+MODES = {"sim": "full", "sim-unfused": "unfused", "sim-serial": "none",
+         "real": "measured"}
 
 
 def _flag(dest: str) -> str:
@@ -139,11 +142,10 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
                    help="update-module voting neighbor count")
     p.add_argument("--no-update", action="store_true",
                    help="disable the refinement cascade")
-    p.add_argument("--mode", type=str, default="sim", choices=["sim", "real"])
-    p.add_argument("--overlap", type=str, default="full", choices=["full", "none"],
-                   help="simulated scheduling policy (sim mode)")
-    p.add_argument("--no-fusion-dependency", action="store_true",
-                   help="sim schedule: let scale i start before i-1 is published")
+    p.add_argument("--mode", type=str, default="sim", choices=MODES,
+                   help="schedule: sim overlaps acquisition and processing, "
+                        "sim-unfused also drops the fusion dependency, "
+                        "sim-serial processes after acquisition, real times it")
     _add_field_flags(p, TimingModel, TIMING_FLAGS[1:],
                      baseline_factor="baseline per-point cost multiplier vs "
                                      "a scale branch")
@@ -274,6 +276,8 @@ def _settings(args) -> dict:
     if "seed" in args and args.seed < 0:
         problems.append(f"--seed must be non-negative, got {args.seed}")
     if _scans(args):
+        if args.command != "scan" and args.stream is not None:
+            problems.append("--stream cannot be combined with --scan-inline")
         if not 0 <= args.dropout <= 1:
             problems.append(f"--dropout must be a probability, got {args.dropout}")
         built["scan"] = _build(problems, args, LissajousConfig,
@@ -295,21 +299,14 @@ def _settings(args) -> dict:
         if not 0 < args.seed_ref_fraction <= 1:
             problems.append("--seed-ref-fraction must be in (0, 1], "
                             f"got {args.seed_ref_fraction}")
-        if args.predictor == "seeded-knn" and args.no_fusion_dependency:
-            problems.append("--no-fusion-dependency cannot be combined with the "
+        if args.predictor == "seeded-knn" and args.mode == "sim-unfused":
+            problems.append("--mode sim-unfused cannot be combined with the "
                             "seeded-knn predictor (it consumes previous-scale context)")
         if args.mode == "real":
-            changed = {"overlap": args.overlap != "full",
-                       "no_fusion_dependency": args.no_fusion_dependency,
-                       **{f: getattr(args, f) != getattr(TimingModel, f)
-                          for f in TIMING_FLAGS[1:]}}  # the stage costs
-            problems += [f"{_flag(dest)} shapes only the simulated schedule; "
+            problems += [f"{_flag(f)} shapes only the simulated schedule; "
                          "--mode real measures its own"
-                         for dest, given in changed.items() if given]
-        elif args.overlap == "none" and args.no_fusion_dependency:
-            problems.append("--no-fusion-dependency shapes only the overlapped "
-                            "schedule; --overlap none starts each scale after "
-                            "the one before is published")
+                         for f in TIMING_FLAGS[1:]  # the stage costs
+                         if getattr(args, f) != getattr(TimingModel, f)]
         spec = built["spec"]
         built["predictor"] = predictor = _build(
             problems, args, PredictorConfig,
@@ -324,8 +321,7 @@ def _settings(args) -> dict:
         built["timing"] = _build(
             problems, args, TimingModel,
             {f: f for f in TIMING_FLAGS if f in args},
-            overlap="measured" if args.mode == "real" else args.overlap,
-            fusion_dependency=not args.no_fusion_dependency)
+            overlap=MODES[args.mode])
     if "tick_durations" in args:
         try:
             durations = _parse_floats(args.tick_durations)
@@ -618,8 +614,9 @@ def cmd_report(args) -> int:
     metrics = _read_json(metrics_path, _check_report_metrics, "field")
     tl_path = run_dir / "timeline.json"
     base_path = run_dir / "baseline_timeline.json"
-    tl, base_tl = (_read_json(p, Timeline.from_dict, "event")
-                   for p in (tl_path, base_path))
+    tl = _read_json(tl_path, Timeline.from_dict, "event")
+    base_tl = _read_json(base_path, functools.partial(Timeline.from_dict,
+                                                      baseline=True), "event")
     try:
         lat = latency_metrics(tl, base_tl)
     except PipelineError as exc:

@@ -1,8 +1,8 @@
 """Joint acquisition and processing: scheduling, timelines, latency metrics.
 
 A scalable run launches each scale's predictor as soon as its partition has
-been acquired (and, when the fusion dependency is on, as soon as the
-previous scale's cumulative output exists).  When a scale completes, the
+been acquired (and, under the fused schedules, as soon as the previous
+scale's cumulative output exists).  When a scale completes, the
 update cascade refines every lower scale before the cumulative output for
 that scale is published.  The non-scalable baseline can only start once the
 whole cloud is acquired.
@@ -11,17 +11,16 @@ One in-order loop does the label work in every mode: per scale the
 predictor reads the previous cumulative output as its context and returns
 the labels of the prefix through this scale as a new array; the cascade
 refines its lower scales in place; the same array is published as the
-cumulative output.  The modes differ only in the timeline:
+cumulative output.  The schedules, ``overlap``, differ only in the timeline:
 
-* ``overlap="full"`` / ``overlap="none"``: the simulator derives the
-  timeline in closed form from the partition sizes and the ``TimingModel``;
-  both start scale ``i`` at ``max(ready_i, avail_{i-1})``, but "full"
-  (unlimited workers) omits ``avail_{i-1}`` without the fusion dependency
+* ``"full"``, ``"unfused"`` and ``"none"``: the simulator derives the
+  timeline in closed form from the partition sizes and the ``TimingModel``.
+  "full" (unlimited workers) starts scale ``i`` at ``max(ready_i,
+  avail_{i-1})``, "unfused" drops the fusion dependency ``avail_{i-1}``
   and "none" reads the acquisition end as ``ready_i``, serializing all.
-* ``overlap="measured"``: the loop sleeps until each partition is acquired
-  and records wall-clock instants on the calling thread, so scale ``i``
-  starts at ``max(ready_i, avail_{i-1})`` with or without the fusion
-  dependency.
+* ``"measured"``: the loop sleeps until each partition is acquired and
+  records wall-clock instants on the calling thread, so scale ``i`` starts
+  at ``max(ready_i, avail_{i-1})``.
 
 Label outputs are bit-identical across all backends and timing parameters;
 scheduling only ever affects the timeline.  So inside ``one_label_pass``
@@ -55,7 +54,7 @@ BASELINE_DONE = "baseline_done"
 _EVENT_KINDS = (PARTITION_READY, SCALE_START, SCALE_DONE, CUMULATIVE_AVAILABLE,
                 BASELINE_START, BASELINE_DONE)
 
-OVERLAP_MODES = ("full", "none", "measured")
+OVERLAP_MODES = ("full", "unfused", "none", "measured")
 
 
 class PipelineError(RuntimeError):
@@ -70,11 +69,9 @@ class TimingModel:
     affine function of point count.  The baseline's per-point cost carries a
     ``baseline_factor`` because the non-scalable reference runs one large
     model over the full cloud while the scales run small per-branch jobs.
-    ``fusion_dependency`` shapes only the simulated schedule: it starts
-    scale ``i`` no earlier than scale ``i-1``'s cumulative output, as for
-    predictors that consume previous scales' side information.  Labels never
-    read it: ``predict`` always receives the previous cumulative output, and
-    measured runs handle the scales in order either way.
+    ``overlap`` is the schedule; all but "unfused" start scale ``i`` no
+    earlier than scale ``i-1``'s cumulative output, as for predictors that
+    consume previous scales' side information.  Labels never read it.
     """
 
     tick_duration: float = 1e-5
@@ -84,7 +81,6 @@ class TimingModel:
     refine_fixed: float = 0.001
     refine_per_point: float = 2e-7
     overlap: str = "full"
-    fusion_dependency: bool = True
 
     def __post_init__(self):
         for f in fields(self):
@@ -194,7 +190,8 @@ class Timeline:
                 REFINE_DONE: list(self.refines)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Timeline":
+    def from_dict(cls, data: dict, baseline: bool = False) -> "Timeline":
+        """A scalable run's timeline, or with ``baseline`` a baseline's."""
         tl = cls()
         for e in _json_list(data, "events"):
             scale, instant = e["scale"], e["instant"]
@@ -202,6 +199,11 @@ class Timeline:
                 raise TypeError(f"{e!r} needs an integer scale and a numeric "
                                 "instant")
             tl.add(e["kind"], scale, instant)
+            if (e["kind"] in (BASELINE_START, BASELINE_DONE)) != baseline:
+                raise PipelineError(f"{e['kind']}({scale}) is not an event of a "
+                                    f"{'baseline' if baseline else 'scalable'} run")
+        if baseline and _json_list(data, REFINE_DONE):
+            raise PipelineError(f"a baseline run has no {REFINE_DONE} instants")
         for instant in _json_list(data, REFINE_DONE):
             if not _is_number(instant):
                 raise TypeError(f"{REFINE_DONE} entry {instant!r} is not a number")
@@ -273,10 +275,10 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
     names the scale.  Inside ``one_label_pass`` a sim-mode call may reuse
     an earlier call's outputs.
     """
-    if predictor_cfg.variant == "seeded-knn" and not timing.fusion_dependency:
+    if predictor_cfg.variant == "seeded-knn" and timing.overlap == "unfused":
         raise PipelineError(
-            "seeded-knn consumes previous-scale context; fusion_dependency "
-            "cannot be disabled for it")
+            "seeded-knn consumes previous-scale context; it needs the fusion "
+            "dependency that overlap='unfused' drops")
     measured = timing.overlap == "measured"
     ready = [cut * timing.tick_duration for cut in spec.cuts]
     key = (stream, spec, predictor_cfg, update_cfg)
@@ -328,20 +330,20 @@ def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
     """The simulated schedule, from partition sizes and ready instants alone.
 
     Scale ``i`` starts at ``max(ready_i, avail_{i-1})``, reading the
-    acquisition end as ``ready_i`` when serial and 0 as ``avail_{i-1}`` under
-    full overlap without the fusion dependency; its cascade starts at
-    ``max(done_i, avail_{i-1})``.  The arrival of scale ``i`` refines scales
-    ``i-1, ..., 1`` in that order; refining scale ``j`` votes its
-    ``counts[j-1]`` points against the ``counts[j]`` points of scale ``j+1``.
+    acquisition end as ``ready_i`` when serial and 0 as ``avail_{i-1}`` when
+    unfused; its cascade starts at ``max(done_i, avail_{i-1})``.  The
+    arrival of scale ``i`` refines scales ``i-1, ..., 1`` in that order;
+    refining scale ``j`` votes its ``counts[j-1]`` points against the
+    ``counts[j]`` points of scale ``j+1``.
     """
     tl = Timeline()
     for i, r in enumerate(ready, start=1):
         tl.add(PARTITION_READY, i, r)
-    serial = timing.overlap == "none"
+    serial, fused = timing.overlap == "none", timing.overlap != "unfused"
     prev_avail = 0.0
     for i, count in enumerate(counts, start=1):
         start = max(ready[-1] if serial else ready[i - 1],
-                    prev_avail if serial or timing.fusion_dependency else 0.0)
+                    prev_avail if fused else 0.0)
         done = start + timing.predict_duration(count)
         tl.add(SCALE_START, i, start)
         tl.add(SCALE_DONE, i, done)
@@ -361,7 +363,7 @@ def baseline_timeline(stream: PointStream, timing: TimingModel,
     timestamp times tick duration), or at 0 for an empty stream, and runs
     for ``duration``.  A simulated baseline needs no labels for it:
     ``timing.baseline_duration(len(stream))`` is its duration."""
-    start = max(stream.max_timestamp, 0) * timing.tick_duration if len(stream) else 0.0
+    start = max(stream.max_timestamp, 0) * timing.tick_duration
     tl = Timeline()
     tl.add(BASELINE_START, 0, start)
     tl.add(BASELINE_DONE, 0, start + duration)

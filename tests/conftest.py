@@ -32,6 +32,14 @@ def make_counted_stream(rng: np.random.Generator, counts, cuts,
     return PointStream(base.positions, base.labels, timestamps, class_count)
 
 
+def random_schedule(rng: np.random.Generator) -> str:
+    """A simulated ``TimingModel.overlap`` from two coin flips: serial or
+    overlapped, then, when overlapped, fused with the previous scale or
+    not."""
+    serial, fused = int(rng.integers(2)), int(rng.integers(2))
+    return "none" if serial else ("full" if fused else "unfused")
+
+
 def old_event_list(timeline: dict) -> list[dict]:
     """The events of a timeline's dict form in the layout that kept each
     refinement as an event naming its scale and arrival: arrival ``i``'s

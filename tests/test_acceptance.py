@@ -21,7 +21,7 @@ from scalestream.pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY,
                                   SCALE_DONE, SCALE_START, Timeline)
 from scalestream.update import knn_batch
 
-from conftest import make_counted_stream, make_random_stream
+from conftest import make_counted_stream, make_random_stream, random_schedule
 from test_geometry import slab_oracle, unit
 from test_partition import brute_force_split
 from test_update import (arrivals, brute_knn, brute_refine_labels,
@@ -223,8 +223,7 @@ def test_criterion_5_timing_model_correctness():
                 predict_per_point=float(rng.uniform(0, 1e-3)),
                 refine_fixed=float(rng.uniform(0, 0.01)),
                 refine_per_point=float(rng.uniform(0, 1e-5)),
-                overlap=("full", "none")[int(rng.integers(2))],
-                fusion_dependency=bool(rng.integers(2)),
+                overlap=random_schedule(rng),
             )
             _, tl_i = run_scalable(stream2, spec2, cfg2, UpdateConfig(k=3), tm)
             _, tb_i = run_baseline(stream2, cfg2, tm)
@@ -248,12 +247,10 @@ def test_criterion_6_timing_independence_of_labels():
         models = [TimingModel(tick_duration=float(rng.uniform(1e-7, 1e-3)),
                               predict_fixed=float(rng.uniform(0, 0.01)),
                               predict_per_point=float(rng.uniform(0, 1e-4)),
-                              overlap=("full", "none")[int(rng.integers(2))],
-                              fusion_dependency=bool(rng.integers(2)))
+                              overlap=random_schedule(rng))
                   for _ in range(8)]
         models.append(TimingModel(tick_duration=1e-6, overlap="measured"))
-        models.append(TimingModel(tick_duration=5e-7, overlap="measured",
-                                  fusion_dependency=False))
+        models.append(TimingModel(tick_duration=5e-7, overlap="measured"))
         reference = None
         for tm in models:
             outputs, _ = run_scalable(stream, spec, cfg, update, tm)

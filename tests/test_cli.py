@@ -5,6 +5,7 @@ import json
 import os
 import re
 import resource
+import struct
 import subprocess
 import sys
 import tempfile
@@ -209,17 +210,17 @@ def test_run_lists_all_config_errors(tmp_path, capsys):
     *((command, "--seed", "-1") for command in ("scan", "run", "sweep")),
     *((command, "--seed-ref-fraction", value) for command in ("run", "sweep")
       for value in ("0", "1.5")),
-    *(pytest.param(command, "--no-fusion-dependency", ["--predictor", "seeded-knn"],
-                   id=f"{command}---no-fusion-dependency-seeded-knn")
+    *(pytest.param(command, "--mode", ["sim-unfused", "--predictor", "seeded-knn"],
+                   id=f"{command}---mode-sim-unfused-seeded-knn")
       for command in ("run", "sweep")),
     *((command, "--error-rates", "0.1 0.1") for command in ("run", "sweep")),
     ("scan", "--camera-index", "50"),
     *((command, cli._flag(flag), ["1", "--mode", "real"])
       for command in ("run", "sweep") for flag in cli.TIMING_FLAGS[1:]),
-    *(pytest.param(command, "--no-fusion-dependency", ["--overlap", "none"],
-                   id=f"{command}---no-fusion-dependency-overlap-none")
-      for command in ("run", "sweep")),
     *((command, "--cuts", "-5 8000") for command in ("partition", "run", "sweep")),
+    *(pytest.param(command, "--stream", ["stream.bin", "--scan-inline"],
+                   id=f"{command}---stream-scan-inline")
+      for command in ("run", "sweep")),
 ])
 def test_bad_flag_exits_2_before_any_scan_or_read(tmp_path, monkeypatch, capsys,
                                                   no_work, command, flag, value):
@@ -375,15 +376,13 @@ def test_run_real_mode(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("flags, flag", [
-    (["--overlap", "none"], "--overlap"),
-    (["--no-fusion-dependency"], "--no-fusion-dependency"),
-    *(([cli._flag(flag), "1"], cli._flag(flag)) for flag in cli.TIMING_FLAGS[1:]),
-])
+    ([cli._flag(flag), "1"], cli._flag(flag)) for flag in cli.TIMING_FLAGS[1:]
+], ids=[f"flags{i}-{cli._flag(flag)}"  # flags0 and flags1 were schedule flags
+        for i, flag in enumerate(cli.TIMING_FLAGS[1:], start=2)])
 def test_real_mode_refuses_simulated_schedule_flags(tmp_path, capsys, monkeypatch,
                                                     command, flags, flag):
-    """Real mode measures its schedule, so a flag that shapes only the
-    simulated one, a stage cost included, exits 2 naming it, before any
-    scan."""
+    """Real mode measures its schedule, so a stage cost, which shapes only
+    the simulated one, exits 2 naming it, before any scan."""
     monkeypatch.setattr(cli, "scan", None)  # a scan would fail with exit 1
     out = tmp_path / "out"
     assert run_cli(command, *FAST_SWEEP, "--mode", "real", *flags,
@@ -585,11 +584,11 @@ def predict_full_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("predictor", ["noisy-oracle", "seeded-knn"])
-@pytest.mark.parametrize("overlap", ["full", "none"])
+@pytest.mark.parametrize("mode", ["sim", "sim-serial"], ids=["full", "none"])
 def test_sim_sweep_predicts_no_baseline_labels(tmp_path, predict_full_calls,
-                                               predictor, overlap):
+                                               predictor, mode):
     assert run_cli("sweep", *FAST_SWEEP, "--predictor", predictor,
-                   "--overlap", overlap, "--tick-durations", "1e-6 1e-4",
+                   "--mode", mode, "--tick-durations", "1e-6 1e-4",
                    "--out-dir", str(tmp_path)) == 0
     assert predict_full_calls == []
 
@@ -750,6 +749,24 @@ def _repeated_event(run_dir):
     return path
 
 
+def _add_event(name, kind, scale):
+    def break_timeline(run_dir):
+        path = run_dir / name
+        data = json.loads(path.read_text())
+        data["events"].append({"kind": kind, "scale": scale, "instant": 0.0})
+        path.write_text(json.dumps(data))
+        return path
+    return break_timeline
+
+
+def _refine_in_baseline(run_dir):
+    path = run_dir / "baseline_timeline.json"
+    data = json.loads(path.read_text())
+    data["refine_done"] = [data["events"][-1]["instant"]]
+    path.write_text(json.dumps(data))
+    return path
+
+
 @pytest.mark.parametrize("break_timeline, message", [
     (_drop_scale_done_2, "incomplete timeline: timeline has no scale_done "
                          "event for scale 2"),
@@ -760,14 +777,22 @@ def _repeated_event(run_dir):
     (_misspelled_kind, "unknown event scale_dne(1)"),
     (_numeric_kind, "unknown event 5(1)"),
     (_repeated_event, "repeated event scale_start(2)"),
+    (_add_event("timeline.json", "baseline_start", 0),
+     "baseline_start(0) is not an event of a scalable run"),
+    (_add_event("baseline_timeline.json", "scale_start", 7),
+     "scale_start(7) is not an event of a baseline run"),
+    (_refine_in_baseline, "a baseline run has no refine_done instants"),
 ], ids=["no-scale-done-2", "empty-baseline", "negative-instant",
-        "old-format", "misspelled-kind", "numeric-kind", "repeated-event"])
+        "old-format", "misspelled-kind", "numeric-kind", "repeated-event",
+        "baseline-event-in-timeline", "scale-event-in-baseline",
+        "refine-in-baseline"])
 def test_report_malformed_timeline_names_the_file_and_writes_nothing(
         tmp_path, capsys, break_timeline, message):
     """A timeline that lacks an event, holds a negative instant, is in the
     layout that kept refinements as events, holds an event of a kind other
-    than the six that a run writes, or holds an event twice: report exits 1
-    naming the file and writes no view."""
+    than the six that a run writes, holds an event twice, or holds an
+    event or a refinement of the other file's run: report exits 1 naming
+    the file and writes no view."""
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
     broken = break_timeline(out)
@@ -782,7 +807,7 @@ def test_report_malformed_timeline_names_the_file_and_writes_nothing(
 
 @pytest.mark.parametrize("command, flags, message", [
     ("run", [], "non-finite instant for scale_done(2): inf"),
-    ("run", ["--no-fusion-dependency"],
+    ("run", ["--mode", "sim-unfused"],
      "latency post_acq_upper is not finite: inf"),
     ("sweep", ["--tick-durations", "1e-5"],
      "non-finite instant for scale_done(2): inf"),
@@ -1010,14 +1035,32 @@ def _members(labels: bytes) -> dict:
         return {name: npz[name] for name in npz.files}
 
 
-def _npz(members: dict) -> bytes:
-    """A stored zip of ``.npy`` members, object arrays allowed."""
+def _npz(members: dict, padded: str | None = None) -> bytes:
+    """A stored zip of ``.npy`` members, object arrays allowed; the member
+    ``padded`` holds one byte past its array."""
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
         for name, array in members.items():
             with zf.open(f"{name}.npy", "w") as fh:
                 np.lib.format.write_array(fh, np.asarray(array), allow_pickle=True)
+                if name == padded:
+                    fh.write(b"\0")
     return buf.getvalue()
+
+
+def _compressed(labels: bytes) -> bytes:
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **_members(labels))
+    return buf.getvalue()
+
+
+def _past_end(labels: bytes) -> bytes:
+    """``labels`` with the central directory's sizes of its last member
+    raised to the file's length, so that the member ends past the file."""
+    blob = bytearray(labels)
+    entry = blob.rindex(b"PK\x01\x02")
+    struct.pack_into("<II", blob, entry + 20, len(blob), len(blob))
+    return bytes(blob)
 
 
 def _flip(labels: bytes, member: str) -> bytes:
@@ -1080,11 +1123,16 @@ def _set(index, value):
     (_edit(pred_4=lambda a: a[:-1]),
      "hold [4, 10, 16, 23] labels, which must not decrease and must end at "
      "the 24 points"),
+    (_compressed, "positions.npy is compressed, not stored"),
+    (lambda b: _npz(_members(b), padded="pred_2"),
+     "pred_2.npy holds 1 bytes past its array"),
+    (_past_end, "a member ends past the end of the file"),
 ], ids=["truncated-half", "truncated-last-byte", "flipped-byte", "missing-gt",
         "no-pred", "extra-member", "gt-int32", "positions-float64",
         "big-endian", "timestamps-2d", "positions-2-columns", "gt-short",
         "object-array", "negative-gt", "huge-pred", "nan-position",
-        "inf-position", "decreasing-lengths", "short-final"])
+        "inf-position", "decreasing-lengths", "short-final", "compressed",
+        "bytes-past-array", "past-the-end"])
 def test_report_csv_refuses_a_bad_labels_file(tmp_path, labels_run, make,
                                               message):
     """Each fault exits 1 on one line naming labels.npz, with no traceback,
@@ -1237,6 +1285,7 @@ def test_report_timeline_without_events_exits_1(tmp_path, capsys):
     ("metrics.json", "coverage_curve", [[500, 0.5, 1]]),
     ("metrics.json", "coverage_curve", [[True, 0.5]]),
     ("metrics.json", "coverage_curve", {"500": 0.5}),
+    ("metrics.json", "scale_miou_unrefined", 0.5),
 ])
 def test_report_wrongly_typed_field_exits_1(tmp_path, small_run, name, field,
                                             value):
@@ -1309,11 +1358,11 @@ def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
     refine bar covers only the refine itself."""
     out = tmp_path / "run"
     run_and_report("--scan-inline", "--ticks", "3020", "--cuts", "3000 3020",
-                   "--error-rates", "0.3 0.2", "--no-fusion-dependency",
+                   "--error-rates", "0.3 0.2", "--mode", "sim-unfused",
                    "--out-dir", str(out))
     tl = Timeline.from_dict(json.loads((out / "timeline.json").read_text()))
     base = Timeline.from_dict(
-        json.loads((out / "baseline_timeline.json").read_text()))
+        json.loads((out / "baseline_timeline.json").read_text()), baseline=True)
     lat = latency_metrics(tl, base)
     assert tl.instant("scale_done", 2) < tl.instant("cumulative_available", 1)
     t_max = max(lat.acquisition_end + lat.post_acq_upper,
@@ -1553,7 +1602,7 @@ RUN_CONFIG = json.dumps({
     "cuts": "500,1200,2500,4200,6000", "error_rates": "0.3,0.2,0.1,0.05,0.02",
     "predictor": "noisy-oracle", "k_cls": 5, "um_k": 3, "seed": 2,
     "seed_ref_fraction": 0.05, "no_update": False, "skip_unrefined": True,
-    "overlap": "full", "mode": "sim", "tick_duration": 1e-5,
+    "mode": "sim", "tick_duration": 1e-5,
     "predict_fixed": 0.01, "coverage_grid": 8}, indent=0)
 
 #: Tokens that a hand edit may leave in a config file, bare and as a value
@@ -1637,6 +1686,19 @@ def test_svgs_are_wellformed_xml(tmp_path):
     assert 'id="baseline"' in svg
     svg = (out / "miou_vs_scale.svg").read_text()
     assert 'id="refined"' in svg and 'id="unrefined"' in svg
+
+
+@pytest.mark.parametrize("key, value", [("overlap", "none"),
+                                        ("no_fusion_dependency", True)])
+def test_config_file_schedule_keys_are_unknown(tmp_path, capsys, no_work,
+                                               key, value):
+    """``mode`` alone sets the schedule."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST, "--config", str(cfg), "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: unknown config keys: {key}\n"
+    assert not out.exists()
 
 
 def test_config_file_dotted_update_k_is_unknown(tmp_path, capsys):

@@ -10,8 +10,9 @@ was recorded in: one event list in which each refinement is an event naming
 its scale and arrival (``old_event_list``).  The digests were recorded
 before the cascade began refining the predictor's context in place; a change
 in any label or instant shows here.  The ``no-fusion`` digests, which pin
-the schedule that starts each scale without waiting for the previous
-output, were recorded before the simulated schedules shared one start rule.
+the unfused schedule that starts each scale without waiting for the
+previous output, were recorded before the simulated schedules shared one
+start rule, and keep the key they were recorded under.
 
 The scan digests hash the ``stream.bin`` that ``scalestream scan`` writes.
 The ray directions come from numpy's ``sin`` and ``cos``, so these digests
@@ -155,17 +156,20 @@ def _digest(outputs, timeline) -> str:
     return h.hexdigest()
 
 
-CASES = [(s, p, k, o, True) for s in STREAMS
+CASES = [(s, p, k, o) for s in STREAMS
          for p in ("noisy-oracle", "seeded-knn")
          for k in (None, 1, 5) for o in ("full", "none")]
-# seeded-knn refuses fusion off; under overlap none fusion changes nothing
-CASES += [(s, "noisy-oracle", k, "full", False) for s in STREAMS
+# seeded-knn refuses the unfused schedule
+CASES += [(s, "noisy-oracle", k, "unfused") for s in STREAMS
           for k in (None, 1, 5)]
+#: each schedule's name in the digest keys
+SCHEDULE_KEYS = {"full": "full", "none": "none", "unfused": "full/no-fusion"}
 
 
-@pytest.mark.parametrize("stream_name,variant,k,overlap,fusion", CASES, ids=[
-    "-".join(map(str, c[:4])) + ("" if c[4] else "-no-fusion") for c in CASES])
-def test_run_scalable_golden_digest(stream_name, variant, k, overlap, fusion):
+@pytest.mark.parametrize("stream_name,variant,k,overlap", CASES, ids=[
+    "-".join(map(str, c[:3])) + "-" + SCHEDULE_KEYS[c[3]].replace("/", "-")
+    for c in CASES])
+def test_run_scalable_golden_digest(stream_name, variant, k, overlap):
     make, cuts = STREAMS[stream_name]
     stream = make()
     cfg = PredictorConfig(variant=variant, seed=2,
@@ -176,8 +180,8 @@ def test_run_scalable_golden_digest(stream_name, variant, k, overlap, fusion):
     outputs, timeline = run_scalable(
         stream, PartitionSpec(cuts), cfg,
         None if k is None else UpdateConfig(k=k),
-        TimingModel(overlap=overlap, fusion_dependency=fusion))
-    key = f"{stream_name}/{variant}/k={k}/{overlap}" + ("" if fusion else "/no-fusion")
+        TimingModel(overlap=overlap))
+    key = f"{stream_name}/{variant}/k={k}/{SCHEDULE_KEYS[overlap]}"
     assert _digest(outputs, timeline) == GOLDEN[key], key
 
 

@@ -20,7 +20,7 @@ from scalestream.pipeline import (BASELINE_DONE, BASELINE_START,
                                   Timeline, baseline_timeline, refine_intervals)
 from scalestream.plots import timeline_plot
 
-from conftest import make_counted_stream, make_random_stream
+from conftest import make_counted_stream, make_random_stream, random_schedule
 
 RATES = (0.4, 0.3, 0.2, 0.12, 0.05)
 
@@ -42,8 +42,7 @@ def test_closed_form_timeline_slow_acquisition():
                                  spec.cuts)
     timing = TimingModel(tick_duration=1.0, predict_fixed=2.0,
                          predict_per_point=2**-6, refine_fixed=2.0,
-                         refine_per_point=0.0, overlap="full",
-                         fusion_dependency=True)
+                         refine_per_point=0.0, overlap="full")
     cfg = PredictorConfig(error_rates=RATES, seed=3)
     _, tl = run_scalable(stream, spec, cfg, UpdateConfig(k=3), timing)
 
@@ -100,8 +99,7 @@ def test_identical_residual_gives_zero_speedup():
 def test_instant_acquisition_equals_no_overlap_bound():
     stream = small_stream(2)
     cfg = PredictorConfig(error_rates=RATES, seed=1)
-    timing = TimingModel(tick_duration=1e-12, overlap="full",
-                         fusion_dependency=True)
+    timing = TimingModel(tick_duration=1e-12, overlap="full")
     _, tl = run_scalable(stream, spec=SPEC, predictor_cfg=cfg,
                          update_cfg=UpdateConfig(k=3), timing=timing)
     base_out, base_tl = run_baseline(stream, cfg, timing)
@@ -120,8 +118,7 @@ def test_bound_ordering_across_configs():
             predict_per_point=float(rng.uniform(0, 1e-3)),
             refine_fixed=float(rng.uniform(0, 0.01)),
             refine_per_point=float(rng.uniform(0, 1e-5)),
-            overlap=("full", "none")[int(rng.integers(2))],
-            fusion_dependency=bool(rng.integers(2)),
+            overlap=random_schedule(rng),
         )
         _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
         _, base_tl = run_baseline(stream, cfg, timing)
@@ -133,8 +130,8 @@ def test_bound_ordering_across_configs():
 def test_causality_invariants():
     stream = small_stream(4)
     cfg = PredictorConfig(error_rates=RATES, seed=5)
-    for fusion in (True, False):
-        timing = TimingModel(tick_duration=1e-4, fusion_dependency=fusion)
+    for overlap in ("full", "unfused"):
+        timing = TimingModel(tick_duration=1e-4, overlap=overlap)
         _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
         avail_prev = 0.0
         for i in range(1, 6):
@@ -142,7 +139,7 @@ def test_causality_invariants():
             start = tl.instant(SCALE_START, i)
             avail = tl.instant(CUMULATIVE_AVAILABLE, i)
             assert start >= ready
-            if fusion and i > 1:
+            if overlap == "full" and i > 1:
                 assert start >= avail_prev
             assert avail >= avail_prev  # publication ordered by scale
             assert ready == SPEC.cuts[i - 1] * timing.tick_duration
@@ -157,7 +154,7 @@ def test_labels_identical_across_timing_models():
     models = [
         TimingModel(tick_duration=1e-6),
         TimingModel(tick_duration=5.0, overlap="none"),
-        TimingModel(tick_duration=1e-3, fusion_dependency=False),
+        TimingModel(tick_duration=1e-3, overlap="unfused"),
         TimingModel(tick_duration=1e-6, overlap="measured"),
     ]
     for timing in models:
@@ -242,23 +239,20 @@ def test_one_label_pass_keeps_nothing_for_measured_calls_or_other_inputs(
 
 
 def test_real_executor_timeline_is_causal():
-    """Measured runs handle the scales in order with the fusion dependency
-    on and off: scale i starts once its partition is acquired and scale
-    i-1's cumulative output is published."""
+    """Measured runs handle the scales in order: scale i starts once its
+    partition is acquired and scale i-1's cumulative output is published."""
     stream = small_stream(6, n=400)
     cfg = PredictorConfig(error_rates=RATES, seed=4)
-    for fusion in (True, False):
-        timing = TimingModel(tick_duration=2e-6, overlap="measured",
-                             fusion_dependency=fusion)
-        _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
-        avail_prev = 0.0
-        for i in range(1, 6):
-            start = tl.instant(SCALE_START, i)
-            assert start >= max(tl.instant(PARTITION_READY, i), avail_prev)
-            assert tl.instant(SCALE_DONE, i) >= start
-            avail = tl.instant(CUMULATIVE_AVAILABLE, i)
-            assert avail >= tl.instant(SCALE_DONE, i)
-            avail_prev = avail
+    timing = TimingModel(tick_duration=2e-6, overlap="measured")
+    _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
+    avail_prev = 0.0
+    for i in range(1, 6):
+        start = tl.instant(SCALE_START, i)
+        assert start >= max(tl.instant(PARTITION_READY, i), avail_prev)
+        assert tl.instant(SCALE_DONE, i) >= start
+        avail = tl.instant(CUMULATIVE_AVAILABLE, i)
+        assert avail >= tl.instant(SCALE_DONE, i)
+        avail_prev = avail
 
 
 def test_k1_degenerates_to_baseline_shape():
@@ -329,7 +323,7 @@ def test_seeded_knn_requires_fusion_dependency():
     cfg = PredictorConfig(variant="seeded-knn", seed_cloud=cloud)
     with pytest.raises(PipelineError, match="fusion"):
         run_scalable(stream, SPEC, cfg, UpdateConfig(),
-                     TimingModel(fusion_dependency=False))
+                     TimingModel(overlap="unfused"))
 
 
 def test_incomplete_timeline_rejected():
@@ -622,9 +616,8 @@ def test_each_scale_pair_is_searched_once(monkeypatch):
         assert searched == [(counts[lo - 1], counts[up - 1]) for lo, up in pairs]
 
 
-@pytest.mark.parametrize("fusion", [True, False])
 @pytest.mark.parametrize("target", ["predict", "cascade_step"])
-def test_real_executor_failure_surfaces_without_leaks(monkeypatch, target, fusion):
+def test_real_executor_failure_surfaces_without_leaks(monkeypatch, target):
     """A predictor or update failure at scale 3 ends the run, as a
     PipelineError that names the scale and keeps the failure as its cause,
     and leaves no thread behind."""
@@ -646,8 +639,7 @@ def test_real_executor_failure_surfaces_without_leaks(monkeypatch, target, fusio
             run_scalable(small_stream(15, n=400), SPEC,
                          PredictorConfig(error_rates=RATES, seed=2),
                          UpdateConfig(k=3),
-                         TimingModel(tick_duration=1e-6, overlap="measured",
-                                     fusion_dependency=fusion))
+                         TimingModel(tick_duration=1e-6, overlap="measured"))
         except PipelineError as exc:
             raised.append(exc)
 
@@ -759,7 +751,7 @@ def assert_causal(tl: Timeline, spec: PartitionSpec, timing: TimingModel,
     """Each scale starts once its partition is acquired, and once the previous
     output is published wherever the schedule waits for it; predict, refine
     and publication follow in that order, and outputs publish in scale order."""
-    waits = timing.fusion_dependency or timing.overlap != "full"
+    waits = timing.overlap != "unfused"
     intervals = refine_intervals(tl)
     prev = 0.0
     for i, cut in enumerate(spec.cuts, start=1):
@@ -818,24 +810,25 @@ def test_run_scalable_properties(data):
 
     reference = None
     for overlap in OVERLAP_MODES:
-        for fusion in (True,) if cfg.variant == "seeded-knn" else (True, False):
-            timing = replace(base, overlap=overlap, fusion_dependency=fusion)
-            outputs, tl = run_scalable(stream, spec, cfg, update_cfg, timing)
-            labels = [o.pred_labels.astype("<i8").tobytes() for o in outputs]
-            if reference is None:
-                reference = labels
-            assert labels == reference
-            assert_causal(tl, spec, timing, update_cfg is not None)
-            if overlap != "measured":
-                lat = latency_metrics(tl, base_tl)
-                slack = 1e-9 * (1.0 + lat.post_acq_upper)
-                assert lat.post_acq_lower <= lat.post_acq + slack
-                assert lat.post_acq <= lat.post_acq_upper + slack
-                # the residual is max_i(ready_i - ready_K + S_i), where S_i
-                # sums modelled costs alone, so slower ticks cannot raise
-                # it; the slack scales with the largest instant
-                slow = replace(timing, tick_duration=tick * slowdown)
-                slow_lat = latency_metrics(
-                    run_scalable(stream, spec, cfg, update_cfg, slow)[1], base_tl)
-                assert slow_lat.post_acq <= lat.post_acq + 1e-9 * (
-                    1.0 + slow_lat.acquisition_end + slow_lat.post_acq_upper)
+        if cfg.variant == "seeded-knn" and overlap == "unfused":
+            continue
+        timing = replace(base, overlap=overlap)
+        outputs, tl = run_scalable(stream, spec, cfg, update_cfg, timing)
+        labels = [o.pred_labels.astype("<i8").tobytes() for o in outputs]
+        if reference is None:
+            reference = labels
+        assert labels == reference
+        assert_causal(tl, spec, timing, update_cfg is not None)
+        if overlap != "measured":
+            lat = latency_metrics(tl, base_tl)
+            slack = 1e-9 * (1.0 + lat.post_acq_upper)
+            assert lat.post_acq_lower <= lat.post_acq + slack
+            assert lat.post_acq <= lat.post_acq_upper + slack
+            # the residual is max_i(ready_i - ready_K + S_i), where S_i
+            # sums modelled costs alone, so slower ticks cannot raise
+            # it; the slack scales with the largest instant
+            slow = replace(timing, tick_duration=tick * slowdown)
+            slow_lat = latency_metrics(
+                run_scalable(stream, spec, cfg, update_cfg, slow)[1], base_tl)
+            assert slow_lat.post_acq <= lat.post_acq + 1e-9 * (
+                1.0 + slow_lat.acquisition_end + slow_lat.post_acq_upper)
