@@ -26,9 +26,9 @@ from .assemble import cumulative_csv, read_labels, row_heads, write_labels
 from .metrics import (cost_of_scalability, coverage_curve, metrics_csv, miou,
                       miou_by_origin)
 from .partition import DEFAULT_CUTS, PartitionError, PartitionSpec, partition
-from .pipeline import (PipelineError, TimingModel, Timeline, _is_number,
-                       _json_list, baseline_timeline, latency_metrics,
-                       one_label_pass, run_baseline, run_scalable)
+from .pipeline import (PipelineError, TimingModel, Timeline, _checked, _is_number,
+                       _json_list, baseline_timeline, latency_metrics, one_label_pass,
+                       run_baseline, run_scalable)
 from .plots import miou_plot, timeline_plot
 from .predictors import (DEFAULT_ERROR_RATES, VARIANTS, PredictorConfig,
                          make_seed_cloud)
@@ -47,10 +47,14 @@ def _manifest_config(args: argparse.Namespace) -> dict:
     """Every flag destination of a command that it reads, except
     ``--config`` and ``--out-dir``, which say where values come from and
     outputs go but not what the command computes.  A command that reads a
-    stream file instead of scanning leaves out the scan flags."""
+    stream file instead of scanning leaves out the scan flags, and each
+    predictor the other predictor's flags."""
     skip = {"command", "config", "out_dir"}
     if not _scans(args):
         skip |= build_parser()[2]  # the scan flags' destinations
+    if "predictor" in args:
+        skip |= ({"error_rates"} if args.predictor == "seeded-knn"
+                 else {"k_cls", "seed_ref_fraction"})
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
@@ -97,6 +101,8 @@ TIMING_FLAGS = ("tick_duration", "predict_fixed", "predict_per_point",
 #: ``--mode`` -> ``TimingModel.overlap``, the schedule.
 MODES = {"sim": "full", "sim-unfused": "unfused", "sim-serial": "none",
          "real": "measured"}
+#: ``timeline.json``'s keys of the baseline's ``(start, done)`` instants.
+BASELINE_KEYS = ("baseline_start", "baseline_done")
 
 
 def _flag(dest: str) -> str:
@@ -457,8 +463,8 @@ def cmd_run(args) -> int:
     warnings = _run_warnings(stream, spec, predictor_cfg, update_cfg)
 
     outputs, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg, timing)
-    base_out, base_tl = run_baseline(stream, predictor_cfg, timing)
-    lat = latency_metrics(timeline, base_tl)
+    base_out, baseline = run_baseline(stream, predictor_cfg, timing)
+    lat = latency_metrics(timeline, baseline)
 
     unrefined_miou = None
     if not args.skip_unrefined and update_cfg is not None:
@@ -502,8 +508,8 @@ def cmd_run(args) -> int:
         manifest["warnings"] = warnings
     _write_json(out / "run_manifest.json", manifest)
     _write_json(out / "metrics.json", metrics)
-    _write_json(out / "timeline.json", timeline.to_dict())
-    _write_json(out / "baseline_timeline.json", base_tl.to_dict())
+    _write_json(out / "timeline.json",
+                {**timeline.to_dict(), **dict(zip(BASELINE_KEYS, baseline))})
     write_labels(out / "labels.npz", outputs)
 
     print(f"final mIoU {scale_mious[-1]:.4f} vs baseline {base_miou:.4f} "
@@ -524,21 +530,19 @@ def cmd_sweep(args) -> int:
             _, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg,
                                        td_timing)
             if timing.overlap == "measured":
-                _, base_tl = run_baseline(stream, predictor_cfg, td_timing)
+                _, baseline = run_baseline(stream, predictor_cfg, td_timing)
             else:  # the modelled baseline needs the point count, not labels
-                base_tl = baseline_timeline(
+                baseline = baseline_timeline(
                     stream, td_timing, td_timing.baseline_duration(len(stream)))
-            rows.append((td_timing.tick_duration,
-                         latency_metrics(timeline, base_tl)))
+            rows.append({"tick_duration": td_timing.tick_duration,
+                         **asdict(latency_metrics(timeline, baseline))})
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["tick_duration,acquisition_end,post_acq,post_acq_lower,"
-             "post_acq_upper,speedup,first_prediction_fraction"]
-    for td, lat in rows:
-        lines.append(f"{td!r},{lat.acquisition_end!r},{lat.post_acq!r},"
-                     f"{lat.post_acq_lower!r},{lat.post_acq_upper!r},"
-                     f"{lat.speedup!r},{lat.first_prediction_fraction!r}")
+    columns = ("tick_duration", "acquisition_end", "post_acq", "post_acq_lower",
+               "post_acq_upper", "speedup", "first_prediction_fraction")
+    lines = [",".join(columns),
+             *(",".join(repr(row[c]) for c in columns) for row in rows)]
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
         print(line)
@@ -608,19 +612,23 @@ def _check_report_metrics(metrics: dict) -> dict:
     return metrics
 
 
+def _read_timeline(data: dict) -> tuple:
+    """The run's timeline, the baseline's instants once each is a JSON
+    number, finite and non-negative, and the ``LatencyMetrics`` they give."""
+    tl = Timeline.from_dict(data)
+    for key in BASELINE_KEYS:
+        if not _is_number(data[key]):
+            raise TypeError(f"{key} {data[key]!r} is not a number")
+    baseline = tuple(_checked(data[key], key) for key in BASELINE_KEYS)
+    return tl, baseline, latency_metrics(tl, baseline)
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     metrics_path = run_dir / "metrics.json"
     metrics = _read_json(metrics_path, _check_report_metrics, "field")
     tl_path = run_dir / "timeline.json"
-    base_path = run_dir / "baseline_timeline.json"
-    tl = _read_json(tl_path, Timeline.from_dict, "event")
-    base_tl = _read_json(base_path, functools.partial(Timeline.from_dict,
-                                                      baseline=True), "event")
-    try:
-        lat = latency_metrics(tl, base_tl)
-    except PipelineError as exc:
-        raise PipelineError(f"{tl_path} and {base_path}: {exc}") from None
+    tl, baseline, lat = _read_json(tl_path, _read_timeline, "event")
     k = len(lat.scale_available)
     for key in ("scale_miou", "scale_miou_unrefined"):
         if metrics[key] is not None and len(metrics[key]) != k:
@@ -638,7 +646,7 @@ def cmd_report(args) -> int:
     views = {"metrics.csv": metrics_csv({**metrics, "latency": asdict(lat),
                                          "cost_of_scalability_pct": cost}),
              "miou_vs_scale.svg": miou_plot(metrics),
-             "timeline.svg": timeline_plot(tl, base_tl, lat)}
+             "timeline.svg": timeline_plot(tl, baseline, lat)}
     for name, view in views.items():  # every input read and checked first
         (run_dir / name).write_text(view, encoding="utf-8")
     if outputs:

@@ -49,10 +49,7 @@ SCALE_START = "scale_start"
 SCALE_DONE = "scale_done"
 REFINE_DONE = "refine_done"
 CUMULATIVE_AVAILABLE = "cumulative_available"
-BASELINE_START = "baseline_start"
-BASELINE_DONE = "baseline_done"
-_EVENT_KINDS = (PARTITION_READY, SCALE_START, SCALE_DONE, CUMULATIVE_AVAILABLE,
-                BASELINE_START, BASELINE_DONE)
+_EVENT_KINDS = (PARTITION_READY, SCALE_START, SCALE_DONE, CUMULATIVE_AVAILABLE)
 
 OVERLAP_MODES = ("full", "unfused", "none", "measured")
 
@@ -122,7 +119,7 @@ class TimingModel:
 @dataclass(frozen=True)
 class TimelineEvent:
     kind: str
-    scale: int                 # 0 for baseline events
+    scale: int
     instant: float             # seconds from scan start
 
 
@@ -177,7 +174,7 @@ class Timeline:
         self.refines.append(_checked(instant,
                                      f"{REFINE_DONE}[{len(self.refines)}]"))
 
-    def instant(self, kind: str, scale: int = 0) -> float:
+    def instant(self, kind: str, scale: int) -> float:
         if (kind, scale) in self._instants:
             return self._instants[kind, scale]
         raise PipelineError(f"timeline has no {kind} event for scale {scale}")
@@ -190,8 +187,8 @@ class Timeline:
                 REFINE_DONE: list(self.refines)}
 
     @classmethod
-    def from_dict(cls, data: dict, baseline: bool = False) -> "Timeline":
-        """A scalable run's timeline, or with ``baseline`` a baseline's."""
+    def from_dict(cls, data: dict) -> "Timeline":
+        """The timeline that ``to_dict`` gave ``data``."""
         tl = cls()
         for e in _json_list(data, "events"):
             scale, instant = e["scale"], e["instant"]
@@ -199,11 +196,6 @@ class Timeline:
                 raise TypeError(f"{e!r} needs an integer scale and a numeric "
                                 "instant")
             tl.add(e["kind"], scale, instant)
-            if (e["kind"] in (BASELINE_START, BASELINE_DONE)) != baseline:
-                raise PipelineError(f"{e['kind']}({scale}) is not an event of a "
-                                    f"{'baseline' if baseline else 'scalable'} run")
-        if baseline and _json_list(data, REFINE_DONE):
-            raise PipelineError(f"a baseline run has no {REFINE_DONE} instants")
         for instant in _json_list(data, REFINE_DONE):
             if not _is_number(instant):
                 raise TypeError(f"{REFINE_DONE} entry {instant!r} is not a number")
@@ -358,20 +350,18 @@ def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
 
 
 def baseline_timeline(stream: PointStream, timing: TimingModel,
-                      duration: float) -> Timeline:
-    """The baseline's schedule: it starts at the acquisition end (max
-    timestamp times tick duration), or at 0 for an empty stream, and runs
-    for ``duration``.  A simulated baseline needs no labels for it:
-    ``timing.baseline_duration(len(stream))`` is its duration."""
+                      duration: float) -> tuple[float, float]:
+    """The baseline's ``(start, done)`` instants: it starts at the
+    acquisition end (max timestamp times tick duration), or at 0 for an
+    empty stream, and runs for ``duration``.  A simulated baseline needs no
+    labels for it: ``timing.baseline_duration(len(stream))`` is its duration."""
     start = max(stream.max_timestamp, 0) * timing.tick_duration
-    tl = Timeline()
-    tl.add(BASELINE_START, 0, start)
-    tl.add(BASELINE_DONE, 0, start + duration)
-    return tl
+    return (_checked(start, "baseline_start"),
+            _checked(start + duration, "baseline_done"))
 
 
 def run_baseline(stream: PointStream, predictor_cfg: PredictorConfig,
-                 timing: TimingModel) -> tuple[CumulativeOutput, Timeline]:
+                 timing: TimingModel) -> tuple[CumulativeOutput, tuple[float, float]]:
     """Non-scalable reference: wait for the full cloud, predict once.
 
     In measured mode the baseline's duration is the wall-clock time of the
@@ -424,8 +414,9 @@ def refine_intervals(tl: Timeline) -> dict[int, list[tuple[float, float]]]:
     return intervals
 
 
-def latency_metrics(scalable: Timeline, baseline: Timeline) -> LatencyMetrics:
-    """Derive the latency report from a scalable and a baseline timeline."""
+def latency_metrics(scalable: Timeline,
+                    baseline: tuple[float, float]) -> LatencyMetrics:
+    """Derive the latency report from a timeline and the baseline's instants."""
     scales = scalable.scales()
     if not scales:
         raise PipelineError("scalable timeline contains no scale events")
@@ -437,10 +428,12 @@ def latency_metrics(scalable: Timeline, baseline: Timeline) -> LatencyMetrics:
         start = {i: scalable.instant(SCALE_START, i) for i in scales}
         done = {i: scalable.instant(SCALE_DONE, i) for i in scales}
         avail = {i: scalable.instant(CUMULATIVE_AVAILABLE, i) for i in scales}
-        b_start = baseline.instant(BASELINE_START, 0)
-        b_done = baseline.instant(BASELINE_DONE, 0)
     except PipelineError as exc:
         raise PipelineError(f"incomplete timeline: {exc}") from exc
+    b_start, b_done = baseline
+    if b_done < b_start:
+        raise PipelineError(f"baseline_done {b_done} is before baseline_start "
+                            f"{b_start}")
 
     pd = tuple(done[i] - start[i] for i in scales)
     refines = {a: [end - begin for begin, end in pairs]

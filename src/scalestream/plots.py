@@ -10,9 +10,8 @@ accuracy chart from the dict that ``metrics.json`` holds.
 
 from __future__ import annotations
 
-from .pipeline import (BASELINE_DONE, BASELINE_START, CUMULATIVE_AVAILABLE,
-                       PARTITION_READY, SCALE_DONE, SCALE_START,
-                       LatencyMetrics, Timeline, refine_intervals)
+from .pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY, SCALE_DONE,
+                       SCALE_START, LatencyMetrics, Timeline, refine_intervals)
 
 W, H = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 30, 50
@@ -94,13 +93,12 @@ def miou_plot(metrics: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def timeline_plot(scalable: Timeline, baseline: Timeline,
+def timeline_plot(scalable: Timeline, baseline: tuple[float, float],
                   lat: LatencyMetrics) -> str:
-    """Gantt chart of the run with the latency zone shaded."""
+    """Gantt chart of the run and its baseline with the latency zone shaded."""
     scales = scalable.scales()
     k = scales[-1] if scales else 0
-    t_max = max(lat.acquisition_end + lat.post_acq_upper,
-                baseline.instant(BASELINE_DONE, 0)) or 1.0
+    t_max = max(lat.acquisition_end + lat.post_acq_upper, baseline[1]) or 1.0
     x0, x1 = MARGIN_L, W - MARGIN_R
     rows = k + 2  # acquisition + scales + baseline
     row_h = (H - MARGIN_T - MARGIN_B) / rows
@@ -149,6 +147,6 @@ def timeline_plot(scalable: Timeline, baseline: Timeline,
 
     row_b = k + 1
     parts.append(f'<g id="baseline">{label(row_b, "baseline")}'
-                 f'{bar(row_b, baseline.instant(BASELINE_START, 0), baseline.instant(BASELINE_DONE, 0), "#aa5555")}</g>')
+                 f'{bar(row_b, *baseline, "#aa5555")}</g>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

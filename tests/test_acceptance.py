@@ -202,9 +202,7 @@ def test_criterion_5_timing_model_correctness():
         tl_s.add(SCALE_START, 1, 30.0)
         tl_s.add(SCALE_DONE, 1, 34.0)
         tl_s.add(CUMULATIVE_AVAILABLE, 1, 34.0)
-        tl_b = Timeline()
-        tl_b.add("baseline_start", 0, 30.0)
-        tl_b.add("baseline_done", 0, 40.0)
+        tl_b = (30.0, 40.0)  # the baseline's start and done instants
         lat = latency_metrics(tl_s, tl_b)
         assert lat.speedup == pytest.approx(0.60)
         assert lat.post_acq == 4.0

@@ -28,6 +28,7 @@ from scalestream import (LabelMap, LissajousConfig, PartitionSpec, PointStream,
                          read_stream, run_baseline, run_scalable, scan,
                          write_stream)
 from scalestream.plots import MARGIN_L, MARGIN_R, W
+from scalestream.stream import RECORD_SIZE
 
 
 def run_cli(*argv):
@@ -35,8 +36,8 @@ def run_cli(*argv):
 
 
 #: What ``run`` writes: the facts of a run, and nothing rendered from them.
-RUN_FILES = ("baseline_timeline.json", "labels.npz", "metrics.json",
-             "run_manifest.json", "timeline.json")
+RUN_FILES = ("labels.npz", "metrics.json", "run_manifest.json",
+             "timeline.json")
 #: What ``report`` renders from them, without ``--csv``.
 VIEWS = ("metrics.csv", "miou_vs_scale.svg", "timeline.svg")
 
@@ -137,15 +138,15 @@ def test_run_default_shape(tmp_path):
     assert isinstance(metrics["cost_of_scalability_pct"], float)
     assert len(metrics["scale_miou_unrefined"]) == 5
     assert metrics["latency"]["speedup"] <= 1.0
-    assert (out / "timeline.json").exists()
-    assert (out / "baseline_timeline.json").exists()
+    timeline = json.loads((out / "timeline.json").read_text())
+    assert 0 < timeline["baseline_start"] < timeline["baseline_done"]
     assert (out / "labels.npz").exists()
     assert not list(out.glob("cumulative_scale_*.csv"))
 
 
 def test_run_writes_only_facts_and_report_renders_the_views(tmp_path):
-    """``run`` leaves exactly its five data files; ``report`` adds the three
-    views and touches none of the five."""
+    """``run`` leaves exactly its four data files; ``report`` adds the three
+    views and touches none of the four."""
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out)) == 0
     data = {f.name: f.read_bytes() for f in out.iterdir()}
@@ -701,10 +702,20 @@ def _drop_scale_done_2(run_dir):
     return path
 
 
-def _empty_baseline(run_dir):
-    path = run_dir / "baseline_timeline.json"
-    path.write_text(json.dumps({"events": [], "refine_done": []}))
-    return path
+def _set_timeline(**changes):
+    """A break that sets ``timeline.json``'s top-level keys to ``changes``'
+    values, each a value or a function of the timeline; None drops a key."""
+    def break_timeline(run_dir):
+        path = run_dir / "timeline.json"
+        data = json.loads(path.read_text())
+        for key, change in changes.items():
+            if change is None:
+                del data[key]
+            else:
+                data[key] = change(data) if callable(change) else change
+        path.write_text(json.dumps(data))
+        return path
+    return break_timeline
 
 
 def _negative_instant(run_dir):
@@ -749,50 +760,30 @@ def _repeated_event(run_dir):
     return path
 
 
-def _add_event(name, kind, scale):
-    def break_timeline(run_dir):
-        path = run_dir / name
-        data = json.loads(path.read_text())
-        data["events"].append({"kind": kind, "scale": scale, "instant": 0.0})
-        path.write_text(json.dumps(data))
-        return path
-    return break_timeline
-
-
-def _refine_in_baseline(run_dir):
-    path = run_dir / "baseline_timeline.json"
-    data = json.loads(path.read_text())
-    data["refine_done"] = [data["events"][-1]["instant"]]
-    path.write_text(json.dumps(data))
-    return path
-
-
 @pytest.mark.parametrize("break_timeline, message", [
     (_drop_scale_done_2, "incomplete timeline: timeline has no scale_done "
                          "event for scale 2"),
-    (_empty_baseline, "incomplete timeline: timeline has no baseline_start "
-                      "event for scale 0"),
+    (_set_timeline(baseline_start=None, baseline_done=None),
+     "lacks the key 'baseline_start'"),
     (_negative_instant, "negative instant for partition_ready(1): -1"),
     (_old_format, "unknown event refine_done(1)"),
     (_misspelled_kind, "unknown event scale_dne(1)"),
     (_numeric_kind, "unknown event 5(1)"),
     (_repeated_event, "repeated event scale_start(2)"),
-    (_add_event("timeline.json", "baseline_start", 0),
-     "baseline_start(0) is not an event of a scalable run"),
-    (_add_event("baseline_timeline.json", "scale_start", 7),
-     "scale_start(7) is not an event of a baseline run"),
-    (_refine_in_baseline, "a baseline run has no refine_done instants"),
+    (_set_timeline(events=[]), "scalable timeline contains no scale events"),
+    (_set_timeline(baseline_done=lambda data: data["baseline_start"]),
+     "baseline processing time is zero but the scalable run has nonzero "
+     "residual latency"),
 ], ids=["no-scale-done-2", "empty-baseline", "negative-instant",
         "old-format", "misspelled-kind", "numeric-kind", "repeated-event",
-        "baseline-event-in-timeline", "scale-event-in-baseline",
-        "refine-in-baseline"])
+        "no-events", "zero-length-baseline"])
 def test_report_malformed_timeline_names_the_file_and_writes_nothing(
         tmp_path, capsys, break_timeline, message):
-    """A timeline that lacks an event, holds a negative instant, is in the
-    layout that kept refinements as events, holds an event of a kind other
-    than the six that a run writes, holds an event twice, or holds an
-    event or a refinement of the other file's run: report exits 1 naming
-    the file and writes no view."""
+    """A timeline that lacks an event or the baseline, holds a negative
+    instant, is in the layout that kept refinements as events, holds an
+    event of a kind other than the four that a run writes, holds an event
+    twice, holds no event, or whose baseline takes no time while the run
+    has a residual: report exits 1 naming the file and writes no view."""
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
     broken = break_timeline(out)
@@ -806,20 +797,24 @@ def test_report_malformed_timeline_names_the_file_and_writes_nothing(
 
 
 @pytest.mark.parametrize("command, flags, message", [
-    ("run", [], "non-finite instant for scale_done(2): inf"),
-    ("run", ["--mode", "sim-unfused"],
-     "latency post_acq_upper is not finite: inf"),
-    ("sweep", ["--tick-durations", "1e-5"],
+    ("run", ["--predict-fixed", "1e308"],
      "non-finite instant for scale_done(2): inf"),
-], ids=["run", "run-no-fusion", "sweep"])
+    ("run", ["--predict-fixed", "1e308", "--mode", "sim-unfused"],
+     "latency post_acq_upper is not finite: inf"),
+    ("sweep", ["--predict-fixed", "1e308", "--tick-durations", "1e-5"],
+     "non-finite instant for scale_done(2): inf"),
+    ("run", ["--error-rates", "0.2 0.1", "--baseline-factor", "1e308",
+             "--predict-per-point", "1"],
+     "non-finite instant for baseline_done: inf"),
+], ids=["run", "run-no-fusion", "sweep", "run-baseline"])
 def test_timing_overflow_exits_1_writing_nothing(tmp_path, capsys, command,
                                                  flags, message):
     """Modelled instants past the largest float are an error naming the
-    event or the field, not Infinity in the outputs."""
+    event, the baseline instant or the field, not Infinity in the
+    outputs."""
     out = tmp_path / "out"
     rc = run_cli(command, "--scan-inline", "--ticks", "2000",
-                 "--cuts", "1000 2000", "--predict-fixed", "1e308", *flags,
-                 "--out-dir", str(out))
+                 "--cuts", "1000 2000", *flags, "--out-dir", str(out))
     assert rc == 1
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
     assert not out.exists()
@@ -829,7 +824,7 @@ def test_report_missing_dir_exits_2(tmp_path):
     assert run_cli("report", "--run-dir", str(tmp_path / "nope")) == 2
 
 
-@pytest.mark.parametrize("name", ["timeline.json", "baseline_timeline.json"])
+@pytest.mark.parametrize("name", ["timeline.json"])
 def test_report_missing_timeline_exits_2_writing_nothing(tmp_path, capsys, name):
     out = tmp_path / "run"
     assert run_cli("run", *FAST, "--out-dir", str(out), "--skip-unrefined") == 0
@@ -840,12 +835,12 @@ def test_report_missing_timeline_exits_2_writing_nothing(tmp_path, capsys, name)
     assert no_view(out)
 
 
-REPORT_INPUTS = ("metrics.json", "timeline.json", "baseline_timeline.json")
+REPORT_INPUTS = ("metrics.json", "timeline.json")
 
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
-    """The three JSON files that report reads, from one small sim run."""
+    """The two JSON files that report reads, from one small sim run."""
     out = tmp_path_factory.mktemp("small") / "run"
     assert run_cli("run", "--scan-inline", "--ticks", "4000",
                    "--cuts", "500 1000 2000 4000",
@@ -1352,6 +1347,34 @@ def test_report_refuses_a_malformed_refine_list(tmp_path, small_run, edit,
     assert no_view(run_dir)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"baseline_start": "0.5"},
+     "wrongly typed event: baseline_start '0.5' is not a number"),
+    ({"baseline_done": True},
+     "wrongly typed event: baseline_done True is not a number"),
+    ({"baseline_start": 10**400},
+     "wrongly typed event: baseline_start is not a number a float can hold"),
+    ({"baseline_start": -1}, "negative instant for baseline_start: -1"),
+    ({"baseline_done": float("inf")},
+     "non-finite instant for baseline_done: inf"),
+    ({"baseline_start": 1.0, "baseline_done": 0.5},
+     "baseline_done 0.5 is before baseline_start 1.0"),
+], ids=["string", "bool", "400-digit", "negative", "inf", "ends-before-start"])
+def test_report_refuses_a_malformed_baseline(tmp_path, small_run, changes,
+                                             message):
+    """The baseline's two instants in ``timeline.json`` are JSON numbers,
+    finite and non-negative, and the baseline ends no earlier than it
+    starts; any other pair exits 1 naming the file, and no view is
+    written."""
+    run_dir = _write_run_dir(tmp_path / "run", {
+        **small_run, "timeline.json": {**small_run["timeline.json"], **changes}})
+    code, _, err = _report(run_dir)
+    assert code == 1
+    assert err.startswith(f"error: {run_dir / 'timeline.json'}")
+    assert err.endswith(f"{message}\n") and err.count("\n") == 1, err
+    assert no_view(run_dir)
+
+
 def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
     """Without the fusion dependency scale 2 is predicted long before scale
     1's output is available; its cascade waits for that output, and its
@@ -1360,13 +1383,11 @@ def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
     run_and_report("--scan-inline", "--ticks", "3020", "--cuts", "3000 3020",
                    "--error-rates", "0.3 0.2", "--mode", "sim-unfused",
                    "--out-dir", str(out))
-    tl = Timeline.from_dict(json.loads((out / "timeline.json").read_text()))
-    base = Timeline.from_dict(
-        json.loads((out / "baseline_timeline.json").read_text()), baseline=True)
-    lat = latency_metrics(tl, base)
+    data = json.loads((out / "timeline.json").read_text())
+    tl = Timeline.from_dict(data)
+    lat = latency_metrics(tl, (data["baseline_start"], data["baseline_done"]))
     assert tl.instant("scale_done", 2) < tl.instant("cumulative_available", 1)
-    t_max = max(lat.acquisition_end + lat.post_acq_upper,
-                base.instant("baseline_done"))
+    t_max = max(lat.acquisition_end + lat.post_acq_upper, data["baseline_done"])
     px_per_s = (W - MARGIN_L - MARGIN_R) / t_max
     root = ET.fromstring((out / "timeline.svg").read_text())
     row = next(g for g in root.iter("{http://www.w3.org/2000/svg}g")
@@ -1412,9 +1433,10 @@ def test_run_manifest_records_every_flag(tmp_path):
         assert run_cli(*argv, "--out-dir", str(out)) == 0
         manifests[name] = json.loads(
             (out / f"{argv[0]}_manifest.json").read_text())
-    for command in ("scan", "run"):
+    for command, unread in (("scan", set()),
+                            ("run", {"k_cls", "seed_ref_fraction"})):
         dests = {a.dest for a in subparsers[command]._actions} - {
-            "help", "config", "out_dir"}
+            "help", "config", "out_dir", *unread}
         assert set(manifests[command]["config"]) == dests
     assert manifests["run"]["config"]["skip_unrefined"] is False
     assert manifests["skip"]["config"]["skip_unrefined"] is True
@@ -1450,6 +1472,31 @@ def test_run_from_stream_neither_checks_nor_records_scan_flags(tmp_path):
                   "camera_index"}
     assert not scan_flags & set(config)
     assert config["seed"] == 0 and config["scan_inline"] is False
+
+
+@pytest.mark.parametrize("predictor, flags, unread", [
+    ("noisy-oracle", (["--k-cls", "3"], ["--k-cls", "5", "--seed-ref-fraction",
+                                         "0.5"]),
+     {"k_cls", "seed_ref_fraction"}),
+    ("seeded-knn", (["--error-rates", "0.3 0.2"], ["--error-rates", "0.1 0.05"]),
+     {"error_rates"}),
+], ids=["noisy-oracle", "seeded-knn"])
+def test_run_neither_records_nor_hashes_the_other_predictors_flags(
+        tmp_path, predictor, flags, unread):
+    """Each predictor ignores the other's flags: two runs that differ only
+    in them write byte-identical directories, manifest included, and the
+    manifest records none of them."""
+    assert run_cli("scan", "--ticks", "8000", "--out-dir", str(tmp_path)) == 0
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for out, extra in zip(dirs, flags):
+        assert run_cli("run", "--stream", str(tmp_path / "stream.bin"),
+                       "--cuts", "1000 8000", "--predictor", predictor,
+                       *extra, "--skip-unrefined", "--out-dir", str(out)) == 0
+    for name in RUN_FILES:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    config = json.loads((dirs[0] / "run_manifest.json").read_text())["config"]
+    assert not unread & set(config)
+    assert config["predictor"] == predictor
 
 
 def test_one_config_file_serves_every_command(tmp_path):
@@ -1717,6 +1764,36 @@ def test_corrupt_stream_file_exits_1(tmp_path, capsys):
     rc = run_cli("partition", "--stream", str(bad), "--out-dir", str(tmp_path))
     assert rc == 1
     assert "magic" in capsys.readouterr().err
+
+
+def _nan_coordinate(data: bytearray, n: int) -> str:
+    """Point 5's x coordinate set to NaN."""
+    struct.pack_into("<f", data, len(data) - (n - 5) * RECORD_SIZE, float("nan"))
+    return "non-finite coordinates at index 5"
+
+
+def _twelve_classes(data: bytearray, n: int) -> str:
+    """The header's class count set to 12 for the 11 class names."""
+    struct.pack_into("<H", data, 6, 12)
+    return "label map has 11 names for class_count 12"
+
+
+@pytest.mark.parametrize("corrupt", [_nan_coordinate, _twelve_classes],
+                         ids=["nan-coordinate", "class-count"])
+def test_run_on_an_invalid_stream_file_exits_1(tmp_path, capsys, corrupt):
+    """A stream file whose records or header break a stream's rules: run
+    exits 1 naming the file and the fault, and writes nothing."""
+    assert run_cli("scan", "--ticks", "2000", "--out-dir", str(tmp_path)) == 0
+    path = tmp_path / "stream.bin"
+    data = bytearray(path.read_bytes())
+    message = corrupt(data, len(read_stream(path)))
+    path.write_bytes(data)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run_cli("run", "--stream", str(path), "--cuts", "1000 2000",
+                   "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
 
 
 def test_run_no_update(tmp_path):

@@ -14,8 +14,7 @@ from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream
                          UpdateConfig, UpdateError,
                          latency_metrics, make_seed_cloud, run_baseline,
                          run_scalable)
-from scalestream.pipeline import (BASELINE_DONE, BASELINE_START,
-                                  CUMULATIVE_AVAILABLE, OVERLAP_MODES,
+from scalestream.pipeline import (CUMULATIVE_AVAILABLE, OVERLAP_MODES,
                                   PARTITION_READY, SCALE_DONE, SCALE_START,
                                   Timeline, baseline_timeline, refine_intervals)
 from scalestream.plots import timeline_plot
@@ -57,10 +56,7 @@ def test_closed_form_timeline_slow_acquisition():
     assert tl.instant(SCALE_DONE, 3) == 33.0
     assert tl.instant(CUMULATIVE_AVAILABLE, 3) == 37.0
 
-    base_tl = Timeline()
-    base_tl.add("baseline_start", 0, 30.0)
-    base_tl.add("baseline_done", 0, 40.0)
-    lat = latency_metrics(tl, base_tl)
+    lat = latency_metrics(tl, (30.0, 40.0))
     assert lat.acquisition_end == 30.0
     assert lat.post_acq == 7.0
     assert lat.post_acq_lower == 7.0   # slow acquisition reaches full overlap
@@ -76,10 +72,7 @@ def test_speedup_sixty_percent_example():
     tl.add(SCALE_START, 1, 30.0)
     tl.add(SCALE_DONE, 1, 34.0)
     tl.add(CUMULATIVE_AVAILABLE, 1, 34.0)
-    base = Timeline()
-    base.add("baseline_start", 0, 30.0)
-    base.add("baseline_done", 0, 40.0)
-    lat = latency_metrics(tl, base)
+    lat = latency_metrics(tl, (30.0, 40.0))
     assert lat.post_acq == 4.0
     assert lat.speedup == pytest.approx(0.60)
 
@@ -90,10 +83,7 @@ def test_identical_residual_gives_zero_speedup():
     tl.add(SCALE_START, 1, 5.0)
     tl.add(SCALE_DONE, 1, 15.0)
     tl.add(CUMULATIVE_AVAILABLE, 1, 15.0)
-    base = Timeline()
-    base.add("baseline_start", 0, 5.0)
-    base.add("baseline_done", 0, 15.0)
-    assert latency_metrics(tl, base).speedup == 0.0
+    assert latency_metrics(tl, (5.0, 15.0)).speedup == 0.0
 
 
 def test_instant_acquisition_equals_no_overlap_bound():
@@ -273,10 +263,9 @@ def test_k1_degenerates_to_baseline_shape():
 
 def test_baseline_empty_stream_completes_immediately():
     stream = make_random_stream(np.random.default_rng(0), 0)
-    out, tl = run_baseline(stream, PredictorConfig(), TimingModel())
+    out, baseline = run_baseline(stream, PredictorConfig(), TimingModel())
     assert len(out) == 0
-    assert tl.instant("baseline_start", 0) == 0.0
-    assert tl.instant("baseline_done", 0) == 0.0
+    assert baseline == (0.0, 0.0)
 
 
 def test_baseline_cardinality_and_duration():
@@ -285,25 +274,26 @@ def test_baseline_cardinality_and_duration():
     stream = small_stream(8, n=256)
     timing = TimingModel(tick_duration=2**-10, predict_fixed=0.5,
                          predict_per_point=2**-8, baseline_factor=2.0)
-    out, tl = run_baseline(stream, PredictorConfig(error_rates=RATES), timing)
+    out, (start, done) = run_baseline(stream, PredictorConfig(error_rates=RATES),
+                                      timing)
     assert len(out) == len(stream)
-    assert (tl.instant("baseline_done", 0)
-            - tl.instant("baseline_start", 0)) == 2.5
-    assert tl.instant("baseline_start", 0) == stream.max_timestamp * 2**-10
+    assert done - start == 2.5
+    assert start == stream.max_timestamp * 2**-10
 
 
 @pytest.mark.parametrize("n", [0, 800])
 @pytest.mark.parametrize("overlap", ["full", "none"])
 def test_closed_form_baseline_timeline_equals_run_baseline(n, overlap):
     """The modelled baseline schedule, from the point count alone, is the
-    simulated ``run_baseline`` timeline to the bit, at every tick duration."""
+    simulated ``run_baseline`` instants to the bit, at every tick duration."""
     stream = small_stream(12, n=n, t_max=977)
     for td in (1e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 0.1):
         timing = TimingModel(tick_duration=td, overlap=overlap)
-        _, tl = run_baseline(stream, PredictorConfig(error_rates=RATES), timing)
+        _, baseline = run_baseline(stream, PredictorConfig(error_rates=RATES),
+                                   timing)
         closed = baseline_timeline(stream, timing,
                                    timing.baseline_duration(len(stream)))
-        assert closed.to_dict() == tl.to_dict()
+        assert closed == baseline
 
 
 def test_final_scalable_output_matches_baseline_points():
@@ -331,11 +321,8 @@ def test_incomplete_timeline_rejected():
     tl.add(PARTITION_READY, 1, 1.0)
     tl.add(SCALE_START, 1, 1.0)
     tl.add(SCALE_DONE, 1, 2.0)  # no cumulative_available
-    base = Timeline()
-    base.add("baseline_start", 0, 0.0)
-    base.add("baseline_done", 0, 1.0)
     with pytest.raises(PipelineError, match="incomplete|no cumulative"):
-        latency_metrics(tl, base)
+        latency_metrics(tl, (0.0, 1.0))
 
 
 @pytest.mark.parametrize("instant", [float("inf"), float("nan")])
@@ -460,9 +447,7 @@ def test_reading_a_timeline_loops_over_it_a_fixed_number_of_times():
         tl = pipeline._sim_timeline([20] * k, [i * 1e-3 for i in range(1, k + 1)],
                                     TimingModel(), refining=True)
         tl.events, tl.refines = CountingList(tl.events), CountingList(tl.refines)
-        base = Timeline()
-        base.add(BASELINE_START, 0, k * 1e-3)
-        base.add(BASELINE_DONE, 0, k * 1e-3 + 1.0)
+        base = (k * 1e-3, k * 1e-3 + 1.0)
         lat = latency_metrics(tl, base)
         timeline_plot(tl, base, lat)
         loops.append((tl.events.loops, tl.refines.loops))
