@@ -26,9 +26,9 @@ from .assemble import cumulative_csv, read_labels, row_heads, write_labels
 from .metrics import (cost_of_scalability, coverage_curve, metrics_csv, miou,
                       miou_by_origin)
 from .partition import DEFAULT_CUTS, PartitionError, PartitionSpec, partition
-from .pipeline import (PipelineError, TimingModel, Timeline, _checked, _is_number,
-                       _json_list, baseline_timeline, latency_metrics, one_label_pass,
-                       run_baseline, run_scalable)
+from .pipeline import (MODES, PipelineError, TimingModel, Timeline, _checked,
+                       _is_number, _json_list, baseline_timeline, latency_metrics,
+                       one_label_pass, run_baseline, run_scalable)
 from .plots import miou_plot, timeline_plot
 from .predictors import (DEFAULT_ERROR_RATES, VARIANTS, PredictorConfig,
                          make_seed_cloud)
@@ -98,9 +98,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 SCAN_FLAGS = ("fx", "fy", "phase", "amp_x", "amp_y", "ticks", "ticks_per_period")
 TIMING_FLAGS = ("tick_duration", "predict_fixed", "predict_per_point",
                 "baseline_factor", "refine_fixed", "refine_per_point")
-#: ``--mode`` -> ``TimingModel.overlap``, the schedule.
-MODES = {"sim": "full", "sim-unfused": "unfused", "sim-serial": "none",
-         "real": "measured"}
 #: ``timeline.json``'s keys of the baseline's ``(start, done)`` instants.
 BASELINE_KEYS = ("baseline_start", "baseline_done")
 
@@ -324,10 +321,9 @@ def _settings(args) -> dict:
                             f"rates for {len(spec.cuts)} scales")
         update = _build(problems, args, UpdateConfig, {"k": "um_k"})
         built["update"] = None if args.no_update else update
-        built["timing"] = _build(
-            problems, args, TimingModel,
-            {f: f for f in TIMING_FLAGS if f in args},
-            overlap=MODES[args.mode])
+        built["timing"] = _build(problems, args, TimingModel,
+                                 {f: f for f in TIMING_FLAGS if f in args},
+                                 mode=args.mode)
     if "tick_durations" in args:
         try:
             durations = _parse_floats(args.tick_durations)
@@ -344,12 +340,11 @@ def _settings(args) -> dict:
 
 
 def _do_scan(args, settings: dict) -> PointStream:
-    scene = settings.get("scene")
-    if scene is None:
-        path = Path(args.scene)
-        if not path.exists():
-            raise ConfigError(f"scene file not found: {path}")
-        scene = load_scene(path)
+    try:
+        scene = settings.get("scene") or load_scene(Path(args.scene))
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ConfigError(f"--scene: {args.scene} cannot be read: "
+                          f"{exc.strerror}") from None
     poses = place_cameras(scene, max_poses=args.max_poses, seed=args.seed)
     if not 0 <= args.camera_index < len(poses):
         raise ConfigError(f"--camera-index {args.camera_index} outside the "
@@ -471,7 +466,7 @@ def cmd_run(args) -> int:
         # labels do not depend on timing and this timeline is dropped, so
         # simulate it rather than sleep through the acquisition again
         raw_outputs, _ = run_scalable(stream, spec, predictor_cfg, None,
-                                      replace(timing, overlap="full"))
+                                      replace(timing, mode="sim"))
         unrefined_miou = [_scale_miou(o) for o in raw_outputs]
 
     *early, final = outputs
@@ -529,7 +524,7 @@ def cmd_sweep(args) -> int:
         for td_timing in settings["timings"]:
             _, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg,
                                        td_timing)
-            if timing.overlap == "measured":
+            if timing.mode == "real":
                 _, baseline = run_baseline(stream, predictor_cfg, td_timing)
             else:  # the modelled baseline needs the point count, not labels
                 baseline = baseline_timeline(
@@ -553,14 +548,16 @@ def _read_json(path: Path, parse, what: str):
     """``parse`` of the JSON object that the file at ``path`` holds.
 
     A missing file is a ConfigError.  Every other fault is one error line
-    that names the file: a document that is not valid JSON or not an
-    object, and, from ``parse``, a KeyError (a missing key), a TypeError or
-    OverflowError (a wrongly typed ``what``, field or event) and a
-    ValueError or PipelineError (an impossible value)."""
+    that names the file: a path that cannot be read, a document that is not
+    valid JSON or not an object, and, from ``parse``, a KeyError (a missing
+    key), a TypeError or OverflowError (a wrongly typed ``what``, field or
+    event) and a ValueError or PipelineError (an impossible value)."""
     if not path.exists():
         raise ConfigError(f"no {path.name} under {path.parent}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, or a file without read permission
+        raise ValueError(f"{path} cannot be read: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # bad bytes, deep nesting
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

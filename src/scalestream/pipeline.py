@@ -11,16 +11,16 @@ One in-order loop does the label work in every mode: per scale the
 predictor reads the previous cumulative output as its context and returns
 the labels of the prefix through this scale as a new array; the cascade
 refines its lower scales in place; the same array is published as the
-cumulative output.  The schedules, ``overlap``, differ only in the timeline:
+cumulative output.  The schedules, ``MODES``, differ only in the timeline:
 
-* ``"full"``, ``"unfused"`` and ``"none"``: the simulator derives the
-  timeline in closed form from the partition sizes and the ``TimingModel``.
-  "full" (unlimited workers) starts scale ``i`` at ``max(ready_i,
-  avail_{i-1})``, "unfused" drops the fusion dependency ``avail_{i-1}``
-  and "none" reads the acquisition end as ``ready_i``, serializing all.
-* ``"measured"``: the loop sleeps until each partition is acquired and
-  records wall-clock instants on the calling thread, so scale ``i`` starts
-  at ``max(ready_i, avail_{i-1})``.
+* ``"sim"``, ``"sim-unfused"`` and ``"sim-serial"``: the simulator derives
+  the timeline in closed form from the partition sizes and the
+  ``TimingModel``.  "sim" (unlimited workers) starts scale ``i`` at
+  ``max(ready_i, avail_{i-1})``, "sim-unfused" drops the fusion dependency
+  ``avail_{i-1}`` and "sim-serial" reads the acquisition end as ``ready_i``.
+* ``"real"``, the only mode that reads a clock: the loop sleeps until each
+  partition is acquired and records wall-clock instants on the calling
+  thread, so scale ``i`` starts at ``max(ready_i, avail_{i-1})``.
 
 Label outputs are bit-identical across all backends and timing parameters;
 scheduling only ever affects the timeline.  So inside ``one_label_pass``
@@ -51,7 +51,7 @@ REFINE_DONE = "refine_done"
 CUMULATIVE_AVAILABLE = "cumulative_available"
 _EVENT_KINDS = (PARTITION_READY, SCALE_START, SCALE_DONE, CUMULATIVE_AVAILABLE)
 
-OVERLAP_MODES = ("full", "unfused", "none", "measured")
+MODES = ("sim", "sim-unfused", "sim-serial", "real")
 
 
 class PipelineError(RuntimeError):
@@ -66,9 +66,9 @@ class TimingModel:
     affine function of point count.  The baseline's per-point cost carries a
     ``baseline_factor`` because the non-scalable reference runs one large
     model over the full cloud while the scales run small per-branch jobs.
-    ``overlap`` is the schedule; all but "unfused" start scale ``i`` no
-    earlier than scale ``i-1``'s cumulative output, as for predictors that
-    consume previous scales' side information.  Labels never read it.
+    ``mode`` is the schedule, one of ``MODES``; only "real" reads a clock.
+    All but "sim-unfused" start scale ``i`` no earlier than scale ``i-1``'s
+    output, for predictors that consume it.  Labels never read ``mode``.
     """
 
     tick_duration: float = 1e-5
@@ -77,7 +77,7 @@ class TimingModel:
     baseline_factor: float = 2.0
     refine_fixed: float = 0.001
     refine_per_point: float = 2e-7
-    overlap: str = "full"
+    mode: str = "sim"
 
     def __post_init__(self):
         for f in fields(self):
@@ -90,8 +90,8 @@ class TimingModel:
                   self.baseline_factor, self.refine_fixed, self.refine_per_point):
             if v < 0:
                 raise PipelineError("stage durations must be non-negative")
-        if self.overlap not in OVERLAP_MODES:
-            raise PipelineError(f"overlap must be one of {OVERLAP_MODES}")
+        if self.mode not in MODES:
+            raise PipelineError(f"mode must be one of {MODES}")
 
     def predict_duration(self, n_points: int) -> float:
         """Synthetic duration of one scale's predictor job; a job over no
@@ -242,8 +242,8 @@ def one_label_pass():
     sim-mode call given the same ``stream``, ``spec``, ``predictor_cfg``
     and ``update_cfg`` objects returns those outputs, in a new list, with
     its own simulated timeline.  The calls share the outputs, so each kept
-    ``pred_labels`` array is made read-only.  Measured calls neither read
-    nor fill the scope: their timeline times the label work.  Nothing is
+    ``pred_labels`` array is made read-only.  Real calls neither read nor
+    fill the scope: their timeline times the label work.  Nothing is
     kept after the block.
     """
     token = _kept.set([])
@@ -267,47 +267,51 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
     names the scale.  Inside ``one_label_pass`` a sim-mode call may reuse
     an earlier call's outputs.
     """
-    if predictor_cfg.variant == "seeded-knn" and timing.overlap == "unfused":
+    if predictor_cfg.variant == "seeded-knn" and timing.mode == "sim-unfused":
         raise PipelineError(
             "seeded-knn consumes previous-scale context; it needs the fusion "
-            "dependency that overlap='unfused' drops")
-    measured = timing.overlap == "measured"
+            "dependency that mode='sim-unfused' drops")
+    real = timing.mode == "real"
     ready = [cut * timing.tick_duration for cut in spec.cuts]
     key = (stream, spec, predictor_cfg, update_cfg)
     kept = _kept.get()
-    if not measured and kept and all(map(operator.is_, kept[0], key)):
+    if not real and kept and all(map(operator.is_, kept[0], key)):
         _, parts, outputs = kept
         return list(outputs), _sim_timeline([len(p) for p in parts], ready,
                                             timing, update_cfg is not None)
     parts = partition(stream, spec)
-    base = time.monotonic()
+    if real:  # the clock's zero comes after partitioning
+        tl, base = Timeline(), time.monotonic()
+        for i, r in enumerate(ready, start=1):
+            tl.add(PARTITION_READY, i, r)
 
-    def now() -> float:
-        return time.monotonic() - base
+    def clock(kind: str, scale: int):
+        # real mode: record the wall instant of an event of ``scale`` once
+        # its partition is acquired (only a start still has to wait for it)
+        while real and (now := time.monotonic() - base) < ready[scale - 1]:
+            time.sleep(ready[scale - 1] - now)
+        if real and kind == REFINE_DONE:
+            tl.refine(now)
+        elif real:
+            tl.add(kind, scale, now)
 
-    # Wall-clock events; only measured mode returns them.
-    tl = Timeline()
-    for i, r in enumerate(ready, start=1):
-        tl.add(PARTITION_READY, i, r)
     outputs: list[CumulativeOutput] = []
     tables: list = []  # each scale pair's neighbor table, searched once per pass
     for i, part in enumerate(parts, start=1):
-        while measured and (dt := ready[i - 1] - now()) > 0:
-            time.sleep(dt)
-        tl.add(SCALE_START, i, now())
+        clock(SCALE_START, i)
         try:
             # the labels of scales 1..i, published below as output i
             _, labels = predict(part, outputs[-1] if outputs else None,
                                 predictor_cfg, stream.class_count)
-            tl.add(SCALE_DONE, i, now())
+            clock(SCALE_DONE, i)
             if update_cfg is not None:
                 cascade_step(parts[:i - 1], part, labels, update_cfg, tables,
-                             lambda _: tl.refine(now()))
+                             (lambda j: clock(REFINE_DONE, j)) if real else None)
         except (PredictorError, UpdateError) as exc:
             raise PipelineError(f"scale {i}: {exc}") from exc
         outputs.append(assemble(stream, parts[:i], labels))
-        tl.add(CUMULATIVE_AVAILABLE, i, now())
-    if measured:
+        clock(CUMULATIVE_AVAILABLE, i)
+    if real:
         return outputs, tl
     if kept == []:  # the scope's first sim-mode pass
         for o in outputs:
@@ -331,7 +335,7 @@ def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
     tl = Timeline()
     for i, r in enumerate(ready, start=1):
         tl.add(PARTITION_READY, i, r)
-    serial, fused = timing.overlap == "none", timing.overlap != "unfused"
+    serial, fused = timing.mode == "sim-serial", timing.mode != "sim-unfused"
     prev_avail = 0.0
     for i, count in enumerate(counts, start=1):
         start = max(ready[-1] if serial else ready[i - 1],
@@ -364,20 +368,19 @@ def run_baseline(stream: PointStream, predictor_cfg: PredictorConfig,
                  timing: TimingModel) -> tuple[CumulativeOutput, tuple[float, float]]:
     """Non-scalable reference: wait for the full cloud, predict once.
 
-    In measured mode the baseline's duration is the wall-clock time of the
+    Under ``real`` the baseline's duration is the wall-clock time of the
     full-cloud prediction, otherwise the synthetic cost model's value; see
     ``baseline_timeline`` for its schedule.  An empty stream completes
     immediately.  A predictor failure is re-raised as a ``PipelineError``.
     """
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if timing.mode == "real" else None
     try:
         labels = predict_full(stream.positions, stream.labels, predictor_cfg,
                               stream.class_count)
     except (PredictorError, UpdateError) as exc:
         raise PipelineError(f"baseline: {exc}") from exc
-    measured = time.perf_counter() - t0
-    if timing.overlap == "measured" and len(stream):
-        duration = measured
+    if t0 is not None and len(stream):
+        duration = time.perf_counter() - t0
     else:
         duration = timing.baseline_duration(len(stream))
 

@@ -33,11 +33,11 @@ def make_counted_stream(rng: np.random.Generator, counts, cuts,
 
 
 def random_schedule(rng: np.random.Generator) -> str:
-    """A simulated ``TimingModel.overlap`` from two coin flips: serial or
+    """A simulated ``TimingModel.mode`` from two coin flips: serial or
     overlapped, then, when overlapped, fused with the previous scale or
     not."""
     serial, fused = int(rng.integers(2)), int(rng.integers(2))
-    return "none" if serial else ("full" if fused else "unfused")
+    return "sim-serial" if serial else ("sim" if fused else "sim-unfused")
 
 
 def old_event_list(timeline: dict) -> list[dict]:

@@ -221,7 +221,7 @@ def test_criterion_5_timing_model_correctness():
                 predict_per_point=float(rng.uniform(0, 1e-3)),
                 refine_fixed=float(rng.uniform(0, 0.01)),
                 refine_per_point=float(rng.uniform(0, 1e-5)),
-                overlap=random_schedule(rng),
+                mode=random_schedule(rng),
             )
             _, tl_i = run_scalable(stream2, spec2, cfg2, UpdateConfig(k=3), tm)
             _, tb_i = run_baseline(stream2, cfg2, tm)
@@ -245,10 +245,10 @@ def test_criterion_6_timing_independence_of_labels():
         models = [TimingModel(tick_duration=float(rng.uniform(1e-7, 1e-3)),
                               predict_fixed=float(rng.uniform(0, 0.01)),
                               predict_per_point=float(rng.uniform(0, 1e-4)),
-                              overlap=random_schedule(rng))
+                              mode=random_schedule(rng))
                   for _ in range(8)]
-        models.append(TimingModel(tick_duration=1e-6, overlap="measured"))
-        models.append(TimingModel(tick_duration=5e-7, overlap="measured"))
+        models.append(TimingModel(tick_duration=1e-6, mode="real"))
+        models.append(TimingModel(tick_duration=5e-7, mode="real"))
         reference = None
         for tm in models:
             outputs, _ = run_scalable(stream, spec, cfg, update, tm)

@@ -1714,6 +1714,21 @@ def test_config_file_fault_is_one_line_naming_the_file(tmp_path, capsys, no_work
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--scan-inline", "--config"], "--config"),
+    (["scan", "--scene"], "--scene"),
+], ids=["config", "scene"])
+def test_directory_path_is_one_config_error_line(tmp_path, capsys, argv, flag):
+    """A config file or scene path that names a directory exits 2 on one
+    config error line that names the path, and writes nothing."""
+    out = tmp_path / "out"
+    assert run_cli(*argv, str(tmp_path), "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {flag}: {tmp_path} cannot be read: "
+                   "Is a directory\n")
+    assert not out.exists()
+
+
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tiks": 3000}))

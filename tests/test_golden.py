@@ -158,18 +158,18 @@ def _digest(outputs, timeline) -> str:
 
 CASES = [(s, p, k, o) for s in STREAMS
          for p in ("noisy-oracle", "seeded-knn")
-         for k in (None, 1, 5) for o in ("full", "none")]
+         for k in (None, 1, 5) for o in ("sim", "sim-serial")]
 # seeded-knn refuses the unfused schedule
-CASES += [(s, "noisy-oracle", k, "unfused") for s in STREAMS
+CASES += [(s, "noisy-oracle", k, "sim-unfused") for s in STREAMS
           for k in (None, 1, 5)]
 #: each schedule's name in the digest keys
-SCHEDULE_KEYS = {"full": "full", "none": "none", "unfused": "full/no-fusion"}
+SCHEDULE_KEYS = {"sim": "full", "sim-serial": "none", "sim-unfused": "full/no-fusion"}
 
 
-@pytest.mark.parametrize("stream_name,variant,k,overlap", CASES, ids=[
+@pytest.mark.parametrize("stream_name,variant,k,mode", CASES, ids=[
     "-".join(map(str, c[:3])) + "-" + SCHEDULE_KEYS[c[3]].replace("/", "-")
     for c in CASES])
-def test_run_scalable_golden_digest(stream_name, variant, k, overlap):
+def test_run_scalable_golden_digest(stream_name, variant, k, mode):
     make, cuts = STREAMS[stream_name]
     stream = make()
     cfg = PredictorConfig(variant=variant, seed=2,
@@ -180,8 +180,8 @@ def test_run_scalable_golden_digest(stream_name, variant, k, overlap):
     outputs, timeline = run_scalable(
         stream, PartitionSpec(cuts), cfg,
         None if k is None else UpdateConfig(k=k),
-        TimingModel(overlap=overlap))
-    key = f"{stream_name}/{variant}/k={k}/{SCHEDULE_KEYS[overlap]}"
+        TimingModel(mode=mode))
+    key = f"{stream_name}/{variant}/k={k}/{SCHEDULE_KEYS[mode]}"
     assert _digest(outputs, timeline) == GOLDEN[key], key
 
 

@@ -14,7 +14,7 @@ from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream
                          UpdateConfig, UpdateError,
                          latency_metrics, make_seed_cloud, run_baseline,
                          run_scalable)
-from scalestream.pipeline import (CUMULATIVE_AVAILABLE, OVERLAP_MODES,
+from scalestream.pipeline import (CUMULATIVE_AVAILABLE, MODES,
                                   PARTITION_READY, SCALE_DONE, SCALE_START,
                                   Timeline, baseline_timeline, refine_intervals)
 from scalestream.plots import timeline_plot
@@ -41,7 +41,7 @@ def test_closed_form_timeline_slow_acquisition():
                                  spec.cuts)
     timing = TimingModel(tick_duration=1.0, predict_fixed=2.0,
                          predict_per_point=2**-6, refine_fixed=2.0,
-                         refine_per_point=0.0, overlap="full")
+                         refine_per_point=0.0, mode="sim")
     cfg = PredictorConfig(error_rates=RATES, seed=3)
     _, tl = run_scalable(stream, spec, cfg, UpdateConfig(k=3), timing)
 
@@ -89,7 +89,7 @@ def test_identical_residual_gives_zero_speedup():
 def test_instant_acquisition_equals_no_overlap_bound():
     stream = small_stream(2)
     cfg = PredictorConfig(error_rates=RATES, seed=1)
-    timing = TimingModel(tick_duration=1e-12, overlap="full")
+    timing = TimingModel(tick_duration=1e-12, mode="sim")
     _, tl = run_scalable(stream, spec=SPEC, predictor_cfg=cfg,
                          update_cfg=UpdateConfig(k=3), timing=timing)
     base_out, base_tl = run_baseline(stream, cfg, timing)
@@ -108,7 +108,7 @@ def test_bound_ordering_across_configs():
             predict_per_point=float(rng.uniform(0, 1e-3)),
             refine_fixed=float(rng.uniform(0, 0.01)),
             refine_per_point=float(rng.uniform(0, 1e-5)),
-            overlap=random_schedule(rng),
+            mode=random_schedule(rng),
         )
         _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
         _, base_tl = run_baseline(stream, cfg, timing)
@@ -120,8 +120,8 @@ def test_bound_ordering_across_configs():
 def test_causality_invariants():
     stream = small_stream(4)
     cfg = PredictorConfig(error_rates=RATES, seed=5)
-    for overlap in ("full", "unfused"):
-        timing = TimingModel(tick_duration=1e-4, overlap=overlap)
+    for mode in ("sim", "sim-unfused"):
+        timing = TimingModel(tick_duration=1e-4, mode=mode)
         _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
         avail_prev = 0.0
         for i in range(1, 6):
@@ -129,7 +129,7 @@ def test_causality_invariants():
             start = tl.instant(SCALE_START, i)
             avail = tl.instant(CUMULATIVE_AVAILABLE, i)
             assert start >= ready
-            if overlap == "full" and i > 1:
+            if mode == "sim" and i > 1:
                 assert start >= avail_prev
             assert avail >= avail_prev  # publication ordered by scale
             assert ready == SPEC.cuts[i - 1] * timing.tick_duration
@@ -143,9 +143,9 @@ def test_labels_identical_across_timing_models():
     reference = None
     models = [
         TimingModel(tick_duration=1e-6),
-        TimingModel(tick_duration=5.0, overlap="none"),
-        TimingModel(tick_duration=1e-3, overlap="unfused"),
-        TimingModel(tick_duration=1e-6, overlap="measured"),
+        TimingModel(tick_duration=5.0, mode="sim-serial"),
+        TimingModel(tick_duration=1e-3, mode="sim-unfused"),
+        TimingModel(tick_duration=1e-6, mode="real"),
     ]
     for timing in models:
         outputs, _ = run_scalable(stream, SPEC, cfg, update, timing)
@@ -158,11 +158,11 @@ def test_labels_identical_across_timing_models():
 
 
 SWEEP_TIMINGS = [TimingModel(tick_duration=1e-6),
-                 TimingModel(tick_duration=5.0, overlap="none"),
+                 TimingModel(tick_duration=5.0, mode="sim-serial"),
                  TimingModel(tick_duration=1e-3),
                  TimingModel(tick_duration=1e-4, predict_fixed=0.5,
                              refine_per_point=0.0),
-                 TimingModel(tick_duration=2e-5, overlap="none")]
+                 TimingModel(tick_duration=2e-5, mode="sim-serial")]
 
 
 @pytest.mark.parametrize("variant", ["noisy-oracle", "seeded-knn"])
@@ -200,22 +200,58 @@ def test_one_label_pass_equals_a_fresh_pass_per_timing(label_calls, variant,
             out.pred_labels[0] = 0
 
 
+class _NoClock:
+    """Stands in for the ``time`` module: any clock read or sleep raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"clock read: time.{name}")
+
+
+@pytest.mark.parametrize("update_cfg", [UpdateConfig(k=3), None])
+def test_simulated_calls_read_no_clock(monkeypatch, update_cfg):
+    """A simulated call, fresh or reused inside ``one_label_pass``, and a
+    simulated baseline neither read the clock nor sleep, and return what
+    they return with the clock in place."""
+    stream = small_stream(25, n=600)
+    cfg = PredictorConfig(error_rates=RATES, seed=8)
+    timings = [TimingModel(tick_duration=td, mode=mode)
+               for mode in MODES if mode != "real" for td in (1e-6, 5.0)]
+
+    def calls():
+        return [(*run_scalable(stream, SPEC, cfg, update_cfg, t),
+                 run_baseline(stream, cfg, t)) for t in timings]
+
+    expected = calls()
+    monkeypatch.setattr(pipeline, "time", _NoClock())
+    fresh = calls()
+    with pipeline.one_label_pass():
+        reused = calls()
+    for got in (fresh, reused):
+        for (outputs, tl, base), (ref_outputs, ref_tl, ref_base) in zip(
+                got, expected):
+            assert tl == ref_tl and base[1] == ref_base[1]
+            assert np.array_equal(base[0].pred_labels, ref_base[0].pred_labels)
+            assert [o.bounds for o in outputs] == [o.bounds for o in ref_outputs]
+            for out, ref in zip(outputs, ref_outputs, strict=True):
+                assert np.array_equal(out.pred_labels, ref.pred_labels)
+
+
 def test_one_label_pass_keeps_nothing_for_measured_calls_or_other_inputs(
         label_calls):
-    """A measured call neither reads nor fills the scope; a call given
+    """A real call neither reads nor fills the scope; a call given
     other objects, even equal ones, labels afresh; and nothing is kept
     after the block."""
     stream = small_stream(24, n=400)
     cfg = PredictorConfig(error_rates=RATES, seed=6)
     update_cfg = UpdateConfig(k=3)
-    measured = TimingModel(tick_duration=1e-7, overlap="measured")
+    real = TimingModel(tick_duration=1e-7, mode="real")
     with pipeline.one_label_pass():
-        run_scalable(stream, SPEC, cfg, update_cfg, measured)
-        assert label_calls["predict"] == 5  # measured: labelled, nothing kept
+        run_scalable(stream, SPEC, cfg, update_cfg, real)
+        assert label_calls["predict"] == 5  # real: labelled, nothing kept
         kept, _ = run_scalable(stream, SPEC, cfg, update_cfg, TimingModel())
         assert label_calls["predict"] == 10  # the first sim-mode call labels
-        outputs, _ = run_scalable(stream, SPEC, cfg, update_cfg, measured)
-        assert label_calls["predict"] == 15  # measured: not a lookup
+        outputs, _ = run_scalable(stream, SPEC, cfg, update_cfg, real)
+        assert label_calls["predict"] == 15  # real: not a lookup
         assert outputs[0] is not kept[0]
         outputs[0].pred_labels[0] = outputs[0].pred_labels[0]  # its own
         run_scalable(stream, SPEC, replace(cfg), update_cfg, TimingModel())
@@ -233,7 +269,7 @@ def test_real_executor_timeline_is_causal():
     partition is acquired and scale i-1's cumulative output is published."""
     stream = small_stream(6, n=400)
     cfg = PredictorConfig(error_rates=RATES, seed=4)
-    timing = TimingModel(tick_duration=2e-6, overlap="measured")
+    timing = TimingModel(tick_duration=2e-6, mode="real")
     _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
     avail_prev = 0.0
     for i in range(1, 6):
@@ -282,13 +318,13 @@ def test_baseline_cardinality_and_duration():
 
 
 @pytest.mark.parametrize("n", [0, 800])
-@pytest.mark.parametrize("overlap", ["full", "none"])
-def test_closed_form_baseline_timeline_equals_run_baseline(n, overlap):
+@pytest.mark.parametrize("mode", ["sim", "sim-serial"], ids=["full", "none"])
+def test_closed_form_baseline_timeline_equals_run_baseline(n, mode):
     """The modelled baseline schedule, from the point count alone, is the
     simulated ``run_baseline`` instants to the bit, at every tick duration."""
     stream = small_stream(12, n=n, t_max=977)
     for td in (1e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 0.1):
-        timing = TimingModel(tick_duration=td, overlap=overlap)
+        timing = TimingModel(tick_duration=td, mode=mode)
         _, baseline = run_baseline(stream, PredictorConfig(error_rates=RATES),
                                    timing)
         closed = baseline_timeline(stream, timing,
@@ -313,7 +349,7 @@ def test_seeded_knn_requires_fusion_dependency():
     cfg = PredictorConfig(variant="seeded-knn", seed_cloud=cloud)
     with pytest.raises(PipelineError, match="fusion"):
         run_scalable(stream, SPEC, cfg, UpdateConfig(),
-                     TimingModel(overlap="unfused"))
+                     TimingModel(mode="sim-unfused"))
 
 
 def test_incomplete_timeline_rejected():
@@ -460,7 +496,7 @@ def test_timing_model_validation():
     with pytest.raises(PipelineError):
         TimingModel(predict_fixed=-1)
     with pytest.raises(PipelineError):
-        TimingModel(overlap="sometimes")
+        TimingModel(mode="sometimes")
     for field in ("tick_duration", "predict_fixed", "predict_per_point",
                   "baseline_factor", "refine_fixed", "refine_per_point"):
         for value in (float("nan"), float("inf"), -float("inf")):
@@ -528,7 +564,7 @@ def test_empty_scale_costs_nothing():
 
 
 def test_measured_run_keeps_scales_on_the_calling_thread(monkeypatch):
-    """A measured run predicts, refines and assembles every scale on the
+    """A real run predicts, refines and assembles every scale on the
     caller's thread.  With one search worker it starts no thread at all;
     with two, each neighbor search runs at most two threads and joins them
     before it returns, and the labels are the same."""
@@ -559,7 +595,7 @@ def test_measured_run_keeps_scales_on_the_calling_thread(monkeypatch):
         monkeypatch.setattr(update, "_WORKERS", workers)
         started.clear()
         outputs, _ = run_scalable(stream, spec, cfg, UpdateConfig(k=3),
-                                  TimingModel(tick_duration=1e-7, overlap="measured"))
+                                  TimingModel(tick_duration=1e-7, mode="real"))
         assert len(outputs) == 40
         labels[workers] = [o.pred_labels for o in outputs]
         if workers == 1:
@@ -624,7 +660,7 @@ def test_real_executor_failure_surfaces_without_leaks(monkeypatch, target):
             run_scalable(small_stream(15, n=400), SPEC,
                          PredictorConfig(error_rates=RATES, seed=2),
                          UpdateConfig(k=3),
-                         TimingModel(tick_duration=1e-6, overlap="measured"))
+                         TimingModel(tick_duration=1e-6, mode="real"))
         except PipelineError as exc:
             raised.append(exc)
 
@@ -713,8 +749,8 @@ def test_seeded_knn_labels_identical_across_backends():
     cfg = PredictorConfig(variant="seeded-knn", k_cls=3, seed_cloud=cloud)
     models = [
         TimingModel(tick_duration=1e-6),
-        TimingModel(tick_duration=5.0, overlap="none"),
-        TimingModel(tick_duration=1e-6, overlap="measured"),
+        TimingModel(tick_duration=5.0, mode="sim-serial"),
+        TimingModel(tick_duration=1e-6, mode="real"),
     ]
     finals = []
     for update in (UpdateConfig(k=3), None):
@@ -736,7 +772,7 @@ def assert_causal(tl: Timeline, spec: PartitionSpec, timing: TimingModel,
     """Each scale starts once its partition is acquired, and once the previous
     output is published wherever the schedule waits for it; predict, refine
     and publication follow in that order, and outputs publish in scale order."""
-    waits = timing.overlap != "unfused"
+    waits = timing.mode != "sim-unfused"
     intervals = refine_intervals(tl)
     prev = 0.0
     for i, cut in enumerate(spec.cuts, start=1):
@@ -794,17 +830,17 @@ def test_run_scalable_properties(data):
     slowdown = data.draw(st.floats(1, 1e4), label="slowdown")
 
     reference = None
-    for overlap in OVERLAP_MODES:
-        if cfg.variant == "seeded-knn" and overlap == "unfused":
+    for mode in MODES:
+        if cfg.variant == "seeded-knn" and mode == "sim-unfused":
             continue
-        timing = replace(base, overlap=overlap)
+        timing = replace(base, mode=mode)
         outputs, tl = run_scalable(stream, spec, cfg, update_cfg, timing)
         labels = [o.pred_labels.astype("<i8").tobytes() for o in outputs]
         if reference is None:
             reference = labels
         assert labels == reference
         assert_causal(tl, spec, timing, update_cfg is not None)
-        if overlap != "measured":
+        if mode != "real":
             lat = latency_metrics(tl, base_tl)
             slack = 1e-9 * (1.0 + lat.post_acq_upper)
             assert lat.post_acq_lower <= lat.post_acq + slack
