@@ -345,6 +345,9 @@ def _do_scan(args, settings: dict) -> PointStream:
     except OSError as exc:  # a missing file, a directory, no permission
         raise ConfigError(f"--scene: {args.scene} cannot be read: "
                           f"{exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--scene: {args.scene} is not UTF-8 text: "
+                          f"{exc.reason} at byte {exc.start}") from None
     poses = place_cameras(scene, max_poses=args.max_poses, seed=args.seed)
     if not 0 <= args.camera_index < len(poses):
         raise ConfigError(f"--camera-index {args.camera_index} outside the "
@@ -457,17 +460,21 @@ def cmd_run(args) -> int:
     stream, predictor_cfg = _load_or_scan(args, settings)
     warnings = _run_warnings(stream, spec, predictor_cfg, update_cfg)
 
-    outputs, timeline = run_scalable(stream, spec, predictor_cfg, update_cfg, timing)
+    unrefined = not args.skip_unrefined and update_cfg is not None
+    unrefined_miou = None
+    # the unrefined pass votes through the refined pass's context tables,
+    # which are freed before the baseline's search
+    with one_label_pass(tables=unrefined):
+        outputs, timeline = run_scalable(stream, spec, predictor_cfg,
+                                         update_cfg, timing)
+        if unrefined:
+            # labels do not depend on timing and this timeline is dropped, so
+            # simulate it rather than sleep through the acquisition again
+            unrefined_miou = [_scale_miou(o) for o in run_scalable(
+                stream, spec, predictor_cfg, None,
+                replace(timing, mode="sim") if timing.mode == "real" else timing)[0]]
     base_out, baseline = run_baseline(stream, predictor_cfg, timing)
     lat = latency_metrics(timeline, baseline)
-
-    unrefined_miou = None
-    if not args.skip_unrefined and update_cfg is not None:
-        # labels do not depend on timing and this timeline is dropped, so
-        # simulate it rather than sleep through the acquisition again
-        raw_outputs, _ = run_scalable(stream, spec, predictor_cfg, None,
-                                      replace(timing, mode="sim"))
-        unrefined_miou = [_scale_miou(o) for o in raw_outputs]
 
     *early, final = outputs
     class_iou, final_miou = miou(final)

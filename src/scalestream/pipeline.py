@@ -26,7 +26,9 @@ Label outputs are bit-identical across all backends and timing parameters;
 scheduling only ever affects the timeline.  So inside ``one_label_pass``
 simulated runs over the same input make one label pass, and with it one
 neighbor search per scale pair: a simulated sweep labels for its first
-tick duration and reuses those outputs for the others.
+tick duration and reuses those outputs for the others.  Neighbors depend on
+positions alone, so a run's unrefined pass votes through its refined
+pass's context tables: a seeded-knn ``run`` searches each context once.
 """
 
 from __future__ import annotations
@@ -227,14 +229,14 @@ class LatencyMetrics:
     refine_total: float
 
 
-# The label pass kept by this context's innermost ``one_label_pass``: None
-# outside the scope; inside, [] until the scope's first sim-mode pass, then
-# that pass's [(stream, spec, predictor_cfg, update_cfg), parts, outputs].
-_kept: ContextVar[list | None] = ContextVar("_kept", default=None)
+# What the innermost ``one_label_pass`` keeps, () until filled: "outputs",
+# the first sim-mode pass's ((stream, spec, predictor_cfg, update_cfg), parts,
+# outputs), and "tables", the first pass's ((stream, spec, predictor_cfg), tables).
+_kept: ContextVar[dict | None] = ContextVar("_kept", default=None)
 
 
 @contextmanager
-def one_label_pass():
+def one_label_pass(tables: bool = False):
     """Label once for every simulated run of the block over the same input.
 
     Labels never depend on the timing.  Inside the block the first sim-mode
@@ -243,10 +245,13 @@ def one_label_pass():
     and ``update_cfg`` objects returns those outputs, in a new list, with
     its own simulated timeline.  The calls share the outputs, so each kept
     ``pred_labels`` array is made read-only.  Real calls neither read nor
-    fill the scope: their timeline times the label work.  Nothing is
-    kept after the block.
+    fill the outputs: their timeline times the label work.  With ``tables``
+    the block's first call, real or not, keeps its predictor tables, and a
+    later sim-mode call given the same ``stream``, ``spec`` and
+    ``predictor_cfg``, refining or not, votes through them, searching no
+    context.  Nothing is kept after the block.
     """
-    token = _kept.set([])
+    token = _kept.set({"outputs": (), "tables": () if tables else None})
     try:
         yield
     finally:
@@ -265,7 +270,7 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
     their original labels, as in a pipeline without an update module).
     A predictor or update failure is re-raised as a ``PipelineError`` that
     names the scale.  Inside ``one_label_pass`` a sim-mode call may reuse
-    an earlier call's outputs.
+    an earlier call's outputs or predictor tables.
     """
     if predictor_cfg.variant == "seeded-knn" and timing.mode == "sim-unfused":
         raise PipelineError(
@@ -274,11 +279,20 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
     real = timing.mode == "real"
     ready = [cut * timing.tick_duration for cut in spec.cuts]
     key = (stream, spec, predictor_cfg, update_cfg)
-    kept = _kept.get()
-    if not real and kept and all(map(operator.is_, kept[0], key)):
-        _, parts, outputs = kept
+    kept = _kept.get() or {}
+
+    def kept_for(name):  # whether the scope kept ``name`` for these objects
+        return bool(kept.get(name)) and all(map(operator.is_, kept[name][0], key))
+
+    if not real and kept_for("outputs"):
+        _, parts, outputs = kept["outputs"]
         return list(outputs), _sim_timeline([len(p) for p in parts], ready,
                                             timing, update_cfg is not None)
+    context_tables = None  # each scale's search is dropped, unless kept
+    if kept.get("tables") == ():  # the scope's first pass keeps them
+        kept["tables"] = (key[:3], context_tables := [])
+    elif not real and kept_for("tables"):
+        context_tables = kept["tables"][1]
     parts = partition(stream, spec)
     if real:  # the clock's zero comes after partitioning
         tl, base = Timeline(), time.monotonic()
@@ -302,7 +316,8 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
         try:
             # the labels of scales 1..i, published below as output i
             _, labels = predict(part, outputs[-1] if outputs else None,
-                                predictor_cfg, stream.class_count)
+                                predictor_cfg, stream.class_count,
+                                context_tables)
             clock(SCALE_DONE, i)
             if update_cfg is not None:
                 cascade_step(parts[:i - 1], part, labels, update_cfg, tables,
@@ -313,10 +328,10 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
         clock(CUMULATIVE_AVAILABLE, i)
     if real:
         return outputs, tl
-    if kept == []:  # the scope's first sim-mode pass
+    if kept.get("outputs") == ():  # the scope's first sim-mode pass
         for o in outputs:
             o.pred_labels.flags.writeable = False
-        kept[:] = key, parts, list(outputs)
+        kept["outputs"] = key, parts, list(outputs)
     return outputs, _sim_timeline([len(p) for p in parts], ready, timing,
                                  refining=update_cfg is not None)
 

@@ -16,7 +16,8 @@ over the whole cloud.  The context of scale ``i`` is the cumulative output
 that scale ``i-1`` published; ``predict`` returns the labels of scales
 ``1..i`` in capture order as a new array, which the pipeline refines in
 place and publishes as the next output, so a learned backbone that replaces
-these must return the same.
+these must return the same.  Seeded-knn's neighbors depend on positions alone:
+a run's unrefined pass votes through its refined pass's context tables.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def _corrupt(gt: np.ndarray, p: float, class_count: int,
 
 def _labels(scale: int, positions: np.ndarray, gt: np.ndarray,
             prev: CumulativeOutput | None, cfg: PredictorConfig,
-            class_count: int) -> np.ndarray:
+            class_count: int, tables: list | None = None) -> np.ndarray:
     """The one labelling rule; scale 0 is the baseline over the whole cloud.
 
     Seeded-knn votes against ``prev``; an absent or empty one (the baseline,
@@ -87,13 +88,22 @@ def _labels(scale: int, positions: np.ndarray, gt: np.ndarray,
         ref_positions, ref_labels = cfg.seed_cloud.positions, cfg.seed_cloud.labels
     else:
         raise PredictorError("seeded-knn predictor needs a nonempty reference cloud")
-    if len(positions) == 0:
+    if tables is not None and len(tables) >= scale:
+        table = tables[scale - 1]
+    else:
+        table = knn_batch(positions, ref_positions, cfg.k_cls) if len(positions) else None
+        if tables is not None:
+            tables.append(table)
+    if table is None:
         return np.zeros(0, dtype=np.int64)
-    return _majority_vote(ref_labels[knn_batch(positions, ref_positions, cfg.k_cls)])
+    neighbor_labels = ref_labels[table]
+    del table  # a table that no list keeps is freed before the vote
+    return _majority_vote(neighbor_labels)
 
 
 def predict(part: Partition, prev: CumulativeOutput | None,
-            cfg: PredictorConfig, class_count: int) -> tuple[np.ndarray, np.ndarray]:
+            cfg: PredictorConfig, class_count: int,
+            tables: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Predict labels for one partition, given the previous scale's output.
 
     ``prev`` is the cumulative output of scale ``i-1`` (``None`` at scale
@@ -102,6 +112,10 @@ def predict(part: Partition, prev: CumulativeOutput | None,
     followed by those labels, in a new array that shares no memory with
     ``prev``, so the caller may refine it in place.  Deterministic for a
     fixed config seed: each scale draws from its own seeded RNG stream.
+    As in ``update.cascade_step``, seeded-knn's ``tables[i-1]`` is scale
+    ``i``'s :func:`knn_batch` table into its context (``None`` for an empty
+    scale); a missing one is searched and appended, a given one only voted
+    through: it depends on positions alone, so two passes can share it.
     """
     if part.scale < 1:
         raise PredictorError(f"partition has invalid scale {part.scale}")
@@ -109,7 +123,8 @@ def predict(part: Partition, prev: CumulativeOutput | None,
         raise PredictorError(
             f"no error rate configured for scale {part.scale} "
             f"(got {len(cfg.error_rates)} rates)")
-    labels = _labels(part.scale, part.positions, part.labels, prev, cfg, class_count)
+    labels = _labels(part.scale, part.positions, part.labels, prev, cfg,
+                     class_count, tables)
     return labels, labels if prev is None else np.concatenate([prev.pred_labels, labels])
 
 

@@ -416,6 +416,36 @@ def test_real_mode_unrefined_comparison_does_not_sleep(tmp_path, monkeypatch):
     assert slept and all(slept)
 
 
+@pytest.mark.parametrize("flags, passes", [
+    ([], 2),
+    (["--mode", "real", "--tick-duration", "1e-7"], 2),
+    (["--skip-unrefined"], 1),
+], ids=["sim", "real", "skip-unrefined"])
+def test_seeded_knn_run_searches_each_context_once(tmp_path, label_calls,
+                                                   flags, passes):
+    """A seeded-knn ``run`` over K scales makes 2K neighbor searches: K
+    context searches, K-1 scale pairs and the baseline.  The unrefined pass
+    votes through the refined pass's context tables, so whether it runs,
+    and the mode, change no count."""
+    assert run_cli("run", *FAST_SWEEP, "--predictor", "seeded-knn", *flags,
+                   "--out-dir", str(tmp_path)) == 0
+    assert label_calls == {"predict": 5 * passes, "knn_batch": 5 + 4 + 1}
+
+
+def test_scan_scene_that_is_not_utf8_exits_2(tmp_path, capsys):
+    """A scene file whose bytes are not UTF-8 is a scene fault: one config
+    error line that names the file, and nothing written."""
+    scene = tmp_path / "bad.scene"
+    scene.write_bytes(b"\xff\xferoom 0 0 0 4 4 3\n")
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--scene", str(scene), "--ticks", "100",
+                   "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --scene: {scene} is not UTF-8 text: invalid start "
+        "byte at byte 0\n")
+    assert not out.exists()
+
+
 def test_scan_scene_with_bad_coordinate_exits_2(tmp_path, capsys):
     scene = tmp_path / "bad.scene"
     scene.write_text("room 0 0 0 4 4 3\nbox chair 1 1 0 nan 2 1\n")

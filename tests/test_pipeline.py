@@ -1,6 +1,7 @@
 import threading
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalestream.pipeline as pipeline
+import scalestream.predictors as predictors
 import scalestream.update as update
 from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream,
                          PredictorConfig, PredictorError, TimingModel,
@@ -262,6 +264,47 @@ def test_one_label_pass_keeps_nothing_for_measured_calls_or_other_inputs(
         assert label_calls["predict"] == 25 and again[0] is kept[0]
     run_scalable(stream, SPEC, cfg, update_cfg, TimingModel())
     assert label_calls["predict"] == 30
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unrefined_pass_through_kept_tables_equals_a_fresh_one(data):
+    """Inside ``one_label_pass(tables=True)``, an unrefined simulated call
+    after a refined call, simulated or real, searches no context and
+    returns what a fresh unrefined call returns, bit for bit.  Scales may be
+    empty or smaller than ``k_cls``; an empty first scale leaves scale 2 to
+    vote against the seed cloud."""
+    k = data.draw(st.integers(1, 5), label="scales")
+    counts = data.draw(st.lists(st.integers(0, 12), min_size=k, max_size=k),
+                       label="counts")
+    counts[-1] += sum(counts) == 0  # the seed cloud needs a point
+    cuts = sorted(data.draw(st.sets(st.integers(0, 400), min_size=k,
+                                    max_size=k), label="cuts"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+    stream = make_counted_stream(rng, counts, cuts)
+    spec = PartitionSpec(tuple(cuts))
+    cfg = PredictorConfig(
+        variant="seeded-knn", k_cls=data.draw(st.integers(1, 8), label="k_cls"),
+        seed_cloud=make_seed_cloud(stream, data.draw(st.floats(0.01, 1.0),
+                                                     label="fraction"), 0))
+    refine = UpdateConfig(data.draw(st.integers(1, 6), label="update_k"))
+    first = TimingModel(tick_duration=1e-9, mode=data.draw(
+        st.sampled_from(["sim", "sim-serial", "real"]), label="first_mode"))
+    timing = TimingModel(tick_duration=1e-5, mode=data.draw(
+        st.sampled_from(["sim", "sim-serial"]), label="mode"))
+
+    fresh, fresh_tl = run_scalable(stream, spec, cfg, None, timing)
+    with pipeline.one_label_pass(tables=True):
+        run_scalable(stream, spec, cfg, refine, first)
+        with mock.patch.object(predictors, "knn_batch",
+                               wraps=predictors.knn_batch) as search:
+            outputs, tl = run_scalable(stream, spec, cfg, None, timing)
+    assert search.call_count == 0
+    assert tl == fresh_tl
+    assert [o.bounds for o in outputs] == [o.bounds for o in fresh]
+    for out, ref in zip(outputs, fresh, strict=True):
+        assert out.pred_labels.astype("<i8").tobytes() == (
+            ref.pred_labels.astype("<i8").tobytes())
 
 
 def test_real_executor_timeline_is_causal():

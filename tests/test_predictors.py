@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalestream.predictors as predictors
 from scalestream import (CumulativeOutput, Partition, PartitionSpec,
                          PointStream, PredictorConfig, PredictorError, assemble,
                          make_seed_cloud, partition, predict, predict_full)
@@ -133,6 +134,39 @@ def test_seeded_knn_empty_reference_errors():
     cfg = PredictorConfig(variant="seeded-knn")
     with pytest.raises(PredictorError, match="reference"):
         predict(part, None, cfg, class_count=11)
+
+
+def test_seeded_knn_votes_through_given_tables(monkeypatch):
+    """``predict`` appends each scale's table into its context, None for an
+    empty scale; given the filled list it searches nothing and votes as a
+    fresh search would against other labels at the same positions."""
+    rng = np.random.default_rng(11)
+    spec = PartitionSpec((100, 200, 300))
+    stream = make_counted_stream(rng, (40, 0, 30), spec.cuts)
+    cfg = PredictorConfig(variant="seeded-knn", k_cls=3,
+                          seed_cloud=make_seed_cloud(stream, 0.2, seed=2))
+    parts = partition(stream, spec)
+    tables, contexts = [], [None]
+    for part in parts:
+        _, cumulative = predict(part, contexts[-1], cfg, 5, tables)
+        contexts.append(assemble(stream, parts[:part.scale],
+                                 rng.permutation(cumulative)))
+    assert [None if t is None else t.shape for t in tables] == [(40, 3), None,
+                                                                (30, 3)]
+    fresh = [predict(part, ctx, cfg, 5) for part, ctx in zip(parts, contexts)]
+    kept = [t.copy() for t in tables if t is not None]
+
+    def no_search(*args):
+        raise AssertionError("searched again")
+
+    monkeypatch.setattr(predictors, "knn_batch", no_search)
+    for part, ctx, (labels, cumulative) in zip(parts, contexts, fresh):
+        got, got_cumulative = predict(part, ctx, cfg, 5, tables)
+        assert np.array_equal(got, labels)
+        assert np.array_equal(got_cumulative, cumulative)
+    assert len(tables) == 3
+    for a, b in zip([t for t in tables if t is not None], kept):
+        assert np.array_equal(a, b)
 
 
 def test_predict_full_uses_final_rate():
