@@ -348,7 +348,13 @@ def _do_scan(args, settings: dict) -> PointStream:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"--scene: {args.scene} is not UTF-8 text: "
                           f"{exc.reason} at byte {exc.start}") from None
-    poses = place_cameras(scene, max_poses=args.max_poses, seed=args.seed)
+    try:
+        poses = place_cameras(scene, max_poses=args.max_poses, seed=args.seed)
+    except SceneError as exc:  # the room leaves no or too many camera positions
+        if args.max_poses < 1:
+            raise
+        flag = "--room" if "scene" in settings else f"--scene: {args.scene}"
+        raise ConfigError(f"{flag}: {exc}") from None
     if not 0 <= args.camera_index < len(poses):
         raise ConfigError(f"--camera-index {args.camera_index} outside the "
                           f"{len(poses)} sampled poses")

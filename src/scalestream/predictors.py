@@ -29,7 +29,7 @@ import numpy as np
 from .assemble import CumulativeOutput
 from .partition import Partition
 from .stream import PointStream
-from .update import _majority_vote, knn_batch
+from .update import knn_batch, vote
 
 #: Per-scale error probabilities for the noisy oracle, coarsest scale worst.
 DEFAULT_ERROR_RATES = (0.40, 0.30, 0.20, 0.12, 0.05)
@@ -96,9 +96,7 @@ def _labels(scale: int, positions: np.ndarray, gt: np.ndarray,
             tables.append(table)
     if table is None:
         return np.zeros(0, dtype=np.int64)
-    neighbor_labels = ref_labels[table]
-    del table  # a table that no list keeps is freed before the vote
-    return _majority_vote(neighbor_labels)
+    return vote(ref_labels, table)
 
 
 def predict(part: Partition, prev: CumulativeOutput | None,

@@ -22,10 +22,11 @@ a tied class.  Determinism is what lets the tests compare against brute-force
 oracles bit for bit.  A tied search costs what its neighborhood holds, not a
 pass over the whole reference, so a scan that revisits directions stays fast.
 
-The cascade runs on the calling thread.  Each neighbor search splits its
-queries across the CPUs the process may run on and joins those threads
-before it returns; every query row is answered on its own, so the labels
-do not depend on the CPU count.
+The cascade runs on the calling thread.  Memory follows a block, not the
+stream: a search answers row blocks against one tree into an int32 table,
+sorting for ties at most once, and a vote gathers row blocks.  A block's
+threads are joined before the next, and every query row is answered on its
+own, so the labels depend neither on the block size nor on the CPU count.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .partition import Partition
 # scipy's workers=-1 counts the host's CPUs, not the ones this process may use
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+_BLOCK_ROWS = 2**15  # rows per search and vote block
+_THREAD_ROWS = 512  # on 2 vCPUs one worker beat two below 256-1,024 rows
 
 
 class UpdateError(ValueError):
@@ -61,7 +64,7 @@ class UpdateConfig:
 
 
 def knn_batch(queries, reference, k: int) -> np.ndarray:
-    """Indices of the ``min(k, n)`` nearest reference points per query row.
+    """int32 indices of the ``min(k, n)`` nearest reference points per query row.
 
     Results are ordered by ascending Euclidean distance with exact ties
     broken by the lower reference index.  A k-d tree answers the bulk of the
@@ -71,56 +74,69 @@ def knn_batch(queries, reference, k: int) -> np.ndarray:
     distance, widened by a relative 1e-9 that can only add candidates, and
     the candidates are ordered by (squared distance, index).
 
-    The queries are split across the CPUs the process may run on, and the
-    threads are joined before this returns.  Each row is answered on its
-    own, so the table does not depend on the CPU count.
+    One tree answers ``_BLOCK_ROWS`` rows at a time, and the tie path's
+    sort and tree are made at most once.  Blocks of ``_THREAD_ROWS`` rows or
+    more are split across the CPUs the process may run on.  Each row is
+    answered on its own, so neither the block size nor the CPU count shows.
     """
     ref = np.asarray(reference, dtype=float).reshape(-1, 3)
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    queries = np.atleast_2d(np.asarray(queries))
     n = len(ref)
     if n == 0:
         raise UpdateError("empty reference cloud")
+    if n >= 2**31:
+        raise UpdateError(f"{n} reference points overflow the int32 neighbor table")
     k_eff = min(k, n)
     kq = min(k_eff + 1, n)  # one spare neighbor to spot ties at the boundary
-    dist, idx = cKDTree(ref).query(q, k=kq, workers=_WORKERS)
-    dist, idx = dist.reshape(len(q), kq), idx.reshape(len(q), kq)  # k=1 comes back 1-D
-    out = idx[:, :k_eff].astype(np.int64)
-    tied = np.flatnonzero((dist[:, :-1] == dist[:, 1:]).any(axis=1))
-    if len(tied):
-        out[tied] = _tied_neighbors(ref, q[tied],
-                                    dist[tied, k_eff - 1] * (1 + 1e-9), k_eff)
+    tree, break_ties = cKDTree(ref), None
+    out = np.empty((len(queries), k_eff), dtype=np.int32)
+    for lo in range(0, len(out), _BLOCK_ROWS):
+        q = np.asarray(queries[lo:lo + _BLOCK_ROWS], dtype=float)
+        workers = _WORKERS if len(q) >= _THREAD_ROWS else 1
+        dist, idx = tree.query(q, k=kq, workers=workers)
+        dist, idx = dist.reshape(len(q), kq), idx.reshape(len(q), kq)  # k=1 comes back 1-D
+        out[lo:lo + len(q)] = idx[:, :k_eff]
+        tied = np.flatnonzero((dist[:, :-1] == dist[:, 1:]).any(axis=1))
+        if len(tied):
+            break_ties = break_ties or _tie_breaker(ref, k_eff)
+            out[lo + tied] = break_ties(q[tied], dist[tied, k_eff - 1] * (1 + 1e-9))
+        del q, dist, idx  # before the next block's are made
     return out
 
 
-def _tied_neighbors(ref: np.ndarray, q: np.ndarray, radius: np.ndarray,
-                    k: int) -> np.ndarray:
-    """Per row, the first ``k`` reference indices within its radius by
-    (squared distance, index), in batches of at most 2**18 candidates.
+def _tie_breaker(ref: np.ndarray, k: int) -> Callable:
+    """The tie path of one search, ``tied_neighbors(q, radius)``: per row,
+    the first ``k`` reference indices within its radius by (squared
+    distance, index), in batches of at most 2**18 candidates.
 
-    The balls are gathered over the distinct reference positions, and each
-    position stands for at most ``k`` of its lowest indices: no more of them
-    can be among a row's first ``k``.  A cloud of one repeated point thus
-    costs ``k`` candidates per row, not the whole reference."""
+    The balls are gathered over the distinct reference positions, sorted
+    once here, and each stands for at most ``k`` of its lowest indices: no
+    more of them can be among a row's first ``k``.  A cloud of one repeated
+    point thus costs ``k`` candidates per row, not the whole reference."""
     order = np.lexsort(ref.T[::-1])  # stable: equal positions keep index order
     first = np.flatnonzero(np.r_[True, (np.diff(ref[order], axis=0) != 0).any(axis=1)])
     kept = np.minimum(np.diff(np.r_[first, len(ref)]), k)
     tree = cKDTree(ref[order[first]])
-    sizes = tree.query_ball_point(q, radius, return_length=True, workers=_WORKERS)
-    batch = (np.cumsum(sizes) - sizes) * int(kept.max()) >> 18
-    out = np.empty((len(q), k), dtype=np.int64)
-    for rows in np.split(np.arange(len(q)), np.flatnonzero(np.diff(batch)) + 1):
-        balls = tree.query_ball_point(q[rows], radius[rows], workers=_WORKERS)
-        groups = np.fromiter(chain.from_iterable(balls), np.int64, int(sizes[rows].sum()))
-        # each position's lowest indices, at most k of them
-        n_kept = kept[groups]
-        rank = np.arange(int(n_kept.sum())) - np.repeat(np.cumsum(n_kept) - n_kept, n_kept)
-        cand = order[np.repeat(first[groups], n_kept) + rank]
-        row = np.repeat(np.repeat(np.arange(len(rows)), sizes[rows]), n_kept)
-        d2 = ((ref[cand] - q[rows[row]]) ** 2).sum(axis=1)
-        n = np.bincount(row, minlength=len(rows))
-        heads = (np.cumsum(n) - n)[:, None] + np.arange(k)
-        out[rows] = cand[np.lexsort((cand, d2, row))][heads]
-    return out
+
+    def tied_neighbors(q: np.ndarray, radius: np.ndarray) -> np.ndarray:
+        workers = _WORKERS if len(q) >= _THREAD_ROWS else 1
+        sizes = tree.query_ball_point(q, radius, return_length=True, workers=workers)
+        batch = (np.cumsum(sizes) - sizes) * int(kept.max()) >> 18
+        out = np.empty((len(q), k), dtype=np.int64)
+        for rows in np.split(np.arange(len(q)), np.flatnonzero(np.diff(batch)) + 1):
+            balls = tree.query_ball_point(q[rows], radius[rows], workers=workers)
+            groups = np.fromiter(chain.from_iterable(balls), np.int64, int(sizes[rows].sum()))
+            # each position's lowest indices, at most k of them
+            n_kept = kept[groups]
+            rank = np.arange(int(n_kept.sum())) - np.repeat(np.cumsum(n_kept) - n_kept, n_kept)
+            cand = order[np.repeat(first[groups], n_kept) + rank]
+            row = np.repeat(np.repeat(np.arange(len(rows)), sizes[rows]), n_kept)
+            d2 = ((ref[cand] - q[rows[row]]) ** 2).sum(axis=1)
+            n = np.bincount(row, minlength=len(rows))
+            heads = (np.cumsum(n) - n)[:, None] + np.arange(k)
+            out[rows] = cand[np.lexsort((cand, d2, row))][heads]
+        return out
+    return tied_neighbors
 
 
 def _majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
@@ -138,6 +154,14 @@ def _majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
         counts[:-d] += same
     rows = np.arange(len(neighbor_labels))
     return neighbor_labels[rows, counts.argmax(axis=0)]  # the first top column
+
+
+def vote(labels: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``_majority_vote(labels[table])``, gathered and voted in row blocks."""
+    out = np.empty(len(table), dtype=labels.dtype)
+    for lo in range(0, len(table), _BLOCK_ROWS):
+        out[lo:lo + _BLOCK_ROWS] = _majority_vote(labels[table[lo:lo + _BLOCK_ROWS]])
+    return out
 
 
 def cascade_step(lowers: Sequence[Partition], arrived: Partition,
@@ -184,6 +208,6 @@ def cascade_step(lowers: Sequence[Partition], arrived: Partition,
     for i in range(j - 1, 0, -1):
         if tables[i - 1] is not None:
             upper = labels[bounds[i]:bounds[i + 1]]
-            labels[bounds[i - 1]:bounds[i]] = _majority_vote(upper[tables[i - 1]])
+            labels[bounds[i - 1]:bounds[i]] = vote(upper, tables[i - 1])
         if on_refine is not None:
             on_refine(i)

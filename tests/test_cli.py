@@ -347,21 +347,41 @@ def test_scene_of_65535_classes_runs_under_a_memory_cap(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["scan", "--ticks", "10000000000"],              # 74.5 GiB of ticks
-    ["scan", "--room", "1e7 1e7 3"],                 # 22.4 GiB camera grid
-    ["run", "--scan-inline", "--room", "4 4 1e7"],   # 59.6 GiB
-    ["scan", "--scene", "wide.scene"],               # a room 1e8 m wide
-], ids=["ticks", "room-camera-grid", "tall-room", "wide-scene"])
+    ["scan", "--ticks", "10000000000"],              # 112 GiB of per-tick points
+], ids=["ticks"])
 def test_out_of_memory_is_one_error_line(tmp_path, argv):
     """An input whose arrays cannot be allocated under the 3,000,000 KiB
     cap: the command exits 1 with one ``error: out of memory`` line, no
-    traceback and no output directory."""
-    (tmp_path / "wide.scene").write_text("room 0 0 0 1e8 4 3\n")
-    argv = [str(tmp_path / a) if a.endswith(".scene") else a for a in argv]
+    traceback and no output directory.  The scan allocates its per-tick
+    outputs before its first block, so it fails at once."""
     out = tmp_path / "out"
     proc = run_capped(*argv, "--out-dir", str(out))
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: out of memory: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["scan", "--room", "1e6,1e6,1e6"], "--room"),
+    (["scan", "--room", "1e7 1e7 3"], "--room"),
+    (["run", "--scan-inline", "--room", "4 4 1e7"], "--room"),
+    (["scan", "--scene", "wide.scene"], "--scene"),
+], ids=["cube", "room-camera-grid", "tall-room", "wide-scene"])
+def test_room_past_the_camera_cap_exits_2_naming_it(tmp_path, argv, flag):
+    """A room whose walls hold more camera candidates than ``place_cameras``
+    takes (the cube once asked for 1.42 PiB, the others for 22.4-59.6 GiB)
+    is refused before any grid is built, under the 3,000,000 KiB cap: one
+    config error line naming the flag and the count, and nothing written."""
+    (tmp_path / "wide.scene").write_text("room 0 0 0 1e8 4 3\n")
+    argv = [str(tmp_path / a) if a.endswith(".scene") else a for a in argv]
+    if flag == "--scene":
+        flag = f"--scene: {argv[-1]}"
+    out = tmp_path / "out"
+    proc = run_capped(*argv, "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert re.match(f"config error: {re.escape(flag)}: a .* m room has [0-9,]+ "
+                    "camera candidates, more than the 1,048,576 placed\n", proc.stderr)
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
 

@@ -609,9 +609,10 @@ def test_empty_scale_costs_nothing():
 def test_measured_run_keeps_scales_on_the_calling_thread(monkeypatch):
     """A real run predicts, refines and assembles every scale on the
     caller's thread.  With one search worker it starts no thread at all;
-    with two, each neighbor search runs at most two threads and joins them
-    before it returns, and the labels are the same."""
-    stream = small_stream(14, n=400, t_max=4000)
+    with two, each neighbor search of ``_THREAD_ROWS`` rows or more runs at
+    most two threads and joins them before it returns, and the labels are
+    the same."""
+    stream = small_stream(14, n=40 * update._THREAD_ROWS * 5 // 4, t_max=4000)
     spec = PartitionSpec(tuple(range(100, 4001, 100)))
     cfg = PredictorConfig(error_rates=(0.2,) * 40, seed=1)
     caller = threading.get_ident()

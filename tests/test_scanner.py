@@ -1,10 +1,14 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import scalestream.scanner as scanner
 from scalestream import (CameraPose, LissajousConfig, Primitive, Scene,
                          SceneError, coverage_curve, lissajous_direction,
-                         place_cameras, scan)
+                         place_cameras, scan, write_stream)
 from scalestream.scanner import deflection_angles
 
 
@@ -93,6 +97,48 @@ def test_place_cameras_too_low_room_errors():
     squat = Scene("squat", (0, 0, 0), (4, 4, 1.2), ())
     with pytest.raises(SceneError, match="altitude"):
         place_cameras(squat)
+
+
+def test_place_cameras_counts_its_candidates_before_the_grid(room, monkeypatch):
+    """The walls of the built-in room hold 2 x (40 + 40) x 15 = 2,400
+    candidates, the 60 on its vertical edges counted twice: a cap of 2,400
+    places them all, a cap of 2,399 refuses the room."""
+    monkeypatch.setattr(scanner, "_MAX_CANDIDATES", 2400)
+    assert len(place_cameras(room, max_poses=10**9)) == 2340
+    monkeypatch.setattr(scanner, "_MAX_CANDIDATES", 2399)
+    with pytest.raises(SceneError, match="a 4 x 4 x 3 m room has 2,400 camera "
+                                         "candidates, more than the 2,399 "):
+        place_cameras(room)
+
+
+def test_scan_blocks_are_invisible(room, default_pose, monkeypatch):
+    """Scanned in 5-tick blocks, with dropout drawn block by block, the
+    stream is the same bytes as in the default blocks."""
+    cfg = LissajousConfig(ticks=1003)
+    streams = []
+    for block in (scanner._BLOCK_TICKS, 5):
+        monkeypatch.setattr(scanner, "_BLOCK_TICKS", block)
+        data = io.BytesIO()
+        write_stream(scan(room, default_pose, cfg, dropout=0.3, seed=8), data)
+        streams.append(data.getvalue())
+    assert streams[0] == streams[1]
+
+
+def test_scan_memory_follows_the_block_not_the_ticks(room, default_pose,
+                                                     monkeypatch):
+    """In 1,024-tick blocks, a scan of 4N ticks peaks above one of N by at
+    most its 28 bytes of per-tick output, plus 64 KiB (1.7 MB above when
+    the scan held every tick's directions and distances at once)."""
+    monkeypatch.setattr(scanner, "_BLOCK_TICKS", 1024)
+    peaks = []
+    for ticks in (4096, 4 * 4096):
+        tracemalloc.start()
+        try:
+            scan(room, default_pose, LissajousConfig(ticks=ticks), dropout=0.2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 3 * 4096 * 28 + 2**16, peaks
 
 
 def test_scan_empty_scene_is_empty():

@@ -1,3 +1,4 @@
+import threading
 import time
 import tracemalloc
 
@@ -9,9 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 import scalestream.update as update
 from scalestream import (DEFAULT_CUTS, LissajousConfig, Partition,
-                         PartitionSpec, PredictorConfig, TimingModel,
-                         UpdateConfig, UpdateError, cascade_step, knn_batch,
-                         miou, partition, run_scalable, scan)
+                         PartitionSpec, PointStream, PredictorConfig,
+                         TimingModel, UpdateConfig, UpdateError, cascade_step,
+                         knn_batch, miou, partition, run_scalable, scan)
+from scalestream.predictors import predict_full
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +203,75 @@ def test_knn_table_does_not_depend_on_worker_count(monkeypatch, periodic_pair):
         np.testing.assert_array_equal(tables[0], tables[1])
         for row in range(0, len(queries), max(1, len(queries) // 20)):
             assert np.array_equal(tables[0][row], brute_knn(queries[row], ref, 5)), row
+
+
+def test_knn_blocks_are_invisible(monkeypatch):
+    """With 7-row blocks, tied rows on both sides of a block boundary and
+    the one-repeated-point cloud still give the oracle's table.  The tie
+    path's sort and tree are built once per search, not once per tied
+    block, and a block below ``_THREAD_ROWS`` starts no thread."""
+    monkeypatch.setattr(update, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(update, "_WORKERS", 2)
+    prepared, started = [], []
+    real = update._tie_breaker
+    monkeypatch.setattr(update, "_tie_breaker",
+                        lambda *args: prepared.append(1) or real(*args))
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread))
+    rng = np.random.default_rng(12)
+    ref = rng.integers(0, 3, size=(60, 3)).astype(float)  # heavy duplicates
+    queries = rng.integers(0, 3, size=(30, 3)).astype(float)
+    queries[5:9] = queries[0]  # the same tied row at rows 5-8, across rows 6|7
+    for q, r in [(queries, ref), (np.ones((40, 3)), np.ones((40, 3)))]:
+        prepared.clear()
+        got = knn_batch(q, r, 5)
+        assert got.dtype == np.int32
+        for i in range(len(q)):
+            assert np.array_equal(got[i], brute_knn(q[i], r, 5)), i
+        assert prepared == [1]
+    assert started == []
+
+
+def test_knn_refuses_a_reference_past_the_int32_table():
+    """A reference of 2**31 points would overflow the table's int32 indices
+    (a zero-stride view: nothing is allocated)."""
+    huge = np.broadcast_to(np.zeros(3), (2**31, 3))
+    with pytest.raises(UpdateError, match="int32"):
+        knn_batch(np.zeros((1, 3)), huge, 5)
+
+
+def test_vote_blocks_are_invisible(monkeypatch):
+    """With 7-row blocks, ``vote`` gives ``_majority_vote(labels[table])``
+    row for row, in the labels' dtype."""
+    monkeypatch.setattr(update, "_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(13)
+    labels = rng.integers(0, 4, size=50)
+    table = rng.integers(0, 50, size=(37, 5)).astype(np.int32)
+    got = update.vote(labels, table)
+    assert got.dtype == labels.dtype
+    np.testing.assert_array_equal(got, update._majority_vote(labels[table]))
+
+
+def test_predict_full_memory_follows_the_block_not_the_rows(monkeypatch):
+    """Seeded-knn's baseline searches and votes 1,024-row blocks: at 4N
+    query rows it peaks above N by at most its int32 table and its labels,
+    plus 64 KiB (2.0 MB above when every stage held N-row temporaries)."""
+    monkeypatch.setattr(update, "_BLOCK_ROWS", 1024)
+    rng = np.random.default_rng(14)
+    cloud = PointStream(rng.uniform(-1, 1, (2000, 3)), rng.integers(0, 5, 2000),
+                        np.arange(2000), 5)
+    cfg = PredictorConfig(variant="seeded-knn", k_cls=5, seed_cloud=cloud)
+    peaks = []
+    for n in (4096, 4 * 4096):
+        positions = rng.uniform(-1, 1, (n, 3)).astype(np.float32)
+        gt = rng.integers(0, 5, n)
+        tracemalloc.start()
+        try:
+            predict_full(positions, gt, cfg, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 3 * 4096 * (4 * 5 + 8) + 2**16, peaks
 
 
 # ---------------------------------------------------------------------------
