@@ -15,8 +15,8 @@ from .metrics import (MetricsError, cost_of_scalability, coverage_curve, miou,
                       miou_by_origin)
 from .partition import (DEFAULT_CUTS, Partition, PartitionError, PartitionSpec,
                         partition)
-from .pipeline import (LatencyMetrics, PipelineError, Timeline, TimelineEvent,
-                       TimingModel, latency_metrics, run_baseline, run_scalable)
+from .pipeline import (LatencyMetrics, PipelineError, Timeline, TimingModel,
+                       latency_metrics, run_baseline, run_scalable)
 from .predictors import (DEFAULT_ERROR_RATES, PredictorConfig, PredictorError,
                          make_seed_cloud, predict, predict_full)
 from .scanner import (DEFAULT_TICKS_PER_PERIOD, CameraPose, LissajousConfig,

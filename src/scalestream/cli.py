@@ -259,7 +259,9 @@ _LIST_FLAGS = {"cuts": _parse_ints, "error_rates": _parse_floats}
 def _build(problems: list[str], args, cls, flags: dict, **fixed):
     """``cls`` from ``fixed`` and the flags that ``flags`` maps to its fields,
     or None after adding a problem for each flag that ``cls`` rejects on its
-    own, the other fields at their defaults, with the class's reason."""
+    own, the other fields at their defaults, with the class's reason, or
+    else one problem naming the flags off their defaults that it rejects
+    together."""
     values, n = {}, len(problems)
     for field, dest in flags.items():
         try:
@@ -267,7 +269,14 @@ def _build(problems: list[str], args, cls, flags: dict, **fixed):
             cls(**{field: values[field]})
         except (ValueError, PipelineError) as exc:
             problems.append(f"{_flag(dest)}: {exc}")
-    return cls(**fixed, **values) if len(problems) == n else None
+    if len(problems) > n:
+        return None
+    try:
+        return cls(**fixed, **values)
+    except (ValueError, PipelineError) as exc:  # fields refused together
+        given = [_flag(d) for f, d in flags.items()
+                 if values[f] != getattr(cls, f, None)]
+        problems.append(f"{', '.join(given)}: {exc}")
 
 
 def _settings(args) -> dict:

@@ -11,7 +11,8 @@ One in-order loop does the label work in every mode: per scale the
 predictor reads the previous cumulative output as its context and returns
 the labels of the prefix through this scale as a new array; the cascade
 refines its lower scales in place; the same array is published as the
-cumulative output.  The schedules, ``MODES``, differ only in the timeline:
+cumulative output.  The schedules, ``MODES``, differ only in the timeline,
+one list of K instants per event kind, checked once, when built:
 
 * ``"sim"``, ``"sim-unfused"`` and ``"sim-serial"``: the simulator derives
   the timeline in closed form from the partition sizes and the
@@ -38,7 +39,8 @@ import operator
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .assemble import CumulativeOutput, assemble
 from .partition import PartitionSpec, partition
@@ -118,8 +120,7 @@ class TimingModel:
         return self.refine_fixed + self.refine_per_point * (n_lower + n_upper)
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
+class _Event(NamedTuple):
     kind: str
     scale: int
     instant: float             # seconds from scan start
@@ -150,59 +151,73 @@ def _checked(instant: float, what: str) -> float:
     return float(instant)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Timeline:
-    events: list[TimelineEvent] = field(default_factory=list, init=False)
-    # every refinement's end instant, in execution order (arrival-major)
-    refines: list[float] = field(default_factory=list, init=False)
-    # (kind, scale) -> its event's instant; add events through ``add``
-    _instants: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    """A scalable run's schedule: one list of K instants per event kind,
+    scale ``i`` at index ``i-1``, and every refinement's end instant,
+    arrival-major.  It is checked once, when built."""
 
-    def add(self, kind: str, scale: int, instant: float):
-        """Append an event of a known kind, which the timeline does not hold
-        yet, at a finite, non-negative instant."""
-        if kind not in _EVENT_KINDS:  # a kind read from JSON may hold a newline
-            name = kind if str(kind).isprintable() else repr(kind)
-            raise PipelineError(f"unknown event {name}({scale})")
-        if (kind, scale) in self._instants:
-            raise PipelineError(f"repeated event {kind}({scale})")
-        self.events.append(TimelineEvent(kind, scale,
-                                         _checked(instant, f"{kind}({scale})")))
-        self._instants[kind, scale] = self.events[-1].instant
+    ready: list[float]         # partition_ready
+    start: list[float]         # scale_start
+    done: list[float]          # scale_done
+    avail: list[float]         # cumulative_available
+    refines: list[float] = field(default_factory=list)
 
-    def refine(self, instant: float):
-        """Append the next refinement's finite, non-negative end instant."""
-        self.refines.append(_checked(instant,
-                                     f"{REFINE_DONE}[{len(self.refines)}]"))
+    def __post_init__(self):
+        k = len(self.ready)
+        if k == 0:
+            raise PipelineError("scalable timeline contains no scale events")
+        if any(len(column) != k for column in (self.start, self.done, self.avail)):
+            raise PipelineError(f"incomplete timeline: not {k} instants of each kind")
+        if len(self.refines) not in (0, k * (k - 1) // 2):
+            raise PipelineError(f"{len(self.refines)} {REFINE_DONE} instants for {k} "
+                                f"scales, which refine 0 or {k * (k - 1) // 2} times")
+        checked = {kind: [] for kind in _EVENT_KINDS}
+        for kind, scale, instant in self.events:
+            checked[kind].append(_checked(instant, f"{kind}({scale})"))
+        checked[REFINE_DONE] = [_checked(t, f"{REFINE_DONE}[{j}]")
+                                for j, t in enumerate(self.refines)]
+        for f, kind in zip(fields(self), (*_EVENT_KINDS, REFINE_DONE)):
+            object.__setattr__(self, f.name, checked[kind])
 
-    def instant(self, kind: str, scale: int) -> float:
-        if (kind, scale) in self._instants:
-            return self._instants[kind, scale]
-        raise PipelineError(f"timeline has no {kind} event for scale {scale}")
-
-    def scales(self) -> list[int]:
-        return sorted({e.scale for e in self.events if e.kind == SCALE_START})
+    @property
+    def events(self) -> list[_Event]:
+        """The K ``partition_ready`` events, then each scale's other three."""
+        per_scale = zip(self.start, self.done, self.avail)
+        return [_Event(PARTITION_READY, i, t) for i, t in enumerate(self.ready, 1)] + [
+            _Event(kind, i, t) for i, row in enumerate(per_scale, 1)
+            for kind, t in zip(_EVENT_KINDS[1:], row)]
 
     def to_dict(self) -> dict:
-        return {"events": [asdict(e) for e in self.events],
+        return {"events": [e._asdict() for e in self.events],
                 REFINE_DONE: list(self.refines)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Timeline":
-        """The timeline that ``to_dict`` gave ``data``."""
-        tl = cls()
+        """The timeline that ``to_dict`` gave ``data``, its events in any order."""
+        instants = {}
         for e in _json_list(data, "events"):
-            scale, instant = e["scale"], e["instant"]
+            kind, scale, instant = e["kind"], e["scale"], e["instant"]
             if type(scale) is not int or not _is_number(instant):
-                raise TypeError(f"{e!r} needs an integer scale and a numeric "
-                                "instant")
-            tl.add(e["kind"], scale, instant)
+                raise TypeError(f"{e!r} needs an integer scale and a numeric instant")
+            if kind not in _EVENT_KINDS:  # it may hold a newline
+                name = kind if str(kind).isprintable() else repr(kind)
+                raise PipelineError(f"unknown event {name}({scale})")
+            if (kind, scale) in instants:
+                raise PipelineError(f"repeated event {kind}({scale})")
+            instants[kind, scale] = instant
         for instant in _json_list(data, REFINE_DONE):
             if not _is_number(instant):
                 raise TypeError(f"{REFINE_DONE} entry {instant!r} is not a number")
-            tl.refine(instant)
-        return tl
+        scales = sorted({scale for _, scale in instants})
+        if scales != list(range(1, len(scales) + 1)):
+            raise PipelineError(f"timeline is missing scales: found {scales}")
+        try:
+            columns = [[instants[kind, i] for i in scales] for kind in _EVENT_KINDS]
+        except KeyError as exc:
+            raise PipelineError("incomplete timeline: timeline has no {} event "
+                                "for scale {}".format(*exc.args[0])) from None
+        return cls(*columns, data[REFINE_DONE])
 
 
 @dataclass(frozen=True)
@@ -294,20 +309,21 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
     elif not real and kept_for("tables"):
         context_tables = kept["tables"][1]
     parts = partition(stream, spec)
+    instants = {kind: [] for kind in (*_EVENT_KINDS[1:], REFINE_DONE)}
     if real:  # the clock's zero comes after partitioning
-        tl, base = Timeline(), time.monotonic()
-        for i, r in enumerate(ready, start=1):
-            tl.add(PARTITION_READY, i, r)
+        base = time.monotonic()
 
     def clock(kind: str, scale: int):
         # real mode: record the wall instant of an event of ``scale`` once
         # its partition is acquired (only a start still has to wait for it)
         while real and (now := time.monotonic() - base) < ready[scale - 1]:
-            time.sleep(ready[scale - 1] - now)
-        if real and kind == REFINE_DONE:
-            tl.refine(now)
-        elif real:
-            tl.add(kind, scale, now)
+            try:
+                time.sleep(ready[scale - 1] - now)
+            except OverflowError:  # a wait past the platform's clock
+                raise PipelineError(f"cannot wait {ready[scale - 1]} s for "
+                                    f"{PARTITION_READY}({scale})") from None
+        if real:
+            instants[kind].append(now)
 
     outputs: list[CumulativeOutput] = []
     tables: list = []  # each scale pair's neighbor table, searched once per pass
@@ -327,7 +343,7 @@ def run_scalable(stream: PointStream, spec: PartitionSpec,
         outputs.append(assemble(stream, parts[:i], labels))
         clock(CUMULATIVE_AVAILABLE, i)
     if real:
-        return outputs, tl
+        return outputs, Timeline(ready, *instants.values())
     if kept.get("outputs") == ():  # the scope's first sim-mode pass
         for o in outputs:
             o.pred_labels.flags.writeable = False
@@ -347,25 +363,21 @@ def _sim_timeline(counts: list[int], ready: list[float], timing: TimingModel,
     refining scale ``j`` votes its ``counts[j-1]`` points against the
     ``counts[j]`` points of scale ``j+1``.
     """
-    tl = Timeline()
-    for i, r in enumerate(ready, start=1):
-        tl.add(PARTITION_READY, i, r)
     serial, fused = timing.mode == "sim-serial", timing.mode != "sim-unfused"
+    start, done, avail, refines = [], [], [], []
     prev_avail = 0.0
     for i, count in enumerate(counts, start=1):
-        start = max(ready[-1] if serial else ready[i - 1],
-                    prev_avail if fused else 0.0)
-        done = start + timing.predict_duration(count)
-        tl.add(SCALE_START, i, start)
-        tl.add(SCALE_DONE, i, done)
-        t = max(done, prev_avail)
+        start.append(max(ready[-1] if serial else ready[i - 1],
+                         prev_avail if fused else 0.0))
+        done.append(start[-1] + timing.predict_duration(count))
+        t = max(done[-1], prev_avail)
         if refining:
             for j in range(i - 1, 0, -1):
                 t += timing.refine_duration(counts[j - 1], counts[j])
-                tl.refine(t)
-        tl.add(CUMULATIVE_AVAILABLE, i, t)
+                refines.append(t)
+        avail.append(t)
         prev_avail = t
-    return tl
+    return Timeline(ready, start, done, avail, refines)
 
 
 def baseline_timeline(stream: PointStream, timing: TimingModel,
@@ -419,15 +431,10 @@ def refine_intervals(tl: Timeline) -> dict[int, list[tuple[float, float]]]:
     the previous cumulative output is available; each later refine starts
     where the one before it ended.
     """
-    k, ends = len(tl.scales()), tl.refines
-    if len(ends) not in (0, k * (k - 1) // 2):
-        raise PipelineError(f"{len(ends)} {REFINE_DONE} instants for {k} "
-                            f"scales, which refine 0 or {k * (k - 1) // 2} times")
-    intervals = {}
-    for a in range(2, k + 1):
+    ends, intervals = tl.refines, {}
+    for a in range(2, len(tl.ready) + 1):
         own = ends[(a - 1) * (a - 2) // 2:a * (a - 1) // 2]
-        first = max(tl.instant(SCALE_DONE, a),
-                    tl.instant(CUMULATIVE_AVAILABLE, a - 1))
+        first = max(tl.done[a - 1], tl.avail[a - 2])
         intervals[a] = list(zip([first, *own[:-1]], own))
     return intervals
 
@@ -435,36 +442,23 @@ def refine_intervals(tl: Timeline) -> dict[int, list[tuple[float, float]]]:
 def latency_metrics(scalable: Timeline,
                     baseline: tuple[float, float]) -> LatencyMetrics:
     """Derive the latency report from a timeline and the baseline's instants."""
-    scales = scalable.scales()
-    if not scales:
-        raise PipelineError("scalable timeline contains no scale events")
-    K = scales[-1]
-    if scales != list(range(1, len(scales) + 1)):
-        raise PipelineError(f"timeline is missing scales: found {scales}")
-    try:
-        ready = {i: scalable.instant(PARTITION_READY, i) for i in scales}
-        start = {i: scalable.instant(SCALE_START, i) for i in scales}
-        done = {i: scalable.instant(SCALE_DONE, i) for i in scales}
-        avail = {i: scalable.instant(CUMULATIVE_AVAILABLE, i) for i in scales}
-    except PipelineError as exc:
-        raise PipelineError(f"incomplete timeline: {exc}") from exc
     b_start, b_done = baseline
     if b_done < b_start:
         raise PipelineError(f"baseline_done {b_done} is before baseline_start "
                             f"{b_start}")
 
-    pd = tuple(done[i] - start[i] for i in scales)
+    pd = tuple(d - s for s, d in zip(scalable.start, scalable.done))
     refines = {a: [end - begin for begin, end in pairs]
                for a, pairs in refine_intervals(scalable).items()}
     refine_total = sum(sum(v) for v in refines.values())
-    acq_end = ready[K]
-    post_acq = avail[K] - acq_end
-    lower = pd[K - 1] + sum(refines.get(K, []))
+    acq_end = scalable.ready[-1]
+    post_acq = scalable.avail[-1] - acq_end
+    lower = pd[-1] + sum(refines.get(len(pd), []))
     upper = sum(pd) + refine_total
     baseline_processing = b_done - b_start
     if baseline_processing > 0:
         speedup = 1.0 - post_acq / baseline_processing
-        first_fraction = avail[1] / baseline_processing
+        first_fraction = scalable.avail[0] / baseline_processing
     elif post_acq == 0.0:
         speedup = 0.0
         first_fraction = 0.0
@@ -479,7 +473,7 @@ def latency_metrics(scalable: Timeline,
         baseline_processing=baseline_processing,
         speedup=speedup,
         first_prediction_fraction=first_fraction,
-        scale_available=tuple(avail[i] for i in scales),
+        scale_available=tuple(scalable.avail),
         predict_durations=pd,
         refine_total=refine_total,
     )

@@ -10,8 +10,7 @@ accuracy chart from the dict that ``metrics.json`` holds.
 
 from __future__ import annotations
 
-from .pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY, SCALE_DONE,
-                       SCALE_START, LatencyMetrics, Timeline, refine_intervals)
+from .pipeline import LatencyMetrics, Timeline, refine_intervals
 
 W, H = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 30, 50
@@ -96,8 +95,7 @@ def miou_plot(metrics: dict) -> str:
 def timeline_plot(scalable: Timeline, baseline: tuple[float, float],
                   lat: LatencyMetrics) -> str:
     """Gantt chart of the run and its baseline with the latency zone shaded."""
-    scales = scalable.scales()
-    k = scales[-1] if scales else 0
+    k = len(scalable.ready)
     t_max = max(lat.acquisition_end + lat.post_acq_upper, baseline[1]) or 1.0
     x0, x1 = MARGIN_L, W - MARGIN_R
     rows = k + 2  # acquisition + scales + baseline
@@ -130,16 +128,14 @@ def timeline_plot(scalable: Timeline, baseline: tuple[float, float],
     parts.append(f'<g id="acquisition">{label(0, "acquire")}'
                  f'{bar(0, 0.0, lat.acquisition_end, "#bbbbbb")}</g>')
     refines = refine_intervals(scalable)
-    for i in scales:
+    for i, (ready, start, done, avail) in enumerate(zip(
+            scalable.ready, scalable.start, scalable.done, scalable.avail), 1):
         pieces = [label(i, f"scale {i}")]
-        pieces.append(bar(i, scalable.instant(SCALE_START, i),
-                          scalable.instant(SCALE_DONE, i), "#336699"))
+        pieces.append(bar(i, start, done, "#336699"))
         pieces += [bar(i, a, b, "#66aa66") for a, b in refines.get(i, [])]
-        avail = scalable.instant(CUMULATIVE_AVAILABLE, i)
         pieces.append(f'<line x1="{_f(px(avail))}" y1="{_f(ry(i))}" '
                       f'x2="{_f(px(avail))}" y2="{_f(ry(i) + row_h)}" '
                       f'stroke="#222222"/>')
-        ready = scalable.instant(PARTITION_READY, i)
         pieces.append(f'<line x1="{_f(px(ready))}" y1="{_f(ry(i))}" '
                       f'x2="{_f(px(ready))}" y2="{_f(ry(i) + row_h)}" '
                       f'stroke="#999999" stroke-dasharray="2 2"/>')

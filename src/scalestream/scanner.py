@@ -56,6 +56,14 @@ class LissajousConfig:
             raise ValueError("ticks must be >= 1")
         if self.ticks_per_period <= 0:
             raise ValueError("ticks_per_period must be positive")
+        try:  # the last tick's phase, bounded as deflection_angles computes it
+            u = 2.0 * math.pi * (self.ticks - 1) / self.ticks_per_period
+            finite = math.isfinite(max(self.fx, self.fy) * u + abs(self.phase))
+        except OverflowError:  # a tick count past the largest float
+            finite = False
+        if not finite:
+            raise ValueError("the scan phase max(fx, fy) * 2 pi * (ticks - 1) / "
+                             "ticks_per_period + |phase| overflows")
 
 
 @dataclass(frozen=True)

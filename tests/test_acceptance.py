@@ -17,8 +17,8 @@ from scalestream import (DEFAULT_CUTS, LissajousConfig, PartitionSpec,
                          coverage_curve, default_room, latency_metrics, miou,
                          partition, place_cameras, read_stream, run_baseline,
                          run_scalable, scan, slab_distances, write_stream)
-from scalestream.pipeline import (CUMULATIVE_AVAILABLE, PARTITION_READY,
-                                  SCALE_DONE, SCALE_START, Timeline)
+from scalestream.pipeline import (CUMULATIVE_AVAILABLE, SCALE_DONE,
+                                  SCALE_START, Timeline)
 from scalestream.update import knn_batch
 
 from conftest import make_counted_stream, make_random_stream, random_schedule
@@ -192,16 +192,13 @@ def test_criterion_5_timing_model_correctness():
             (SCALE_START, 3): 30.0, (SCALE_DONE, 3): 33.0,
             (CUMULATIVE_AVAILABLE, 3): 37.0,
         }
+        instants = {(e.kind, e.scale): e.instant for e in tl.events}
         for (kind, scale), instant in expect.items():
-            assert tl.instant(kind, scale) == instant, (kind, scale)
+            assert instants[kind, scale] == instant, (kind, scale)
 
         # speedup / first-prediction formulas on the constructed example:
         # baseline 10 s processing vs 4 s residual -> 60% speedup
-        tl_s = Timeline()
-        tl_s.add(PARTITION_READY, 1, 30.0)
-        tl_s.add(SCALE_START, 1, 30.0)
-        tl_s.add(SCALE_DONE, 1, 34.0)
-        tl_s.add(CUMULATIVE_AVAILABLE, 1, 34.0)
+        tl_s = Timeline(ready=[30.0], start=[30.0], done=[34.0], avail=[34.0])
         tl_b = (30.0, 40.0)  # the baseline's start and done instants
         lat = latency_metrics(tl_s, tl_b)
         assert lat.speedup == pytest.approx(0.60)

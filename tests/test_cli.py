@@ -27,6 +27,7 @@ from scalestream import (LabelMap, LissajousConfig, PartitionSpec, PointStream,
                          UpdateConfig, latency_metrics, make_seed_cloud,
                          read_stream, run_baseline, run_scalable, scan,
                          write_stream)
+from scalestream.partition import MAX_CUTS
 from scalestream.plots import MARGIN_L, MARGIN_R, W
 from scalestream.stream import RECORD_SIZE
 
@@ -222,6 +223,9 @@ def test_run_lists_all_config_errors(tmp_path, capsys):
     *(pytest.param(command, "--stream", ["stream.bin", "--scan-inline"],
                    id=f"{command}---stream-scan-inline")
       for command in ("run", "sweep")),
+    # the last tick's phase overflows
+    *((command, flag, value) for command in ("scan", "run", "sweep")
+      for flag, value in (("--fx", "1e308"), ("--ticks-per-period", "1e-308"))),
 ])
 def test_bad_flag_exits_2_before_any_scan_or_read(tmp_path, monkeypatch, capsys,
                                                   no_work, command, flag, value):
@@ -238,6 +242,47 @@ def test_bad_flag_exits_2_before_any_scan_or_read(tmp_path, monkeypatch, capsys,
     values = [value] if isinstance(value, str) else value
     assert run_cli(command, *base, flag, *values, "--out-dir", "out") == 2
     assert f"config error: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "run", "sweep"])
+def test_cuts_past_the_cap_exit_2_at_once(tmp_path, monkeypatch, capsys,
+                                          no_work, command):
+    """More than ``MAX_CUTS`` cuts exit 2 naming --cuts before any scan or
+    read, in well under a second, writing nothing; ``MAX_CUTS`` cuts pass
+    every check."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "stream.bin").write_bytes(b"")
+    base = (["--stream", "stream.bin"] if command == "partition"
+            else ["--scan-inline", "--error-rates", "0.1 " * (MAX_CUTS + 1)])
+    cuts = " ".join(map(str, range(1, MAX_CUTS + 2)))
+    start = time.perf_counter()
+    assert run_cli(command, *base, "--cuts", cuts, "--out-dir", "out") == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        f"config error: --cuts: need 1 to {MAX_CUTS} cut timestamps, got "
+        f"{MAX_CUTS + 1}\n")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(Reached):
+        run_cli(command, *base, "--cuts", cuts.rsplit(" ", 1)[0],
+                "--out-dir", "out")
+
+
+@pytest.mark.parametrize("command", ["scan", "run", "sweep"])
+def test_scan_flags_that_overflow_only_together_exit_2_naming_them(
+        tmp_path, monkeypatch, capsys, no_work, command):
+    """Scan flags that each pass alone but together put the last tick's
+    phase past the largest float exit 2 on one line naming every flag off
+    its default, before any scan, writing nothing, rather than scanning
+    rays of NaN."""
+    monkeypatch.chdir(tmp_path)
+    base = [] if command == "scan" else ["--scan-inline"]
+    flags = ["--fx", "1e300", "--ticks-per-period", "1e-10", "--ticks", "1000"]
+    assert run_cli(command, *base, *flags, "--out-dir", "out") == 2
+    assert capsys.readouterr().err == (
+        "config error: --fx, --ticks, --ticks-per-period: the scan phase "
+        "max(fx, fy) * 2 pi * (ticks - 1) / ticks_per_period + |phase| "
+        "overflows\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1436,7 +1481,7 @@ def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
     data = json.loads((out / "timeline.json").read_text())
     tl = Timeline.from_dict(data)
     lat = latency_metrics(tl, (data["baseline_start"], data["baseline_done"]))
-    assert tl.instant("scale_done", 2) < tl.instant("cumulative_available", 1)
+    assert tl.done[1] < tl.avail[0]  # scale 2 predicted, scale 1 unpublished
     t_max = max(lat.acquisition_end + lat.post_acq_upper, data["baseline_done"])
     px_per_s = (W - MARGIN_L - MARGIN_R) / t_max
     root = ET.fromstring((out / "timeline.svg").read_text())
@@ -1446,7 +1491,7 @@ def test_fusion_off_refine_bar_spans_its_duration(tmp_path):
     assert len(bars) == 1
     x, width = float(bars[0].get("x")), float(bars[0].get("width"))
     assert abs(width - lat.refine_total * px_per_s) <= 0.02
-    start = tl.instant("cumulative_available", 1)
+    start = tl.avail[0]
     assert abs(x - (MARGIN_L + start * px_per_s)) <= 0.02
 
 

@@ -4,6 +4,8 @@ import pytest
 from scalestream import (DEFAULT_CUTS, LissajousConfig, PartitionError,
                          PartitionSpec, PointStream, partition, scan)
 
+from scalestream.partition import MAX_CUTS
+
 from conftest import make_random_stream
 
 
@@ -69,6 +71,16 @@ def test_spec_validation():
     # a timestamp is never negative, so neither is a cut
     with pytest.raises(PartitionError, match="non-negative"):
         PartitionSpec((-5, 8000))
+
+
+def test_spec_takes_at_most_max_cuts():
+    """A spec takes up to ``MAX_CUTS`` cuts and refuses one more, naming
+    both counts."""
+    assert len(PartitionSpec(tuple(range(MAX_CUTS))).cuts) == MAX_CUTS
+    with pytest.raises(PartitionError,
+                       match=f"need 1 to {MAX_CUTS} cut timestamps, got "
+                             f"{MAX_CUTS + 1}$"):
+        PartitionSpec(tuple(range(MAX_CUTS + 1)))
 
 
 def test_random_streams_lossless_and_match_oracle():

@@ -16,9 +16,10 @@ from scalestream import (DEFAULT_CUTS, PartitionSpec, PipelineError, PointStream
                          UpdateConfig, UpdateError,
                          latency_metrics, make_seed_cloud, run_baseline,
                          run_scalable)
-from scalestream.pipeline import (CUMULATIVE_AVAILABLE, MODES,
-                                  PARTITION_READY, SCALE_DONE, SCALE_START,
-                                  Timeline, baseline_timeline, refine_intervals)
+from scalestream.pipeline import (_EVENT_KINDS as EVENT_KINDS,
+                                  CUMULATIVE_AVAILABLE, MODES, SCALE_DONE,
+                                  SCALE_START, Timeline, baseline_timeline,
+                                  refine_intervals)
 from scalestream.plots import timeline_plot
 
 from conftest import make_counted_stream, make_random_stream, random_schedule
@@ -47,16 +48,16 @@ def test_closed_form_timeline_slow_acquisition():
     cfg = PredictorConfig(error_rates=RATES, seed=3)
     _, tl = run_scalable(stream, spec, cfg, UpdateConfig(k=3), timing)
 
-    assert tl.instant(PARTITION_READY, 1) == 10.0
-    assert tl.instant(SCALE_START, 1) == 10.0
-    assert tl.instant(SCALE_DONE, 1) == 15.0
-    assert tl.instant(CUMULATIVE_AVAILABLE, 1) == 15.0
-    assert tl.instant(SCALE_START, 2) == 20.0
-    assert tl.instant(SCALE_DONE, 2) == 24.0
-    assert tl.instant(CUMULATIVE_AVAILABLE, 2) == 26.0
-    assert tl.instant(SCALE_START, 3) == 30.0
-    assert tl.instant(SCALE_DONE, 3) == 33.0
-    assert tl.instant(CUMULATIVE_AVAILABLE, 3) == 37.0
+    assert tl.ready[0] == 10.0
+    assert tl.start[0] == 10.0
+    assert tl.done[0] == 15.0
+    assert tl.avail[0] == 15.0
+    assert tl.start[1] == 20.0
+    assert tl.done[1] == 24.0
+    assert tl.avail[1] == 26.0
+    assert tl.start[2] == 30.0
+    assert tl.done[2] == 33.0
+    assert tl.avail[2] == 37.0
 
     lat = latency_metrics(tl, (30.0, 40.0))
     assert lat.acquisition_end == 30.0
@@ -69,22 +70,14 @@ def test_closed_form_timeline_slow_acquisition():
 
 def test_speedup_sixty_percent_example():
     """Baseline processing 10 s with a 4 s scalable residual is a 60% speedup."""
-    tl = Timeline()
-    tl.add(PARTITION_READY, 1, 30.0)
-    tl.add(SCALE_START, 1, 30.0)
-    tl.add(SCALE_DONE, 1, 34.0)
-    tl.add(CUMULATIVE_AVAILABLE, 1, 34.0)
+    tl = Timeline(ready=[30.0], start=[30.0], done=[34.0], avail=[34.0])
     lat = latency_metrics(tl, (30.0, 40.0))
     assert lat.post_acq == 4.0
     assert lat.speedup == pytest.approx(0.60)
 
 
 def test_identical_residual_gives_zero_speedup():
-    tl = Timeline()
-    tl.add(PARTITION_READY, 1, 5.0)
-    tl.add(SCALE_START, 1, 5.0)
-    tl.add(SCALE_DONE, 1, 15.0)
-    tl.add(CUMULATIVE_AVAILABLE, 1, 15.0)
+    tl = Timeline(ready=[5.0], start=[5.0], done=[15.0], avail=[15.0])
     assert latency_metrics(tl, (5.0, 15.0)).speedup == 0.0
 
 
@@ -127,9 +120,9 @@ def test_causality_invariants():
         _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
         avail_prev = 0.0
         for i in range(1, 6):
-            ready = tl.instant(PARTITION_READY, i)
-            start = tl.instant(SCALE_START, i)
-            avail = tl.instant(CUMULATIVE_AVAILABLE, i)
+            ready = tl.ready[i - 1]
+            start = tl.start[i - 1]
+            avail = tl.avail[i - 1]
             assert start >= ready
             if mode == "sim" and i > 1:
                 assert start >= avail_prev
@@ -316,12 +309,24 @@ def test_real_executor_timeline_is_causal():
     _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3), timing)
     avail_prev = 0.0
     for i in range(1, 6):
-        start = tl.instant(SCALE_START, i)
-        assert start >= max(tl.instant(PARTITION_READY, i), avail_prev)
-        assert tl.instant(SCALE_DONE, i) >= start
-        avail = tl.instant(CUMULATIVE_AVAILABLE, i)
-        assert avail >= tl.instant(SCALE_DONE, i)
+        start = tl.start[i - 1]
+        assert start >= max(tl.ready[i - 1], avail_prev)
+        assert tl.done[i - 1] >= start
+        avail = tl.avail[i - 1]
+        assert avail >= tl.done[i - 1]
         avail_prev = avail
+
+
+@pytest.mark.parametrize("tick", [1e300, 1e306], ids=["past-clock", "inf"])
+def test_a_measured_run_refuses_to_wait_past_the_clock(tick):
+    """A partition due past what the platform's clock can sleep until, or
+    at an infinite instant, is refused naming it, before any label work."""
+    with mock.patch.object(pipeline, "predict", side_effect=AssertionError):
+        with pytest.raises(PipelineError,
+                           match=r"cannot wait .* s for partition_ready\(1\)$"):
+            run_scalable(small_stream(6, n=100), SPEC,
+                         PredictorConfig(error_rates=RATES), None,
+                         TimingModel(tick_duration=tick, mode="real"))
 
 
 def test_k1_degenerates_to_baseline_shape():
@@ -395,20 +400,29 @@ def test_seeded_knn_requires_fusion_dependency():
                      TimingModel(mode="sim-unfused"))
 
 
+def events_of(k: int, instant=0.5, **instants) -> list[dict]:
+    """Every event of a ``k``-scale timeline in dict form, each at
+    ``instant`` but those that ``instants`` names as ``kind_scale``."""
+    return [{"kind": kind, "scale": i,
+             "instant": instants.get(f"{kind}_{i}", instant)}
+            for kind in EVENT_KINDS for i in range(1, k + 1)]
+
+
 def test_incomplete_timeline_rejected():
-    tl = Timeline()
-    tl.add(PARTITION_READY, 1, 1.0)
-    tl.add(SCALE_START, 1, 1.0)
-    tl.add(SCALE_DONE, 1, 2.0)  # no cumulative_available
+    """A timeline without the cumulative_available instant of its scale is
+    refused when built, and so is its dict form."""
     with pytest.raises(PipelineError, match="incomplete|no cumulative"):
-        latency_metrics(tl, (0.0, 1.0))
+        Timeline(ready=[1.0], start=[1.0], done=[2.0], avail=[])
+    events = [e for e in events_of(1) if e["kind"] != CUMULATIVE_AVAILABLE]
+    with pytest.raises(PipelineError, match="incomplete|no cumulative"):
+        Timeline.from_dict({"events": events, "refine_done": []})
 
 
 @pytest.mark.parametrize("instant", [float("inf"), float("nan")])
 def test_timeline_refuses_a_non_finite_instant(instant):
     with pytest.raises(PipelineError,
                        match=r"non-finite instant for scale_done\(2\)"):
-        Timeline().add(SCALE_DONE, 2, instant)
+        Timeline([0.5, 0.5], [0.5, 0.5], [1.0, instant], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("kind, scale, instant, message", [
@@ -423,14 +437,20 @@ def test_timeline_refuses_a_non_finite_instant(instant):
         "newline-kind"])
 def test_every_event_rule_holds_for_added_and_given_events(kind, scale, instant,
                                                            message):
-    """An event added one by one and an event given in a timeline's dict
-    form pass the same rules: a known kind and a finite, non-negative
-    instant."""
+    """An instant given to the constructor in its kind's list and an event
+    given in a timeline's dict form pass the same rules: a known kind and a
+    finite, non-negative instant.  The constructor takes a list for each of
+    the four known kinds and no other."""
+    if kind in EVENT_KINDS:
+        columns = {k: [instant if k == kind else 0.5] for k in EVENT_KINDS}
+        with pytest.raises(PipelineError, match=message):
+            Timeline(*columns.values())
+        events = events_of(1, **{f"{kind}_{scale}": instant})
+    else:
+        events = [*events_of(1), {"kind": kind, "scale": scale,
+                                  "instant": instant}]
     with pytest.raises(PipelineError, match=message):
-        Timeline().add(kind, scale, instant)
-    event = {"kind": kind, "scale": scale, "instant": instant}
-    with pytest.raises(PipelineError, match=message):
-        Timeline.from_dict({"events": [event], "refine_done": []})
+        Timeline.from_dict({"events": events, "refine_done": []})
 
 
 @pytest.mark.parametrize("instant, message", [
@@ -439,31 +459,32 @@ def test_every_event_rule_holds_for_added_and_given_events(kind, scale, instant,
     (float("-inf"), r"non-finite instant for refine_done\[1\]: -inf"),
 ], ids=["negative", "nan", "minus-inf"])
 def test_every_refine_rule_holds_for_added_and_given_instants(instant, message):
-    """A refinement's end instant, added or given, is finite and
+    """A refinement's end instant, built or given, is finite and
     non-negative; the message names its position in ``refines``.  Which
-    scale and arrival it belongs to follows from that position alone."""
-    tl = Timeline()
-    tl.refine(0.25)
+    scale and arrival it belongs to follows from that position alone.  A
+    3-scale timeline refines 3 times."""
+    tl = Timeline(*[[0.5] * 3] * 4, [0.25, 0.5, 0.75])
     with pytest.raises(PipelineError, match=message):
-        tl.refine(instant)
-    assert tl.refines == [0.25]
+        replace(tl, refines=[0.25, instant, 0.75])
+    assert tl.refines == [0.25, 0.5, 0.75]
     with pytest.raises(PipelineError, match=message):
-        Timeline.from_dict({"events": [], "refine_done": [0.25, instant]})
+        Timeline.from_dict({"events": events_of(3),
+                            "refine_done": [0.25, instant, 0.75]})
 
 
 def test_an_instant_past_the_largest_float_names_its_entry():
     """An integer instant too large for a float is refused naming the event
-    or the refine entry, added or given."""
+    or the refine entry, built or given."""
     event = r"scale_start\(1\) is not a number a float can hold"
     with pytest.raises(OverflowError, match=event):
-        Timeline().add(SCALE_START, 1, 10**400)
+        Timeline([0.5], [10**400], [0.5], [0.5])
     with pytest.raises(OverflowError, match=event):
-        Timeline.from_dict({"events": [{"kind": SCALE_START, "scale": 1,
-                                        "instant": 10**400}],
+        Timeline.from_dict({"events": events_of(1, scale_start_1=10**400),
                             "refine_done": []})
     entry = r"refine_done\[1\] is not a number a float can hold"
     with pytest.raises(OverflowError, match=entry):
-        Timeline.from_dict({"events": [], "refine_done": [0.5, 10**400]})
+        Timeline.from_dict({"events": events_of(3),
+                            "refine_done": [0.5, 10**400, 0.5]})
 
 
 @pytest.mark.parametrize("key, value", [("events", {}), ("events", ""),
@@ -487,24 +508,58 @@ def test_sim_timeline_deterministic():
 
 def test_timeline_holds_each_event_once():
     """A timeline and its dict form's round trip answer alike; a second
-    event of a kind and scale is refused, leaving the timeline as it was,
-    and equality and the dict form see the events and the refines alone."""
-    added = Timeline()
-    for kind, scale, t in ((SCALE_START, 1, 0.5), (SCALE_START, 2, 0.25)):
-        added.add(kind, scale, t)
+    event of a kind and scale is refused, its ``events`` are derived and
+    read-only, and equality and the dict form see the instants and the
+    refines alone."""
+    built = Timeline([0.0, 0.0], [0.5, 0.25], [1.0, 1.0], [1.0, 1.5], [1.25])
+    data = built.to_dict()
+    repeated = {**data, "events": [*data["events"], {
+        "kind": SCALE_START, "scale": 1, "instant": 0.75}]}
     with pytest.raises(PipelineError, match=r"repeated event scale_start\(1\)"):
-        added.add(SCALE_START, 1, 0.75)
-    assert len(added.events) == 2
-    added.refine(0.5)
+        Timeline.from_dict(repeated)
+    assert len(built.events) == 8
+    with pytest.raises(AttributeError):
+        built.events = []
     with pytest.raises(TypeError):
-        Timeline(events=list(added.events))
-    for tl in (added, Timeline.from_dict(added.to_dict())):
-        assert tl == added
-        assert tl.instant(SCALE_START, 1) == 0.5
-        assert tl.instant(SCALE_START, 2) == 0.25
-        with pytest.raises(PipelineError,
-                           match="timeline has no scale_done event for scale 1"):
-            tl.instant(SCALE_DONE, 1)
+        Timeline(events=list(built.events))
+    for tl in (built, Timeline.from_dict(data)):
+        assert tl == built
+        assert tl.start[0] == 0.5
+        assert tl.start[1] == 0.25
+    no_done = [e for e in data["events"]
+               if (e["kind"], e["scale"]) != (SCALE_DONE, 1)]
+    with pytest.raises(PipelineError,
+                       match="timeline has no scale_done event for scale 1"):
+        Timeline.from_dict({**data, "events": no_done})
+
+
+@pytest.mark.parametrize("mode", ["sim", "real"])
+def test_a_run_timeline_survives_its_dict_form(mode):
+    """The timeline of a simulated and of a measured run equals its own
+    dict form read back, instant for instant."""
+    stream = small_stream(13, n=400)
+    cfg = PredictorConfig(error_rates=RATES, seed=1)
+    _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3),
+                         TimingModel(tick_duration=2e-6, mode=mode))
+    assert len(tl.refines) == 10
+    assert Timeline.from_dict(tl.to_dict()) == tl
+
+
+def test_a_measured_run_lists_its_events_in_the_simulated_order():
+    """A measured and a simulated run write their events in one order: the
+    K partition_ready events, then each scale's start, done and
+    cumulative_available events in turn."""
+    stream = small_stream(14, n=400)
+    cfg = PredictorConfig(error_rates=RATES, seed=2)
+    order = {}
+    for mode in ("sim", "real"):
+        _, tl = run_scalable(stream, SPEC, cfg, UpdateConfig(k=3),
+                             TimingModel(tick_duration=2e-6, mode=mode))
+        order[mode] = [(e.kind, e.scale) for e in tl.events]
+    assert order["real"] == order["sim"]
+    assert order["sim"] == [*((EVENT_KINDS[0], i) for i in range(1, 6)),
+                            *((kind, i) for i in range(1, 6)
+                              for kind in EVENT_KINDS[1:])]
 
 
 class CountingList(list):
@@ -519,17 +574,20 @@ class CountingList(list):
 
 def test_reading_a_timeline_loops_over_it_a_fixed_number_of_times():
     """``latency_metrics`` and ``timeline_plot`` loop over a timeline's
-    events and its refines as often at 200 scales as at 10, so reading a
-    K-scale timeline of about K^2/2 refines costs O(K^2), not O(K^3)."""
+    per-kind lists and its refines as often at 200 scales as at 10, so
+    reading a K-scale timeline of about K^2/2 refines costs O(K^2), not
+    O(K^3)."""
     loops = []
+    names = ("ready", "start", "done", "avail", "refines")
     for k in (10, 200):
         tl = pipeline._sim_timeline([20] * k, [i * 1e-3 for i in range(1, k + 1)],
                                     TimingModel(), refining=True)
-        tl.events, tl.refines = CountingList(tl.events), CountingList(tl.refines)
+        for name in names:  # a built timeline is frozen: instrument it anyway
+            object.__setattr__(tl, name, CountingList(getattr(tl, name)))
         base = (k * 1e-3, k * 1e-3 + 1.0)
         lat = latency_metrics(tl, base)
         timeline_plot(tl, base, lat)
-        loops.append((tl.events.loops, tl.refines.loops))
+        loops.append([getattr(tl, name).loops for name in names])
     assert loops[0] == loops[1], loops
 
 
@@ -819,9 +877,9 @@ def assert_causal(tl: Timeline, spec: PartitionSpec, timing: TimingModel,
     waits = timing.mode != "sim-unfused"
     intervals = refine_intervals(tl)
     prev = 0.0
-    for i, cut in enumerate(spec.cuts, start=1):
-        ready, start, done, avail = (tl.instant(kind, i) for kind in (
-            PARTITION_READY, SCALE_START, SCALE_DONE, CUMULATIVE_AVAILABLE))
+    for i, (cut, ready, start, done, avail) in enumerate(zip(
+            spec.cuts, tl.ready, tl.start, tl.done, tl.avail, strict=True),
+            start=1):
         assert ready == cut * timing.tick_duration
         assert ready <= start <= done <= avail and prev <= avail
         assert start >= prev or not waits

@@ -56,6 +56,30 @@ def test_config_validation():
                 LissajousConfig(**{field: value})
 
 
+@pytest.mark.parametrize("fields", [
+    {"fx": 1e308, "ticks": 1000},
+    {"ticks_per_period": 1e-308, "ticks": 1000},
+    {"fx": 1e300, "ticks_per_period": 1e-10, "ticks": 1000},
+    {"phase": 1.7e308, "fy": 1e300, "ticks_per_period": 1e-8},
+    {"ticks": 10**400},
+], ids=["fx", "ticks-per-period", "fx-and-ticks-per-period", "phase",
+        "ticks-past-float"])
+def test_config_refuses_a_scan_phase_that_overflows(fields):
+    """A trajectory whose last tick's phase is past the largest float would
+    scan rays of NaN; the config refuses it, whether one field or several
+    together take it there."""
+    with pytest.raises(ValueError, match=r"scan phase .* overflows$"):
+        LissajousConfig(**fields)
+
+
+def test_largest_accepted_phase_scans_finite_rays():
+    """Just inside the bound every ray is finite and of unit length."""
+    cfg = LissajousConfig(fx=1e300, ticks_per_period=1e-3, ticks=1000)
+    d = lissajous_direction(cfg, np.arange(cfg.ticks))
+    assert np.isfinite(d).all()
+    assert np.allclose(np.linalg.norm(d, axis=1), 1.0, atol=1e-12)
+
+
 def test_place_cameras_constraints(room):
     poses = place_cameras(room, max_poses=50, seed=3)
     assert len(poses) == 50
