@@ -100,6 +100,11 @@ TIMING_FLAGS = ("tick_duration", "predict_fixed", "predict_per_point",
                 "baseline_factor", "refine_fixed", "refine_per_point")
 #: ``timeline.json``'s keys of the baseline's ``(start, done)`` instants.
 BASELINE_KEYS = ("baseline_start", "baseline_done")
+#: Longest acquisition, in seconds, that ``--mode real`` sleeps through:
+#: the last cut times the tick duration.  A slow tick duration would hang
+#: the command (1,000 s at cut 2,000 is 23 days); the longest real-mode
+#: wait used anywhere, the benchmark's 1x noisy-oracle run, is 0.66 s.
+_MAX_REAL_WAIT = 60.0
 
 
 def _flag(dest: str) -> str:
@@ -283,7 +288,8 @@ def _settings(args) -> dict:
     """The config objects the command takes (``scan``, the builtin ``scene``,
     ``spec``, ``predictor``, ``update``, None without the update module,
     ``timing``, ``timings``), each flag that the command reads checked
-    before any scan or read; a ConfigError lists every bad flag."""
+    before any scan or read, a real-mode wait past ``_MAX_REAL_WAIT``
+    included; a ConfigError lists every bad flag."""
     problems, built = [], {}
     if "seed" in args and args.seed < 0:
         problems.append(f"--seed must be non-negative, got {args.seed}")
@@ -343,6 +349,15 @@ def _settings(args) -> dict:
                 problems.append("--tick-durations must list at least one value")
         except (ValueError, PipelineError) as exc:
             problems.append(f"--tick-durations: {exc}")
+    if "predictor" in args and args.mode == "real" and built["spec"]:
+        sweep = "tick_durations" in args
+        timings = built.get("timings", []) if sweep else [built["timing"]]
+        last = built["spec"].cuts[-1]
+        wait = last * max((t.tick_duration for t in timings if t), default=0.0)
+        if wait > _MAX_REAL_WAIT:
+            problems.append(f"{'--tick-durations' if sweep else '--tick-duration'}: "
+                            f"--mode real would sleep {wait:.6g} s until cut "
+                            f"{last} is acquired, past the {_MAX_REAL_WAIT:g} s cap")
     if problems:
         raise ConfigError(*problems)
     return built

@@ -17,6 +17,8 @@ from .geometry import camera_basis
 from .scanner import scan_meta_fov
 from .stream import PointStream
 
+_BLOCK_ROWS = 2**15  # points per block of cell ids
+
 
 class MetricsError(ValueError):
     pass
@@ -90,15 +92,20 @@ def coverage_curve(stream: PointStream, ticks,
 
 
 def _occupied_cells(stream: PointStream, g: int) -> np.ndarray:
+    """The grid cell of each point, ``_BLOCK_ROWS`` points at a time: the
+    float temporaries follow the block, not the stream."""
     position, target, amp_x, amp_y = scan_meta_fov(stream.meta)
     right, up, forward = camera_basis(position, target)
-    rel = stream.positions.astype(float) - position
-    rel /= np.linalg.norm(rel, axis=1, keepdims=True)
-    thy = np.arcsin(np.clip(rel @ up, -1.0, 1.0))
-    thx = np.arctan2(rel @ right, rel @ forward)
-    ix = np.clip(((thx + amp_x) / (2 * amp_x) * g).astype(np.int64), 0, g - 1)
-    iy = np.clip(((thy + amp_y) / (2 * amp_y) * g).astype(np.int64), 0, g - 1)
-    return ix * g + iy
+    cells = np.empty(len(stream), dtype=np.int64)
+    for lo in range(0, len(cells), _BLOCK_ROWS):
+        rel = stream.positions[lo:lo + _BLOCK_ROWS].astype(float) - position
+        rel /= np.linalg.norm(rel, axis=1, keepdims=True)
+        thy = np.arcsin(np.clip(rel @ up, -1.0, 1.0))
+        thx = np.arctan2(rel @ right, rel @ forward)
+        ix = np.clip(((thx + amp_x) / (2 * amp_x) * g).astype(np.int64), 0, g - 1)
+        iy = np.clip(((thy + amp_y) / (2 * amp_y) * g).astype(np.int64), 0, g - 1)
+        cells[lo:lo + len(rel)] = ix * g + iy
+    return cells
 
 
 def _csv_field(text: str) -> str:

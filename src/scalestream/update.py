@@ -24,13 +24,18 @@ pass over the whole reference, so a scan that revisits directions stays fast.
 
 The cascade runs on the calling thread.  Memory follows a block, not the
 stream: a search answers row blocks against one tree into an int32 table,
-sorting for ties at most once, and a vote gathers row blocks.  A block's
-threads are joined before the next, and every query row is answered on its
-own, so the labels depend neither on the block size nor on the CPU count.
+sorting for ties at most once, and a vote gathers row blocks.  A search
+takes its rows in space order (a Morton curve over their bounds), so that
+a block's rows lie close together in the tree, whereas a Lissajous sweep in
+capture order crosses the tree again and again; each row's answer is
+written back to its own place.  A block's threads are joined before the
+next, and every query row is answered on its own, so the labels depend
+neither on the row order, the block size nor the CPU count.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -46,6 +51,9 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _BLOCK_ROWS = 2**15  # rows per search and vote block
 _THREAD_ROWS = 512  # on 2 vCPUs one worker beat two below 256-1,024 rows
+_CELL_BITS = 10  # Morton grid cells per axis, as bits: 30 of a uint32 key
+_SPREAD = tuple((shift, np.uint32(mask)) for shift, mask in (
+    (16, 0x030000FF), (8, 0x0300F00F), (4, 0x030C30C3), (2, 0x09249249)))
 
 
 class UpdateError(ValueError):
@@ -74,10 +82,13 @@ def knn_batch(queries, reference, k: int) -> np.ndarray:
     distance, widened by a relative 1e-9 that can only add candidates, and
     the candidates are ordered by (squared distance, index).
 
-    One tree answers ``_BLOCK_ROWS`` rows at a time, and the tie path's
-    sort and tree are made at most once.  Blocks of ``_THREAD_ROWS`` rows or
-    more are split across the CPUs the process may run on.  Each row is
-    answered on its own, so neither the block size nor the CPU count shows.
+    One tree answers ``_BLOCK_ROWS`` rows at a time, taken in the Morton
+    order of :func:`_space_order` so that a block's rows are neighbors in
+    the tree, and the tie path's sort and tree are made at most once.
+    Blocks of ``_THREAD_ROWS`` rows or more are split across the CPUs the
+    process may run on.  Each row is answered on its own and written to its
+    own row of the table, so neither the row order, the block size nor the
+    CPU count shows.
     """
     ref = np.asarray(reference, dtype=float).reshape(-1, 3)
     queries = np.atleast_2d(np.asarray(queries))
@@ -89,19 +100,50 @@ def knn_batch(queries, reference, k: int) -> np.ndarray:
     k_eff = min(k, n)
     kq = min(k_eff + 1, n)  # one spare neighbor to spot ties at the boundary
     tree, break_ties = cKDTree(ref), None
+    order = _space_order(queries)  # before the table, to keep the peak
     out = np.empty((len(queries), k_eff), dtype=np.int32)
     for lo in range(0, len(out), _BLOCK_ROWS):
-        q = np.asarray(queries[lo:lo + _BLOCK_ROWS], dtype=float)
+        rows = order[lo:lo + _BLOCK_ROWS]
+        q = np.asarray(queries[rows], dtype=float)
         workers = _WORKERS if len(q) >= _THREAD_ROWS else 1
         dist, idx = tree.query(q, k=kq, workers=workers)
         dist, idx = dist.reshape(len(q), kq), idx.reshape(len(q), kq)  # k=1 comes back 1-D
-        out[lo:lo + len(q)] = idx[:, :k_eff]
+        out[rows] = idx[:, :k_eff]
         tied = np.flatnonzero((dist[:, :-1] == dist[:, 1:]).any(axis=1))
         if len(tied):
             break_ties = break_ties or _tie_breaker(ref, k_eff)
-            out[lo + tied] = break_ties(q[tied], dist[tied, k_eff - 1] * (1 + 1e-9))
+            out[rows[tied]] = break_ties(q[tied], dist[tied, k_eff - 1] * (1 + 1e-9))
         del q, dist, idx  # before the next block's are made
     return out
+
+
+def _space_order(queries: np.ndarray) -> np.ndarray:
+    """int32 order of the query rows along a Morton (Z-)curve.
+
+    Each row's key interleaves its cell on a grid of ``2**_CELL_BITS`` cells
+    per axis over the rows' own bounds; a flat or non-finite axis adds no
+    bits, so a non-finite row reaches the tree, which refuses it.  The
+    bounds are taken one column at a time, and the key is built from
+    per-column temporaries: an axis-0 min/max of an (N, 3) array is slow."""
+    key = np.zeros(len(queries), dtype=np.uint32)
+    for axis in range(queries.shape[1] if len(queries) > 1 else 0):
+        col = queries[:, axis]
+        lo = float(col.min())
+        span = float(col.max()) - lo
+        if not 0 < span < math.inf:
+            continue
+        cell = np.subtract(col, lo, dtype=float)  # float32 spans may overflow
+        cell /= span
+        cell *= 2**_CELL_BITS
+        bits = cell.astype(np.uint32)
+        del cell
+        np.minimum(bits, 2**_CELL_BITS - 1, out=bits)
+        for shift, mask in _SPREAD:  # bit b moves to bit 3b
+            bits |= bits << shift
+            bits &= mask
+        bits <<= axis
+        key |= bits
+    return np.argsort(key).astype(np.int32)  # the order of equal keys never shows
 
 
 def _tie_breaker(ref: np.ndarray, k: int) -> Callable:

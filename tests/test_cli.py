@@ -268,6 +268,31 @@ def test_cuts_past_the_cap_exit_2_at_once(tmp_path, monkeypatch, capsys,
                 "--out-dir", "out")
 
 
+@pytest.mark.parametrize("command, flag, durations", [
+    ("run", "--tick-duration", ["1000"]),
+    ("sweep", "--tick-durations", ["1e-7 1000 1e-6"]),
+])
+def test_real_wait_past_the_cap_exits_2_at_once(tmp_path, monkeypatch, capsys,
+                                                no_work, command, flag, durations):
+    """A real-mode acquisition past ``_MAX_REAL_WAIT`` (the last cut times
+    a tick duration, any of a sweep's) exits 2 naming the flag before any
+    scan or read, writing nothing, rather than sleeping for 23 days; a wait
+    at the cap, and a simulated one past it, pass every check."""
+    monkeypatch.chdir(tmp_path)
+    base = [command, "--scan-inline", "--cuts", "500 2000", "--out-dir", "out"]
+    start = time.perf_counter()
+    assert run_cli(*base, "--mode", "real", flag, *durations) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        f"config error: {flag}: --mode real would sleep 2e+06 s until cut 2000 "
+        f"is acquired, past the {cli._MAX_REAL_WAIT:g} s cap\n")
+    assert not (tmp_path / "out").exists()
+    at_cap = repr(cli._MAX_REAL_WAIT / 2000)
+    for mode, duration in (("real", at_cap), ("sim", "1000")):
+        with pytest.raises(Reached):
+            run_cli(*base, "--mode", mode, flag, duration)
+
+
 @pytest.mark.parametrize("command", ["scan", "run", "sweep"])
 def test_scan_flags_that_overflow_only_together_exit_2_naming_them(
         tmp_path, monkeypatch, capsys, no_work, command):

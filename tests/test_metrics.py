@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scalestream.metrics as metrics
 from scalestream import (CumulativeOutput, LissajousConfig, MetricsError,
                          cost_of_scalability, coverage_curve, miou,
-                         miou_by_origin, scan)
+                         PointStream, miou_by_origin, scan)
 
 
 def make_output(gt, pred, class_count, bounds=None):
@@ -177,6 +178,40 @@ def test_coverage_regression_constant(room, default_pose):
     angular grid by tick 2000 (measured value 1.0)."""
     stream = scan(room, default_pose, LissajousConfig())
     assert coverage_curve(stream, [2000], 16)[0][1] > 0.99
+
+
+def test_coverage_cells_do_not_depend_on_the_block(monkeypatch, room, default_pose):
+    """With 7-point blocks the cell ids, and the curve, are those of one
+    block over the whole stream."""
+    stream = scan(room, default_pose, LissajousConfig(ticks=8000))
+    ticks = [0, 100, 400, 1000, 4000, 7999]
+    monkeypatch.setattr(metrics, "_BLOCK_ROWS", len(stream))
+    cells, curve = metrics._occupied_cells(stream, 16), coverage_curve(stream, ticks, 16)
+    monkeypatch.setattr(metrics, "_BLOCK_ROWS", 7)
+    np.testing.assert_array_equal(metrics._occupied_cells(stream, 16), cells)
+    assert coverage_curve(stream, ticks, 16) == curve
+
+
+def test_occupied_cells_memory_follows_the_block_not_the_points(
+        monkeypatch, room, default_pose):
+    """With 1,024-point blocks, four times the points peak above a quarter
+    of them by their int64 cell ids and 64 KiB at most (point-sized float
+    temporaries added about 100 bytes per point)."""
+    monkeypatch.setattr(metrics, "_BLOCK_ROWS", 1024)
+    stream = scan(room, default_pose, LissajousConfig(ticks=32768))
+    n = len(stream) // 4
+    quarter = PointStream(stream.positions[:n], stream.labels[:n],
+                          stream.timestamps[:n], stream.class_count,
+                          stream.label_map, stream.meta)
+    peaks = []
+    for s in (quarter, stream):
+        tracemalloc.start()
+        try:
+            metrics._occupied_cells(s, 16)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= (len(stream) - n) * 8 + 2**16, peaks
 
 
 def test_coverage_requires_scanner_meta():

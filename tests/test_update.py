@@ -1,12 +1,14 @@
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 import scalestream.update as update
 from scalestream import (DEFAULT_CUTS, LissajousConfig, Partition,
@@ -230,6 +232,121 @@ def test_knn_blocks_are_invisible(monkeypatch):
             assert np.array_equal(got[i], brute_knn(q[i], r, 5)), i
         assert prepared == [1]
     assert started == []
+
+
+def morton_keys(queries):
+    """Each row's Morton key, bit by bit: axis ``a``'s cell on a grid of
+    1,024 cells over the rows' bounds gives bits ``3b + a``; a flat axis
+    gives none."""
+    q = np.asarray(queries, dtype=float)
+    lo, hi = q.min(axis=0), q.max(axis=0)
+    keys = []
+    for row in q:
+        key = 0
+        for axis in range(3):
+            span = hi[axis] - lo[axis]
+            cell = min(int((row[axis] - lo[axis]) / span * 1024), 1023) if span > 0 else 0
+            key |= sum(((cell >> b) & 1) << (3 * b + axis) for b in range(10))
+        keys.append(key)
+    return np.array(keys)
+
+
+def capture_order(queries):
+    return np.arange(len(queries), dtype=np.int32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_knn_space_order_is_invisible(data):
+    """With 7-row blocks and one worker or two, a search in space order
+    gives the table of the same search in capture order, on clouds with
+    duplicate rows and heavy ties."""
+    k = data.draw(st.integers(1, 6), label="k")
+    on_grid = data.draw(st.booleans(), label="on_grid")
+    coords = (st.integers(0, 3).map(lambda v: v / 2.0) if on_grid
+              else st.floats(-1, 1))
+    ref = data.draw(arrays(np.float64, (data.draw(st.integers(1, 40)), 3),
+                           elements=coords), label="ref")
+    queries = data.draw(arrays(np.float64, (data.draw(st.integers(0, 40)), 3),
+                               elements=coords), label="queries")
+    if len(queries) and data.draw(st.booleans(), label="duplicates"):
+        queries[len(queries) // 2:] = queries[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(update, "_BLOCK_ROWS", 7)
+        mp.setattr(update, "_WORKERS", data.draw(st.sampled_from([1, 2])))
+        mp.setattr(update, "_THREAD_ROWS", 1)
+        got = knn_batch(queries, ref, k)
+        mp.setattr(update, "_space_order", capture_order)
+        want = knn_batch(queries, ref, k)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("queries", [
+    np.zeros((0, 3)),
+    np.array([[0.5, -0.5, 0.25]]),
+    np.ones((20, 3)),
+    np.c_[np.linspace(-1, 1, 20), np.full(20, 0.3), np.linspace(1, -1, 20)],
+    np.array([[-3e38, 3e38, 0], [3e38, -3e38, 1], [0, 0, 0.5]], dtype=np.float32),
+    np.random.default_rng(15).uniform(-1e3, 1e3, size=(30, 3)),
+], ids=["empty", "one-row", "all-equal", "flat-axis", "float32-span-overflow",
+        "float64"])
+def test_knn_space_order_edge_cases(monkeypatch, queries):
+    """Empty, single and all-equal queries, a flat axis, and float32 rows
+    whose span overflows float32 keep the capture-order table and the
+    oracle's rows, with no warning; the order is a permutation."""
+    monkeypatch.setattr(update, "_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(16)
+    ref = np.r_[rng.uniform(-1, 1, size=(25, 3)), queries[:3].astype(float)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        order = update._space_order(queries)
+        got = knn_batch(queries, ref, 4)
+    assert order.dtype == np.int32
+    assert sorted(order.tolist()) == list(range(len(queries)))
+    assert got.shape == (len(queries), 4)
+    for i in range(len(queries)):
+        assert np.array_equal(got[i], brute_knn(queries[i], ref, 4)), i
+    monkeypatch.setattr(update, "_space_order", capture_order)
+    np.testing.assert_array_equal(knn_batch(queries, ref, 4), got)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_non_finite_query_is_refused_by_the_tree(bad):
+    """A non-finite query row still meets scipy's ``'x' must be finite``
+    error, and ordering the rows raises no warning of its own."""
+    queries = np.random.default_rng(17).uniform(-1, 1, size=(40, 3))
+    queries[23, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="'x' must be finite"):
+            knn_batch(queries, np.zeros((5, 3)), 3)
+
+
+def test_knn_tree_receives_rows_in_key_order(monkeypatch):
+    """The tree is asked for the rows in non-decreasing Morton key order,
+    block after block, and each row once."""
+    monkeypatch.setattr(update, "_BLOCK_ROWS", 64)
+    asked = []
+
+    class Spy:
+        def __init__(self, data):
+            self.tree = cKDTree(data)
+
+        def query(self, q, **kwargs):
+            asked.append(np.array(q))
+            return self.tree.query(q, **kwargs)
+
+    monkeypatch.setattr(update, "cKDTree", Spy)
+    rng = np.random.default_rng(18)
+    queries = rng.uniform(-1, 1, size=(500, 3))
+    knn_batch(queries, rng.uniform(-1, 1, size=(300, 3)), 5)
+    rows = np.concatenate(asked)
+    assert len(asked) == 8
+    assert sorted(map(tuple, rows)) == sorted(map(tuple, queries))
+    keys = morton_keys(queries)[[np.flatnonzero((queries == r).all(axis=1))[0]
+                                 for r in rows]]
+    assert (np.diff(keys) >= 0).all()
+    assert (np.diff(morton_keys(queries)) < 0).any()  # capture order is not
 
 
 def test_knn_refuses_a_reference_past_the_int32_table():
